@@ -142,7 +142,8 @@ def load_csv(path, target_column: str, feature_columns=None) -> Dataset:
     """Load a numeric CSV with a header row.
 
     ``feature_columns`` defaults to every column except the target.
-    Parse failures name the offending row and column.
+    Parse failures and values that are not finite (``nan``, ``inf``)
+    name the offending row and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -173,6 +174,9 @@ def load_csv(path, target_column: str, feature_columns=None) -> Dataset:
                 except ValueError:
                     raise DataError(f"{path}: row {i}, column {name!r}: "
                                     f"cannot parse {row[j]!r} as a number") from None
+                if not math.isfinite(vals[name]):
+                    raise DataError(f"{path}: row {i}, column {name!r}: "
+                                    f"value {row[j]!r} is not finite")
             xs.append([vals[c] for c in feature_columns])
             ys.append(vals[target_column])
     if not xs:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TrainLog, TrainStatus, WaveletModel, train_to_plateau
+from .model import (TrainLog, TrainStatus, WaveletModel, _check_finite,
+                    train_to_plateau)
 from .wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
                        build_center_grid, children_centers, _grid_from_bounds)
 
@@ -297,7 +298,9 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
     switch from firing growth on every patience interval).
 
     The post-update loss of each window is logged as one record, so the
-    iteration column counts update cycles.
+    iteration column counts update cycles.  Coefficients that turn
+    non-finite or huge in a window raise :class:`TrainingDivergence` with
+    the coefficients from before that window restored.
     """
     log = log if log is not None else TrainLog()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -318,10 +321,12 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
         sl = slice(w * window, (w + 1) * window)
         Xw, yw = X[sl], y[sl]
         psi = basis_matrix(mother, pool.model.bases, Xw)
+        last_good = pool.model.coeffs.copy()
         for _ in range(steps_per_window):
             resid = yw - psi @ pool.model.coeffs
             pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
             step += 1
+        _check_finite(pool.model, step, last_good)
         resid = yw - psi @ pool.model.coeffs
         lw = float(np.mean(resid * resid))
         losses.append(lw)
@@ -359,10 +364,12 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
         # only; no growth trigger on a boundary fragment)
         Xw, yw = X[n_windows * window:], y[n_windows * window:]
         psi = basis_matrix(mother, pool.model.bases, Xw)
+        last_good = pool.model.coeffs.copy()
         for _ in range(steps_per_window):
             resid = yw - psi @ pool.model.coeffs
             pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
             step += 1
+        _check_finite(pool.model, step, last_good)
         resid = yw - psi @ pool.model.coeffs
         losses.append(float(np.mean(resid * resid)))
         log.append(step, losses[-1], pool.model.n_params)

@@ -8,9 +8,13 @@ mother families are provided, both radial in frequency:
 * ``MEXICAN_HAT``: ``(d - |x|**2) * exp(-|x|**2 / 2)``, paired with a
   Gaussian low-pass companion.
 * ``SINC``: band-limited to the annulus ``1 < |w| <= 2``; in one dimension
-  ``(sin(2x) - sin(x)) / x``, in higher dimensions evaluated from a
-  tabulated radial profile.  Its low-pass companion is the tensor product
-  of ``sin(x_i)/x_i`` factors.
+  ``(sin(2x) - sin(x)) / x``, in higher dimensions evaluated from the
+  closed-form Bessel profile.  Its low-pass companion is the tensor
+  product of ``sin(x_i)/x_i`` factors.
+
+Shapes are evaluated from per-axis coordinate arrays, so a design matrix
+is built from one (n_samples, n_bases) offset array per input axis and
+never from an (n_samples, n_bases, dim) stack.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import jv
+from scipy.special import j1, jv
 
-from .quadrature import adaptive_integral, panel_rule_1d
+from .quadrature import adaptive_integral
 
 
 class WaveletFamily(enum.Enum):
@@ -65,41 +68,61 @@ def surface_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-class _SincRadialProfile:
-    """Tabulated radial profile of the band-limited mother in d >= 2.
+# below this radius the band-limited profile comes from its two-term
+# series about the origin, where the closed form divides by almost zero
+_SERIES_RADIUS = 1e-3
 
-    The profile is recovered from the annular frequency description by a
-    radial (Hankel-type) inverse transform evaluated on a uniform grid with
-    step 1e-3 of the maximum tabulated radius; beyond that radius the
-    profile is treated as zero.
+# half-width, in mother units, of the window the diagnostics integrate
+# the band-limited family over; the profile itself is not truncated
+# (its envelope decays like r**(-(d+1)/2))
+_SINC_QUADRATURE_RADIUS = 48.0
+
+
+def _sum_of_squares(axes) -> np.ndarray:
+    """Elementwise sum of squares of equally shaped per-axis arrays."""
+    s2 = np.square(axes[0])
+    if len(axes) > 1:
+        tmp = np.empty_like(s2)
+        for a in axes[1:]:
+            s2 += np.square(a, out=tmp)
+    return s2
+
+
+def _sinc_profile(dim: int, r: np.ndarray) -> np.ndarray:
+    """Band-limited radial profile at the radii ``r`` (left unchanged).
+
+    The inverse transform of the unit-height annulus ``1 < |w| <= 2`` is
+    ``sqrt(pi/2) * r**-nu * (2**nu J_nu(2r) - J_nu(r))`` with nu = dim/2;
+    in one dimension it reduces to ``(sin 2r - sin r) / r``.  Radii below
+    ``_SERIES_RADIUS`` take ``sqrt(pi/2) * (c0 - c2 r**2)`` instead.
     """
-
-    R_MAX = 48.0
-    POINTS = 1001
-
-    def __init__(self, dim: int):
-        if dim < 2:
-            raise ValueError("profile tabulation is for dim >= 2")
-        self.dim = dim
-        self.r_max = self.R_MAX
-        s = np.linspace(0.0, self.r_max, self.POINTS)
-        nu = dim / 2.0 - 1.0
-        nodes, weights = panel_rule_1d(1.0, 2.0, panels=16, order=24)
-        # psi(s) = sqrt(pi/2) * s**(1-d/2) * int_1^2 J_nu(r s) r**(d/2) dr
-        amp = math.sqrt(math.pi / 2.0)
-        bess = jv(nu, np.outer(s[1:], nodes))
-        integ = bess @ (weights * nodes ** (dim / 2.0))
-        vals = np.empty_like(s)
-        vals[1:] = amp * s[1:] ** (1.0 - dim / 2.0) * integ
-        # analytic limit at the origin
-        vals[0] = (amp * (2.0 ** dim - 1.0)
-                   / (dim * 2.0 ** (dim / 2.0 - 1.0) * math.gamma(dim / 2.0)))
-        self._spline = CubicSpline(s, vals, bc_type=((1, 0.0), "not-a-knot"))
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        out = self._spline(np.minimum(r, self.r_max))
-        return np.where(r > self.r_max, 0.0, out)
+    nu = 0.5 * dim
+    amp = math.sqrt(math.pi / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if dim == 1:
+            out = np.sin(2.0 * r)
+            out -= np.sin(r)
+            out /= r
+        else:
+            out = np.multiply(r, 2.0)
+            if dim == 2:
+                j1(out, out=out)
+                out *= 2.0
+                out -= j1(r)
+                out /= r
+            else:
+                jv(nu, out, out=out)
+                out *= 2.0 ** nu
+                out -= jv(nu, r)
+                out /= r ** nu
+            out *= amp
+    small = np.flatnonzero(r < _SERIES_RADIUS)
+    if small.size:
+        rs = r.flat[small]
+        c0 = (2.0 ** nu - 2.0 ** -nu) / math.gamma(nu + 1.0)
+        c2 = (2.0 ** nu - 2.0 ** (-nu - 2.0)) / math.gamma(nu + 2.0)
+        out.flat[small] = amp * (c0 - c2 * rs * rs)
+    return out
 
 
 @dataclass
@@ -109,7 +132,6 @@ class MotherWavelet:
     family: WaveletFamily
     dim: int
     _norm_sq: float | None = field(default=None, repr=False)
-    _profile: _SincRadialProfile | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -125,45 +147,60 @@ class MotherWavelet:
 
     # -- evaluation -----------------------------------------------------
 
-    def _profile_fn(self) -> _SincRadialProfile:
-        if self._profile is None:
-            self._profile = _SincRadialProfile(self.dim)
-        return self._profile
+    def _eval_kind(self, kind: BasisKind, axes) -> np.ndarray:
+        """Evaluate the mother (band-pass) or companion (low-pass) shape.
 
-    def _eval_kind(self, kind: BasisKind, pts: np.ndarray) -> np.ndarray:
-        """Evaluate the mother (band-pass) or companion (low-pass) shape at
-        points of shape (..., dim)."""
-        pts = np.asarray(pts, dtype=float)
+        ``axes`` holds ``dim`` equally shaped arrays, the points'
+        coordinates along each input axis.  They are left unchanged; the
+        result is a new array of their shape.
+        """
         if self.family is WaveletFamily.MEXICAN_HAT:
-            s2 = np.sum(pts * pts, axis=-1)
-            if kind is BasisKind.WAVELET:
-                return (self.dim - s2) * np.exp(-0.5 * s2)
-            return np.exp(-0.5 * s2)
+            s2 = _sum_of_squares(axes)
+            env = np.multiply(s2, -0.5)
+            np.exp(env, out=env)
+            if kind is BasisKind.SCALING:
+                return env
+            np.subtract(self.dim, s2, out=s2)
+            s2 *= env
+            return s2
         if kind is BasisKind.SCALING:
-            return np.prod(np.sinc(pts / np.pi), axis=-1)
-        if self.dim == 1:
-            t = pts[..., 0]
-            small = np.abs(t) < 1e-4
-            ts = np.where(small, 1.0, t)
-            vals = (np.sin(2.0 * ts) - np.sin(ts)) / ts
-            return np.where(small, 1.0 - (7.0 / 6.0) * t * t, vals)
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
-        return self._profile_fn()(r)
+            out = np.sinc(axes[0] / np.pi)
+            for a in axes[1:]:
+                out *= np.sinc(a / np.pi)
+            return out
+        r = _sum_of_squares(axes)
+        np.sqrt(r, out=r)
+        return _sinc_profile(self.dim, r)
+
+    def _eval_points(self, kind: BasisKind, pts: np.ndarray):
+        """:meth:`_eval_kind` at points of shape (..., dim); drops the
+        last axis (a single point gives a scalar)."""
+        if pts.shape[-1] != self.dim:
+            raise ValueError(f"points have {pts.shape[-1]} components, "
+                             f"mother expects {self.dim}")
+        flat = pts.reshape(-1, self.dim)
+        vals = self._eval_kind(kind, [flat[:, k] for k in range(self.dim)])
+        return vals.reshape(pts.shape[:-1])[()]
 
     def eval_mother(self, x) -> np.ndarray:
         """Band-pass mother value at ``x`` (shape (..., dim) or (dim,))."""
-        return self._eval_kind(BasisKind.WAVELET, np.atleast_1d(np.asarray(x, float)))
+        return self._eval_points(BasisKind.WAVELET, np.atleast_1d(np.asarray(x, float)))
 
     def eval_scaling_mother(self, x) -> np.ndarray:
         """Low-pass companion value at ``x``."""
-        return self._eval_kind(BasisKind.SCALING, np.atleast_1d(np.asarray(x, float)))
+        return self._eval_points(BasisKind.SCALING, np.atleast_1d(np.asarray(x, float)))
 
     @property
     def effective_radius(self) -> float:
-        """Radius beyond which the mother is treated as numerically zero."""
+        """Half-width, in mother units, of the window the diagnostics
+        integrate a basis element over.
+
+        The Mexican hat is below 1e-15 past it.  The band-limited profile
+        has unbounded support; 48 is a quadrature window, not a cutoff.
+        """
         if self.family is WaveletFamily.MEXICAN_HAT:
             return 9.0
-        return _SincRadialProfile.R_MAX
+        return _SINC_QUADRATURE_RADIUS
 
     # -- norm -----------------------------------------------------------
 
@@ -215,7 +252,7 @@ def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
     scale = 2.0 ** index.m
     amp = 2.0 ** (0.5 * mother.dim * index.m)
     arg = scale * x - np.asarray(index.n, dtype=float)
-    return amp * mother._eval_kind(index.kind, arg)
+    return amp * mother._eval_points(index.kind, arg)
 
 
 def eval_scaling(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
@@ -232,7 +269,9 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
     """Evaluate every basis in ``bases`` at every row of ``X``.
 
     Returns the (n_samples, n_bases) design matrix.  Bases are grouped by
-    (kind, resolution) so each group shares one scaled copy of ``X``.
+    (kind, resolution) so each group shares one scaled copy of ``X``;
+    each block of a group is evaluated from one (n_samples, block)
+    offset array per input axis.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -250,8 +289,15 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
         for start in range(0, len(cols), block):
             sel = cols[start:start + block]
             ctr = centers[start:start + block]
-            arg = scaled[:, None, :] - ctr[None, :, :]
-            out[:, sel] = amp * mother._eval_kind(kind, arg)
+            vals = mother._eval_kind(
+                kind, [np.subtract.outer(scaled[:, k], ctr[:, k])
+                       for k in range(d)])
+            # scale and store each run of consecutive columns through a
+            # slice; an index-list column store is several times slower
+            cuts = [0, *(np.flatnonzero(np.diff(sel) != 1) + 1), len(sel)]
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                np.multiply(vals[:, a:b], amp,
+                            out=out[:, sel[a]:sel[a] + b - a])
     return out
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -85,6 +87,16 @@ def test_csv_requires_path_and_target(out_root, capsys):
     assert "csv_path" in capsys.readouterr().err
 
 
+def test_non_finite_csv_value_exits_2(out_root, tmp_path, capsys):
+    table = tmp_path / "inf.csv"
+    table.write_text("x1,x2,y\n0.1,0.2,1.0\n0.3,inf,2.0\n0.5,0.6,3.0\n")
+    rc = cli.main(["fit", "--preset", "csv", "--csv-path", str(table),
+                   "--target-column", "y", "--out", str(out_root / "inf")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "row 3" in err and "'x2'" in err
+
+
 def test_fit_writes_artifacts_and_replays(out_root, capsys):
     run1 = out_root / "fit1"
     rc = cli.main(FAST_FIT + ["--out", str(run1)])
@@ -143,6 +155,15 @@ def test_online_small_stream(out_root, capsys):
     assert (run / "train_log.csv").exists()
 
 
+def test_online_divergence_exits_3(out_root, capsys):
+    # a step size far past the stability bound blows the coefficients up
+    # within a few windows; the run must stop as a numeric failure
+    rc = cli.main(["online", "--preset", "example3", "--length", "3000",
+                   "--learning-rate", "5", "--out", str(out_root / "div")])
+    assert rc == 3
+    assert "diverged" in capsys.readouterr().err
+
+
 def test_diag_partial_box_exits_2(out_root, capsys):
     rc = cli.main(["diag", "--preset", "example1-d1", "--box-m1", "0",
                    "--out", str(out_root / "dg")])
@@ -191,3 +212,17 @@ def test_config_precedence_flags_beat_file(out_root, tmp_path, capsys):
     assert resolved["seed"] == 11        # flag wins over file
     assert resolved["epsilon"] == 0.05   # file wins over preset
     assert resolved["variant"] == "D1"   # preset fills the rest
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # the package needs no interpolation; importing it costs start-up time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, cwnn.cli; "
+             "print('scipy.interpolate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

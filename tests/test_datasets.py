@@ -143,6 +143,15 @@ def test_load_csv_errors_name_location(tmp_path):
         load_csv(p, "z")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_load_csv_rejects_non_finite(tmp_path, bad):
+    # float() parses these, so only an explicit check keeps them out
+    p = tmp_path / "t.csv"
+    _write_csv(p, ["a", "y"], [[1, 2], [3, bad], [5, 6]])
+    with pytest.raises(DataError, match=r"row 3, column 'y'.*not finite"):
+        load_csv(p, "y")
+
+
 def test_minmax_scale_endpoints_and_errors(tmp_path):
     ds = Dataset(np.array([[0.0], [5.0], [10.0]]), np.array([1.0, 2.0, 3.0]),
                  {})

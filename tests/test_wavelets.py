@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import gamma, jv
 
-from cwnn.quadrature import adaptive_integral
+from cwnn.quadrature import adaptive_integral, panel_rule_1d
+import cwnn.wavelets as wavelets
 from cwnn.wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
-                           MotherWavelet, build_center_grid, children_centers,
-                           eval_basis, eval_scaling, mother_norm_sq,
-                           nearest_two)
+                           MotherWavelet, basis_matrix, build_center_grid,
+                           children_centers, eval_basis, eval_scaling,
+                           mother_norm_sq, nearest_two)
 
 
 def w_index(m, n):
@@ -42,18 +43,48 @@ def test_sinc_1d_origin_limit():
         (math.sin(2.6) - math.sin(1.3)) / 1.3)
 
 
+def hankel_profile(d, r):
+    """Band-limited profile by quadrature of its Hankel integral,
+    sqrt(pi/2) * r**(1 - d/2) * int_1^2 J_{d/2-1}(r s) s**(d/2) ds, with the
+    integrand's small-argument limit at r = 0."""
+    amp = math.sqrt(math.pi / 2)
+    if r == 0.0:
+        return amp * (2 ** d - 1) / (d * 2 ** (d / 2 - 1) * gamma(d / 2))
+    s, w = panel_rule_1d(1.0, 2.0, panels=16, order=24)
+    integral = np.dot(w, jv(d / 2 - 1, r * s) * s ** (d / 2))
+    return amp * r ** (1 - d / 2) * integral
+
+
+PROFILE_RADII = (0.0, 1e-4, 0.999e-3, 1.001e-3, 10.0, 47.9, 48.1, 60.0, 80.0)
+
+
 def test_sinc_radial_profile_matches_bessel_form():
-    # the tabulated d>=2 profile against the half-integer Bessel closed
-    # form sqrt(pi/2) * s^{-d/2} * (2^{d/2} J_{d/2}(2s) - J_{d/2}(s))
-    for d in (2, 3):
+    # the closed-form profile against an independent quadrature of its
+    # Hankel integral, at radii on both sides of the origin series cut-off
+    # (1e-3) and of the diagnostics window (48), on an axis and a diagonal
+    r = np.array(PROFILE_RADII)
+    for d in (1, 2, 3, 9):
         sc = MotherWavelet.sinc(d)
-        s = np.linspace(0.2, 30.0, 211)
-        pts = np.zeros((s.size, d))
-        pts[:, 0] = s
-        got = sc.eval_mother(pts)
-        want = (math.sqrt(math.pi / 2) * s ** (-d / 2)
-                * (2 ** (d / 2) * jv(d / 2, 2 * s) - jv(d / 2, s)))
-        assert np.max(np.abs(got - want)) < 1e-6
+        want = np.array([hankel_profile(d, v) for v in r])
+        on_axis = np.zeros((r.size, d))
+        on_axis[:, 0] = r
+        diagonal = np.outer(r, np.full(d, 1 / math.sqrt(d)))
+        assert np.max(np.abs(sc.eval_mother(on_axis) - want)) < 1e-11, d
+        assert np.max(np.abs(sc.eval_mother(diagonal) - want)) < 1e-11, d
+
+
+def test_sinc_2d_profile_continuous_past_quadrature_window():
+    # the profile has unbounded support: no jump at the diagnostics'
+    # quadrature radius and no zero tail beyond it
+    sc = MotherWavelet.sinc(2)
+    assert sc.effective_radius == 48.0
+    edge = np.array([[48.0 - 1e-9, 0.0], [48.0 + 1e-9, 0.0]])
+    below, above = sc.eval_mother(edge)
+    assert abs(below - above) < 1e-9
+    assert abs(above) > 1e-3
+    tail = np.zeros((200, 2))
+    tail[:, 0] = np.linspace(48.1, 80.0, 200)
+    assert np.max(np.abs(sc.eval_mother(tail))) > 1e-3
 
 
 def test_rotation_symmetry():
@@ -124,6 +155,32 @@ def test_eval_dimension_mismatch():
     mh = MotherWavelet.mexican_hat(2)
     with pytest.raises(ValueError):
         eval_basis(mh, w_index(0, 0), [[1.0]])
+
+
+@pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
+    # two resolutions and both kinds in runs of three columns, so every
+    # (kind, resolution) group is split into two column runs, and a block
+    # size that cuts each group, and one of its runs, into two blocks
+    mother = getattr(MotherWavelet, family)(d)
+    rng = np.random.default_rng(40 + d)
+    bases = []
+    for j in range(24):
+        kind = (BasisKind.WAVELET, BasisKind.SCALING)[(j // 3) % 2]
+        m = (j // 6) % 2
+        n = tuple(int(v) for v in rng.integers(-3, 4, size=d))
+        bases.append(BasisIndex(m, n, kind))
+    X = rng.uniform(-2.0, 2.0, size=(37, d))
+    # rows on a center and just off it reach the small-radius series
+    X[0] = np.asarray(bases[0].n) * 2.0 ** -bases[0].m
+    X[1] = X[0] + 3e-4
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 5 * X.size)
+    psi = basis_matrix(mother, bases, X)
+    assert psi.shape == (37, 24)
+    for j, b in enumerate(bases):
+        np.testing.assert_allclose(psi[:, j], eval_basis(mother, b, X),
+                                   rtol=1e-13, atol=1e-15)
 
 
 def test_basis_index_center_and_frequency():
