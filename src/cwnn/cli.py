@@ -382,8 +382,11 @@ def cmd_fit(cfg, out: str) -> int:
     ds, extra = _build_data(cfg)
     mother = _mother(cfg, ds.dim)
     gcfg = _growth_config(cfg)
+    # a csv run trains on min-max scaled data; saved models keep the record
+    scaling = ds.meta.get("scaling")
     log = TrainLog()
     res = run_growth(mother, ds.inputs, ds.targets, gcfg, log)
+    res.model.scaling = scaling
     summary = {"command": "fit", "cwnn": _fit_summary(res, log)}
     if "second" in extra:
         # second dataset arrives: continue growing on the union
@@ -403,6 +406,7 @@ def cmd_fit(cfg, out: str) -> int:
     if cfg.get("baseline") == "wnn":
         blog = TrainLog()
         bres = run_baseline_wnn(mother, ds.inputs, ds.targets, gcfg, blog)
+        bres.model.scaling = scaling
         summary["baseline"] = _fit_summary(bres, blog)
         summary["param_ratio"] = res.n_params / bres.n_params
         blog.to_csv(os.path.join(out, "baseline_train_log.csv"))

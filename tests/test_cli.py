@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import cwnn.cli as cli
-from cwnn.datasets import Dataset
+from cwnn.datasets import Dataset, load_csv, minmax_unscale, split
+from cwnn.model import WaveletModel
 
 
 @pytest.fixture()
@@ -95,6 +96,38 @@ def test_non_finite_csv_value_exits_2(out_root, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "row 3" in err and "'x2'" in err
+
+
+def test_csv_model_predicts_in_original_units(out_root, tmp_path, capsys):
+    # a saved csv model carries the min-max record of its training data,
+    # so the loaded model gives held-out predictions in the csv's units
+    rng = np.random.default_rng(11)
+    X = rng.uniform([-5.0, 10.0], [5.0, 30.0], size=(120, 2))
+    y = 100.0 + 20.0 * np.sin(0.3 * X[:, 0]) + 0.5 * X[:, 1]
+    table = tmp_path / "units.csv"
+    table.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{t!r}\n" for (a, b), t
+                                          in zip(X.tolist(), y.tolist())))
+    run = out_root / "units"
+    rc = cli.main(["fit", "--preset", "csv", "--csv-path", str(table),
+                   "--target-column", "y", "--m-init", "0",
+                   "--max-resolution", "2", "--out", str(run)])
+    assert rc == 0
+    cfg = read_json(run / "config.json")
+    model = WaveletModel.load(run / "model.json")
+    assert model.scaling["target_min"] == y.min()
+    assert model.scaling["target_max"] == y.max()
+    _, raw_test = split(load_csv(table, "y"), cfg["train_fraction"],
+                        cfg["seed"])
+    lo = np.array(model.scaling["input_min"])
+    hi = np.array(model.scaling["input_max"])
+    scaled_inputs = (raw_test.inputs - lo) / (hi - lo)
+    back = minmax_unscale(Dataset(scaled_inputs, model.predict(scaled_inputs),
+                                  {"scaling": model.scaling}))
+    np.testing.assert_allclose(back.inputs, raw_test.inputs, rtol=1e-12)
+    mse = float(np.mean((back.targets - raw_test.targets) ** 2))
+    s = read_json(run / "summary.json")
+    assert mse == pytest.approx(s["test_mse"] * (y.max() - y.min()) ** 2,
+                                rel=1e-9)
 
 
 def test_fit_writes_artifacts_and_replays(out_root, capsys):

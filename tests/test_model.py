@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cwnn.growth
+from cwnn.growth import GrowthConfig, run_growth
 from cwnn.model import (TrainLog, TrainStatus, TrainingDivergence,
-                        WaveletModel, gradient_step, loss, train_to_plateau)
+                        WaveletModel, _check_finite, gradient_step, loss,
+                        train_to_plateau)
 from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, basis_matrix
 
 MH1 = MotherWavelet.mexican_hat(1)
@@ -118,6 +123,12 @@ def test_save_load_round_trip(tmp_path):
     assert back.bases == model.bases
     assert np.array_equal(back.coeffs, model.coeffs)
     assert back.mother.family == model.mother.family
+    assert back.scaling is None and "scaling" not in model.to_dict()
+    model.scaling = {"feature_range": [0.0, 1.0], "input_min": [-2.0],
+                     "input_max": [3.0], "target_min": 1.0,
+                     "target_max": 4.0}
+    model.save(path)
+    assert WaveletModel.load(path).scaling == model.scaling
 
 
 # --------------------------------------------------------------- training
@@ -167,9 +178,17 @@ def test_train_infinite_zeta_stops_in_two_iterations():
 
 def test_train_divergence_restores_last_good():
     model, X, y = _easy_problem()
-    with pytest.raises(TrainingDivergence):
+    with pytest.raises(TrainingDivergence) as got:
         train_to_plateau(model, X, y, 1e6, 1e-12, 1e-12, 1000)
     assert np.all(np.isfinite(model.coeffs))
+    # p = 2 <= N = 40 runs the Gram form; the residual form must diverge
+    # at the same step and restore the same coefficients
+    ref, _, _ = _easy_problem()
+    with pytest.raises(TrainingDivergence) as want:
+        _residual_train(ref, X, y, 1e6, 1e-12, 1e-12, 1000)
+    assert got.value.iteration == want.value.iteration
+    assert got.value.model is model
+    np.testing.assert_allclose(model.coeffs, ref.coeffs, rtol=1e-9)
 
 
 def test_log_iterations_strictly_increase():
@@ -205,3 +224,135 @@ def test_training_is_deterministic():
         train_to_plateau(model, X, y, 0.05, 1e-9, 1e-9, 500, log)
         runs.append([(it, ls, np_) for it, ls, np_, _ in log.records])
     assert runs[0] == runs[1]
+
+
+# ------------------------------------------------- Gram vs residual form
+
+def _residual_train(model, X, y, lr, zeta, epsilon, max_iters, log=None):
+    """Reference: the plateau loop on the residual form r = y - psi c,
+    with the same exits, checks and log records as ``train_to_plateau``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    psi = basis_matrix(model.mother, model.bases, X)
+    scale = lr * 2.0 / y.size
+    resid = y - psi @ model.coeffs
+    current = float(np.mean(resid * resid))
+    if current <= epsilon:
+        return TrainStatus.ACHIEVED
+    offset = log.last_iteration if log is not None else 0
+    for k in range(1, max_iters + 1):
+        last_good = model.coeffs.copy()
+        model.coeffs += scale * (psi.T @ resid)
+        resid = y - psi @ model.coeffs
+        new = float(np.mean(resid * resid))
+        if not np.isfinite(new):
+            _check_finite(model, offset + k, last_good)
+            model.coeffs = last_good
+            raise TrainingDivergence("non-finite loss", model=model,
+                                     iteration=offset + k)
+        _check_finite(model, offset + k, last_good)
+        if log is not None:
+            log.append(offset + k, new, model.n_params)
+        if new <= epsilon:
+            return TrainStatus.ACHIEVED
+        if k >= 2 and abs(new - current) <= zeta:
+            return TrainStatus.PLATEAU
+        current = new
+    return TrainStatus.BUDGET
+
+
+# distinct 1-D elements whose centers k / 2^m lie in the sample range
+_POOL = [(m, k) for m in range(3) for k in range(-(2 ** m), 3 * 2 ** m + 1)]
+
+
+def _random_problem(seed, p, n, lr_fraction):
+    """p random elements, n samples on [-1, 3], targets from a random
+    expansion plus noise at 1% of the column energy, random start
+    coefficients, and lr = lr_fraction / lambda_max(psi^T psi / n)."""
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(_POOL), size=p, replace=False)
+    model = wm([_POOL[i] for i in sorted(picks)], rng.standard_normal(p))
+    X = rng.uniform(-1.0, 3.0, size=(n, 1))
+    psi = basis_matrix(MH1, model.bases, X)
+    noise_sd = 0.1 * np.sqrt(np.mean(psi * psi))
+    y = psi @ rng.standard_normal(p) + noise_sd * rng.standard_normal(n)
+    lam = np.linalg.norm(psi, 2) ** 2 / n
+    return model, X, y, lr_fraction / lam
+
+
+def _compare_forms(model, X, y, lr, zeta, epsilon, max_iters):
+    ref = WaveletModel(model.mother, list(model.bases), model.coeffs.copy())
+    log, ref_log = TrainLog(), TrainLog()
+    status = train_to_plateau(model, X, y, lr, zeta, epsilon, max_iters, log)
+    ref_status = _residual_train(ref, X, y, lr, zeta, epsilon, max_iters,
+                                 ref_log)
+    assert status is ref_status
+    assert [r[0] for r in log.records] == [r[0] for r in ref_log.records]
+    tol = 1e-12 * max(1.0, float(y @ y) / y.size)
+    for got, want in zip(log.records, ref_log.records):
+        assert abs(got[1] - want[1]) <= tol
+    assert (np.linalg.norm(model.coeffs - ref.coeffs)
+            <= 1e-9 * np.linalg.norm(ref.coeffs))
+    return status, log
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30),
+       st.sampled_from(["under", "equal", "over"]), st.floats(0.02, 0.15),
+       st.integers(1, 25))
+def test_gram_form_matches_residual_form(seed, n, shape, lr_fraction,
+                                         max_iters):
+    # zeta = 0 and a tiny epsilon: both forms take exactly max_iters steps
+    rng = np.random.default_rng(seed)
+    p = {"under": int(rng.integers(1, n)), "equal": n,
+         "over": int(rng.integers(n + 1, min(2 * n, len(_POOL)) + 1))}[shape]
+    model, X, y, lr = _random_problem(seed, p, n, lr_fraction)
+    status, log = _compare_forms(model, X, y, lr, 0.0, 1e-300, max_iters)
+    assert status is TrainStatus.BUDGET
+    assert log.last_iteration == max_iters
+
+
+@pytest.mark.parametrize("seed,p,n", [(1, 3, 40), (2, 12, 30), (3, 20, 20),
+                                      (4, 25, 12)])
+def test_gram_form_matches_residual_exits(seed, p, n):
+    # a real plateau gap: the same exit, at the same iteration
+    model, X, y, lr = _random_problem(seed, p, n, 0.3)
+    status, log = _compare_forms(model, X, y, lr, 1e-6 * float(y @ y) / n,
+                                 1e-300, 20_000)
+    assert status is TrainStatus.PLATEAU
+    assert log.last_iteration > 2
+
+
+def test_growth_crossing_sample_count_matches_residual_form(monkeypatch):
+    # 12 samples: the pool grows from 10 to 12 elements (Gram form, p <= N)
+    # and then past 12 (residual form) within one run
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, size=(12, 1))
+    y = np.sin(12.0 * X[:, 0]) * np.exp(-X[:, 0])
+    config = GrowthConfig(epsilon=1e-4, zeta=1e-5, mu=1 / 2,
+                          learning_rate=0.03, m_init=1, domain_low=(0.0,),
+                          domain_high=(1.0,), margin=1.0, clamp_low=(0.0,),
+                          max_resolution=3, max_iters=20_000)
+    runs = []
+    for train in (train_to_plateau, _residual_train):
+        shapes = []
+
+        def spy(model, X_, y_, *args, train=train, shapes=shapes):
+            shapes.append(model.n_params)
+            return train(model, X_, y_, *args)
+
+        monkeypatch.setattr(cwnn.growth, "train_to_plateau", spy)
+        log = TrainLog()
+        res = run_growth(MH1, X, y, config, log)
+        runs.append((res, log, shapes))
+    (res, log, shapes), (ref, ref_log, ref_shapes) = runs
+    assert min(shapes) < 12 and 12 in shapes and max(shapes) > 12
+    assert shapes == ref_shapes
+    assert res.status is ref.status
+    assert log.events == ref_log.events
+    assert [r[0] for r in log.records] == [r[0] for r in ref_log.records]
+    losses = np.array([r[1] for r in log.records])
+    ref_losses = np.array([r[1] for r in ref_log.records])
+    assert np.max(np.abs(losses - ref_losses)) <= 1e-12
+    np.testing.assert_allclose(res.model.coeffs, ref.model.coeffs, rtol=1e-9,
+                               atol=1e-9 * np.max(np.abs(ref.model.coeffs)))
