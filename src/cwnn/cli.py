@@ -313,8 +313,7 @@ def _growth_config(cfg) -> GrowthConfig:
         margin=cfg["margin"],
         clamp_low=None if cfg["clamp_low"] is None else tuple(cfg["clamp_low"]),
         clamp_high=None if cfg["clamp_high"] is None else tuple(cfg["clamp_high"]),
-        max_resolution=cfg["max_resolution"], max_iters=cfg["max_iters"],
-        seed=cfg["seed"])
+        max_resolution=cfg["max_resolution"], max_iters=cfg["max_iters"])
 
 
 def _prepare_out(args, cfg) -> str:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (TrainLog, TrainStatus, WaveletModel, _check_finite,
-                    train_to_plateau)
+from .model import (Design, TrainLog, TrainStatus, WaveletModel,
+                    _check_finite, train_to_plateau)
 from .wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
                        build_center_grid, children_centers, _grid_from_bounds)
 
@@ -43,9 +43,7 @@ class GrowthConfig:
     clamp_high: tuple | None = None
     max_resolution: int = 10
     max_iters: int = 50_000
-    seed: int | None = None
     baseline_start_m: int = 1
-    baseline_seed_fraction: float = 1.0
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.zeta <= 0 or self.learning_rate <= 0:
@@ -194,8 +192,12 @@ def run_growth(mother: MotherWavelet, X, y, config: GrowthConfig,
     Passing an existing ``pool`` continues a previous run (e.g. after new
     data arrives) instead of seeding afresh: training resumes at the
     pool's finest resolution with a fresh expansion-phase schedule.
+    Every phase trains on one design of ``X`` and ``y``, so each column
+    is evaluated once per call, and a resumed pool's columns are built
+    anew on the rows given here.
     """
     log = log if log is not None else TrainLog()
+    design = Design(X, y)
     start_iter = log.last_iteration
     if pool is None:
         low, high = _effective_bounds(config)
@@ -213,7 +215,8 @@ def run_growth(mother: MotherWavelet, X, y, config: GrowthConfig,
         if remaining <= 0:
             return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
         st = train_to_plateau(pool.model, X, y, config.learning_rate,
-                              config.zeta, config.epsilon, remaining, log)
+                              config.zeta, config.epsilon, remaining, log,
+                              design)
         if st is TrainStatus.ACHIEVED:
             return GrowthResult(pool.model, log, TrainStatus.ACHIEVED, m, pool)
         if st is TrainStatus.BUDGET:
@@ -240,26 +243,22 @@ def run_baseline_wnn(mother: MotherWavelet, X, y, config: GrowthConfig,
     start resolution, then add whole detail grids level by level whenever
     training plateaus above the target."""
     log = log if log is not None else TrainLog()
+    design = Design(X, y)
     start_iter = log.last_iteration
     low, high = _effective_bounds(config)
     pool = WaveletPool(mother, low, high)
     m = config.baseline_start_m
     grid = pool.grid(m)
-    seed_bases = grid.bases(BasisKind.SCALING) + grid.bases(BasisKind.WAVELET)
-    frac = config.baseline_seed_fraction
-    if frac < 1.0:
-        rng = np.random.default_rng(config.seed)
-        keep = rng.choice(len(seed_bases), size=max(1, int(round(frac * len(seed_bases)))),
-                          replace=False)
-        seed_bases = [seed_bases[i] for i in sorted(keep)]
-    pool.add_bases(seed_bases)
+    seed_bases = pool.add_bases(grid.bases(BasisKind.SCALING)
+                                + grid.bases(BasisKind.WAVELET))
     log.add_event(log.last_iteration, "seed", m, len(seed_bases))
     while True:
         remaining = config.max_iters - (log.last_iteration - start_iter)
         if remaining <= 0:
             return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
         st = train_to_plateau(pool.model, X, y, config.learning_rate,
-                              config.zeta, config.epsilon, remaining, log)
+                              config.zeta, config.epsilon, remaining, log,
+                              design)
         if st is TrainStatus.ACHIEVED:
             return GrowthResult(pool.model, log, TrainStatus.ACHIEVED, m, pool)
         if st is TrainStatus.BUDGET:

@@ -5,17 +5,20 @@ full-batch gradient descent on mean squared error; a run ends when the
 loss target is met (Achieved), the loss stops moving (Plateau), or the
 iteration budget runs out (Budget).
 
-Plateau training runs on the Gram form whenever the N x p design matrix
-psi has no more columns than rows (p <= N): G = psi^T psi, b = psi^T y
-and y^T y are built once and psi is dropped, so each step costs one
-p x p product instead of two N x p ones.  The rule is that G never takes
-more memory than psi; it depends only on the input shapes.  A wider
-basis (p > N) keeps the residual form r = y - psi c, where G would be
-both larger and slower per step.  The Gram-form loss
-(y^T y - 2 c^T b + c^T G c) / N is a difference of terms of size y^T y,
-so its rounding floor is a few ulp of y^T y / N: about 1e-15 on the
-example1 presets (y^T y / N is about 3.1, one ulp 4.4e-16), far below
-any loss target or plateau gap in use.
+Training steps on a :class:`Design`: the N x p design matrix psi of one
+dataset, kept in step with a model whose basis only grows.  Each sync
+evaluates only the columns of bases appended since the last one, so a
+growth run builds every column once.  While psi has no more columns than
+rows (p <= N) the design also holds G = psi^T psi, b = psi^T y and
+y^T y, extended at each sync by the border blocks psi_old^T psi_new and
+psi_new^T psi_new, and each step costs one p x p product instead of two
+N x p ones.  The first sync that takes p past N drops G for good (p
+never shrinks), and the residual form r = y - psi c runs from then on,
+where G would be both larger and slower per step.  The rule depends only
+on the shapes.  The Gram-form loss (y^T y - 2 c^T b + c^T G c) / N is a
+difference of terms of size y^T y, so its rounding floor is a few ulp of
+y^T y / N: about 1e-15 on the example1 presets (y^T y / N is about 3.1,
+one ulp 4.4e-16), far below any loss target or plateau gap in use.
 """
 
 from __future__ import annotations
@@ -191,30 +194,59 @@ class TrainLog:
                 w.writerow(list(row))
 
 
-def _objective(psi, y):
-    """Return ``f(c) -> (g, loss)``: the descent direction
-    ``g = psi^T (y - psi c)`` and the mean squared error at ``c``.
+class Design:
+    """The design matrix of the data ``X``, ``y``, kept in step with a
+    model whose bases are only ever appended (see the module docstring).
 
-    With p <= N, ``f`` holds only G, b and y^T y (see the module
-    docstring); with p > N it holds psi and forms the residual.
+    ``psi`` holds one column per synced basis.  While p <= N, ``gram``,
+    ``b`` and ``yy`` hold psi^T psi, psi^T y and y^T y; past N ``gram``
+    is None.  A design belongs to one dataset: data with other rows need
+    a new design.
     """
-    n = y.size
-    if psi.shape[1] <= n:
-        gram, b, yy = psi.T @ psi, psi.T @ y, float(y @ y)
 
-        def f(c):
-            g = b - gram @ c
-            return g, (yy - float(c @ (b + g))) / n
-    else:
-        def f(c):
-            resid = y - psi @ c
-            return psi.T @ resid, float(np.mean(resid * resid))
-    return f
+    def __init__(self, X, y):
+        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.y = np.asarray(y, dtype=float)
+        if self.y.size == 0:
+            raise ValueError("empty batch")
+        self.bases = []
+        self.psi = np.empty((self.y.size, 0))
+        self.gram = np.empty((0, 0))
+        self.b = np.empty(0)
+        self.yy = float(self.y @ self.y)
+
+    def sync(self, model: WaveletModel) -> None:
+        """Evaluate the columns of the bases ``model`` gained since the
+        last sync and border G and b with them."""
+        p_old = len(self.bases)
+        if model.bases[:p_old] != self.bases:
+            raise ValueError("the model's bases do not extend the design's")
+        new_bases = model.bases[p_old:]
+        if not new_bases:
+            return
+        new = basis_matrix(model.mother, new_bases, self.X)
+        if self.gram is not None and model.n_params <= self.y.size:
+            cross = self.psi.T @ new
+            self.gram = np.block([[self.gram, cross], [cross.T, new.T @ new]])
+            self.b = np.concatenate([self.b, new.T @ self.y])
+        else:
+            self.gram = self.b = None
+        self.psi = np.hstack([self.psi, new])
+        self.bases.extend(new_bases)
+
+    def objective(self, c):
+        """The descent direction ``g = psi^T (y - psi c)`` and the mean
+        squared error at ``c``."""
+        if self.gram is not None:
+            g = self.b - self.gram @ c
+            return g, (self.yy - float(c @ (self.b + g))) / self.y.size
+        resid = self.y - self.psi @ c
+        return self.psi.T @ resid, float(np.mean(resid * resid))
 
 
 def train_to_plateau(model: WaveletModel, X, y, lr: float, zeta: float,
-                     epsilon: float, max_iters: int, log: TrainLog | None = None
-                     ) -> TrainStatus:
+                     epsilon: float, max_iters: int, log: TrainLog | None = None,
+                     design: Design | None = None) -> TrainStatus:
     """Run gradient steps until the loss target, a plateau, or the budget.
 
     The loss is checked before the first step, so a model already at or
@@ -222,29 +254,32 @@ def train_to_plateau(model: WaveletModel, X, y, lr: float, zeta: float,
     consecutive-loss change of at most ``zeta``.  Divergence (non-finite
     loss or huge coefficients) raises, restoring the last finite state.
 
+    The steps run on ``design``, a :class:`Design` made from these ``X``
+    and ``y``, after syncing it to the model: a caller that trains one
+    growing model in phases passes the same design each time, so psi
+    keeps its columns across phases and G is bordered rather than
+    rebuilt.  Without one, a design is made for this call alone.
+
     Each step is ``c += (2 lr / N) g``.  When p <= N the step runs on the
     Gram form: ``g = b - G c`` and the loss is ``(y^T y - c.(b + g)) / N``,
     so one p x p product gives both the loss at the new coefficients and
-    the next direction.  G is p x p <= N x p, so it never takes more memory
-    than the design matrix it replaces, which is released once G is built.
-    When p > N the residual form ``r = y - psi c``, ``g = psi^T r`` runs
-    instead.  The Gram loss carries a rounding floor of a few ulp of
-    ``y^T y / N``.
+    the next direction; G is p x p <= N x p, so it never takes more memory
+    than psi.  Once p > N, G is gone and the residual form
+    ``r = y - psi c``, ``g = psi^T r`` runs instead.  The Gram loss
+    carries a rounding floor of a few ulp of ``y^T y / N``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise ValueError("empty batch")
-    objective = _objective(basis_matrix(model.mother, model.bases, X), y)
-    scale = lr * 2.0 / y.size
-    direction, current = objective(model.coeffs)
+    if design is None:
+        design = Design(X, y)
+    design.sync(model)
+    scale = lr * 2.0 / design.y.size
+    direction, current = design.objective(model.coeffs)
     if current <= epsilon:
         return TrainStatus.ACHIEVED
     offset = log.last_iteration if log is not None else 0
     for k in range(1, max_iters + 1):
         last_good = model.coeffs.copy()
         model.coeffs += scale * direction
-        direction, new = objective(model.coeffs)
+        direction, new = design.objective(model.coeffs)
         if not np.isfinite(new):
             _check_finite(model, offset + k, last_good)
             model.coeffs = last_good

@@ -37,11 +37,6 @@ def panel_rule_1d(a: float, b: float, panels: int, order: int):
     return nodes, weights
 
 
-def integrate_1d(f, a, b, panels=8, order=16):
-    nodes, weights = panel_rule_1d(a, b, panels, order)
-    return float(np.dot(weights, f(nodes)))
-
-
 def tensor_rule(lows, highs, panels, order: int):
     """Tensor-product composite rule over a box.
 

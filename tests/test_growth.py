@@ -16,7 +16,7 @@ def small_config(**kw):
     base = dict(epsilon=1e-6, zeta=1e-10, mu=1 / 2, learning_rate=0.05,
                 m_init=1, domain_low=(0.0,), domain_high=(1.0,),
                 margin=1.0, clamp_low=(0.0,), max_resolution=4,
-                max_iters=20_000, seed=0)
+                max_iters=20_000)
     base.update(kw)
     return GrowthConfig(**base)
 

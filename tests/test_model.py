@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cwnn.growth
+import cwnn.model
 from cwnn.growth import GrowthConfig, run_growth
-from cwnn.model import (TrainLog, TrainStatus, TrainingDivergence,
+from cwnn.model import (Design, TrainLog, TrainStatus, TrainingDivergence,
                         WaveletModel, _check_finite, gradient_step, loss,
                         train_to_plateau)
 from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, basis_matrix
@@ -323,30 +324,32 @@ def test_gram_form_matches_residual_exits(seed, p, n):
     assert log.last_iteration > 2
 
 
-def test_growth_crossing_sample_count_matches_residual_form(monkeypatch):
-    # 12 samples: the pool grows from 10 to 12 elements (Gram form, p <= N)
-    # and then past 12 (residual form) within one run
-    rng = np.random.default_rng(5)
-    X = rng.uniform(0.0, 1.0, size=(12, 1))
-    y = np.sin(12.0 * X[:, 0]) * np.exp(-X[:, 0])
-    config = GrowthConfig(epsilon=1e-4, zeta=1e-5, mu=1 / 2,
-                          learning_rate=0.03, m_init=1, domain_low=(0.0,),
-                          domain_high=(1.0,), margin=1.0, clamp_low=(0.0,),
-                          max_resolution=3, max_iters=20_000)
+def _grow_both_ways(monkeypatch, grow):
+    """Run ``grow() -> (result, log)`` with run_growth training by
+    ``train_to_plateau`` and then by ``_residual_train``; returns
+    ``(result, log, shapes)`` of each, ``shapes`` being the basis size of
+    every training call."""
     runs = []
     for train in (train_to_plateau, _residual_train):
         shapes = []
 
-        def spy(model, X_, y_, *args, train=train, shapes=shapes):
+        # run_growth passes its design; the reference builds psi itself
+        def spy(model, X_, y_, lr, zeta, epsilon, max_iters, log, design,
+                train=train, shapes=shapes):
+            assert isinstance(design, Design)
             shapes.append(model.n_params)
-            return train(model, X_, y_, *args)
+            extra = (design,) if train is train_to_plateau else ()
+            return train(model, X_, y_, lr, zeta, epsilon, max_iters, log,
+                         *extra)
 
         monkeypatch.setattr(cwnn.growth, "train_to_plateau", spy)
-        log = TrainLog()
-        res = run_growth(MH1, X, y, config, log)
-        runs.append((res, log, shapes))
-    (res, log, shapes), (ref, ref_log, ref_shapes) = runs
-    assert min(shapes) < 12 and 12 in shapes and max(shapes) > 12
+        runs.append((*grow(), shapes))
+    monkeypatch.undo()
+    return runs
+
+
+def _assert_same_growth(got, want):
+    (res, log, shapes), (ref, ref_log, ref_shapes) = got, want
     assert shapes == ref_shapes
     assert res.status is ref.status
     assert log.events == ref_log.events
@@ -356,3 +359,133 @@ def test_growth_crossing_sample_count_matches_residual_form(monkeypatch):
     assert np.max(np.abs(losses - ref_losses)) <= 1e-12
     np.testing.assert_allclose(res.model.coeffs, ref.model.coeffs, rtol=1e-9,
                                atol=1e-9 * np.max(np.abs(ref.model.coeffs)))
+
+
+def _growth_config(**kw):
+    base = dict(epsilon=1e-4, zeta=1e-5, mu=1 / 2, learning_rate=0.03,
+                m_init=1, domain_low=(0.0,), domain_high=(1.0,), margin=1.0,
+                clamp_low=(0.0,), max_resolution=3, max_iters=20_000)
+    base.update(kw)
+    return GrowthConfig(**base)
+
+
+def test_growth_crossing_sample_count_matches_residual_form(monkeypatch):
+    # 12 samples: the pool grows from 10 to 12 elements (Gram form, p <= N)
+    # and then past 12 (residual form) within one run
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, size=(12, 1))
+    y = np.sin(12.0 * X[:, 0]) * np.exp(-X[:, 0])
+    config = _growth_config()
+
+    def grow():
+        log = TrainLog()
+        return run_growth(MH1, X, y, config, log), log
+
+    got, want = _grow_both_ways(monkeypatch, grow)
+    shapes = got[2]
+    assert min(shapes) < 12 and 12 in shapes and max(shapes) > 12
+    _assert_same_growth(got, want)
+
+
+@pytest.mark.parametrize("rows", ["stacked", "replaced"])
+def test_growth_resume_on_new_rows_matches_residual_form(monkeypatch, rows):
+    # a resumed pool trains on columns built on the rows it is given: the
+    # old rows plus new ones (as the CLI's resume does), or as many rows,
+    # all new, where a stale column would still have the right shape
+    rng = np.random.default_rng(5)
+    X1 = rng.uniform(0.0, 0.5, size=(120, 1))
+    X2 = rng.uniform(0.5, 1.0, size=(120, 1))
+    X = np.vstack([X1, X2]) if rows == "stacked" else X2
+    config = _growth_config(epsilon=1e-3, zeta=5e-6, learning_rate=0.05,
+                            max_resolution=4)
+
+    def target(X_):
+        return np.sin(12.0 * X_[:, 0]) * np.exp(-X_[:, 0])
+
+    resumed_at = []
+
+    def grow():
+        log = TrainLog()
+        first = run_growth(MH1, X1, target(X1), config, log)
+        resumed_at.append(len(log.events))
+        return run_growth(MH1, X, target(X), config, log,
+                          pool=first.pool), log
+
+    got, want = _grow_both_ways(monkeypatch, grow)
+    # the resumed run grows, so its design syncs more than once
+    assert len(got[1].events) > resumed_at[0] + 1
+    _assert_same_growth(got, want)
+
+
+# ------------------------------------------------ design kept across phases
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["mexican_hat", "sinc"]),
+       st.integers(1, 2), st.integers(2, 24),
+       st.lists(st.integers(1, 9), min_size=1, max_size=6))
+def test_design_sync_matches_full_build(seed, family, d, n, chunks):
+    # random append sequences of mixed kinds and resolutions; with up to
+    # 54 bases on 2 to 24 samples, p crosses N in many draws
+    rng = np.random.default_rng(seed)
+    mother = getattr(MotherWavelet, family)(d)
+    cand = sorted({BasisIndex(int(rng.integers(0, 3)),
+                              tuple(int(v) for v in rng.integers(-3, 5, size=d)),
+                              (BasisKind.WAVELET, BasisKind.SCALING)[
+                                  int(rng.integers(0, 2))])
+                   for _ in range(sum(chunks))},
+                  key=lambda b: (b.m, b.n, b.kind.value))
+    order = [cand[i] for i in rng.permutation(len(cand))]
+    X = rng.uniform(-1.0, 3.0, size=(n, d))
+    y = rng.standard_normal(n)
+    model = WaveletModel.zeros(mother, [])
+    design = Design(X, y)
+    crossed = False
+    start = 0
+    for size in chunks:
+        model.append_bases(order[start:start + size])
+        start += size
+        design.sync(model)
+        psi = basis_matrix(mother, model.bases, X)
+        assert np.array_equal(design.psi, psi)
+        crossed = crossed or model.n_params > n
+        if crossed:
+            assert design.gram is None and design.b is None
+            continue
+        gram, b = psi.T @ psi, psi.T @ y
+        assert (np.linalg.norm(design.gram - gram)
+                <= 1e-12 * np.linalg.norm(gram))
+        assert np.linalg.norm(design.b - b) <= 1e-12 * np.linalg.norm(b)
+        assert design.yy == float(y @ y)
+
+
+def test_design_rejects_bases_it_was_not_built_on():
+    model = wm([(0, 0), (1, 1)])
+    design = Design(np.zeros((3, 1)), np.ones(3))
+    design.sync(model)
+    with pytest.raises(ValueError):
+        design.sync(wm([(1, 1), (0, 0)]))
+
+
+def test_growth_evaluates_each_column_once(monkeypatch):
+    # a multi-phase run evaluates N cells per basis, each exactly once
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.0, 1.0, size=(200, 1))
+    y = np.sin(12.0 * X[:, 0]) * np.exp(-X[:, 0])
+    config = GrowthConfig(epsilon=5e-3, zeta=5e-6, mu=1 / 3,
+                          learning_rate=0.05, m_init=1, domain_low=(0.0,),
+                          domain_high=(1.0,), margin=1.0, clamp_low=(0.0,),
+                          max_resolution=4, max_iters=20_000)
+    cells = []
+
+    def counting(mother, bases, X_):
+        out = basis_matrix(mother, bases, X_)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(cwnn.model, "basis_matrix", counting)
+    log = TrainLog()
+    res = run_growth(MH1, X, y, config, log)
+    assert res.status is TrainStatus.ACHIEVED
+    assert sum(e[1] != "seed" for e in log.events) >= 2
+    assert len(cells) >= 3
+    assert sum(cells) == y.size * res.n_params
