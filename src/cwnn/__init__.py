@@ -12,8 +12,8 @@ from .datasets import (Dataset, DataError, gen_autoregression, gen_example1,
                        gen_example2_regions, load_csv, minmax_scale,
                        minmax_unscale, split)
 from .diagnostics import (DecayReport, QuadSpec, TimeFrequencyBox,
-                          box_membership, count_peaks, decay_report,
-                          energy_identity_check, inner_product, scan_indices)
+                          count_peaks, decay_report, energy_identity_check,
+                          inner_product, scan_indices)
 from .frequency import (EnergyTrace, EstimateResult, alpha_from_epsilon,
                         ema_update, estimate_initial_resolution,
                         estimate_subspace_energy, subsample_centers)
@@ -21,12 +21,12 @@ from .growth import (GrowthConfig, GrowthResult, OnlineResult, WaveletPool,
                      expand_into_next, run_baseline_wnn, run_growth,
                      run_online, select_high_energy)
 from .model import (TrainLog, TrainStatus, TrainingDivergence, WaveletModel,
-                    gradient_step, loss, train_to_plateau)
+                    loss, train_to_plateau)
 from .quadrature import QuadratureError, adaptive_integral
 from .wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
                        MotherWavelet, WaveletFamily, basis_matrix,
                        build_center_grid, children_centers, eval_basis,
-                       eval_scaling, mother_norm_sq, nearest_two)
+                       nearest_two)
 
 __version__ = "0.1.0"
 
@@ -37,14 +37,13 @@ __all__ = [
     "QuadSpec", "QuadratureError", "TimeFrequencyBox", "TrainLog",
     "TrainStatus", "TrainingDivergence", "WaveletFamily", "WaveletModel",
     "WaveletPool", "adaptive_integral", "alpha_from_epsilon",
-    "basis_matrix", "box_membership", "build_center_grid",
-    "children_centers", "count_peaks", "decay_report",
-    "energy_identity_check", "ema_update", "estimate_initial_resolution",
-    "estimate_subspace_energy", "eval_basis", "eval_scaling",
-    "expand_into_next", "gen_autoregression", "gen_example1",
-    "gen_example2_regions", "gradient_step", "inner_product", "load_csv",
-    "loss", "minmax_scale", "minmax_unscale", "mother_norm_sq",
-    "nearest_two", "run_baseline_wnn", "run_growth", "run_online",
-    "scan_indices", "select_high_energy", "split", "subsample_centers",
+    "basis_matrix", "build_center_grid", "children_centers",
+    "count_peaks", "decay_report", "energy_identity_check", "ema_update",
+    "estimate_initial_resolution", "estimate_subspace_energy",
+    "eval_basis", "expand_into_next", "gen_autoregression",
+    "gen_example1", "gen_example2_regions", "inner_product", "load_csv",
+    "loss", "minmax_scale", "minmax_unscale", "nearest_two",
+    "run_baseline_wnn", "run_growth", "run_online", "scan_indices",
+    "select_high_energy", "split", "subsample_centers",
     "train_to_plateau",
 ]

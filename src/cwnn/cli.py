@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .datasets import (DataError, gen_autoregression, gen_example1,
+from .datasets import (gen_autoregression, gen_example1,
                        gen_example2_regions, load_csv, minmax_scale, split)
 from .diagnostics import (QuadSpec, TimeFrequencyBox, count_peaks,
                           decay_report, scan_indices)
@@ -29,7 +29,7 @@ from .frequency import estimate_initial_resolution
 from .growth import GrowthConfig, run_baseline_wnn, run_growth, run_online
 from .model import TrainLog, TrainStatus, TrainingDivergence
 from .quadrature import QuadratureError
-from .wavelets import (BasisIndex, BasisKind, GridError, MotherWavelet,
+from .wavelets import (BasisIndex, BasisKind, MotherWavelet,
                        build_center_grid, eval_basis)
 
 EXIT_OK = 0
@@ -328,16 +328,19 @@ def _prepare_out(args, cfg) -> str:
             out = os.path.join(root, f"{base}-{k}")
             k += 1
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "config.json"), cfg)
     return out
 
 
-def _write_summary(out: str, payload: dict) -> None:
-    with open(os.path.join(out, "summary.json"), "w") as fh:
+def _write_json(path: str, payload: dict) -> None:
+    """Indented, key-sorted JSON: the same payload gives the same bytes."""
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_summary(out: str, payload: dict) -> None:
+    _write_json(os.path.join(out, "summary.json"), payload)
 
 
 def _fit_summary(res, log: TrainLog) -> dict:
@@ -366,7 +369,6 @@ def cmd_estimate_freq(cfg, out: str) -> int:
     _write_summary(out, {
         "command": "estimate-freq",
         "m_init": res.m_init,
-        "m_init_alt": res.m_init_alt,
         "alpha": res.trace.alpha,
         "warning": res.warning,
         "trace": [[m, eh, eb, nb] for m, eh, eb, nb in res.trace.rows],
@@ -538,9 +540,7 @@ def _sweep_one(cfg, mu, subdir):
     sub["zeta"] = 0.001 * sub["epsilon"] if cfg["zeta_rule"] else cfg["zeta"]
     del sub["zeta_rule"]
     os.makedirs(subdir, exist_ok=True)
-    with open(os.path.join(subdir, "config.json"), "w") as fh:
-        json.dump(sub, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(subdir, "config.json"), sub)
     ds, _ = _build_data(sub)
     mother = _mother(sub, ds.dim)
     log = TrainLog()
@@ -548,10 +548,7 @@ def _sweep_one(cfg, mu, subdir):
     log.to_csv(os.path.join(subdir, "train_log.csv"))
     log.events_to_csv(os.path.join(subdir, "growth_events.csv"))
     res.model.save(os.path.join(subdir, "model.json"))
-    summary = {"command": "fit", "cwnn": _fit_summary(res, log)}
-    with open(os.path.join(subdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_summary(subdir, {"command": "fit", "cwnn": _fit_summary(res, log)})
     return {"mu": mu, "denominator": int(round(1.0 / mu)),
             "status": res.status.name.lower(), "n_params": res.n_params,
             "final_loss": res.final_loss, "iterations": log.last_iteration}
@@ -603,10 +600,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out, args.workers)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DataError, GridError) as exc:
-        print(f"cwnn: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
+        # ConfigError, DataError and GridError are ValueErrors too
         print(f"cwnn: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingDivergence, QuadratureError) as exc:

@@ -65,11 +65,6 @@ class TimeFrequencyBox:
         return bool(np.all(np.abs(index.n) <= bound + 1e-12))
 
 
-def box_membership(box: TimeFrequencyBox, index: BasisIndex) -> bool:
-    """Whether (m, n) lies inside the time-frequency box."""
-    return box.contains(index)
-
-
 @dataclass(frozen=True)
 class QuadSpec:
     """Quadrature control: panel density is in panels per unit of scaled

@@ -122,9 +122,6 @@ class EnergyTrace:
 class EstimateResult:
     m_init: int
     trace: EnergyTrace
-    # resolution under the alternative "previous level" reading of the
-    # stopping rule; reported for diagnostics only
-    m_init_alt: int = 0
     warning: str | None = None
 
 
@@ -179,12 +176,10 @@ def estimate_initial_resolution(mother: MotherWavelet, X, y,
         if e_bar >= e_hat_next and exit_m is None:
             exit_m = m
             if stop_early:
-                return EstimateResult(m, trace, m_init_alt=m - 1,
-                                      warning=degenerate)
+                return EstimateResult(m, trace, warning=degenerate)
         probes, grid, m = next_probes, fine, fine.m
         e_bar = e_bar_next
     if exit_m is not None:
-        return EstimateResult(exit_m, trace, m_init_alt=exit_m - 1,
-                              warning=degenerate)
-    return EstimateResult(m_cap, trace, m_init_alt=m_cap - 1,
+        return EstimateResult(exit_m, trace, warning=degenerate)
+    return EstimateResult(m_cap, trace,
                           warning=f"no energy peak found up to m={m_cap}")

@@ -8,12 +8,12 @@ retrains.  Once the fraction schedule is exhausted the whole next level is
 seeded and the schedule restarts there.  A non-constructive baseline that
 escalates full detail grids level by level is included for comparison, as
 is a windowed online variant that triggers the same growth phases on a
-sustained loss plateau.
+sustained loss plateau.  All three seed through ``_seed`` and grow
+through ``_grow``; the batch runs share one train-to-plateau loop.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -21,8 +21,11 @@ import numpy as np
 
 from .model import (Design, TrainLog, TrainStatus, WaveletModel,
                     _check_finite, train_to_plateau)
-from .wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
+from .wavelets import (BasisIndex, BasisKind, MotherWavelet,
                        build_center_grid, children_centers, _grid_from_bounds)
+
+# resolution the whole-level baseline seeds its scaling and detail grids at
+BASELINE_START_M = 1
 
 
 @dataclass
@@ -43,7 +46,6 @@ class GrowthConfig:
     clamp_high: tuple | None = None
     max_resolution: int = 10
     max_iters: int = 50_000
-    baseline_start_m: int = 1
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.zeta <= 0 or self.learning_rate <= 0:
@@ -140,7 +142,7 @@ def select_high_energy(pool: WaveletPool, m: int, mu_up: float, exclude=frozense
     return chosen
 
 
-def expand_into_next(pool: WaveletPool, parents, rng=None):
+def expand_into_next(pool: WaveletPool, parents):
     """Add the children of each parent one resolution finer; returns the
     newly created elements (zero coefficients, predictions unchanged)."""
     if not parents:
@@ -152,7 +154,7 @@ def expand_into_next(pool: WaveletPool, parents, rng=None):
     children = []
     seen = set()
     for p in parents:
-        for ch in children_centers(p, fine, rng=rng):
+        for ch in children_centers(p, fine):
             if ch not in seen:
                 seen.add(ch)
                 children.append(ch)
@@ -176,11 +178,72 @@ class GrowthResult:
         return self.log.records[-1][1] if self.log.records else float("nan")
 
 
-def _effective_bounds(config: GrowthConfig):
-    grid = build_center_grid(max(config.m_init, 0), config.domain_low,
-                             config.domain_high, config.margin,
-                             config.clamp_low, config.clamp_high)
-    return grid.low, grid.high
+def _seed(mother: MotherWavelet, config: GrowthConfig, m: int,
+          log: TrainLog) -> WaveletPool:
+    """A pool over the configured domain holding the scaling and detail
+    grids at resolution ``m``, logged as the ``seed`` event."""
+    grid = build_center_grid(m, config.domain_low, config.domain_high,
+                             config.margin, config.clamp_low,
+                             config.clamp_high)
+    pool = WaveletPool(mother, grid.low, grid.high)
+    log.add_event(log.last_iteration, "seed", m, pool.ensure_level(m))
+    return pool
+
+
+def _grow(pool: WaveletPool, m: int, sweep: int, config: GrowthConfig,
+          log: TrainLog, whole_levels: bool = False):
+    """One growth phase at resolution ``m``, ``sweep`` phases after the
+    pool reached it, logged at the log's last iteration.  Returns the new
+    ``(m, sweep)``, or None when ``m`` is ``config.max_resolution`` and
+    the phase would escalate.
+
+    The constructive rule expands the parents holding the next energy
+    fraction (mu, 2 mu, ..., 1) into m + 1; once that schedule is spent
+    it escalates: the scaling and detail grids of m + 1 join the pool
+    and the schedule restarts there.  The whole-level baseline
+    (``whole_levels``) escalates at every phase and adds the detail grid
+    of m + 1 only.
+    """
+    if not whole_levels and sweep < config.n_phases:
+        sweep += 1
+        mu_up = 1.0 if sweep == config.n_phases else sweep * config.mu
+        parents = select_high_energy(pool, m, mu_up, pool.expanded[m])
+        new = expand_into_next(pool, parents)
+        pool.expanded[m].update(parents)
+        log.add_event(log.last_iteration, "expand", m, len(new))
+        return m, sweep
+    if m >= config.max_resolution:
+        return None
+    m += 1
+    if whole_levels:
+        added = len(pool.add_bases(pool.grid(m).bases(BasisKind.WAVELET)))
+    else:
+        added = pool.ensure_level(m)
+    log.add_event(log.last_iteration, "escalate", m, added)
+    return m, 0
+
+
+def _grow_to_target(pool: WaveletPool, m: int, X, y, config: GrowthConfig,
+                    log: TrainLog, whole_levels: bool) -> GrowthResult:
+    """Train to a plateau, grow, and repeat until the loss target is met
+    (Achieved) or the iterations or resolutions run out (Budget).  Every
+    phase trains on one design of ``X`` and ``y``."""
+    design = Design(X, y)
+    start_iter = log.last_iteration
+    sweep = 0
+    while True:
+        remaining = config.max_iters - (log.last_iteration - start_iter)
+        if remaining <= 0:
+            return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
+        st = train_to_plateau(pool.model, X, y, config.learning_rate,
+                              config.zeta, config.epsilon, remaining, log,
+                              design)
+        if st is not TrainStatus.PLATEAU:
+            return GrowthResult(pool.model, log, st, m, pool)
+        grown = _grow(pool, m, sweep, config, log, whole_levels)
+        if grown is None:
+            return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
+        m, sweep = grown
 
 
 def run_growth(mother: MotherWavelet, X, y, config: GrowthConfig,
@@ -197,44 +260,14 @@ def run_growth(mother: MotherWavelet, X, y, config: GrowthConfig,
     anew on the rows given here.
     """
     log = log if log is not None else TrainLog()
-    design = Design(X, y)
-    start_iter = log.last_iteration
     if pool is None:
-        low, high = _effective_bounds(config)
-        pool = WaveletPool(mother, low, high)
         m = config.m_init
-        added = pool.ensure_level(m)
-        log.add_event(log.last_iteration, "seed", m, added)
+        pool = _seed(mother, config, m, log)
     else:
         m = pool.top_resolution()
         if m is None:
             raise ValueError("cannot resume from an empty pool")
-    sweep = 0
-    while True:
-        remaining = config.max_iters - (log.last_iteration - start_iter)
-        if remaining <= 0:
-            return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
-        st = train_to_plateau(pool.model, X, y, config.learning_rate,
-                              config.zeta, config.epsilon, remaining, log,
-                              design)
-        if st is TrainStatus.ACHIEVED:
-            return GrowthResult(pool.model, log, TrainStatus.ACHIEVED, m, pool)
-        if st is TrainStatus.BUDGET:
-            return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
-        if sweep < config.n_phases:
-            sweep += 1
-            mu_up = 1.0 if sweep == config.n_phases else sweep * config.mu
-            parents = select_high_energy(pool, m, mu_up, pool.expanded[m])
-            new = expand_into_next(pool, parents)
-            pool.expanded[m].update(parents)
-            log.add_event(log.last_iteration, "expand", m, len(new))
-        else:
-            m += 1
-            if m > config.max_resolution:
-                return GrowthResult(pool.model, log, TrainStatus.BUDGET, m - 1, pool)
-            new = pool.ensure_level(m)
-            sweep = 0
-            log.add_event(log.last_iteration, "escalate", m, new)
+    return _grow_to_target(pool, m, X, y, config, log, whole_levels=False)
 
 
 def run_baseline_wnn(mother: MotherWavelet, X, y, config: GrowthConfig,
@@ -243,31 +276,9 @@ def run_baseline_wnn(mother: MotherWavelet, X, y, config: GrowthConfig,
     start resolution, then add whole detail grids level by level whenever
     training plateaus above the target."""
     log = log if log is not None else TrainLog()
-    design = Design(X, y)
-    start_iter = log.last_iteration
-    low, high = _effective_bounds(config)
-    pool = WaveletPool(mother, low, high)
-    m = config.baseline_start_m
-    grid = pool.grid(m)
-    seed_bases = pool.add_bases(grid.bases(BasisKind.SCALING)
-                                + grid.bases(BasisKind.WAVELET))
-    log.add_event(log.last_iteration, "seed", m, len(seed_bases))
-    while True:
-        remaining = config.max_iters - (log.last_iteration - start_iter)
-        if remaining <= 0:
-            return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
-        st = train_to_plateau(pool.model, X, y, config.learning_rate,
-                              config.zeta, config.epsilon, remaining, log,
-                              design)
-        if st is TrainStatus.ACHIEVED:
-            return GrowthResult(pool.model, log, TrainStatus.ACHIEVED, m, pool)
-        if st is TrainStatus.BUDGET:
-            return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
-        m += 1
-        if m > config.max_resolution:
-            return GrowthResult(pool.model, log, TrainStatus.BUDGET, m - 1, pool)
-        new = pool.add_bases(pool.grid(m).bases(BasisKind.WAVELET))
-        log.add_event(log.last_iteration, "escalate", m, len(new))
+    pool = _seed(mother, config, BASELINE_START_M, log)
+    return _grow_to_target(pool, BASELINE_START_M, X, y, config, log,
+                           whole_levels=True)
 
 
 @dataclass
@@ -296,7 +307,10 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
     (the relative branch keeps slow-but-real recovery after a regime
     switch from firing growth on every patience interval).
 
-    The post-update loss of each window is logged as one record, so the
+    Each window trains on a :class:`Design` of its rows, stepping by
+    ``Design.objective`` with ``train_to_plateau``'s step scale.  A short
+    last window takes its updates but never triggers growth.  The
+    post-update loss of each window is logged as one record, so the
     iteration column counts update cycles.  Coefficients that turn
     non-finite or huge in a window raise :class:`TrainingDivergence` with
     the coefficients from before that window restored.
@@ -304,72 +318,44 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
     log = log if log is not None else TrainLog()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    low, high = _effective_bounds(config)
-    pool = WaveletPool(mother, low, high)
     m = config.m_init
-    added = pool.ensure_level(m)
-    log.add_event(log.last_iteration, "seed", m, added)
+    pool = _seed(mother, config, m, log)
     sweep = 0
     losses = []
     best_roll = np.inf
     best_at = 0
     growth_iters = []
     step = 0
-    n_windows = len(y) // window
-    for w in range(n_windows):
-        sl = slice(w * window, (w + 1) * window)
-        Xw, yw = X[sl], y[sl]
-        psi = basis_matrix(mother, pool.model.bases, Xw)
+    for w, start in enumerate(range(0, len(y), window)):
+        design = Design(X[start:start + window], y[start:start + window])
+        design.sync(pool.model)
+        scale = config.learning_rate * 2.0 / design.y.size
+        direction, lw = design.objective(pool.model.coeffs)
         last_good = pool.model.coeffs.copy()
         for _ in range(steps_per_window):
-            resid = yw - psi @ pool.model.coeffs
-            pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
+            pool.model.coeffs += scale * direction
+            direction, lw = design.objective(pool.model.coeffs)
             step += 1
         _check_finite(pool.model, step, last_good)
-        resid = yw - psi @ pool.model.coeffs
-        lw = float(np.mean(resid * resid))
         losses.append(lw)
         log.append(step, lw, pool.model.n_params)
+        if design.y.size < window:
+            # a short last window: updates and its record only, no
+            # growth trigger on a boundary fragment
+            break
         roll = float(np.mean(losses[-patience:]))
-        if np.isinf(best_roll):
-            best_roll = roll
-            best_at = w
-        elif roll < best_roll - max(config.zeta, improvement * best_roll):
+        gap = max(config.zeta, improvement * best_roll)
+        if np.isinf(best_roll) or roll < best_roll - gap:
             best_roll = roll
             best_at = w
         if roll > config.epsilon and (w - best_at) >= patience:
-            # sustained plateau above target: one growth phase
-            if sweep < config.n_phases:
-                sweep += 1
-                mu_up = 1.0 if sweep == config.n_phases else sweep * config.mu
-                parents = select_high_energy(pool, m, mu_up, pool.expanded[m])
-                new = expand_into_next(pool, parents)
-                pool.expanded[m].update(parents)
-                log.add_event(step, "expand", m, len(new))
+            # sustained plateau above target: one growth phase; at the
+            # resolution cap with all phases spent, keep streaming plain
+            # updates and just restart the patience clock
+            grown = _grow(pool, m, sweep, config, log)
+            if grown is not None:
+                m, sweep = grown
                 growth_iters.append(step)
-            elif m < config.max_resolution:
-                m += 1
-                new = pool.ensure_level(m)
-                sweep = 0
-                log.add_event(step, "escalate", m, new)
-                growth_iters.append(step)
-            # at the resolution cap with all phases spent: keep streaming
-            # plain updates, just restart the patience clock
             best_roll = roll
             best_at = w
-    rem = len(y) - n_windows * window
-    if rem:
-        # leftover samples form one last partial window (updates + record
-        # only; no growth trigger on a boundary fragment)
-        Xw, yw = X[n_windows * window:], y[n_windows * window:]
-        psi = basis_matrix(mother, pool.model.bases, Xw)
-        last_good = pool.model.coeffs.copy()
-        for _ in range(steps_per_window):
-            resid = yw - psi @ pool.model.coeffs
-            pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
-            step += 1
-        _check_finite(pool.model, step, last_good)
-        resid = yw - psi @ pool.model.coeffs
-        losses.append(float(np.mean(resid * resid)))
-        log.append(step, losses[-1], pool.model.n_params)
     return OnlineResult(pool.model, log, losses, growth_iters)

@@ -126,21 +126,6 @@ def loss(model: WaveletModel, X, y) -> float:
     return float(np.mean(resid * resid))
 
 
-def gradient_step(model: WaveletModel, X, y, lr: float) -> WaveletModel:
-    """One full-batch MSE gradient update, in place.
-
-    Each coefficient moves by ``lr * (2/N) * sum_i resid_i * psi_j(x_i)``.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise ValueError("empty batch")
-    psi = basis_matrix(model.mother, model.bases, X)
-    resid = y - psi @ model.coeffs
-    model.coeffs += lr * (2.0 / y.size) * (psi.T @ resid)
-    _check_finite(model, None)
-    return model
-
-
 def _check_finite(model, iteration, last_good=None):
     bad = not np.all(np.isfinite(model.coeffs))
     if not bad and np.max(np.abs(model.coeffs), initial=0.0) > DIVERGENCE_LIMIT:

@@ -234,10 +234,6 @@ class MotherWavelet:
         return self._norm_sq
 
 
-def mother_norm_sq(mother: MotherWavelet) -> float:
-    return mother.norm_sq
-
-
 def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
     """Evaluate one dilated/translated element at ``x``.
 
@@ -253,12 +249,6 @@ def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
     amp = 2.0 ** (0.5 * mother.dim * index.m)
     arg = scale * x - np.asarray(index.n, dtype=float)
     return amp * mother._eval_points(index.kind, arg)
-
-
-def eval_scaling(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
-    """Evaluate the low-pass companion for the (m, n) index of ``index``."""
-    low = BasisIndex(index.m, index.n, BasisKind.SCALING)
-    return eval_basis(mother, low, x)
 
 
 # target number of scratch elements per evaluation block (memory control)
@@ -380,32 +370,20 @@ def build_center_grid(m: int, domain_low, domain_high, margin: float = 1.0,
     return _grid_from_bounds(m, ext_lo, ext_hi)
 
 
-def nearest_two(x: float, candidates, rng=None):
+def nearest_two(x: float, candidates):
     """The two candidate values closest to ``x``.
 
-    Ties are broken toward the smaller value, or uniformly at random when
-    ``rng`` (a numpy Generator) is supplied.  Requires at least two
+    Ties are broken toward the smaller value.  Requires at least two
     distinct candidates.
     """
     vals = np.unique(np.asarray(candidates, dtype=float))
     if vals.size < 2:
         raise ValueError("nearest_two needs at least two distinct candidates")
-    dist = np.abs(vals - x)
-    if rng is None:
-        order = np.lexsort((vals, dist))
-        return float(vals[order[0]]), float(vals[order[1]])
-    picked = []
-    alive = np.ones(vals.size, dtype=bool)
-    for _ in range(2):
-        d = np.where(alive, dist, np.inf)
-        ties = np.flatnonzero(d == d.min())
-        k = int(ties[rng.integers(ties.size)]) if ties.size > 1 else int(ties[0])
-        picked.append(float(vals[k]))
-        alive[k] = False
-    return picked[0], picked[1]
+    order = np.lexsort((vals, np.abs(vals - x)))
+    return float(vals[order[0]]), float(vals[order[1]])
 
 
-def children_centers(parent: BasisIndex, fine_grid: CenterGrid, rng=None):
+def children_centers(parent: BasisIndex, fine_grid: CenterGrid):
     """Next-resolution elements nearest to a parent's translation center.
 
     Per dimension the nearest and second-nearest lattice values inside the
@@ -422,7 +400,7 @@ def children_centers(parent: BasisIndex, fine_grid: CenterGrid, rng=None):
     for axis in range(fine_grid.dim):
         vals = fine_grid.values(axis)
         if vals.size >= 2:
-            pair = nearest_two(center[axis], vals, rng=rng)
+            pair = nearest_two(center[axis], vals)
         else:
             pair = (float(vals[0]),)
         per_dim.append([int(round(v * scale)) for v in pair])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cwnn.diagnostics import (DecayReport, QuadSpec, TimeFrequencyBox,
-                              box_membership, count_peaks, decay_report,
+                              count_peaks, decay_report,
                               energy_identity_check, inner_product,
                               scan_indices, support_box)
 from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, eval_basis
@@ -37,7 +37,7 @@ def test_box_membership_rule():
     assert not BOX.contains(w_index(0, 0))   # resolution bound exclusive
     assert not BOX.contains(w_index(4, 0))
     assert BOX.contains(w_index(1, -3))
-    assert box_membership(BOX, w_index(3, 0))
+    assert BOX.contains(w_index(3, 0))
 
 
 def test_box_dim_mismatch():

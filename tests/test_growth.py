@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from cwnn.growth import (GrowthConfig, WaveletPool, expand_into_next,
-                         run_baseline_wnn, run_growth, run_online,
-                         select_high_energy)
-from cwnn.model import TrainLog, TrainStatus
-from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, eval_basis
+from cwnn.growth import (GrowthConfig, OnlineResult, WaveletPool,
+                         expand_into_next, run_baseline_wnn, run_growth,
+                         run_online, select_high_energy)
+from cwnn.model import TrainLog, TrainStatus, _check_finite
+from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
+                           build_center_grid, eval_basis)
 
 MH1 = MotherWavelet.mexican_hat(1)
 
@@ -252,3 +253,167 @@ def test_online_plateau_triggers_growth():
     res = run_online(MH1, X, y, config, window=10, patience=5, log=log)
     assert len(res.growth_iterations) >= 1
     assert any(e[1] in ("expand", "escalate") for e in log.events)
+
+
+def _reference_online(mother, X, y, config, window=10, steps_per_window=1,
+                      patience=40, improvement=0.02, log=None):
+    """The windowed loop as it stood before run_online shared the growth
+    phase and Design.objective: psi per window, its own gradient step,
+    and a copied block for the short last window."""
+    log = log if log is not None else TrainLog()
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    grid = build_center_grid(max(config.m_init, 0), config.domain_low,
+                             config.domain_high, config.margin,
+                             config.clamp_low, config.clamp_high)
+    pool = WaveletPool(mother, grid.low, grid.high)
+    m = config.m_init
+    added = pool.ensure_level(m)
+    log.add_event(log.last_iteration, "seed", m, added)
+    sweep = 0
+    losses = []
+    best_roll = np.inf
+    best_at = 0
+    growth_iters = []
+    step = 0
+    n_windows = len(y) // window
+    for w in range(n_windows):
+        sl = slice(w * window, (w + 1) * window)
+        Xw, yw = X[sl], y[sl]
+        psi = basis_matrix(mother, pool.model.bases, Xw)
+        last_good = pool.model.coeffs.copy()
+        for _ in range(steps_per_window):
+            resid = yw - psi @ pool.model.coeffs
+            pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
+            step += 1
+        _check_finite(pool.model, step, last_good)
+        resid = yw - psi @ pool.model.coeffs
+        lw = float(np.mean(resid * resid))
+        losses.append(lw)
+        log.append(step, lw, pool.model.n_params)
+        roll = float(np.mean(losses[-patience:]))
+        if np.isinf(best_roll):
+            best_roll = roll
+            best_at = w
+        elif roll < best_roll - max(config.zeta, improvement * best_roll):
+            best_roll = roll
+            best_at = w
+        if roll > config.epsilon and (w - best_at) >= patience:
+            if sweep < config.n_phases:
+                sweep += 1
+                mu_up = 1.0 if sweep == config.n_phases else sweep * config.mu
+                parents = select_high_energy(pool, m, mu_up, pool.expanded[m])
+                new = expand_into_next(pool, parents)
+                pool.expanded[m].update(parents)
+                log.add_event(step, "expand", m, len(new))
+                growth_iters.append(step)
+            elif m < config.max_resolution:
+                m += 1
+                new = pool.ensure_level(m)
+                sweep = 0
+                log.add_event(step, "escalate", m, new)
+                growth_iters.append(step)
+            best_roll = roll
+            best_at = w
+    rem = len(y) - n_windows * window
+    if rem:
+        Xw, yw = X[n_windows * window:], y[n_windows * window:]
+        psi = basis_matrix(mother, pool.model.bases, Xw)
+        last_good = pool.model.coeffs.copy()
+        for _ in range(steps_per_window):
+            resid = yw - psi @ pool.model.coeffs
+            pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
+            step += 1
+        _check_finite(pool.model, step, last_good)
+        resid = yw - psi @ pool.model.coeffs
+        losses.append(float(np.mean(resid * resid)))
+        log.append(step, losses[-1], pool.model.n_params)
+    return OnlineResult(pool.model, log, losses, growth_iters)
+
+
+def _rich_stream(rows):
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0.0, 1.0, size=(rows, 1))
+    return X, np.sin(14.0 * X[:, 0])
+
+
+def _online_both_ways(window):
+    X, y = _rich_stream(8 * 80 + 4)
+    config = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)
+    kw = dict(window=window, steps_per_window=2, patience=3)
+    log, ref_log = TrainLog(), TrainLog()
+    res = run_online(MH1, X, y, config, log=log, **kw)
+    ref = _reference_online(MH1, X, y, config, log=ref_log, **kw)
+    # the stream grew up to the resolution cap and ended on a short window
+    assert ("escalate", config.max_resolution) in {e[1:3] for e in log.events}
+    assert len(y) % window and len(res.window_losses) == -(-len(y) // window)
+    assert log.last_iteration == 2 * len(res.window_losses)
+    assert log.events == ref_log.events
+    assert res.growth_iterations == ref.growth_iterations
+    assert [r[::2] for r in log.records] == [r[::2] for r in ref_log.records]
+    assert res.model.bases == ref.model.bases
+    return res, log, ref, ref_log
+
+
+def test_online_matches_the_reference_loop_bit_for_bit():
+    # windows of 8 rows and a last one of 4: both sizes are powers of two,
+    # so the reference's lr * (2 / N) and the shared lr * 2 / N are the
+    # same double, and the seed level's 10 bases exceed the window, so
+    # each window's design runs the residual form, as the reference does
+    res, log, ref, ref_log = _online_both_ways(8)
+    assert [r[1] for r in log.records] == [r[1] for r in ref_log.records]
+    assert res.window_losses == ref.window_losses
+    assert np.array_equal(res.model.coeffs, ref.model.coeffs)
+
+
+def test_online_matches_the_reference_loop_when_rounding_differs():
+    # windows of 10: lr * (2 / 10) and lr * 2 / 10 differ in the last
+    # bit, and the 10 seed bases fit the window, so the first windows
+    # step on the Gram form; the tolerances are the batch runs' Gram
+    # against residual ones
+    res, log, ref, ref_log = _online_both_ways(10)
+    losses = np.array([r[1] for r in log.records])
+    ref_losses = np.array([r[1] for r in ref_log.records])
+    assert np.max(np.abs(losses - ref_losses)) <= 1e-12
+    np.testing.assert_allclose(res.model.coeffs, ref.model.coeffs, rtol=1e-9,
+                               atol=1e-9 * np.max(np.abs(ref.model.coeffs)))
+
+
+# ------------------------------------------------------- resolution cap
+
+def test_batch_runs_stop_at_the_resolution_cap():
+    # an unreachable target with a loose plateau gap: growth keeps firing
+    # until the cap, long before the iteration budget
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.0, 1.0, size=(200, 1))
+    y = np.sin(30.0 * X[:, 0])
+    config = small_config(epsilon=1e-9, zeta=1e-4, max_resolution=2,
+                          max_iters=10 ** 6)
+    for run in (run_growth, run_baseline_wnn):
+        log = TrainLog()
+        res = run(MH1, X, y, config, log)
+        assert res.status is TrainStatus.BUDGET
+        assert res.final_resolution == config.max_resolution
+        assert log.last_iteration < config.max_iters
+        assert max(e[2] for e in log.events) == config.max_resolution
+
+
+def test_online_streams_past_the_resolution_cap():
+    X, y = _rich_stream(8 * 80 + 4)
+    kw = dict(window=8, steps_per_window=2, patience=3)
+    capped = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=1)
+    log = TrainLog()
+    res = run_online(MH1, X, y, capped, log=log, **kw)
+    # at the cap only the expansion schedule runs; every window is still
+    # trained and recorded
+    assert [e[1:3] for e in log.events] == [("seed", 1), ("expand", 1),
+                                            ("expand", 1)]
+    assert len(res.window_losses) == 81 and log.last_iteration == 2 * 81
+    # with room to grow the same stream escalates after the capped run's
+    # last event, so plateaus did fire past the cap and logged nothing
+    roomy = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)
+    free_log = TrainLog()
+    run_online(MH1, X, y, roomy, log=free_log, **kw)
+    escalations = [e[0] for e in free_log.events if e[1] == "escalate"]
+    assert escalations and escalations[0] > log.events[-1][0]
+    assert free_log.events[:3] == log.events

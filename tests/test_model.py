@@ -11,8 +11,7 @@ import cwnn.growth
 import cwnn.model
 from cwnn.growth import GrowthConfig, run_growth
 from cwnn.model import (Design, TrainLog, TrainStatus, TrainingDivergence,
-                        WaveletModel, _check_finite, gradient_step, loss,
-                        train_to_plateau)
+                        WaveletModel, _check_finite, loss, train_to_plateau)
 from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, basis_matrix
 
 MH1 = MotherWavelet.mexican_hat(1)
@@ -52,11 +51,17 @@ def test_loss_rejects_empty():
         loss(wm([(0, 0)]), np.zeros((0, 1)), np.zeros(0))
 
 
+def one_step(model, X, y, lr):
+    """One full-batch gradient update through the training loop: an
+    epsilon below any loss and a single-iteration budget."""
+    train_to_plateau(model, X, y, lr, zeta=0.0, epsilon=-1.0, max_iters=1)
+
+
 def test_gradient_step_hand_case():
     # one sample at the element's center: psi(x)=1, y=1, coeff 0, lr=0.5
     # -> new coeff = 0.5 * 2 * 1 * 1 = 1
     model = wm([(0, 0)])
-    gradient_step(model, np.array([[0.0]]), np.array([1.0]), 0.5)
+    one_step(model, np.array([[0.0]]), np.array([1.0]), 0.5)
     assert model.coeffs[0] == pytest.approx(1.0)
 
 
@@ -65,7 +70,7 @@ def test_gradient_step_fixed_point():
     X = np.linspace(-1, 2, 7).reshape(-1, 1)
     y = model.predict(X)
     before = model.coeffs.copy()
-    gradient_step(model, X, y, 0.1)
+    one_step(model, X, y, 0.1)
     assert np.allclose(model.coeffs, before)
 
 
@@ -103,7 +108,7 @@ def test_small_step_never_increases_loss():
         psi = basis_matrix(MH1, model.bases, X)
         lam = np.linalg.eigvalsh(psi.T @ psi / 12).max()
         before = loss(model, X, y)
-        gradient_step(model, X, y, 1.0 / (2.0 * lam))
+        one_step(model, X, y, 1.0 / (2.0 * lam))
         assert loss(model, X, y) <= before + 1e-12
 
 

@@ -10,8 +10,7 @@ from cwnn.quadrature import adaptive_integral, panel_rule_1d
 import cwnn.wavelets as wavelets
 from cwnn.wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
                            MotherWavelet, basis_matrix, build_center_grid,
-                           children_centers, eval_basis, eval_scaling,
-                           mother_norm_sq, nearest_two)
+                           children_centers, eval_basis, nearest_two)
 
 
 def w_index(m, n):
@@ -106,9 +105,9 @@ def test_mexican_hat_norm_closed_forms():
     # ||psi||^2 = pi^{d/2} d (d+2) / 4
     for d in (1, 2, 3):
         want = math.pi ** (d / 2) * d * (d + 2) / 4
-        assert mother_norm_sq(MotherWavelet.mexican_hat(d)) == pytest.approx(
+        assert MotherWavelet.mexican_hat(d).norm_sq == pytest.approx(
             want, rel=1e-8)
-    assert mother_norm_sq(MotherWavelet.mexican_hat(1)) == pytest.approx(
+    assert MotherWavelet.mexican_hat(1).norm_sq == pytest.approx(
         0.75 * math.sqrt(math.pi), rel=1e-10)
 
 
@@ -117,14 +116,14 @@ def test_sinc_norm_closed_forms():
     for d in (1, 2, 3, 9):
         ball = math.pi ** (d / 2) / gamma(d / 2 + 1)
         want = (math.pi / 2) * (2 ** d - 1) * ball
-        assert mother_norm_sq(MotherWavelet.sinc(d)) == pytest.approx(
+        assert MotherWavelet.sinc(d).norm_sq == pytest.approx(
             want, rel=1e-10)
-    assert mother_norm_sq(MotherWavelet.sinc(1)) == pytest.approx(math.pi)
+    assert MotherWavelet.sinc(1).norm_sq == pytest.approx(math.pi)
 
 
 def test_norm_cached_identity():
     mh = MotherWavelet.mexican_hat(2)
-    assert mother_norm_sq(mh) is not None
+    assert mh.norm_sq is not None
     assert mh.norm_sq == mh.norm_sq  # cached, no recomputation drift
 
 
@@ -143,12 +142,12 @@ def test_eval_basis_identity_and_scaling():
 
 def test_eval_scaling_values():
     mh = MotherWavelet.mexican_hat(1)
-    assert eval_scaling(mh, s_index(0, 0), [[0.0]])[0] == pytest.approx(1.0)
-    assert eval_scaling(mh, s_index(1, 2), [[1.0]])[0] == pytest.approx(
+    assert eval_basis(mh, s_index(0, 0), [[0.0]])[0] == pytest.approx(1.0)
+    assert eval_basis(mh, s_index(1, 2), [[1.0]])[0] == pytest.approx(
         math.sqrt(2.0))
     sc2 = MotherWavelet.sinc(2)
-    assert eval_scaling(sc2, BasisIndex(0, (0, 0), BasisKind.SCALING),
-                        [[0.0, 0.0]])[0] == pytest.approx(1.0)
+    assert eval_basis(sc2, BasisIndex(0, (0, 0), BasisKind.SCALING),
+                      [[0.0, 0.0]])[0] == pytest.approx(1.0)
 
 
 def test_eval_dimension_mismatch():
@@ -257,13 +256,6 @@ def test_nearest_two_permutation_invariant():
 def test_nearest_two_needs_two_distinct():
     with pytest.raises(ValueError):
         nearest_two(0.0, [1.0, 1.0])
-
-
-def test_nearest_two_random_mode_stays_in_ties():
-    rng = np.random.default_rng(0)
-    picks = {nearest_two(0.5, [0.0, 0.5, 1.0], rng=rng) for _ in range(40)}
-    assert picks <= {(0.5, 0.0), (0.5, 1.0)}
-    assert len(picks) == 2  # both tie outcomes occur
 
 
 # ------------------------------------------------------------ child rule
