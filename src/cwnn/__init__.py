@@ -12,11 +12,11 @@ from .datasets import (Dataset, DataError, gen_autoregression, gen_example1,
                        gen_example2_regions, load_csv, minmax_scale,
                        minmax_unscale, split)
 from .diagnostics import (DecayReport, QuadSpec, TimeFrequencyBox,
-                          count_peaks, decay_report, energy_identity_check,
-                          inner_product, scan_indices)
-from .frequency import (EnergyTrace, EstimateResult, alpha_from_epsilon,
-                        ema_update, estimate_initial_resolution,
-                        estimate_subspace_energy, subsample_centers)
+                          count_peaks, decay_report, inner_product,
+                          scan_indices)
+from .frequency import (EnergyTrace, EstimateResult,
+                        estimate_initial_resolution,
+                        estimate_subspace_energy)
 from .growth import (GrowthConfig, GrowthResult, OnlineResult, WaveletPool,
                      expand_into_next, run_baseline_wnn, run_growth,
                      run_online, select_high_energy)
@@ -25,8 +25,7 @@ from .model import (TrainLog, TrainStatus, TrainingDivergence, WaveletModel,
 from .quadrature import QuadratureError, adaptive_integral
 from .wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
                        MotherWavelet, WaveletFamily, basis_matrix,
-                       build_center_grid, children_centers, eval_basis,
-                       nearest_two)
+                       build_center_grid, children_centers, eval_basis)
 
 __version__ = "0.1.0"
 
@@ -36,14 +35,12 @@ __all__ = [
     "GrowthConfig", "GrowthResult", "MotherWavelet", "OnlineResult",
     "QuadSpec", "QuadratureError", "TimeFrequencyBox", "TrainLog",
     "TrainStatus", "TrainingDivergence", "WaveletFamily", "WaveletModel",
-    "WaveletPool", "adaptive_integral", "alpha_from_epsilon",
-    "basis_matrix", "build_center_grid", "children_centers",
-    "count_peaks", "decay_report", "energy_identity_check", "ema_update",
-    "estimate_initial_resolution", "estimate_subspace_energy",
-    "eval_basis", "expand_into_next", "gen_autoregression",
-    "gen_example1", "gen_example2_regions", "inner_product", "load_csv",
-    "loss", "minmax_scale", "minmax_unscale", "nearest_two",
-    "run_baseline_wnn", "run_growth", "run_online", "scan_indices",
-    "select_high_energy", "split", "subsample_centers",
-    "train_to_plateau",
+    "WaveletPool", "adaptive_integral", "basis_matrix",
+    "build_center_grid", "children_centers", "count_peaks",
+    "decay_report", "estimate_initial_resolution",
+    "estimate_subspace_energy", "eval_basis", "expand_into_next",
+    "gen_autoregression", "gen_example1", "gen_example2_regions",
+    "inner_product", "load_csv", "loss", "minmax_scale",
+    "minmax_unscale", "run_baseline_wnn", "run_growth", "run_online",
+    "scan_indices", "select_high_energy", "split", "train_to_plateau",
 ]

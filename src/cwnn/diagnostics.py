@@ -6,7 +6,6 @@ actually behave the way the approximation argument assumes?":
 * quadrature inner products between a target function and single bases,
 * membership in a finite time-frequency index box,
 * coefficient decay outside that box for band-limited targets,
-* the subspace energy identity ``E_m = sum_n C_mn^2 ||psi||^2``,
 * unimodality of an energy-versus-resolution trace.
 
 All integrals run through the adaptive tensor Gauss-Legendre rules in
@@ -187,52 +186,6 @@ def decay_report(f, mother: MotherWavelet, box: TimeFrequencyBox, indices,
         coef = inner_product(f, mother, index, spec, lows=f_lows, highs=f_highs)
         report.rows.append((index, box.contains(index), coef))
     return report
-
-
-def energy_identity_check(f, mother: MotherWavelet, indices, spec=None,
-                          lows=None, highs=None):
-    """Check ``integral(f^2) == sum_n C_mn^2 ||psi_mn||^2`` on one level.
-
-    ``indices`` is a :class:`~cwnn.wavelets.CenterGrid` or an explicit list
-    of same-resolution indices; ``f`` should be inside their span.  Because
-    same-level translates of either family are only near-orthogonal, the
-    identity is quantitative only when the participating bases are well
-    separated — pass just those.  Returns ``(lhs, rhs, rel_err)``.
-    """
-    spec = spec or QuadSpec()
-    if hasattr(indices, "bases"):
-        indices = indices.bases(BasisKind.WAVELET)
-    else:
-        indices = list(indices)
-    if not indices:
-        raise ValueError("need at least one basis index")
-    m = indices[0].m
-    if any(b.m != m for b in indices):
-        raise ValueError("energy identity is a single-level statement")
-    radius = mother.effective_radius * 2.0 ** (-m)
-    centers = np.array([b.center() for b in indices])
-    if lows is None:
-        lows = centers.min(axis=0) - radius
-    if highs is None:
-        highs = centers.max(axis=0) + radius
-    lows = np.atleast_1d(np.asarray(lows, dtype=float))
-    highs = np.atleast_1d(np.asarray(highs, dtype=float))
-
-    def sq(pts):
-        vals = np.asarray(f(pts), dtype=float)
-        return vals * vals
-
-    lhs = adaptive_integral(sq, lows, highs, _base_panels(lows, highs, m, spec),
-                            order=spec.order, rtol=spec.rtol, atol=spec.atol,
-                            max_doublings=spec.max_doublings)
-    norm = mother.norm_sq
-    rhs = 0.0
-    for index in indices:
-        ip = inner_product(f, mother, index, spec, lows=lows, highs=highs)
-        rhs += ip * ip / norm
-    rel = abs(lhs - rhs) / abs(lhs) if lhs != 0.0 else (0.0 if rhs == 0.0
-                                                       else math.inf)
-    return lhs, rhs, rel
 
 
 def count_peaks(values, tol: float = 0.02) -> int:

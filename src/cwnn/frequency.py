@@ -1,11 +1,11 @@
 """Dominant-frequency-band probing for an unknown mapping.
 
 Starting from a coarse detail subspace, each resolution is probed with a
-cheap energy estimate (coefficients after a small number of gradient
-updates from zero, weighted by the element norm).  A debiased exponential
-moving average smooths the sequence; probing stops once the smoothed
-energy at the current resolution is no longer exceeded by the raw
-estimate one level finer, and that resolution seeds the network build.
+cheap energy estimate (coefficients after one gradient step from zero,
+weighted by the element norm).  A debiased exponential moving average
+smooths the sequence; probing stops once the smoothed energy at the
+current resolution is no longer exceeded by the raw estimate one level
+finer, and that resolution seeds the network build.
 """
 
 from __future__ import annotations
@@ -41,23 +41,18 @@ def ema_update(prev_bar: float, current_hat: float, alpha: float, m: int) -> flo
     return (alpha * prev_bar + (1.0 - alpha) * current_hat) / (1.0 - alpha ** m)
 
 
-def estimate_subspace_energy(mother: MotherWavelet, bases, X, y, lr: float,
-                             n_updates: int = 1):
-    """Energy held by a set of elements after a short fit from zero.
+def estimate_subspace_energy(mother: MotherWavelet, bases, X, y, lr: float):
+    """Energy held by a set of elements after one gradient step from zero.
 
-    Runs ``n_updates`` full-batch gradient updates starting at zero
-    coefficients and returns ``(sum_j c_j**2 * ||psi||**2, coeffs)``.
+    The step is ``train_to_plateau``'s first, ``c = (2 lr / N) psi^T y``;
+    returns ``(sum_j c_j**2 * ||psi||**2, c)``.
     """
     if not bases:
         return 0.0, np.zeros(0)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     psi = basis_matrix(mother, bases, X)
-    coeffs = np.zeros(len(bases))
-    scale = lr * 2.0 / y.size
-    for _ in range(n_updates):
-        resid = y - psi @ coeffs
-        coeffs += scale * (psi.T @ resid)
+    coeffs = lr * 2.0 / y.size * (psi.T @ y)
     energy = float(np.sum(coeffs * coeffs) * mother.norm_sq)
     return energy, coeffs
 
@@ -128,8 +123,7 @@ class EstimateResult:
 def estimate_initial_resolution(mother: MotherWavelet, X, y,
                                 start_grid: CenterGrid, kappa: float,
                                 lr: float, epsilon: float, m_cap: int = 10,
-                                n_updates: int = 1, stop_early: bool = True
-                                ) -> EstimateResult:
+                                stop_early: bool = True) -> EstimateResult:
     """Probe detail subspaces upward in resolution until energy peaks.
 
     The starting grid is stride-subsampled by ``kappa``; each following
@@ -148,7 +142,7 @@ def estimate_initial_resolution(mother: MotherWavelet, X, y,
     alpha = alpha_from_epsilon(epsilon)
     trace = EnergyTrace(alpha=alpha)
     probes = subsample_centers(start_grid, kappa)
-    e_sum, _ = estimate_subspace_energy(mother, probes, X, y, lr, n_updates)
+    e_sum, _ = estimate_subspace_energy(mother, probes, X, y, lr)
     degenerate = ("zero probe energy at the start resolution; the stop rule "
                   "fires immediately" if e_sum == 0.0 else None)
     e_hat = e_sum / len(probes)
@@ -167,8 +161,7 @@ def estimate_initial_resolution(mother: MotherWavelet, X, y,
                 if child.n not in seen:
                     seen.add(child.n)
                     next_probes.append(child)
-        e_sum_next, _ = estimate_subspace_energy(mother, next_probes, X, y,
-                                                 lr, n_updates)
+        e_sum_next, _ = estimate_subspace_energy(mother, next_probes, X, y, lr)
         e_hat_next = e_sum_next / len(next_probes)
         position += 1
         e_bar_next = ema_update(e_bar, e_hat_next, alpha, position)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .model import (Design, TrainLog, TrainStatus, WaveletModel,
                     _check_finite, train_to_plateau)
-from .wavelets import (BasisIndex, BasisKind, MotherWavelet,
-                       build_center_grid, children_centers, _grid_from_bounds)
+from .wavelets import (BasisKind, MotherWavelet, build_center_grid,
+                       children_centers, _grid_from_bounds)
 
 # resolution the whole-level baseline seeds its scaling and detail grids at
 BASELINE_START_M = 1
@@ -75,9 +75,6 @@ class WaveletPool:
         self.high = tuple(float(v) for v in np.atleast_1d(high))
         self.expanded = defaultdict(set)
         self._pos = {}
-
-    def __contains__(self, b: BasisIndex) -> bool:
-        return b in self._pos
 
     def grid(self, m: int):
         return _grid_from_bounds(m, self.low, self.high)
@@ -194,8 +191,8 @@ def _grow(pool: WaveletPool, m: int, sweep: int, config: GrowthConfig,
           log: TrainLog, whole_levels: bool = False):
     """One growth phase at resolution ``m``, ``sweep`` phases after the
     pool reached it, logged at the log's last iteration.  Returns the new
-    ``(m, sweep)``, or None when ``m`` is ``config.max_resolution`` and
-    the phase would escalate.
+    ``(m, sweep)``, or None when ``m`` is ``config.max_resolution``: no
+    phase adds bases past the cap, so there the schedule is spent.
 
     The constructive rule expands the parents holding the next energy
     fraction (mu, 2 mu, ..., 1) into m + 1; once that schedule is spent
@@ -204,6 +201,8 @@ def _grow(pool: WaveletPool, m: int, sweep: int, config: GrowthConfig,
     (``whole_levels``) escalates at every phase and adds the detail grid
     of m + 1 only.
     """
+    if m >= config.max_resolution:
+        return None
     if not whole_levels and sweep < config.n_phases:
         sweep += 1
         mu_up = 1.0 if sweep == config.n_phases else sweep * config.mu
@@ -212,8 +211,6 @@ def _grow(pool: WaveletPool, m: int, sweep: int, config: GrowthConfig,
         pool.expanded[m].update(parents)
         log.add_event(log.last_iteration, "expand", m, len(new))
         return m, sweep
-    if m >= config.max_resolution:
-        return None
     m += 1
     if whole_levels:
         added = len(pool.add_bases(pool.grid(m).bases(BasisKind.WAVELET)))
@@ -313,8 +310,13 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
     post-update loss of each window is logged as one record, so the
     iteration column counts update cycles.  Coefficients that turn
     non-finite or huge in a window raise :class:`TrainingDivergence` with
-    the coefficients from before that window restored.
+    the coefficients from before that window restored.  A ``window``,
+    ``steps_per_window`` or ``patience`` below 1 raises ``ValueError``.
     """
+    for name, value in (("window", window), ("patience", patience),
+                        ("steps_per_window", steps_per_window)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     log = log if log is not None else TrainLog()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -350,8 +352,8 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
             best_at = w
         if roll > config.epsilon and (w - best_at) >= patience:
             # sustained plateau above target: one growth phase; at the
-            # resolution cap with all phases spent, keep streaming plain
-            # updates and just restart the patience clock
+            # resolution cap keep streaming plain updates and just
+            # restart the patience clock
             grown = _grow(pool, m, sweep, config, log)
             if grown is not None:
                 m, sweep = grown

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j1, jv
-
-from .quadrature import adaptive_integral
 
 
 class WaveletFamily(enum.Enum):
@@ -54,10 +52,6 @@ class BasisIndex:
     def center(self) -> np.ndarray:
         """Translation center 2**-m * n in input coordinates."""
         return np.asarray(self.n, dtype=float) * 2.0 ** (-self.m)
-
-    def frequency(self) -> float:
-        """Center of the frequency band covered by this element."""
-        return 2.0 ** self.m
 
     def sort_key(self):
         return (self.kind.value, self.m, self.n)
@@ -131,7 +125,6 @@ class MotherWavelet:
 
     family: WaveletFamily
     dim: int
-    _norm_sq: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -172,23 +165,17 @@ class MotherWavelet:
         np.sqrt(r, out=r)
         return _sinc_profile(self.dim, r)
 
-    def _eval_points(self, kind: BasisKind, pts: np.ndarray):
-        """:meth:`_eval_kind` at points of shape (..., dim); drops the
-        last axis (a single point gives a scalar)."""
+    def eval_mother(self, x) -> np.ndarray:
+        """Band-pass mother value at ``x`` (shape (..., dim) or (dim,));
+        drops the last axis (a single point gives a scalar)."""
+        pts = np.atleast_1d(np.asarray(x, float))
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have {pts.shape[-1]} components, "
                              f"mother expects {self.dim}")
         flat = pts.reshape(-1, self.dim)
-        vals = self._eval_kind(kind, [flat[:, k] for k in range(self.dim)])
+        vals = self._eval_kind(BasisKind.WAVELET,
+                               [flat[:, k] for k in range(self.dim)])
         return vals.reshape(pts.shape[:-1])[()]
-
-    def eval_mother(self, x) -> np.ndarray:
-        """Band-pass mother value at ``x`` (shape (..., dim) or (dim,))."""
-        return self._eval_points(BasisKind.WAVELET, np.atleast_1d(np.asarray(x, float)))
-
-    def eval_scaling_mother(self, x) -> np.ndarray:
-        """Low-pass companion value at ``x``."""
-        return self._eval_points(BasisKind.SCALING, np.atleast_1d(np.asarray(x, float)))
 
     @property
     def effective_radius(self) -> float:
@@ -206,49 +193,32 @@ class MotherWavelet:
 
     @property
     def norm_sq(self) -> float:
-        """Squared L2 norm of the mother, cached after first use.
+        """Squared L2 norm of the mother, in closed form.
 
-        The Mexican-hat norm is integrated radially in space.  The
-        band-limited family decays too slowly in space for a truncated
-        spatial quadrature, so its norm is integrated over the frequency
-        annulus instead (the two agree by Plancherel).
+        Mexican hat: pi**(d/2) * d * (d + 2) / 4.  The band-limited
+        family has the flat spectrum pi/2 on the annulus 1 < |w| <= 2,
+        so by Plancherel its norm is |S^(d-1)| * (pi/2) * (2**d - 1) / d.
         """
-        if self._norm_sq is None:
-            area = surface_area(self.dim)
-            if self.family is WaveletFamily.MEXICAN_HAT:
-                d = float(self.dim)
-
-                def shell(r):
-                    return area * (d - r * r) ** 2 * np.exp(-r * r) * r ** (self.dim - 1)
-
-                self._norm_sq = adaptive_integral(
-                    lambda p: shell(p[:, 0]), [0.0], [9.0],
-                    base_panels=8, order=16, rtol=1e-11)
-            else:
-                def shell(r):
-                    return area * (math.pi / 2.0) * r ** (self.dim - 1)
-
-                self._norm_sq = adaptive_integral(
-                    lambda p: shell(p[:, 0]), [1.0], [2.0],
-                    base_panels=2, order=12, rtol=1e-12)
-        return self._norm_sq
+        d = self.dim
+        if self.family is WaveletFamily.MEXICAN_HAT:
+            return math.pi ** (d / 2) * d * (d + 2) / 4
+        return surface_area(d) * (math.pi / 2) * (2 ** d - 1) / d
 
 
 def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
-    """Evaluate one dilated/translated element at ``x``.
+    """Evaluate one dilated/translated element at ``x`` through
+    :func:`basis_matrix`.
 
     ``x`` may be a single point of shape (dim,) or a batch (..., dim);
-    the result drops the last axis.
+    the result drops the last axis (a single point gives a scalar).
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != mother.dim or len(index.n) != mother.dim:
         raise ValueError(f"dimension mismatch: points have {x.shape[-1]} "
                          f"components, index {len(index.n)}, "
                          f"mother expects {mother.dim}")
-    scale = 2.0 ** index.m
-    amp = 2.0 ** (0.5 * mother.dim * index.m)
-    arg = scale * x - np.asarray(index.n, dtype=float)
-    return amp * mother._eval_points(index.kind, arg)
+    col = basis_matrix(mother, [index], x.reshape(-1, mother.dim))[:, 0]
+    return col.reshape(x.shape[:-1])[()]
 
 
 # target number of scratch elements per evaluation block (memory control)

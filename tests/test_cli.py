@@ -188,6 +188,18 @@ def test_online_small_stream(out_root, capsys):
     assert (run / "train_log.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--window", "0", "window"), ("--window", "-3", "window"),
+    ("--patience", "0", "patience"),
+    ("--steps-per-window", "0", "steps_per_window")])
+def test_online_rejects_counts_below_one(out_root, capsys, flag, value,
+                                         name):
+    rc = cli.main(["online", "--preset", "example3", "--length", "200",
+                   flag, value, "--out", str(out_root / "bad")])
+    assert rc == 2
+    assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_online_divergence_exits_3(out_root, capsys):
     # a step size far past the stability bound blows the coefficients up
     # within a few windows; the run must stop as a numeric failure

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from cwnn.diagnostics import (DecayReport, QuadSpec, TimeFrequencyBox,
-                              count_peaks, decay_report,
-                              energy_identity_check, inner_product,
+                              count_peaks, decay_report, inner_product,
                               scan_indices, support_box)
 from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, eval_basis
 
@@ -104,34 +103,6 @@ def test_decay_ratio_edge_cases():
     rep2 = DecayReport(BOX, rows=[(w_index(2, 0), True, 0.0),
                                   (w_index(5, 0), False, 0.5)])
     assert rep2.ratio == math.inf
-
-
-# --------------------------------------------------------- energy identity
-
-def test_energy_identity_single_basis():
-    b = w_index(1, 2)
-    lhs, rhs, rel = energy_identity_check(
-        lambda pts: 0.7 * eval_basis(MH1, b, pts), MH1, [b])
-    assert lhs == pytest.approx(0.49 * MH1.norm_sq, rel=1e-8)
-    assert rel < 1e-10
-
-
-def test_energy_identity_separated_pair():
-    bs = [w_index(2, 0), w_index(2, 12)]
-
-    def f(pts):
-        return eval_basis(MH1, bs[0], pts) - 0.5 * eval_basis(MH1, bs[1], pts)
-
-    lhs, rhs, rel = energy_identity_check(f, MH1, bs)
-    assert rel < 1e-9
-
-
-def test_energy_identity_rejects_mixed_levels():
-    with pytest.raises(ValueError):
-        energy_identity_check(lambda pts: np.zeros(len(pts)), MH1,
-                              [w_index(1, 0), w_index(2, 0)])
-    with pytest.raises(ValueError):
-        energy_identity_check(lambda pts: np.zeros(len(pts)), MH1, [])
 
 
 # ------------------------------------------------------------ peak count

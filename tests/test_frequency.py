@@ -8,6 +8,7 @@ import pytest
 from cwnn.frequency import (alpha_from_epsilon, ema_update,
                             estimate_initial_resolution,
                             estimate_subspace_energy, subsample_centers)
+from cwnn.model import WaveletModel, train_to_plateau
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet,
                            build_center_grid, eval_basis)
 
@@ -57,6 +58,25 @@ def test_energy_single_sample_hand_case():
     assert coeffs[0] == pytest.approx(1.0)
     assert e == pytest.approx(mh.norm_sq, rel=1e-9)
     assert e == pytest.approx(1.32934, abs=1e-5)
+
+
+@pytest.mark.parametrize("rows", [60, 5])
+def test_probe_is_the_training_loops_first_step(rows):
+    # the probe's coefficients are train_to_plateau's first step from
+    # zero, on the Gram form (9 bases, 60 rows) and on the residual form
+    # (9 bases, 5 rows)
+    sc = MotherWavelet.sinc(2)
+    bases = build_center_grid(1, [0.0, 0.0], [1.0, 1.0],
+                              margin=0.0).bases()
+    rng = np.random.default_rng(rows)
+    X = rng.uniform(0.0, 1.0, size=(rows, 2))
+    y = np.sin(5.0 * X[:, 0]) * X[:, 1]
+    e, coeffs = estimate_subspace_energy(sc, bases, X, y, 5e-4)
+    model = WaveletModel.zeros(sc, bases)
+    train_to_plateau(model, X, y, 5e-4, zeta=0.0, epsilon=-1.0, max_iters=1)
+    np.testing.assert_array_equal(coeffs, model.coeffs)
+    assert e == pytest.approx(np.sum(coeffs ** 2) * sc.norm_sq, rel=1e-15)
+    assert e > 0.0
 
 
 def test_energy_empty_bases():

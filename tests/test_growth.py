@@ -1,8 +1,13 @@
 """Greedy basis growth: selection, expansion, batch and streaming runs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cwnn.growth as growth
 from cwnn.growth import (GrowthConfig, OnlineResult, WaveletPool,
                          expand_into_next, run_baseline_wnn, run_growth,
                          run_online, select_high_energy)
@@ -259,7 +264,8 @@ def _reference_online(mother, X, y, config, window=10, steps_per_window=1,
                       patience=40, improvement=0.02, log=None):
     """The windowed loop as it stood before run_online shared the growth
     phase and Design.objective: psi per window, its own gradient step,
-    and a copied block for the short last window."""
+    and a copied block for the short last window.  Growth follows the
+    resolution cap rule: no phase runs at ``max_resolution``."""
     log = log if log is not None else TrainLog()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -299,7 +305,7 @@ def _reference_online(mother, X, y, config, window=10, steps_per_window=1,
             best_roll = roll
             best_at = w
         if roll > config.epsilon and (w - best_at) >= patience:
-            if sweep < config.n_phases:
+            if m < config.max_resolution and sweep < config.n_phases:
                 sweep += 1
                 mu_up = 1.0 if sweep == config.n_phases else sweep * config.mu
                 parents = select_high_energy(pool, m, mu_up, pool.expanded[m])
@@ -346,6 +352,7 @@ def _online_both_ways(window):
     ref = _reference_online(MH1, X, y, config, log=ref_log, **kw)
     # the stream grew up to the resolution cap and ended on a short window
     assert ("escalate", config.max_resolution) in {e[1:3] for e in log.events}
+    assert max(b.m for b in res.model.bases) == config.max_resolution
     assert len(y) % window and len(res.window_losses) == -(-len(y) // window)
     assert log.last_iteration == 2 * len(res.window_losses)
     assert log.events == ref_log.events
@@ -396,6 +403,7 @@ def test_batch_runs_stop_at_the_resolution_cap():
         assert res.final_resolution == config.max_resolution
         assert log.last_iteration < config.max_iters
         assert max(e[2] for e in log.events) == config.max_resolution
+        assert max(b.m for b in res.model.bases) == config.max_resolution
 
 
 def test_online_streams_past_the_resolution_cap():
@@ -404,16 +412,123 @@ def test_online_streams_past_the_resolution_cap():
     capped = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=1)
     log = TrainLog()
     res = run_online(MH1, X, y, capped, log=log, **kw)
-    # at the cap only the expansion schedule runs; every window is still
+    # seeded at the cap, the run never grows; every window is still
     # trained and recorded
-    assert [e[1:3] for e in log.events] == [("seed", 1), ("expand", 1),
-                                            ("expand", 1)]
+    assert [e[1:3] for e in log.events] == [("seed", 1)]
+    assert res.growth_iterations == []
+    assert all(b.m == 1 for b in res.model.bases)
     assert len(res.window_losses) == 81 and log.last_iteration == 2 * 81
-    # with room to grow the same stream escalates after the capped run's
-    # last event, so plateaus did fire past the cap and logged nothing
+    # with room to grow the same stream grows, so plateaus did fire at
+    # the cap and logged nothing
     roomy = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)
     free_log = TrainLog()
-    run_online(MH1, X, y, roomy, log=free_log, **kw)
-    escalations = [e[0] for e in free_log.events if e[1] == "escalate"]
-    assert escalations and escalations[0] > log.events[-1][0]
-    assert free_log.events[:3] == log.events
+    free = run_online(MH1, X, y, roomy, log=free_log, **kw)
+    assert free_log.events[0] == log.events[0]
+    assert free.growth_iterations
+
+
+# ------------------------------------------------------ pool properties
+
+# energies of the five m=1 detail elements of ``pool_with_energies``;
+# a few repeated values make ranking ties common
+ENERGIES = st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                              st.floats(1e-3, 10.0)),
+                    min_size=5, max_size=5)
+FRACTIONS = st.floats(0.01, 1.0)
+
+
+def level_energies(pool, m=1):
+    norm = pool.model.mother.norm_sq
+    return {b: c * c * norm for b, c in pool.detail_items(m)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(energies=ENERGIES, signs=st.lists(st.sampled_from([-1.0, 1.0]),
+                                         min_size=5, max_size=5))
+def test_appending_bases_leaves_predictions_unchanged(energies, signs):
+    pool = pool_with_energies(energies)
+    pool.model.coeffs[:] *= np.resize(signs, pool.model.n_params)
+    X = np.linspace(-0.5, 2.5, 41).reshape(-1, 1)
+    before = pool.model.predict(X)
+    expand_into_next(pool, select_high_energy(pool, 1, 1.0))
+    pool.ensure_level(2)
+    assert pool.model.n_params > 10
+    np.testing.assert_allclose(pool.model.predict(X), before, rtol=0.0,
+                               atol=1e-12 * max(1.0, np.abs(before).max()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(energies=ENERGIES, mu_up=FRACTIONS,
+       order=st.permutations(range(10)))
+def test_selection_is_deterministic(energies, mu_up, order):
+    # the same coefficients give the same selection, in the same order,
+    # whatever order the pool received its bases in
+    pool = pool_with_energies(energies)
+    shuffled = WaveletPool(MH1, (0.0,), (2.0,))
+    shuffled.add_bases([pool.model.bases[i] for i in order])
+    for b, pos in pool._pos.items():
+        shuffled.model.coeffs[shuffled._pos[b]] = pool.model.coeffs[pos]
+    first = select_high_energy(pool, 1, mu_up)
+    assert select_high_energy(pool, 1, mu_up) == first
+    assert select_high_energy(shuffled, 1, mu_up) == first
+
+
+@settings(max_examples=80, deadline=None)
+@given(energies=ENERGIES, mu_up=FRACTIONS,
+       excluded=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_selection_captures_its_fraction_when_it_can(energies, mu_up,
+                                                     excluded):
+    pool = pool_with_energies(energies)
+    energy = level_energies(pool)
+    exclude = {b for b, out in zip(energy, excluded) if out}
+    total = sum(energy.values())
+    chosen = select_high_energy(pool, 1, mu_up, exclude)
+    assert not exclude & set(chosen)
+    assert all(energy[b] > 0.0 for b in chosen)
+    free = sum(e for b, e in energy.items() if b not in exclude)
+    if free >= mu_up * total:
+        captured = sum(energy[b] for b in chosen)
+        assert captured >= mu_up * total - 1e-12 * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(energies=ENERGIES, n_phases=st.integers(1, 4))
+def test_growth_phases_never_reuse_a_parent(energies, n_phases):
+    # a full schedule of the growth phase at one level: every phase
+    # picks fresh parents, and together they cover the level's energy
+    config = small_config(mu=1 / n_phases)
+    pool = pool_with_energies(energies)
+    picked = []
+
+    def spy(*args, **kwargs):
+        picked.append(select_high_energy(*args, **kwargs))
+        return picked[-1]
+
+    m, sweep = 1, 0
+    with mock.patch.object(growth, "select_high_energy", spy):
+        for _ in range(n_phases):
+            m, sweep = growth._grow(pool, m, sweep, config, TrainLog())
+    assert (m, sweep) == (1, n_phases) and len(picked) == n_phases
+    parents = [b for batch in picked for b in batch]
+    assert len(parents) == len(set(parents))
+    assert set(parents) == {b for b, e in level_energies(pool).items()
+                            if e > 0.0}
+
+
+@settings(max_examples=15, deadline=None)
+@given(cap=st.integers(1, 3), start=st.integers(0, 3),
+       n_phases=st.integers(1, 3),
+       run=st.sampled_from(["growth", "baseline", "online"]))
+def test_no_run_adds_a_basis_past_the_cap(cap, start, n_phases, run):
+    # an unreachable target and a plateau gap every step meets: growth
+    # fires at every chance until the cap stops it
+    config = small_config(epsilon=1e-12, zeta=1.0, mu=1 / n_phases,
+                          m_init=min(start, cap), max_resolution=cap,
+                          max_iters=200)
+    X, y = _rich_stream(48)
+    if run == "online":
+        res = run_online(MH1, X, y, config, window=4, patience=1)
+    else:
+        runner = run_growth if run == "growth" else run_baseline_wnn
+        res = runner(MH1, X, y, config)
+    assert max(b.m for b in res.model.bases) <= cap

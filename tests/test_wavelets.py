@@ -1,6 +1,9 @@
 """Mother wavelets, dyadic bases, center grids and child selection."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -101,30 +104,66 @@ def test_rotation_symmetry():
 
 # ------------------------------------------------------------------ norms
 
+def radial_norm_sq(shell, lo, hi, d):
+    """Squared norm of a radial function by quadrature of its shell
+    integrand ``shell(r) * |S^(d-1)| * r**(d-1)`` over [lo, hi]."""
+    area = 2 * math.pi ** (d / 2) / gamma(d / 2)
+    return adaptive_integral(
+        lambda p: area * shell(p[:, 0]) * p[:, 0] ** (d - 1), [lo], [hi],
+        base_panels=8, order=16, rtol=1e-13, atol=0.0)
+
+
 def test_mexican_hat_norm_closed_forms():
-    # ||psi||^2 = pi^{d/2} d (d+2) / 4
-    for d in (1, 2, 3):
-        want = math.pi ** (d / 2) * d * (d + 2) / 4
+    # the closed form against the integral of psi^2 over radial shells
+    # in space, out to a radius where exp(-r^2) is far below 1e-300
+    for d in (1, 2, 3, 9):
+        want = radial_norm_sq(lambda r: (d - r * r) ** 2 * np.exp(-r * r),
+                              0.0, 28.0, d)
         assert MotherWavelet.mexican_hat(d).norm_sq == pytest.approx(
-            want, rel=1e-8)
+            want, rel=1e-12), d
     assert MotherWavelet.mexican_hat(1).norm_sq == pytest.approx(
-        0.75 * math.sqrt(math.pi), rel=1e-10)
+        0.75 * math.sqrt(math.pi), rel=1e-15)
 
 
 def test_sinc_norm_closed_forms():
-    # band energy: (pi/2) (2^d - 1) vol(unit ball)
+    # the closed form against the integral of the spectrum's square,
+    # pi/2 on the annulus 1 < |w| <= 2 (Plancherel); in 1-D the norm of
+    # (sin 2x - sin x)/x is pi
     for d in (1, 2, 3, 9):
-        ball = math.pi ** (d / 2) / gamma(d / 2 + 1)
-        want = (math.pi / 2) * (2 ** d - 1) * ball
+        want = radial_norm_sq(lambda r: np.full_like(r, math.pi / 2),
+                              1.0, 2.0, d)
         assert MotherWavelet.sinc(d).norm_sq == pytest.approx(
-            want, rel=1e-10)
-    assert MotherWavelet.sinc(1).norm_sq == pytest.approx(math.pi)
+            want, rel=1e-12), d
+    assert MotherWavelet.sinc(1).norm_sq == pytest.approx(math.pi,
+                                                          rel=1e-15)
 
 
-def test_norm_cached_identity():
-    mh = MotherWavelet.mexican_hat(2)
-    assert mh.norm_sq is not None
-    assert mh.norm_sq == mh.norm_sq  # cached, no recomputation drift
+def test_mothers_built_alike_compare_equal():
+    # reading the norm leaves no state behind that equality could see
+    for make in (MotherWavelet.mexican_hat, MotherWavelet.sinc):
+        a, b = make(2), make(2)
+        assert a.norm_sq > 0.0
+        assert a == b
+        assert a.norm_sq == b.norm_sq and a == b
+    assert MotherWavelet.sinc(2) != MotherWavelet.mexican_hat(2)
+    assert MotherWavelet.sinc(2) != MotherWavelet.sinc(3)
+
+
+def test_wavelets_leave_out_quadrature():
+    # the norms are closed forms, so the module needs no integrator; the
+    # package is stubbed so that its __init__ (which imports everything)
+    # does not run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavelets.__file__)))
+    probe = ("import sys, types; "
+             "pkg = types.ModuleType('cwnn'); "
+             f"pkg.__path__ = [{os.path.join(src, 'cwnn')!r}]; "
+             "sys.modules['cwnn'] = pkg; "
+             "import cwnn.wavelets; "
+             "print('cwnn.quadrature' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------- evaluation
@@ -156,12 +195,23 @@ def test_eval_dimension_mismatch():
         eval_basis(mh, w_index(0, 0), [[1.0]])
 
 
+def companion(family, t):
+    """Low-pass companion shapes in closed form, at points (n, d)."""
+    if family == "mexican_hat":
+        return np.exp(-0.5 * np.sum(t * t, axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = np.where(t == 0.0, 1.0, np.sin(t) / t)
+    return np.prod(f, axis=1)
+
+
 @pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
     # two resolutions and both kinds in runs of three columns, so every
     # (kind, resolution) group is split into two column runs, and a block
-    # size that cuts each group, and one of its runs, into two blocks
+    # size that cuts each group, and one of its runs, into two blocks;
+    # each column against 2^{dm/2} psi(2^m x - n), with the mother from
+    # eval_mother and the companion from its closed form
     mother = getattr(MotherWavelet, family)(d)
     rng = np.random.default_rng(40 + d)
     bases = []
@@ -178,14 +228,27 @@ def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
     psi = basis_matrix(mother, bases, X)
     assert psi.shape == (37, 24)
     for j, b in enumerate(bases):
-        np.testing.assert_allclose(psi[:, j], eval_basis(mother, b, X),
-                                   rtol=1e-13, atol=1e-15)
+        t = 2.0 ** b.m * X - np.asarray(b.n, dtype=float)
+        shape = (mother.eval_mother(t) if b.kind is BasisKind.WAVELET
+                 else companion(family, t))
+        want = 2.0 ** (d * b.m / 2) * shape
+        np.testing.assert_allclose(psi[:, j], want, rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(eval_basis(mother, b, X), psi[:, j])
+    # a single point gives a scalar, a (2, 2, d) batch a (2, 2) array
+    assert np.ndim(eval_basis(mother, bases[0], X[0])) == 0
+    assert eval_basis(mother, bases[0], X[:4].reshape(2, 2, d)).shape == (2, 2)
 
 
 def test_basis_index_center_and_frequency():
+    # the element sits at 2^-m n and is the mother dilated by 2^m (its
+    # band is 2^m times the mother's): 2^{dm/2} psi(2^m (x - center))
     b = BasisIndex(2, (3, -1), BasisKind.WAVELET)
     assert np.allclose(b.center(), [0.75, -0.25])
-    assert b.frequency() == pytest.approx(4.0)
+    mh = MotherWavelet.mexican_hat(2)
+    t = np.array([[0.0, 0.0], [0.3, -0.7]])
+    got = eval_basis(mh, b, b.center() + t / 4.0)
+    np.testing.assert_allclose(got, 4.0 * mh.eval_mother(t), rtol=1e-14)
+    assert got[0] == pytest.approx(8.0)
 
 
 def test_sinc_cross_band_orthogonality():
