@@ -270,12 +270,13 @@ def run_growth(mother: MotherWavelet, X, y, config: GrowthConfig,
 def run_baseline_wnn(mother: MotherWavelet, X, y, config: GrowthConfig,
                      log: TrainLog | None = None) -> GrowthResult:
     """Non-constructive reference: seed scaling + detail grids at the
-    start resolution, then add whole detail grids level by level whenever
+    start resolution (``BASELINE_START_M``, or the resolution cap when
+    that is lower), then add whole detail grids level by level whenever
     training plateaus above the target."""
     log = log if log is not None else TrainLog()
-    pool = _seed(mother, config, BASELINE_START_M, log)
-    return _grow_to_target(pool, BASELINE_START_M, X, y, config, log,
-                           whole_levels=True)
+    m = min(BASELINE_START_M, config.max_resolution)
+    pool = _seed(mother, config, m, log)
+    return _grow_to_target(pool, m, X, y, config, log, whole_levels=True)
 
 
 @dataclass

@@ -13,14 +13,20 @@ mother families are provided, both radial in frequency:
   product of ``sin(x_i)/x_i`` factors.
 
 Shapes are evaluated from per-axis coordinate arrays, so a design matrix
-is built from one (n_samples, n_bases) offset array per input axis and
-never from an (n_samples, n_bases, dim) stack.
+is built from one (n_samples, block) offset array per input axis and
+never from an (n_samples, n_bases, dim) stack.  The separable sinc
+companion is built from one (n_samples, distinct n_k) factor table per
+axis instead.  A design matrix whose scratch spans several blocks is
+built on every CPU the process may run on (its affinity mask, which
+``taskset`` limits); the result does not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +151,8 @@ class MotherWavelet:
 
         ``axes`` holds ``dim`` equally shaped arrays, the points'
         coordinates along each input axis.  They are left unchanged; the
-        result is a new array of their shape.
+        result is a new array of their shape.  The sinc companion is
+        separable and is built per axis by :func:`basis_matrix`.
         """
         if self.family is WaveletFamily.MEXICAN_HAT:
             s2 = _sum_of_squares(axes)
@@ -157,10 +164,8 @@ class MotherWavelet:
             s2 *= env
             return s2
         if kind is BasisKind.SCALING:
-            out = np.sinc(axes[0] / np.pi)
-            for a in axes[1:]:
-                out *= np.sinc(a / np.pi)
-            return out
+            raise ValueError("the sinc companion is built per axis by "
+                             "basis_matrix")
         r = _sum_of_squares(axes)
         np.sqrt(r, out=r)
         return _sinc_profile(self.dim, r)
@@ -222,16 +227,67 @@ def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
 
 
 # target number of scratch elements per evaluation block (memory control)
-_BLOCK_ELEMS = 2 ** 23
+_BLOCK_ELEMS = 2 ** 20
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _offset_shapes(mother: MotherWavelet, kind: BasisKind, scaled, centers):
+    """Shapes of a group's columns ``lo:hi`` from one (n_samples, hi - lo)
+    offset array per input axis."""
+    def shapes(lo, hi):
+        return mother._eval_kind(
+            kind, [np.subtract.outer(scaled[:, k], centers[lo:hi, k])
+                   for k in range(centers.shape[1])])
+    return shapes
+
+
+def _sinc_companions(scaled, centers):
+    """Sinc companions ``prod_k sinc(2^m x_k - n_k)`` of a group's columns
+    ``lo:hi``.
+
+    Each axis's factor is evaluated once per distinct ``n_k`` into an
+    (n_samples, distinct) table; a column gathers its factors and
+    multiplies them in axis order, so every value is the per-cell
+    product bit for bit.
+    """
+    tables, which = [], []
+    for k in range(centers.shape[1]):
+        u, inv = np.unique(centers[:, k], return_inverse=True)
+        tables.append(np.sinc(np.subtract.outer(scaled[:, k], u) / np.pi))
+        which.append(inv)
+
+    def shapes(lo, hi):
+        out = tables[0][:, which[0][lo:hi]]
+        for t, inv in zip(tables[1:], which[1:]):
+            out *= t[:, inv[lo:hi]]
+        return out
+    return shapes
 
 
 def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
     """Evaluate every basis in ``bases`` at every row of ``X``.
 
     Returns the (n_samples, n_bases) design matrix.  Bases are grouped by
-    (kind, resolution) so each group shares one scaled copy of ``X``;
-    each block of a group is evaluated from one (n_samples, block)
-    offset array per input axis.
+    (kind, resolution) so each group shares one scaled copy of ``X``, and
+    each group is cut into blocks of about ``_BLOCK_ELEMS`` scratch
+    elements.  A block of wavelets or Mexican-hat companions is evaluated
+    from one (n_samples, block) offset array per input axis; a block of
+    sinc companions is gathered from the group's per-axis factor tables.
+
+    When the call's scratch spans more than one block and the process may
+    run on several CPUs, the blocks are mapped over a thread pool of at
+    most that many workers (numpy and scipy.special release the GIL);
+    each block writes only its own columns, so the result is the same bit
+    for bit on any number of CPUs.  Each worker holds one block's scratch
+    at a time.  Smaller calls run inline.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -241,23 +297,37 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
     groups = {}
     for j, b in enumerate(bases):
         groups.setdefault((b.kind, b.m), []).append(j)
+    block = max(1, _BLOCK_ELEMS // max(1, n * d))
+    tasks = []
     for (kind, m), cols in groups.items():
         scaled = X * 2.0 ** m
         amp = 2.0 ** (0.5 * d * m)
         centers = np.array([bases[j].n for j in cols], dtype=float)
-        block = max(1, _BLOCK_ELEMS // max(1, n * d))
-        for start in range(0, len(cols), block):
-            sel = cols[start:start + block]
-            ctr = centers[start:start + block]
-            vals = mother._eval_kind(
-                kind, [np.subtract.outer(scaled[:, k], ctr[:, k])
-                       for k in range(d)])
-            # scale and store each run of consecutive columns through a
-            # slice; an index-list column store is several times slower
-            cuts = [0, *(np.flatnonzero(np.diff(sel) != 1) + 1), len(sel)]
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                np.multiply(vals[:, a:b], amp,
-                            out=out[:, sel[a]:sel[a] + b - a])
+        if kind is BasisKind.SCALING and mother.family is WaveletFamily.SINC:
+            shapes = _sinc_companions(scaled, centers)
+        else:
+            shapes = _offset_shapes(mother, kind, scaled, centers)
+        tasks += [(shapes, lo, cols[lo:lo + block], amp)
+                  for lo in range(0, len(cols), block)]
+
+    def fill(task):
+        shapes, lo, sel, amp = task
+        vals = shapes(lo, lo + len(sel))
+        # scale and store each run of consecutive columns through a
+        # slice; an index-list column store is several times slower
+        cuts = [0, *(np.flatnonzero(np.diff(sel) != 1) + 1), len(sel)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            np.multiply(vals[:, a:b], amp, out=out[:, sel[a]:sel[a] + b - a])
+
+    workers = 1
+    if n * d * len(bases) > _BLOCK_ELEMS:
+        workers = min(_cpu_count(), len(tasks))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, tasks))
+    else:
+        for task in tasks:
+            fill(task)
     return out
 
 

@@ -406,6 +406,21 @@ def test_batch_runs_stop_at_the_resolution_cap():
         assert max(b.m for b in res.model.bases) == config.max_resolution
 
 
+def test_baseline_seeds_at_a_cap_below_its_start():
+    # a cap under BASELINE_START_M: the baseline seeds at the cap and
+    # never holds a basis past it
+    assert growth.BASELINE_START_M > 0
+    X, y = _rich_stream(48)
+    config = small_config(epsilon=1e-12, zeta=1.0, m_init=0,
+                          max_resolution=0, max_iters=200)
+    log = TrainLog()
+    res = run_baseline_wnn(MH1, X, y, config, log)
+    assert res.status is TrainStatus.BUDGET
+    assert res.final_resolution == 0
+    assert [e[1:3] for e in log.events] == [("seed", 0)]
+    assert max(b.m for b in res.model.bases) == 0
+
+
 def test_online_streams_past_the_resolution_cap():
     X, y = _rich_stream(8 * 80 + 4)
     kw = dict(window=8, steps_per_window=2, patience=3)

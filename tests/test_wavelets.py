@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -237,6 +238,127 @@ def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
     # a single point gives a scalar, a (2, 2, d) batch a (2, 2) array
     assert np.ndim(eval_basis(mother, bases[0], X[0])) == 0
     assert eval_basis(mother, bases[0], X[:4].reshape(2, 2, d)).shape == (2, 2)
+
+
+def mixed_bases(d, seed):
+    """Both kinds at two resolutions in random order, so groups are
+    interleaved, with unsorted and repeated translations."""
+    rng = np.random.default_rng(seed)
+    bases = []
+    for j in range(40):
+        kind = (BasisKind.WAVELET, BasisKind.SCALING)[int(rng.integers(2))]
+        m = int(rng.integers(2))
+        n = tuple(int(v) for v in rng.integers(-3, 4, size=d))
+        bases.append(BasisIndex(m, n, kind))
+    bases += bases[5:9] + bases[:3]
+    return bases
+
+
+class CountingPool(wavelets.ThreadPoolExecutor):
+    opened = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).opened += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_basis_matrix_threads_agree_with_serial(family, d, monkeypatch):
+    # blocks of three columns, so every group spans several blocks and
+    # the call takes the pool path on two CPUs and the inline one on one
+    mother = getattr(MotherWavelet, family)(d)
+    bases = mixed_bases(d, 60 + d)
+    X = np.random.default_rng(70 + d).uniform(-2.0, 2.0, size=(29, d))
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 3 * X.size)
+    monkeypatch.setattr(wavelets, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "opened", 0)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    serial = basis_matrix(mother, bases, X)
+    assert CountingPool.opened == 0
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
+    threaded = basis_matrix(mother, bases, X)
+    assert CountingPool.opened == 1
+    np.testing.assert_array_equal(threaded, serial)
+    # a single-block call stays inline
+    basis_matrix(mother, bases[:2], X)
+    assert CountingPool.opened == 1
+    # the companion against the per-cell product, bit for bit: the sinc
+    # one as 2^{dm/2} prod_k sinc(2^m x_k - n_k) in axis order
+    for j, b in enumerate(bases):
+        if b.kind is not BasisKind.SCALING:
+            continue
+        t = 2.0 ** b.m * X - np.asarray(b.n, dtype=float)
+        if family == "sinc":
+            want = np.sinc(t[:, 0] / np.pi)
+            for k in range(1, d):
+                want *= np.sinc(t[:, k] / np.pi)
+        else:
+            want = np.exp(-0.5 * np.sum(t * t, axis=1))
+        np.testing.assert_allclose(serial[:, j], 2.0 ** (0.5 * d * b.m) * want,
+                                   rtol=0.0 if family == "sinc" else 1e-14,
+                                   atol=0.0)
+
+
+def test_concurrent_callers_get_the_serial_result(monkeypatch):
+    # four callers at once, as sweep workers call in, each on its own
+    # rows and each through its own pool; a shared buffer or a store into
+    # another call's matrix would break the match
+    mother = MotherWavelet.sinc(2)
+    bases = mixed_bases(2, 80)
+    inputs = [np.random.default_rng(90 + i).uniform(-2.0, 2.0, size=(31, 2))
+              for i in range(4)]
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 4 * 31 * 2)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    want = [basis_matrix(mother, bases, X) for X in inputs]
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 3)
+    got = [None] * len(inputs)
+    start = threading.Barrier(len(inputs))
+
+    def call(i):
+        start.wait(timeout=30)
+        for _ in range(20):
+            got[i] = basis_matrix(mother, bases, inputs[i])
+            if not np.array_equal(got[i], want[i]):
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sinc_companion_evaluates_each_axis_factor_once(d, monkeypatch):
+    # a companion group with 30 columns evaluates sinc once per row and
+    # distinct translation per axis, not once per cell and axis
+    mother = MotherWavelet.sinc(d)
+    rng = np.random.default_rng(100 + d)
+    bases = [s_index(1, tuple(int(v) for v in rng.integers(-2, 3, size=d)))
+             for _ in range(30)]
+    X = rng.uniform(-1.0, 1.0, size=(23, d))
+    points = []
+    real_sinc = np.sinc
+
+    def spy(x):
+        points.append(np.size(x))
+        return real_sinc(x)
+
+    monkeypatch.setattr(np, "sinc", spy)
+    psi = basis_matrix(mother, bases, X)
+    distinct = [len({b.n[k] for b in bases}) for k in range(d)]
+    assert sum(points) == X.shape[0] * sum(distinct)
+    assert sum(points) <= d * max(distinct) * X.shape[0] < psi.size * d
 
 
 def test_basis_index_center_and_frequency():
