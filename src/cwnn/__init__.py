@@ -11,9 +11,8 @@ on.
 from .datasets import (Dataset, DataError, gen_autoregression, gen_example1,
                        gen_example2_regions, load_csv, minmax_scale,
                        minmax_unscale, split)
-from .diagnostics import (DecayReport, QuadSpec, TimeFrequencyBox,
-                          count_peaks, decay_report, inner_product,
-                          scan_indices)
+from .diagnostics import (DecayReport, TimeFrequencyBox, count_peaks,
+                          decay_report, inner_product, scan_indices)
 from .frequency import (EnergyTrace, EstimateResult,
                         estimate_initial_resolution,
                         estimate_subspace_energy)
@@ -33,7 +32,7 @@ __all__ = [
     "BasisIndex", "BasisKind", "CenterGrid", "DataError", "Dataset",
     "DecayReport", "EnergyTrace", "EstimateResult", "GridError",
     "GrowthConfig", "GrowthResult", "MotherWavelet", "OnlineResult",
-    "QuadSpec", "QuadratureError", "TimeFrequencyBox", "TrainLog",
+    "QuadratureError", "TimeFrequencyBox", "TrainLog",
     "TrainStatus", "TrainingDivergence", "WaveletFamily", "WaveletModel",
     "WaveletPool", "adaptive_integral", "basis_matrix",
     "build_center_grid", "children_centers", "count_peaks",

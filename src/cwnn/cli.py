@@ -23,13 +23,13 @@ import numpy as np
 
 from .datasets import (gen_autoregression, gen_example1,
                        gen_example2_regions, load_csv, minmax_scale, split)
-from .diagnostics import (QuadSpec, TimeFrequencyBox, count_peaks,
-                          decay_report, scan_indices)
+from .diagnostics import (TimeFrequencyBox, count_peaks, decay_report,
+                          scan_indices)
 from .frequency import estimate_initial_resolution
 from .growth import GrowthConfig, run_baseline_wnn, run_growth, run_online
 from .model import TrainLog, TrainStatus, TrainingDivergence
 from .quadrature import QuadratureError
-from .wavelets import (BasisIndex, BasisKind, MotherWavelet,
+from .wavelets import (BasisIndex, BasisKind, MotherWavelet, _cpu_count,
                        build_center_grid, eval_basis)
 
 EXIT_OK = 0
@@ -97,10 +97,6 @@ DEFAULTS = {
     "box_m1": None, "box_m0": None, "box_T": None, "box_t_eps": None,
     "mu_list": [1 / 2, 1 / 3, 1 / 4, 1 / 5],
 }
-
-_LIST_KEYS = {"domain_low", "domain_high", "clamp_low", "clamp_high",
-              "box_T", "box_t_eps", "feature_columns", "mu_list"}
-
 
 def _fraction(text: str) -> float:
     """Parse '1/3' or '0.25' style numbers."""
@@ -219,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mu-list", dest="mu_list", type=_fraction_list,
                    metavar="1/2,1/3,...")
-    p.add_argument("--workers", type=int, default=2)
 
     return parser
 
@@ -354,18 +349,25 @@ def _fit_summary(res, log: TrainLog) -> dict:
     }
 
 
-def cmd_estimate_freq(cfg, out: str) -> int:
+def _estimate(cfg, out: str, stop_early: bool = True):
+    """Run the start-resolution estimator on the configured data from the
+    configured start grid and write its ``energy_trace.csv``."""
     ds, _ = _build_data(cfg)
-    mother = _mother(cfg, ds.dim)
     grid = build_center_grid(cfg["start_m"], cfg["domain_low"],
                              cfg["domain_high"], cfg["margin"],
                              cfg["clamp_low"], cfg["clamp_high"])
-    res = estimate_initial_resolution(mother, ds.inputs, ds.targets, grid,
-                                      kappa=cfg["kappa"],
+    res = estimate_initial_resolution(_mother(cfg, ds.dim), ds.inputs,
+                                      ds.targets, grid, kappa=cfg["kappa"],
                                       lr=cfg["learning_rate"],
                                       epsilon=cfg["epsilon"],
-                                      m_cap=cfg["m_cap"])
+                                      m_cap=cfg["m_cap"],
+                                      stop_early=stop_early)
     res.trace.to_csv(os.path.join(out, "energy_trace.csv"))
+    return res
+
+
+def cmd_estimate_freq(cfg, out: str) -> int:
+    res = _estimate(cfg, out)
     _write_summary(out, {
         "command": "estimate-freq",
         "m_init": res.m_init,
@@ -489,22 +491,12 @@ def cmd_diag(cfg, out: str) -> int:
 
     half = mother.effective_radius * 2.0 ** (-m_target) + 1.0
     indices = scan_indices(box, m_pad=2, n_pad=0)
-    report = decay_report(target, mother, box, indices, QuadSpec(),
+    report = decay_report(target, mother, box, indices,
                           f_lows=(-half,), f_highs=(half,))
     report.to_csv(os.path.join(out, "decay_report.csv"))
     tol = 1e-3 if cfg["family"] == "sinc" else 1e-2
 
-    ds, _ = _build_data(cfg)
-    dmother = _mother(cfg, ds.dim)
-    grid = build_center_grid(cfg["start_m"], cfg["domain_low"],
-                             cfg["domain_high"], cfg["margin"],
-                             cfg["clamp_low"], cfg["clamp_high"])
-    est = estimate_initial_resolution(dmother, ds.inputs, ds.targets, grid,
-                                      kappa=cfg["kappa"],
-                                      lr=cfg["learning_rate"],
-                                      epsilon=cfg["epsilon"],
-                                      m_cap=cfg["m_cap"], stop_early=False)
-    est.trace.to_csv(os.path.join(out, "energy_trace.csv"))
+    est = _estimate(cfg, out, stop_early=False)
     peaks = count_peaks([row[1] for row in est.trace.rows], tol=0.02)
 
     _write_summary(out, {
@@ -537,8 +529,6 @@ def cmd_diag(cfg, out: str) -> int:
 def _sweep_one(cfg, mu, subdir):
     sub = dict(cfg)
     sub["mu"] = mu
-    sub["zeta"] = 0.001 * sub["epsilon"] if cfg["zeta_rule"] else cfg["zeta"]
-    del sub["zeta_rule"]
     os.makedirs(subdir, exist_ok=True)
     _write_json(os.path.join(subdir, "config.json"), sub)
     ds, _ = _build_data(sub)
@@ -554,14 +544,18 @@ def _sweep_one(cfg, mu, subdir):
             "final_loss": res.final_loss, "iterations": log.last_iteration}
 
 
-def cmd_sweep(cfg, out: str, workers: int) -> int:
+def cmd_sweep(cfg, out: str, zeta_rule: bool) -> int:
+    """One fit per mu on a pool of one worker per mu, up to the CPUs the
+    process may run on.  ``zeta_rule`` records whether zeta came from the
+    default rule."""
     mu_list = cfg["mu_list"]
     jobs = []
     for mu in mu_list:
         denom = int(round(1.0 / mu))
         jobs.append((mu, os.path.join(out, f"mu-{denom}")))
     results = [None] * len(jobs)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as ex:
+    workers = max(1, min(len(jobs), _cpu_count()))
+    with concurrent.futures.ThreadPoolExecutor(workers) as ex:
         futs = {ex.submit(_sweep_one, cfg, mu, sub): i
                 for i, (mu, sub) in enumerate(jobs)}
         for fut in concurrent.futures.as_completed(futs):
@@ -569,7 +563,7 @@ def cmd_sweep(cfg, out: str, workers: int) -> int:
     _write_summary(out, {
         "command": "sweep",
         "epsilon": cfg["epsilon"],
-        "zeta_rule": cfg["zeta_rule"],
+        "zeta_rule": zeta_rule,
         "runs": results,
     })
     for r in results:
@@ -584,10 +578,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command == "sweep":
-            # remember whether zeta came from the default rule so each
-            # sweep run re-derives it from its own epsilon
-            cfg["zeta_rule"] = getattr(args, "zeta", None) is None
         out = _prepare_out(args, cfg)
         if args.command == "estimate-freq":
             return cmd_estimate_freq(cfg, out)
@@ -598,7 +588,7 @@ def main(argv=None) -> int:
         if args.command == "diag":
             return cmd_diag(cfg, out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out, args.workers)
+            return cmd_sweep(cfg, out, args.zeta is None)
         raise ConfigError(f"unknown command {args.command!r}")
     except ValueError as exc:
         # ConfigError, DataError and GridError are ValueErrors too

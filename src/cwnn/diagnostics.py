@@ -64,18 +64,15 @@ class TimeFrequencyBox:
         return bool(np.all(np.abs(index.n) <= bound + 1e-12))
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature control: panel density is in panels per unit of scaled
-    length (a resolution-m basis oscillates on the 2**-m scale, so panel
-    counts grow with 2**m to keep the rule resolved)."""
-
-    order: int = 12
-    panel_density: float = 0.5
-    min_panels: int = 4
-    rtol: float = 1e-8
-    atol: float = 1e-10
-    max_doublings: int = 8
+# Quadrature control.  Panel density is in panels per unit of scaled
+# length: a resolution-m basis oscillates on the 2**-m scale, so panel
+# counts grow with 2**m to keep the rule resolved.
+_QUAD_ORDER = 12
+_PANELS_PER_UNIT = 0.5
+_MIN_PANELS = 4
+_QUAD_RTOL = 1e-8
+_QUAD_ATOL = 1e-10
+_MAX_DOUBLINGS = 8
 
 
 def support_box(mother: MotherWavelet, index: BasisIndex):
@@ -85,15 +82,15 @@ def support_box(mother: MotherWavelet, index: BasisIndex):
     return center - radius, center + radius
 
 
-def _base_panels(lows, highs, m: int, spec: QuadSpec):
+def _base_panels(lows, highs, m: int):
     scale = 2.0 ** max(m, 0)
     width = np.asarray(highs, dtype=float) - np.asarray(lows, dtype=float)
-    return [max(spec.min_panels, int(math.ceil(w * scale * spec.panel_density)))
+    return [max(_MIN_PANELS, int(math.ceil(w * scale * _PANELS_PER_UNIT)))
             for w in width]
 
 
 def inner_product(f, mother: MotherWavelet, index: BasisIndex,
-                  spec: QuadSpec | None = None, lows=None, highs=None) -> float:
+                  lows=None, highs=None) -> float:
     """<psi_mn, f> by adaptive tensor Gauss-Legendre quadrature.
 
     The integration box defaults to the basis effective support; pass
@@ -102,7 +99,6 @@ def inner_product(f, mother: MotherWavelet, index: BasisIndex,
     basis tail and the cancellation of an out-of-band coefficient depends
     on covering both supports.
     """
-    spec = spec or QuadSpec()
     b_lo, b_hi = support_box(mother, index)
     if lows is not None:
         b_lo = np.minimum(b_lo, np.asarray(lows, dtype=float))
@@ -113,9 +109,9 @@ def inner_product(f, mother: MotherWavelet, index: BasisIndex,
         return eval_basis(mother, index, pts) * np.asarray(f(pts), dtype=float)
 
     return adaptive_integral(integrand, b_lo, b_hi,
-                             _base_panels(b_lo, b_hi, index.m, spec),
-                             order=spec.order, rtol=spec.rtol, atol=spec.atol,
-                             max_doublings=spec.max_doublings)
+                             _base_panels(b_lo, b_hi, index.m),
+                             order=_QUAD_ORDER, rtol=_QUAD_RTOL,
+                             atol=_QUAD_ATOL, max_doublings=_MAX_DOUBLINGS)
 
 
 def scan_indices(box: TimeFrequencyBox, m_pad: int = 2, n_pad: int = 4):
@@ -172,8 +168,7 @@ class DecayReport:
 
 
 def decay_report(f, mother: MotherWavelet, box: TimeFrequencyBox, indices,
-                 spec: QuadSpec | None = None, f_lows=None,
-                 f_highs=None) -> DecayReport:
+                 f_lows=None, f_highs=None) -> DecayReport:
     """Compute every scanned coefficient and compare the largest magnitude
     outside the box against the largest inside.
 
@@ -183,7 +178,7 @@ def decay_report(f, mother: MotherWavelet, box: TimeFrequencyBox, indices,
     """
     report = DecayReport(box)
     for index in indices:
-        coef = inner_product(f, mother, index, spec, lows=f_lows, highs=f_highs)
+        coef = inner_product(f, mother, index, lows=f_lows, highs=f_highs)
         report.rows.append((index, box.contains(index), coef))
     return report
 

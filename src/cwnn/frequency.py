@@ -154,13 +154,7 @@ def estimate_initial_resolution(mother: MotherWavelet, X, y,
     exit_m = None
     while m < m_cap:
         fine = grid.refine()
-        next_probes = []
-        seen = set()
-        for parent in probes:
-            for child in children_centers(parent, fine):
-                if child.n not in seen:
-                    seen.add(child.n)
-                    next_probes.append(child)
+        next_probes = children_centers(probes, fine)
         e_sum_next, _ = estimate_subspace_energy(mother, next_probes, X, y, lr)
         e_hat_next = e_sum_next / len(next_probes)
         position += 1

@@ -141,21 +141,12 @@ def select_high_energy(pool: WaveletPool, m: int, mu_up: float, exclude=frozense
 
 def expand_into_next(pool: WaveletPool, parents):
     """Add the children of each parent one resolution finer; returns the
-    newly created elements (zero coefficients, predictions unchanged)."""
+    newly created elements (zero coefficients, predictions unchanged).
+    Parents on more than one resolution raise ``GridError``."""
     if not parents:
         return []
-    m_next = parents[0].m + 1
-    if any(p.m != parents[0].m for p in parents):
-        raise ValueError("parents must share one resolution")
-    fine = pool.grid(m_next)
-    children = []
-    seen = set()
-    for p in parents:
-        for ch in children_centers(p, fine):
-            if ch not in seen:
-                seen.add(ch)
-                children.append(ch)
-    return pool.add_bases(children)
+    return pool.add_bases(children_centers(parents,
+                                           pool.grid(parents[0].m + 1)))
 
 
 @dataclass

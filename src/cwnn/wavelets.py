@@ -24,6 +24,7 @@ built on every CPU the process may run on (its affinity mask, which
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -355,11 +356,6 @@ class CenterGrid:
             c *= hi - lo + 1
         return c
 
-    def values(self, axis: int) -> np.ndarray:
-        """Lattice coordinate values along one axis."""
-        step = 2.0 ** (-self.m)
-        return np.arange(self.n_lo[axis], self.n_hi[axis] + 1) * step
-
     def bases(self, kind: BasisKind = BasisKind.WAVELET):
         """All grid elements as a lexicographically ordered index list."""
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.n_lo, self.n_hi)]
@@ -410,46 +406,33 @@ def build_center_grid(m: int, domain_low, domain_high, margin: float = 1.0,
     return _grid_from_bounds(m, ext_lo, ext_hi)
 
 
-def nearest_two(x: float, candidates):
-    """The two candidate values closest to ``x``.
+def children_centers(parents, fine_grid: CenterGrid):
+    """Next-resolution elements nearest to each parent's translation center.
 
-    Ties are broken toward the smaller value.  Requires at least two
-    distinct candidates.
+    Every parent must sit one level above ``fine_grid``.  A parent's
+    center ``2**-m * n`` is the fine lattice point ``2 n``, so along axis
+    k the nearest fine point inside the grid is ``a = clip(2 n_k, n_lo_k,
+    n_hi_k)`` and the second nearest is ``a - 1`` when that is inside,
+    else ``a + 1`` (ties break toward the smaller value); an axis with a
+    single point gives one.  A parent's children are the product over
+    axes of these pairs, last axis fastest (``np.ndindex`` order), up to
+    2**d of them, and across parents the first occurrence is kept.
+    Integer arithmetic only.
     """
-    vals = np.unique(np.asarray(candidates, dtype=float))
-    if vals.size < 2:
-        raise ValueError("nearest_two needs at least two distinct candidates")
-    order = np.lexsort((vals, np.abs(vals - x)))
-    return float(vals[order[0]]), float(vals[order[1]])
-
-
-def children_centers(parent: BasisIndex, fine_grid: CenterGrid):
-    """Next-resolution elements nearest to a parent's translation center.
-
-    Per dimension the nearest and second-nearest lattice values inside the
-    fine grid's bounds are taken; their Cartesian product (up to 2**d
-    points, fewer if a dimension offers a single candidate) gives the
-    children.  Children are returned in deterministic order.
-    """
-    if fine_grid.m != parent.m + 1:
-        raise GridError(f"fine grid at m={fine_grid.m} is not one level below "
-                        f"parent at m={parent.m}")
-    center = parent.center()
-    per_dim = []
-    scale = 2.0 ** fine_grid.m
-    for axis in range(fine_grid.dim):
-        vals = fine_grid.values(axis)
-        if vals.size >= 2:
-            pair = nearest_two(center[axis], vals)
-        else:
-            pair = (float(vals[0]),)
-        per_dim.append([int(round(v * scale)) for v in pair])
-    children = []
-    seen = set()
-    shape = tuple(len(p) for p in per_dim)
-    for idx in np.ndindex(shape):
-        n = tuple(per_dim[i][k] for i, k in enumerate(idx))
-        if n not in seen:
-            seen.add(n)
-            children.append(BasisIndex(fine_grid.m, n, BasisKind.WAVELET))
-    return children
+    children = {}
+    for p in parents:
+        if p.m != fine_grid.m - 1:
+            raise GridError(f"fine grid at m={fine_grid.m} is not one level "
+                            f"below parent at m={p.m}")
+        per_axis = []
+        for nk, lo, hi in zip(p.n, fine_grid.n_lo, fine_grid.n_hi):
+            a = min(max(2 * int(nk), lo), hi)
+            if a - 1 >= lo:
+                per_axis.append((a, a - 1))
+            elif a + 1 <= hi:
+                per_axis.append((a, a + 1))
+            else:
+                per_axis.append((a,))
+        for n in itertools.product(*per_axis):
+            children.setdefault(n, None)
+    return [BasisIndex(fine_grid.m, n, BasisKind.WAVELET) for n in children]

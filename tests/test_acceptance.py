@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import cwnn.cli as cli
-from cwnn.diagnostics import (QuadSpec, TimeFrequencyBox, count_peaks,
-                              decay_report, scan_indices, support_box)
+from cwnn.diagnostics import (TimeFrequencyBox, count_peaks, decay_report,
+                              scan_indices, support_box)
 from cwnn.frequency import (alpha_from_epsilon, ema_update,
                             estimate_initial_resolution)
 from cwnn.model import WaveletModel, loss
@@ -156,7 +156,7 @@ def test_criterion_6_coefficient_decay(capsys):
 
     half = mother.effective_radius * 0.25 + 1.0
     indices = scan_indices(box, m_pad=2, n_pad=0)
-    rep = decay_report(target, mother, box, indices, QuadSpec(),
+    rep = decay_report(target, mother, box, indices,
                        f_lows=(-half,), f_highs=(half,))
     ok = rep.ratio < 1e-3 and rep.max_inside > 0.1
     verdict(6, ok, f"out-of-box coefficient ratio {rep.ratio:.2e} over "

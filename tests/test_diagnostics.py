@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cwnn.diagnostics import (DecayReport, QuadSpec, TimeFrequencyBox,
-                              count_peaks, decay_report, inner_product,
-                              scan_indices, support_box)
+from cwnn.diagnostics import (DecayReport, TimeFrequencyBox, count_peaks,
+                              decay_report, inner_product, scan_indices,
+                              support_box)
 from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, eval_basis
 
 MH1 = MotherWavelet.mexican_hat(1)
@@ -127,8 +127,3 @@ def test_count_peaks_degenerate_inputs():
     assert count_peaks([]) == 0
     assert count_peaks([5.0]) == 0
     assert count_peaks([1.0, 1.0, 1.0]) == 0
-
-
-def test_quadspec_defaults():
-    spec = QuadSpec()
-    assert spec.order == 12 and spec.min_panels >= 1

@@ -8,13 +8,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma, jv
 
 from cwnn.quadrature import adaptive_integral, panel_rule_1d
 import cwnn.wavelets as wavelets
 from cwnn.wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
                            MotherWavelet, basis_matrix, build_center_grid,
-                           children_centers, eval_basis, nearest_two)
+                           children_centers, eval_basis)
 
 
 def w_index(m, n):
@@ -393,19 +395,22 @@ def test_build_center_grid_examples():
     g = build_center_grid(1, [0.0, 0.0], [1.0, 1.0], margin=1.0,
                           clamp_low=[0.0, 0.0])
     assert g.count == 25
-    assert np.allclose(g.values(0), [0.0, 0.5, 1.0, 1.5, 2.0])
+    # lattice values 0, 0.5, ..., 2.0 on both axes
+    assert (g.n_lo, g.n_hi) == ((0, 0), (4, 4))
     g0 = build_center_grid(0, [0.0], [1.0], margin=0.0)
-    assert np.allclose(g0.values(0), [0.0, 1.0])
+    assert (g0.n_lo, g0.n_hi) == ((0,), (1,))
     g2 = build_center_grid(2, [0.0], [1.0], margin=0.0)
     assert g2.count == 5
-    assert np.allclose(g2.values(0), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert (g2.n_lo, g2.n_hi) == ((0,), (4,))
 
 
 def test_grid_refine_halves_spacing():
     g = build_center_grid(1, [0.0], [1.0], margin=0.0)
     f = g.refine()
     assert f.m == g.m + 1
-    assert set(np.round(g.values(0), 9)) <= set(np.round(f.values(0), 9))
+    # every coarse point n is the fine point 2n
+    coarse = {2 * n for n in range(g.n_lo[0], g.n_hi[0] + 1)}
+    assert coarse <= set(range(f.n_lo[0], f.n_hi[0] + 1))
 
 
 def test_grid_bases_order_and_kinds():
@@ -420,44 +425,80 @@ def test_degenerate_grid_raises():
         build_center_grid(1, [1.0], [0.0], margin=0.0)
 
 
-# ------------------------------------------------------- nearest-two rule
-
-def test_nearest_two_examples():
-    assert nearest_two(0.3, [0.0, 0.25, 0.5]) == (0.25, 0.5)
-    assert nearest_two(0.0, [0.0, 1.0]) == (0.0, 1.0)
-    # equidistant tie broken toward the smaller value
-    assert nearest_two(0.5, [0.0, 0.5, 1.0]) == (0.5, 0.0)
-
-
-def test_nearest_two_permutation_invariant():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        cands = rng.uniform(-1, 1, size=6)
-        x = float(rng.uniform(-1, 1))
-        base = set(nearest_two(x, cands))
-        assert set(nearest_two(x, rng.permutation(cands))) == base
-
-
-def test_nearest_two_needs_two_distinct():
-    with pytest.raises(ValueError):
-        nearest_two(0.0, [1.0, 1.0])
-
-
 # ------------------------------------------------------------ child rule
 
 def test_children_centers_examples():
     fine = CenterGrid(2, (-4.0,), (4.0,), (-16,), (16,))
-    ch = children_centers(w_index(1, 2), fine)  # parent center 1.0
+    ch = children_centers([w_index(1, 2)], fine)  # parent center 1.0
     assert sorted(float(c.center()[0]) for c in ch) == [0.75, 1.0]
     assert all(c.m == 2 for c in ch)
 
-    ch = children_centers(w_index(1, 1), fine)  # parent center 0.5
+    ch = children_centers([w_index(1, 1)], fine)  # parent center 0.5
     assert sorted(float(c.center()[0]) for c in ch) == [0.25, 0.5]
 
 
 def test_children_centers_2d_clipped():
     fine = CenterGrid(2, (0.0, 0.0), (2.0, 2.0), (0, 0), (8, 8))
     parent = BasisIndex(1, (0, 0), BasisKind.WAVELET)
-    ch = children_centers(parent, fine)
+    ch = children_centers([parent], fine)
     centers = {tuple(np.round(c.center(), 9)) for c in ch}
     assert centers == {(0.0, 0.0), (0.0, 0.25), (0.25, 0.0), (0.25, 0.25)}
+
+
+def test_children_centers_needs_parents_one_level_up():
+    fine = CenterGrid(2, (0.0,), (2.0,), (0,), (8,))
+    with pytest.raises(GridError):
+        children_centers([w_index(1, 0), w_index(2, 0)], fine)
+
+
+def _reference_children(parents, fine):
+    """The float nearest-point rule: per parent and axis, the two fine
+    lattice values nearest the parent center (ties toward the smaller
+    value; one value when the axis has one), their product in
+    ``np.ndindex`` order, the first occurrence kept across parents."""
+    out = []
+    for p in parents:
+        center = p.center()
+        per_dim = []
+        for k in range(fine.dim):
+            vals = np.arange(fine.n_lo[k], fine.n_hi[k] + 1) * 2.0 ** -fine.m
+            order = np.lexsort((vals, np.abs(vals - center[k])))
+            per_dim.append([int(round(v * 2.0 ** fine.m))
+                            for v in vals[order[:2]]])
+        for idx in np.ndindex(*(len(v) for v in per_dim)):
+            n = tuple(per_dim[i][j] for i, j in enumerate(idx))
+            if n not in out:
+                out.append(n)
+    return out
+
+
+# a bound offset from a lattice point: exactly on it, within the grid
+# builder's 1e-9 snap either side, just past it, or anywhere in the cell
+_JITTER = st.one_of(st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9]),
+                    st.floats(-0.49, 0.49))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), m=st.integers(-2, 4))
+def test_children_centers_match_the_float_rule(data, dim, m):
+    step = 2.0 ** -m
+    low, high = [], []
+    for _ in range(dim):
+        lo = data.draw(st.integers(-6, 6))
+        width = data.draw(st.integers(0, 4))
+        low.append((lo + data.draw(_JITTER)) * step)
+        high.append((lo + width + data.draw(_JITTER)) * step)
+    try:
+        fine = build_center_grid(m, low, high, margin=0.0)
+    except GridError:
+        return
+    # parent centers 2n reach past the fine grid on both sides
+    axis_n = [st.integers((lo - 3) // 2, (hi + 4) // 2)
+              for lo, hi in zip(fine.n_lo, fine.n_hi)]
+    drawn = data.draw(st.lists(st.tuples(*axis_n), min_size=1, max_size=8))
+    ns = data.draw(st.permutations(drawn + drawn[:2]))
+    parents = [BasisIndex(m - 1, n, BasisKind.WAVELET) for n in ns]
+    got = children_centers(parents, fine)
+    assert [c.n for c in got] == _reference_children(parents, fine)
+    assert all(c.m == m and c.kind is BasisKind.WAVELET for c in got)
+    assert all(type(v) is int for c in got for v in c.n)
