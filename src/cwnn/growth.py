@@ -27,6 +27,9 @@ from .wavelets import (BasisKind, MotherWavelet, build_center_grid,
 # resolution the whole-level baseline seeds its scaling and detail grids at
 BASELINE_START_M = 1
 
+# relative drop in the online rolling loss that counts as improvement
+ONLINE_IMPROVEMENT = 0.02
+
 
 @dataclass
 class GrowthConfig:
@@ -43,7 +46,6 @@ class GrowthConfig:
     domain_high: tuple = (1.0,)
     margin: float = 1.0
     clamp_low: tuple | None = None
-    clamp_high: tuple | None = None
     max_resolution: int = 10
     max_iters: int = 50_000
 
@@ -171,8 +173,7 @@ def _seed(mother: MotherWavelet, config: GrowthConfig, m: int,
     """A pool over the configured domain holding the scaling and detail
     grids at resolution ``m``, logged as the ``seed`` event."""
     grid = build_center_grid(m, config.domain_low, config.domain_high,
-                             config.margin, config.clamp_low,
-                             config.clamp_high)
+                             config.margin, config.clamp_low)
     pool = WaveletPool(mother, grid.low, grid.high)
     log.add_event(log.last_iteration, "seed", m, pool.ensure_level(m))
     return pool
@@ -284,7 +285,7 @@ class OnlineResult:
 
 def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
                window: int = 10, steps_per_window: int = 1,
-               patience: int = 40, improvement: float = 0.02,
+               patience: int = 40,
                log: TrainLog | None = None) -> OnlineResult:
     """Windowed streaming variant: consume ``window`` samples per cycle,
     apply ``steps_per_window`` gradient updates on that window, and run
@@ -292,9 +293,9 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
     target without improving for ``patience`` cycles.
 
     Improvement means the rolling loss dropped below its best by more
-    than ``zeta`` absolutely or by the relative ``improvement`` fraction
-    (the relative branch keeps slow-but-real recovery after a regime
-    switch from firing growth on every patience interval).
+    than ``zeta`` absolutely or by the relative ``ONLINE_IMPROVEMENT``
+    fraction (the relative branch keeps slow-but-real recovery after a
+    regime switch from firing growth on every patience interval).
 
     Each window trains on a :class:`Design` of its rows, stepping by
     ``Design.objective`` with ``train_to_plateau``'s step scale.  A short
@@ -338,7 +339,7 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
             # growth trigger on a boundary fragment
             break
         roll = float(np.mean(losses[-patience:]))
-        gap = max(config.zeta, improvement * best_roll)
+        gap = max(config.zeta, ONLINE_IMPROVEMENT * best_roll)
         if np.isinf(best_roll) or roll < best_roll - gap:
             best_roll = roll
             best_at = w

@@ -385,12 +385,12 @@ def _grid_from_bounds(m: int, low, high) -> CenterGrid:
 
 
 def build_center_grid(m: int, domain_low, domain_high, margin: float = 1.0,
-                      clamp_low=None, clamp_high=None) -> CenterGrid:
+                      clamp_low=None) -> CenterGrid:
     """Lattice at resolution ``m`` covering the domain plus a margin.
 
     The margin is expressed in units of the per-dimension domain span.
-    Optional clamps bound the extended box (e.g. to keep centers
-    non-negative when the mapping is only defined there).
+    An optional clamp bounds the extended box from below (e.g. to keep
+    centers non-negative when the mapping is only defined there).
     """
     lo = np.atleast_1d(np.asarray(domain_low, dtype=float))
     hi = np.atleast_1d(np.asarray(domain_high, dtype=float))
@@ -401,8 +401,6 @@ def build_center_grid(m: int, domain_low, domain_high, margin: float = 1.0,
     ext_hi = hi + margin * span
     if clamp_low is not None:
         ext_lo = np.maximum(ext_lo, np.asarray(clamp_low, dtype=float))
-    if clamp_high is not None:
-        ext_hi = np.minimum(ext_hi, np.asarray(clamp_high, dtype=float))
     return _grid_from_bounds(m, ext_lo, ext_hi)
 
 

@@ -137,6 +137,10 @@ _REPLAYED = {
     "fit": (FAST_FIT, ("train_log.csv", "growth_events.csv", "model.json")),
     "sweep": (["sweep"] + FAST_FIT[1:] + ["--mu-list", "1/2,1/3"],
               ("mu-2/summary.json", "mu-3/model.json")),
+    # a pinned zeta is a config value like any other, so it replays too
+    "sweep-zeta": (["sweep"] + FAST_FIT[1:] + ["--mu-list", "1/2",
+                                               "--zeta", "1e-6"],
+                   ("mu-2/summary.json",)),
     "online": (["online", "--preset", "example3", "--length", "300",
                 "--patience", "5", "--epsilon", "0.05"],
                ("train_log.csv", "growth_events.csv", "model.json")),
@@ -156,12 +160,13 @@ def test_fit_writes_artifacts_and_replays(out_root, capsys, command):
         assert summary["cwnn"]["status"] == "achieved"
         assert summary["cwnn"]["final_loss"] <= 0.02
 
-    # replaying the resolved config reproduces the summary byte for byte
+    # replaying the resolved config reproduces every summary byte for byte
     run2 = out_root / "run2"
-    assert cli.main([command, "--config", str(run1 / "config.json"),
+    assert cli.main([argv[0], "--config", str(run1 / "config.json"),
                      "--out", str(run2)]) == rc
-    assert (run1 / "summary.json").read_bytes() == \
-        (run2 / "summary.json").read_bytes()
+    summaries = sorted(p.relative_to(run1) for p in run1.rglob("summary.json"))
+    for rel in summaries:
+        assert (run1 / rel).read_bytes() == (run2 / rel).read_bytes(), rel
 
 
 def test_fit_budget_exit_code(out_root, capsys):
@@ -223,14 +228,6 @@ def test_online_divergence_exits_3(out_root, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
-def test_diag_partial_box_exits_2(out_root, capsys):
-    rc = cli.main(["diag", "--preset", "example1-d1", "--box-m1", "0",
-                   "--out", str(out_root / "dg")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "box_m0" in err and "box_T" in err and "box_t_eps" in err
-
-
 def test_sweep_applies_zeta_rule_per_run(out_root, capsys):
     run = out_root / "sw"
     rc = cli.main(["sweep", "--preset", "example1-d1", "--n-samples", "150",
@@ -284,3 +281,43 @@ def test_cli_import_leaves_out_scipy_interpolate():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_presets_hold_only_differences(name):
+    for key, value in cli.PRESETS[name].items():
+        assert key in cli.DEFAULTS, key
+        assert value != cli.DEFAULTS[key], key
+
+
+def test_clamp_low_none_clears_the_preset_clamp(out_root, capsys):
+    run = out_root / "nc"
+    rc = cli.main(["estimate-freq", "--preset", "example1-d1",
+                   "--clamp-low", "none", "--out", str(run)])
+    assert rc == 0
+    assert read_json(run / "config.json")["clamp_low"] is None
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("flag", ["--domain-low", "--domain-high"])
+def test_domain_flags_reject_none(out_root, capsys, flag):
+    assert _exit_code(["estimate-freq", "--preset", "example1-d1", flag,
+                       "none", "--out", str(out_root / "dn")]) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["fit", "--mu", "1/0"],
+                                  ["sweep", "--mu-list", "1/0"],
+                                  ["sweep", "--mu-list", "0"]],
+                         ids=["mu-1/0", "mu-list-1/0", "mu-list-0"])
+def test_zero_in_mu_exits_2(out_root, capsys, argv):
+    assert _exit_code(argv + ["--preset", "example1-d1",
+                              "--out", str(out_root / "mz")]) == 2
+    err = capsys.readouterr().err
+    assert "mu" in err and "Traceback" not in err

@@ -271,7 +271,7 @@ def _reference_online(mother, X, y, config, window=10, steps_per_window=1,
     y = np.asarray(y, dtype=float)
     grid = build_center_grid(max(config.m_init, 0), config.domain_low,
                              config.domain_high, config.margin,
-                             config.clamp_low, config.clamp_high)
+                             config.clamp_low)
     pool = WaveletPool(mother, grid.low, grid.high)
     m = config.m_init
     added = pool.ensure_level(m)
