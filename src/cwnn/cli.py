@@ -54,7 +54,7 @@ DEFAULTS = {
     "epsilon": 0.006, "zeta": None, "mu": 1 / 3,
     "m_init": 2, "m_cap": 6,
     "max_resolution": 10, "max_iters": 50_000,
-    "window": 10, "patience": 40, "steps_per_window": 1,
+    "window": 10, "patience": 40,
     "baseline": "none",
     "mu_list": [1 / 2, 1 / 3, 1 / 4, 1 / 5],
 }
@@ -112,6 +112,32 @@ def _fraction_list(text):
 
 def _str_list(text):
     return [v.strip() for v in text.split(",")]
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "a list"}
+
+
+def _kind(flag) -> type:
+    """The type of what ``flag`` parses; a choices flag takes a string."""
+    return type(flag.type("1")) if flag.type else str
+
+
+def _check_value(key, value, flag) -> None:
+    """A config file's ``value`` must be of the kind ``flag`` parses to
+    (a bool is no number), one of its choices, or null where the default
+    is null."""
+    if value is None and DEFAULTS[key] is None:
+        return
+    kind = _kind(flag)
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        null = " or null" if DEFAULTS[key] is None else ""
+        raise ConfigError(f"field {key!r} must be {_KIND_NAMES[kind]}{null}, "
+                          f"got {value!r}")
+    if flag.choices and value not in flag.choices:
+        raise ConfigError(f"field {key!r} must be one of "
+                          f"{sorted(flag.choices)}, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "plateaus (mapping switches supported)")
     p.add_argument("--window", type=int)
     p.add_argument("--patience", type=int)
-    p.add_argument("--steps-per-window", dest="steps_per_window", type=int)
     command("diag",
             help="frame diagnostics: coefficient decay outside a fixed "
                  "time-frequency box and unimodality of the "
@@ -192,6 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-list", dest="mu_list", type=_fraction_list,
                    metavar="1/2,1/3,...")
     return parser
+
+
+def _setting_flags(parser: argparse.ArgumentParser) -> dict:
+    """``dest -> action`` of every subcommand flag that sets a setting
+    (all but ``--preset``, ``--config`` and ``--out``)."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for p in sub.choices.values() for a in p._actions
+            if a.dest not in ("help", "preset", "config", "out")}
 
 
 def resolve_config(args) -> dict:
@@ -213,28 +247,27 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        flags = _setting_flags(build_parser())
         for key, value in loaded.items():
             if key in ("command", "preset"):
                 continue
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config field {key!r}")
+            _check_value(key, value, flags[key])
             cfg[key] = value
     cfg.update((k, v) for k, v in vars(args).items() if k in DEFAULTS)
     if cfg["zeta"] is None:
         cfg["zeta"] = 0.001 * cfg["epsilon"]
     for key in ("epsilon", "zeta", "mu", "learning_rate", "kappa"):
-        if not isinstance(cfg[key], (int, float)) or cfg[key] <= 0:
+        if cfg[key] <= 0:
             raise ConfigError(f"field {key!r} must be a positive number, "
                               f"got {cfg[key]!r}")
-    if not (isinstance(cfg["mu_list"], list) and all(
-            isinstance(v, (int, float)) and v > 0 for v in cfg["mu_list"])):
-        raise ConfigError(f"field 'mu_list' must hold positive numbers, "
-                          f"got {cfg['mu_list']!r}")
-    if cfg["family"] not in ("sinc", "mexican-hat"):
-        raise ConfigError(f"field 'family' must be 'sinc' or 'mexican-hat', "
-                          f"got {cfg['family']!r}")
-    if cfg["dataset"] not in ("example1", "example2", "autoregression", "csv"):
-        raise ConfigError(f"field 'dataset' is invalid: {cfg['dataset']!r}")
+    # each sweep run writes mu-<round(1/mu)>/, so no two may share one
+    mus = cfg["mu_list"]
+    if not (all(isinstance(v, (int, float)) and v > 0 for v in mus)
+            and len({round(1.0 / v) for v in mus}) == len(mus)):
+        raise ConfigError(f"field 'mu_list' must hold positive numbers with "
+                          f"distinct round(1/mu), got {mus!r}")
     cfg["preset"] = args.preset
     cfg["command"] = args.command
     return cfg
@@ -405,7 +438,6 @@ def cmd_online(cfg, out: str) -> int:
     ds, _ = _build_data(cfg)
     res = run_online(_mother(cfg, ds.dim), ds.inputs, ds.targets,
                      _growth_config(cfg), window=cfg["window"],
-                     steps_per_window=cfg["steps_per_window"],
                      patience=cfg["patience"])
     tail = res.window_losses[-cfg["patience"]:]
     final_roll = float(np.mean(tail)) if tail else float("nan")
@@ -447,7 +479,7 @@ def cmd_diag(cfg, out: str) -> int:
         return vals
 
     half = mother.effective_radius * 2.0 ** (-m_target) + 1.0
-    indices = scan_indices(box, m_pad=2, n_pad=0)
+    indices = scan_indices(box, m_pad=2)
     report = decay_report(target, mother, box, indices,
                           f_lows=(-half,), f_highs=(half,))
     report.to_csv(os.path.join(out, "decay_report.csv"))

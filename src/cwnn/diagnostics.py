@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import adaptive_integral
-from .wavelets import BasisIndex, BasisKind, MotherWavelet, eval_basis
+from .wavelets import BasisIndex, MotherWavelet, eval_basis, lattice_bases
 
 
 @dataclass(frozen=True)
@@ -114,19 +114,16 @@ def inner_product(f, mother: MotherWavelet, index: BasisIndex,
                              atol=_QUAD_ATOL, max_doublings=_MAX_DOUBLINGS)
 
 
-def scan_indices(box: TimeFrequencyBox, m_pad: int = 2, n_pad: int = 4):
+def scan_indices(box: TimeFrequencyBox, m_pad: int = 2):
     """Standard scan range around a box: resolutions from m1+1-m_pad to
-    m0-1+m_pad, translations out to ``n_pad`` lattice steps beyond the box
-    bound at each resolution.  Wavelet-kind indices, lexicographic order.
+    m0-1+m_pad, translations out to the box bound at each resolution.
+    Wavelet-kind indices, lexicographic order.
     """
     out = []
     for m in range(box.m1 + 1 - m_pad, box.m0 + m_pad):
-        limits = [int(math.floor(2.0 ** m * T + te)) + n_pad
+        limits = [int(math.floor(2.0 ** m * T + te))
                   for T, te in zip(box.T, box.t_eps)]
-        shape = tuple(2 * L + 1 for L in limits)
-        for idx in np.ndindex(shape):
-            n = tuple(int(k) - L for k, L in zip(idx, limits))
-            out.append(BasisIndex(m, n, BasisKind.WAVELET))
+        out += lattice_bases(m, [range(-L, L + 1) for L in limits])
     return out
 
 

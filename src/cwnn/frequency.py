@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wavelets import (BasisIndex, BasisKind, CenterGrid, MotherWavelet,
-                       basis_matrix, children_centers)
+from .wavelets import (CenterGrid, MotherWavelet, basis_matrix,
+                       children_centers, lattice_bases)
 
 
 def alpha_from_epsilon(epsilon: float) -> float:
@@ -44,7 +44,7 @@ def ema_update(prev_bar: float, current_hat: float, alpha: float, m: int) -> flo
 def estimate_subspace_energy(mother: MotherWavelet, bases, X, y, lr: float):
     """Energy held by a set of elements after one gradient step from zero.
 
-    The step is ``train_to_plateau``'s first, ``c = (2 lr / N) psi^T y``;
+    The step is ``Design.step``'s from zero, ``c = (2 lr / N) psi^T y``;
     returns ``(sum_j c_j**2 * ||psi||**2, c)``.
     """
     if not bases:
@@ -69,30 +69,16 @@ def subsample_centers(grid: CenterGrid, kappa: float):
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must be in (0, 1], got {kappa}")
     spans = [hi - lo for lo, hi in zip(grid.n_lo, grid.n_hi)]
-    max_span = max(spans)
-    strides = [s for s in range(1, max(2, max_span + 1))
+    strides = [s for s in range(1, max(2, max(spans) + 1))
                if all(sp % s == 0 for sp in spans)]
-    cands = []
-    for s in strides:
-        kept = [sp // s + 1 for sp in spans]
-        total = math.prod(kept) / grid.count
-        per_dim = total ** (1.0 / grid.dim)
-        cands.append((s, total, per_dim))
-    chosen = None
-    for s, total, per_dim in cands:
-        if abs(total - kappa) <= 1e-9 or abs(per_dim - kappa) <= 1e-9:
-            chosen = s
-            break
-    if chosen is None:
-        above = [(total, s) for s, total, _ in cands if total >= kappa - 1e-12]
-        chosen = min(above)[1]
-    kept_axes = [range(lo, hi + 1, chosen) for lo, hi in zip(grid.n_lo, grid.n_hi)]
-    shape = tuple(len(r) for r in kept_axes)
-    out = []
-    for idx in np.ndindex(shape):
-        n = tuple(kept_axes[i][k] for i, k in enumerate(idx))
-        out.append(BasisIndex(grid.m, n, BasisKind.WAVELET))
-    return out
+    totals = [(s, math.prod(sp // s + 1 for sp in spans) / grid.count)
+              for s in strides]
+    exact = [s for s, total in totals if abs(total - kappa) <= 1e-9
+             or abs(total ** (1.0 / grid.dim) - kappa) <= 1e-9]
+    chosen = exact[0] if exact else min(
+        (total, s) for s, total in totals if total >= kappa - 1e-12)[1]
+    return lattice_bases(grid.m, [range(lo, hi + 1, chosen)
+                                  for lo, hi in zip(grid.n_lo, grid.n_hi)])
 
 
 @dataclass

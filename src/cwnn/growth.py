@@ -9,7 +9,8 @@ seeded and the schedule restarts there.  A non-constructive baseline that
 escalates full detail grids level by level is included for comparison, as
 is a windowed online variant that triggers the same growth phases on a
 sustained loss plateau.  All three seed through ``_seed`` and grow
-through ``_grow``; the batch runs share one train-to-plateau loop.
+through ``_grow``; the batch runs share one train-to-plateau loop, and
+every gradient step, batch or windowed, is ``Design.step``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (Design, TrainLog, TrainStatus, WaveletModel,
-                    _check_finite, train_to_plateau)
+                    train_to_plateau)
 from .wavelets import (BasisKind, MotherWavelet, build_center_grid,
                        children_centers, _grid_from_bounds)
 
@@ -224,9 +225,8 @@ def _grow_to_target(pool: WaveletPool, m: int, X, y, config: GrowthConfig,
         remaining = config.max_iters - (log.last_iteration - start_iter)
         if remaining <= 0:
             return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
-        st = train_to_plateau(pool.model, X, y, config.learning_rate,
-                              config.zeta, config.epsilon, remaining, log,
-                              design)
+        st = train_to_plateau(pool.model, design, config.learning_rate,
+                              config.zeta, config.epsilon, remaining, log)
         if st is not TrainStatus.PLATEAU:
             return GrowthResult(pool.model, log, st, m, pool)
         grown = _grow(pool, m, sweep, config, log, whole_levels)
@@ -284,30 +284,25 @@ class OnlineResult:
 
 
 def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
-               window: int = 10, steps_per_window: int = 1,
-               patience: int = 40,
+               window: int = 10, patience: int = 40,
                log: TrainLog | None = None) -> OnlineResult:
     """Windowed streaming variant: consume ``window`` samples per cycle,
-    apply ``steps_per_window`` gradient updates on that window, and run
-    one growth phase whenever the rolling window loss sits above the loss
-    target without improving for ``patience`` cycles.
+    take one gradient step on that window, and run one growth phase
+    whenever the rolling window loss sits above the loss target without
+    improving for ``patience`` cycles.
 
     Improvement means the rolling loss dropped below its best by more
     than ``zeta`` absolutely or by the relative ``ONLINE_IMPROVEMENT``
     fraction (the relative branch keeps slow-but-real recovery after a
     regime switch from firing growth on every patience interval).
 
-    Each window trains on a :class:`Design` of its rows, stepping by
-    ``Design.objective`` with ``train_to_plateau``'s step scale.  A short
-    last window takes its updates but never triggers growth.  The
-    post-update loss of each window is logged as one record, so the
-    iteration column counts update cycles.  Coefficients that turn
-    non-finite or huge in a window raise :class:`TrainingDivergence` with
-    the coefficients from before that window restored.  A ``window``,
-    ``steps_per_window`` or ``patience`` below 1 raises ``ValueError``.
+    Each window takes one ``Design.step`` on a design of its rows and
+    logs the post-step loss as one record numbered by window from 1; a
+    short last window never triggers growth.  A diverging step raises
+    :class:`TrainingDivergence` with the model as it was before that
+    window, and a ``window`` or ``patience`` below 1 ``ValueError``.
     """
-    for name, value in (("window", window), ("patience", patience),
-                        ("steps_per_window", steps_per_window)):
+    for name, value in (("window", window), ("patience", patience)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     log = log if log is not None else TrainLog()
@@ -320,23 +315,16 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
     best_roll = np.inf
     best_at = 0
     growth_iters = []
-    step = 0
-    for w, start in enumerate(range(0, len(y), window)):
+    for w, start in enumerate(range(0, len(y), window), 1):
         design = Design(X[start:start + window], y[start:start + window])
         design.sync(pool.model)
-        scale = config.learning_rate * 2.0 / design.y.size
-        direction, lw = design.objective(pool.model.coeffs)
-        last_good = pool.model.coeffs.copy()
-        for _ in range(steps_per_window):
-            pool.model.coeffs += scale * direction
-            direction, lw = design.objective(pool.model.coeffs)
-            step += 1
-        _check_finite(pool.model, step, last_good)
+        direction, _ = design.objective(pool.model.coeffs)
+        _, lw = design.step(pool.model, config.learning_rate, direction, w)
         losses.append(lw)
-        log.append(step, lw, pool.model.n_params)
+        log.append(w, lw, pool.model.n_params)
         if design.y.size < window:
-            # a short last window: updates and its record only, no
-            # growth trigger on a boundary fragment
+            # a short last window: its step and record only, no growth
+            # trigger on a boundary fragment
             break
         roll = float(np.mean(losses[-patience:]))
         gap = max(config.zeta, ONLINE_IMPROVEMENT * best_roll)
@@ -345,12 +333,12 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
             best_at = w
         if roll > config.epsilon and (w - best_at) >= patience:
             # sustained plateau above target: one growth phase; at the
-            # resolution cap keep streaming plain updates and just
-            # restart the patience clock
+            # resolution cap keep streaming plain steps and just restart
+            # the patience clock
             grown = _grow(pool, m, sweep, config, log)
             if grown is not None:
                 m, sweep = grown
-                growth_iters.append(step)
+                growth_iters.append(w)
             best_roll = roll
             best_at = w
     return OnlineResult(pool.model, log, losses, growth_iters)

@@ -5,20 +5,22 @@ full-batch gradient descent on mean squared error; a run ends when the
 loss target is met (Achieved), the loss stops moving (Plateau), or the
 iteration budget runs out (Budget).
 
-Training steps on a :class:`Design`: the N x p design matrix psi of one
-dataset, kept in step with a model whose basis only grows.  Each sync
-evaluates only the columns of bases appended since the last one, so a
-growth run builds every column once.  While psi has no more columns than
-rows (p <= N) the design also holds G = psi^T psi, b = psi^T y and
-y^T y, extended at each sync by the border blocks psi_old^T psi_new and
-psi_new^T psi_new, and each step costs one p x p product instead of two
-N x p ones.  The first sync that takes p past N drops G for good (p
-never shrinks), and the residual form r = y - psi c runs from then on,
-where G would be both larger and slower per step.  The rule depends only
-on the shapes.  The Gram-form loss (y^T y - 2 c^T b + c^T G c) / N is a
-difference of terms of size y^T y, so its rounding floor is a few ulp of
-y^T y / N: about 1e-15 on the example1 presets (y^T y / N is about 3.1,
-one ulp 4.4e-16), far below any loss target or plateau gap in use.
+Every gradient step, the plateau loop's and the online windows', is
+:meth:`Design.step`, which also owns the divergence check.  A
+:class:`Design` is the N x p design matrix psi of one dataset, kept in
+step with a model whose basis only grows.  Each sync evaluates only the
+columns of bases appended since the last one, so a growth run builds
+every column once.  While psi has no more columns than rows (p <= N) the
+design also holds G = psi^T psi, b = psi^T y and y^T y, extended at each
+sync by the border blocks psi_old^T psi_new and psi_new^T psi_new, and
+each step costs one p x p product instead of two N x p ones.  The first
+sync that takes p past N drops G for good (p never shrinks), and the
+residual form r = y - psi c runs from then on, where G would be both
+larger and slower per step.  The rule depends only on the shapes.  The
+Gram-form loss (y^T y - 2 c^T b + c^T G c) / N is a difference of terms
+of size y^T y, so its rounding floor is a few ulp of y^T y / N: about
+1e-15 on the example1 presets (y^T y / N is about 3.1, one ulp 4.4e-16),
+far below any loss target or plateau gap in use.
 """
 
 from __future__ import annotations
@@ -45,12 +47,8 @@ class TrainStatus(enum.Enum):
 
 
 class TrainingDivergence(RuntimeError):
-    """Loss or coefficients blew up; carries the last finite model state."""
-
-    def __init__(self, message, model=None, iteration=None):
-        super().__init__(message)
-        self.model = model
-        self.iteration = iteration
+    """A gradient step's loss or coefficients blew up; the model keeps the
+    coefficients from before that step."""
 
 
 @dataclass
@@ -124,18 +122,6 @@ def loss(model: WaveletModel, X, y) -> float:
         raise ValueError("empty batch")
     resid = y - model.predict(np.atleast_2d(X))
     return float(np.mean(resid * resid))
-
-
-def _check_finite(model, iteration, last_good=None):
-    bad = not np.all(np.isfinite(model.coeffs))
-    if not bad and np.max(np.abs(model.coeffs), initial=0.0) > DIVERGENCE_LIMIT:
-        bad = True
-    if bad:
-        if last_good is not None:
-            model.coeffs = last_good
-        raise TrainingDivergence(
-            f"training diverged at iteration {iteration}", model=model,
-            iteration=iteration)
 
 
 @dataclass
@@ -228,49 +214,47 @@ class Design:
         resid = self.y - self.psi @ c
         return self.psi.T @ resid, float(np.mean(resid * resid))
 
+    def step(self, model: WaveletModel, lr: float, direction, iteration: int):
+        """One gradient step ``c + (2 lr / N) direction`` on a synced
+        model; returns the direction and the loss at the new ``c``.  The
+        step is committed only when that loss is finite and no coefficient
+        exceeds ``DIVERGENCE_LIMIT`` in magnitude; otherwise
+        :class:`TrainingDivergence` names ``iteration``."""
+        c = model.coeffs + lr * 2.0 / self.y.size * direction
+        direction, new = self.objective(c)
+        # a NaN coefficient fails the comparison too
+        if not (np.isfinite(new)
+                and np.max(np.abs(c), initial=0.0) <= DIVERGENCE_LIMIT):
+            raise TrainingDivergence(
+                f"training diverged at iteration {iteration}")
+        model.coeffs = c
+        return direction, new
 
-def train_to_plateau(model: WaveletModel, X, y, lr: float, zeta: float,
-                     epsilon: float, max_iters: int, log: TrainLog | None = None,
-                     design: Design | None = None) -> TrainStatus:
+
+def train_to_plateau(model: WaveletModel, design: Design, lr: float,
+                     zeta: float, epsilon: float, max_iters: int,
+                     log: TrainLog | None = None) -> TrainStatus:
     """Run gradient steps until the loss target, a plateau, or the budget.
 
     The loss is checked before the first step, so a model already at or
     below ``epsilon`` returns Achieved without stepping.  A plateau is a
-    consecutive-loss change of at most ``zeta``.  Divergence (non-finite
-    loss or huge coefficients) raises, restoring the last finite state.
+    consecutive-loss change of at most ``zeta``.  Every step is
+    ``design.step``, which raises on divergence and leaves the model at
+    its last committed coefficients.
 
-    The steps run on ``design``, a :class:`Design` made from these ``X``
-    and ``y``, after syncing it to the model: a caller that trains one
+    ``design`` is synced to the model first: a caller that trains one
     growing model in phases passes the same design each time, so psi
     keeps its columns across phases and G is bordered rather than
-    rebuilt.  Without one, a design is made for this call alone.
-
-    Each step is ``c += (2 lr / N) g``.  When p <= N the step runs on the
-    Gram form: ``g = b - G c`` and the loss is ``(y^T y - c.(b + g)) / N``,
-    so one p x p product gives both the loss at the new coefficients and
-    the next direction; G is p x p <= N x p, so it never takes more memory
-    than psi.  Once p > N, G is gone and the residual form
-    ``r = y - psi c``, ``g = psi^T r`` runs instead.  The Gram loss
-    carries a rounding floor of a few ulp of ``y^T y / N``.
+    rebuilt.  Steps run on the Gram form while p <= N and on the residual
+    form after (see the module docstring).
     """
-    if design is None:
-        design = Design(X, y)
     design.sync(model)
-    scale = lr * 2.0 / design.y.size
     direction, current = design.objective(model.coeffs)
     if current <= epsilon:
         return TrainStatus.ACHIEVED
     offset = log.last_iteration if log is not None else 0
     for k in range(1, max_iters + 1):
-        last_good = model.coeffs.copy()
-        model.coeffs += scale * direction
-        direction, new = design.objective(model.coeffs)
-        if not np.isfinite(new):
-            _check_finite(model, offset + k, last_good)
-            model.coeffs = last_good
-            raise TrainingDivergence(f"loss became non-finite at iteration {offset + k}",
-                                     model=model, iteration=offset + k)
-        _check_finite(model, offset + k, last_good)
+        direction, new = design.step(model, lr, direction, offset + k)
         if log is not None:
             log.append(offset + k, new, model.n_params)
         if new <= epsilon:

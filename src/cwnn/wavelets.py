@@ -278,10 +278,11 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
 
     Returns the (n_samples, n_bases) design matrix.  Bases are grouped by
     (kind, resolution) so each group shares one scaled copy of ``X``, and
-    each group is cut into blocks of about ``_BLOCK_ELEMS`` scratch
-    elements.  A block of wavelets or Mexican-hat companions is evaluated
-    from one (n_samples, block) offset array per input axis; a block of
-    sinc companions is gathered from the group's per-axis factor tables.
+    each group is cut into the fewest blocks of at most ``_BLOCK_ELEMS``
+    scratch elements, their sizes differing by at most one column.  A
+    block of wavelets or Mexican-hat companions is evaluated from one
+    (n_samples, block) offset array per input axis; a block of sinc
+    companions is gathered from the group's per-axis factor tables.
 
     When the call's scratch spans more than one block and the process may
     run on several CPUs, the blocks are mapped over a thread pool of at
@@ -308,8 +309,11 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
             shapes = _sinc_companions(scaled, centers)
         else:
             shapes = _offset_shapes(mother, kind, scaled, centers)
-        tasks += [(shapes, lo, cols[lo:lo + block], amp)
-                  for lo in range(0, len(cols), block)]
+        # ceil(len / block) blocks whose sizes differ by at most one
+        k = -(-len(cols) // block)
+        cuts = [len(cols) * i // k for i in range(k + 1)]
+        tasks += [(shapes, lo, cols[lo:hi], amp)
+                  for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def fill(task):
         shapes, lo, sel, amp = task
@@ -335,6 +339,12 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
 # -- translation-center grids ------------------------------------------
 
 
+def lattice_bases(m: int, axes, kind: BasisKind = BasisKind.WAVELET):
+    """Elements at resolution ``m`` translated over the product of the
+    per-axis integer ranges ``axes``, last axis fastest."""
+    return [BasisIndex(m, n, kind) for n in itertools.product(*axes)]
+
+
 @dataclass(frozen=True)
 class CenterGrid:
     """Dyadic lattice 2**-m * Z^d intersected with a box of bounds."""
@@ -358,13 +368,8 @@ class CenterGrid:
 
     def bases(self, kind: BasisKind = BasisKind.WAVELET):
         """All grid elements as a lexicographically ordered index list."""
-        ranges = [range(lo, hi + 1) for lo, hi in zip(self.n_lo, self.n_hi)]
-        shape = tuple(len(r) for r in ranges)
-        out = []
-        for idx in np.ndindex(shape):
-            n = tuple(ranges[i][k] for i, k in enumerate(idx))
-            out.append(BasisIndex(self.m, n, kind))
-        return out
+        return lattice_bases(self.m, [range(lo, hi + 1) for lo, hi
+                                      in zip(self.n_lo, self.n_hi)], kind)
 
     def refine(self) -> "CenterGrid":
         """Grid at the next finer resolution over the same bounds."""

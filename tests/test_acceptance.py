@@ -155,7 +155,7 @@ def test_criterion_6_coefficient_decay(capsys):
         return vals
 
     half = mother.effective_radius * 0.25 + 1.0
-    indices = scan_indices(box, m_pad=2, n_pad=0)
+    indices = scan_indices(box, m_pad=2)
     rep = decay_report(target, mother, box, indices,
                        f_lows=(-half,), f_highs=(half,))
     ok = rep.ratio < 1e-3 and rep.max_inside > 0.1

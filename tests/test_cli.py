@@ -59,6 +59,49 @@ def test_unknown_config_field_exits_2(out_root, tmp_path, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
+_WRONG_KINDS = [("online", {"window": "10"}), ("fit", {"seed": 1.5}),
+                ("fit", {"m_init": "2"}), ("fit", {"domain_low": 0}),
+                ("fit", {"kappa": True}), ("fit", {"max_iters": False}),
+                ("fit", {"variant": None}), ("sweep", {"mu_list": "1/2"}),
+                ("fit", {"family": "haar"}), ("fit", {"baseline": "mlp"})]
+
+
+@pytest.mark.parametrize("command, payload", _WRONG_KINDS,
+                         ids=[next(iter(p)) for _, p in _WRONG_KINDS])
+def test_config_value_of_the_wrong_kind_exits_2(out_root, tmp_path, capsys,
+                                                command, payload):
+    # each value is checked against its setting's kind before any run
+    # starts; the size flags keep a run that slipped through short
+    (field,) = payload
+    cfg = tmp_path / "kind.json"
+    cfg.write_text(json.dumps(payload))
+    rc = cli.main([command, "--preset", "example1-d1", "--config", str(cfg),
+                   "--n-samples", "60", "--length", "60", "--max-iters", "5",
+                   "--out", str(out_root / "k")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert repr(field) in err and "Traceback" not in err
+
+
+def test_config_values_of_the_right_kind_resolve(tmp_path):
+    # an integer for a number, and null where the default is null
+    cfg = tmp_path / "ok.json"
+    cfg.write_text('{"margin": 1, "switch_at": null, "zeta": null, '
+                   '"clamp_low": null, "feature_columns": ["a"]}')
+    args = cli.build_parser().parse_args(["fit", "--config", str(cfg)])
+    resolved = cli.resolve_config(args)
+    assert resolved["margin"] == 1 and resolved["clamp_low"] is None
+    assert resolved["zeta"] == 0.001 * resolved["epsilon"]
+
+
+def test_every_setting_has_one_flag():
+    # the union of the subcommands' flags is the settings: a deleted
+    # setting leaves no flag behind; and each flag parses to a named kind
+    flags = cli._setting_flags(cli.build_parser())
+    assert set(flags) == set(cli.DEFAULTS)
+    assert {cli._kind(f) for f in flags.values()} == set(cli._KIND_NAMES)
+
+
 def test_invalid_json_and_missing_file_exit_2(out_root, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
@@ -209,8 +252,7 @@ def test_online_small_stream(out_root, capsys):
 
 @pytest.mark.parametrize("flag, value, name", [
     ("--window", "0", "window"), ("--window", "-3", "window"),
-    ("--patience", "0", "patience"),
-    ("--steps-per-window", "0", "steps_per_window")])
+    ("--patience", "0", "patience")])
 def test_online_rejects_counts_below_one(out_root, capsys, flag, value,
                                          name):
     rc = cli.main(["online", "--preset", "example3", "--length", "200",
@@ -241,6 +283,18 @@ def test_sweep_applies_zeta_rule_per_run(out_root, capsys):
         sub = read_json(run / f"mu-{denom}" / "config.json")
         assert sub["zeta"] == pytest.approx(0.001 * 0.02)
         assert (run / f"mu-{denom}" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("mu_list", ["1/2,1/2", "1/2,0.5"])
+def test_sweep_rejects_a_repeated_denominator(out_root, capsys, mu_list):
+    # two runs would share mu-2/; the sweep stops before either starts
+    run = out_root / "rep"
+    rc = cli.main(["sweep", "--preset", "example1-d1", "--n-samples", "150",
+                   "--epsilon", "0.02", "--max-resolution", "4",
+                   "--mu-list", mu_list, "--out", str(run)])
+    assert rc == 2
+    assert "distinct round(1/mu)" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_sweep_explicit_zeta_pins_value(out_root, capsys):

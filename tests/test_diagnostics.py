@@ -45,7 +45,7 @@ def test_box_dim_mismatch():
 
 
 def test_scan_indices_shape():
-    idx = scan_indices(BOX, m_pad=0, n_pad=0)
+    idx = scan_indices(BOX, m_pad=0)
     ms = sorted({b.m for b in idx})
     assert ms == [1, 2, 3]  # interior resolutions only when unpadded
     for m in ms:
@@ -53,7 +53,7 @@ def test_scan_indices_shape():
         ns = [b.n[0] for b in idx if b.m == m]
         assert min(ns) == -lim and max(ns) == lim
         assert len(ns) == 2 * lim + 1
-    padded = scan_indices(BOX, m_pad=2, n_pad=0)
+    padded = scan_indices(BOX, m_pad=2)
     assert sorted({b.m for b in padded}) == [-1, 0, 1, 2, 3, 4, 5]
 
 

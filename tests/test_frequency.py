@@ -8,7 +8,7 @@ import pytest
 from cwnn.frequency import (alpha_from_epsilon, ema_update,
                             estimate_initial_resolution,
                             estimate_subspace_energy, subsample_centers)
-from cwnn.model import WaveletModel, train_to_plateau
+from cwnn.model import Design, WaveletModel, train_to_plateau
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet,
                            build_center_grid, eval_basis)
 
@@ -73,7 +73,8 @@ def test_probe_is_the_training_loops_first_step(rows):
     y = np.sin(5.0 * X[:, 0]) * X[:, 1]
     e, coeffs = estimate_subspace_energy(sc, bases, X, y, 5e-4)
     model = WaveletModel.zeros(sc, bases)
-    train_to_plateau(model, X, y, 5e-4, zeta=0.0, epsilon=-1.0, max_iters=1)
+    train_to_plateau(model, Design(X, y), 5e-4, zeta=0.0, epsilon=-1.0,
+                     max_iters=1)
     np.testing.assert_array_equal(coeffs, model.coeffs)
     assert e == pytest.approx(np.sum(coeffs ** 2) * sc.norm_sq, rel=1e-15)
     assert e > 0.0

@@ -11,7 +11,8 @@ import cwnn.growth as growth
 from cwnn.growth import (GrowthConfig, OnlineResult, WaveletPool,
                          expand_into_next, run_baseline_wnn, run_growth,
                          run_online, select_high_energy)
-from cwnn.model import TrainLog, TrainStatus, _check_finite
+from cwnn.model import (DIVERGENCE_LIMIT, TrainLog, TrainStatus,
+                        TrainingDivergence)
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
                            build_center_grid, eval_basis)
 
@@ -260,11 +261,22 @@ def test_online_plateau_triggers_growth():
     assert any(e[1] in ("expand", "escalate") for e in log.events)
 
 
-def _reference_online(mother, X, y, config, window=10, steps_per_window=1,
-                      patience=40, improvement=0.02, log=None):
+def _check_finite(model, iteration, last_good):
+    """The divergence check as the windowed loop ran it before
+    ``Design.step``: non-finite or huge coefficients restore
+    ``last_good`` and raise."""
+    c = model.coeffs
+    if (not np.all(np.isfinite(c))
+            or np.max(np.abs(c), initial=0.0) > DIVERGENCE_LIMIT):
+        model.coeffs = last_good
+        raise TrainingDivergence(f"training diverged at iteration {iteration}")
+
+
+def _reference_online(mother, X, y, config, window=10, patience=40,
+                      improvement=0.02, log=None):
     """The windowed loop as it stood before run_online shared the growth
-    phase and Design.objective: psi per window, its own gradient step,
-    and a copied block for the short last window.  Growth follows the
+    phase and Design.step: psi per window, its own gradient step, and a
+    copied block for the short last window.  Growth follows the
     resolution cap rule: no phase runs at ``max_resolution``."""
     log = log if log is not None else TrainLog()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -288,10 +300,9 @@ def _reference_online(mother, X, y, config, window=10, steps_per_window=1,
         Xw, yw = X[sl], y[sl]
         psi = basis_matrix(mother, pool.model.bases, Xw)
         last_good = pool.model.coeffs.copy()
-        for _ in range(steps_per_window):
-            resid = yw - psi @ pool.model.coeffs
-            pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
-            step += 1
+        resid = yw - psi @ pool.model.coeffs
+        pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
+        step += 1
         _check_finite(pool.model, step, last_good)
         resid = yw - psi @ pool.model.coeffs
         lw = float(np.mean(resid * resid))
@@ -326,10 +337,9 @@ def _reference_online(mother, X, y, config, window=10, steps_per_window=1,
         Xw, yw = X[n_windows * window:], y[n_windows * window:]
         psi = basis_matrix(mother, pool.model.bases, Xw)
         last_good = pool.model.coeffs.copy()
-        for _ in range(steps_per_window):
-            resid = yw - psi @ pool.model.coeffs
-            pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
-            step += 1
+        resid = yw - psi @ pool.model.coeffs
+        pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
+        step += 1
         _check_finite(pool.model, step, last_good)
         resid = yw - psi @ pool.model.coeffs
         losses.append(float(np.mean(resid * resid)))
@@ -346,7 +356,7 @@ def _rich_stream(rows):
 def _online_both_ways(window):
     X, y = _rich_stream(8 * 80 + 4)
     config = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)
-    kw = dict(window=window, steps_per_window=2, patience=3)
+    kw = dict(window=window, patience=3)
     log, ref_log = TrainLog(), TrainLog()
     res = run_online(MH1, X, y, config, log=log, **kw)
     ref = _reference_online(MH1, X, y, config, log=ref_log, **kw)
@@ -354,7 +364,7 @@ def _online_both_ways(window):
     assert ("escalate", config.max_resolution) in {e[1:3] for e in log.events}
     assert max(b.m for b in res.model.bases) == config.max_resolution
     assert len(y) % window and len(res.window_losses) == -(-len(y) // window)
-    assert log.last_iteration == 2 * len(res.window_losses)
+    assert log.last_iteration == len(res.window_losses)
     assert log.events == ref_log.events
     assert res.growth_iterations == ref.growth_iterations
     assert [r[::2] for r in log.records] == [r[::2] for r in ref_log.records]
@@ -423,7 +433,7 @@ def test_baseline_seeds_at_a_cap_below_its_start():
 
 def test_online_streams_past_the_resolution_cap():
     X, y = _rich_stream(8 * 80 + 4)
-    kw = dict(window=8, steps_per_window=2, patience=3)
+    kw = dict(window=8, patience=3)
     capped = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=1)
     log = TrainLog()
     res = run_online(MH1, X, y, capped, log=log, **kw)
@@ -432,7 +442,7 @@ def test_online_streams_past_the_resolution_cap():
     assert [e[1:3] for e in log.events] == [("seed", 1)]
     assert res.growth_iterations == []
     assert all(b.m == 1 for b in res.model.bases)
-    assert len(res.window_losses) == 81 and log.last_iteration == 2 * 81
+    assert len(res.window_losses) == 81 and log.last_iteration == 81
     # with room to grow the same stream grows, so plateaus did fire at
     # the cap and logged nothing
     roomy = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import cwnn.growth
 import cwnn.model
 from cwnn.growth import GrowthConfig, run_growth
-from cwnn.model import (Design, TrainLog, TrainStatus, TrainingDivergence,
-                        WaveletModel, _check_finite, loss, train_to_plateau)
+from cwnn.model import (DIVERGENCE_LIMIT, Design, TrainLog, TrainStatus,
+                        TrainingDivergence, WaveletModel, loss,
+                        train_to_plateau)
 from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, basis_matrix
 
 MH1 = MotherWavelet.mexican_hat(1)
@@ -54,7 +55,8 @@ def test_loss_rejects_empty():
 def one_step(model, X, y, lr):
     """One full-batch gradient update through the training loop: an
     epsilon below any loss and a single-iteration budget."""
-    train_to_plateau(model, X, y, lr, zeta=0.0, epsilon=-1.0, max_iters=1)
+    train_to_plateau(model, Design(X, y), lr, zeta=0.0, epsilon=-1.0,
+                     max_iters=1)
 
 
 def test_gradient_step_hand_case():
@@ -151,7 +153,7 @@ def test_train_achieved_before_first_step():
     model, X, y = _easy_problem()
     model.coeffs[:] = [0.8, -0.5]
     log = TrainLog()
-    st = train_to_plateau(model, X, y, 0.1, 1e-9, 1e-6, 100, log)
+    st = train_to_plateau(model, Design(X, y), 0.1, 1e-9, 1e-6, 100, log)
     assert st is TrainStatus.ACHIEVED
     assert log.records == []  # no step taken
 
@@ -163,21 +165,22 @@ def test_train_reaches_closed_form_solution():
     y = rng.standard_normal(30)
     psi = basis_matrix(MH1, model.bases, X)[:, 0]
     best = float(psi @ y / (psi @ psi))
-    st = train_to_plateau(model, X, y, 0.2, 1e-14, 1e-12, 50_000)
+    st = train_to_plateau(model, Design(X, y), 0.2, 1e-14, 1e-12, 50_000)
     assert st is TrainStatus.PLATEAU  # generic data cannot hit loss 1e-12
     assert model.coeffs[0] == pytest.approx(best, abs=1e-4)
 
 
 def test_train_budget_status():
     model, X, y = _easy_problem()
-    st = train_to_plateau(model, X, y, 1e-5, 1e-15, 1e-12, 3)
+    st = train_to_plateau(model, Design(X, y), 1e-5, 1e-15, 1e-12, 3)
     assert st is TrainStatus.BUDGET
 
 
 def test_train_infinite_zeta_stops_in_two_iterations():
     model, X, y = _easy_problem()
     log = TrainLog()
-    st = train_to_plateau(model, X, y, 1e-4, math.inf, 1e-12, 100, log)
+    st = train_to_plateau(model, Design(X, y), 1e-4, math.inf, 1e-12, 100,
+                          log)
     assert st is TrainStatus.PLATEAU
     assert log.last_iteration == 2
 
@@ -185,22 +188,21 @@ def test_train_infinite_zeta_stops_in_two_iterations():
 def test_train_divergence_restores_last_good():
     model, X, y = _easy_problem()
     with pytest.raises(TrainingDivergence) as got:
-        train_to_plateau(model, X, y, 1e6, 1e-12, 1e-12, 1000)
+        train_to_plateau(model, Design(X, y), 1e6, 1e-12, 1e-12, 1000)
     assert np.all(np.isfinite(model.coeffs))
     # p = 2 <= N = 40 runs the Gram form; the residual form must diverge
     # at the same step and restore the same coefficients
     ref, _, _ = _easy_problem()
     with pytest.raises(TrainingDivergence) as want:
         _residual_train(ref, X, y, 1e6, 1e-12, 1e-12, 1000)
-    assert got.value.iteration == want.value.iteration
-    assert got.value.model is model
+    assert str(got.value) == str(want.value)
     np.testing.assert_allclose(model.coeffs, ref.coeffs, rtol=1e-9)
 
 
 def test_log_iterations_strictly_increase():
     model, X, y = _easy_problem()
     log = TrainLog()
-    train_to_plateau(model, X, y, 0.05, 1e-10, 1e-10, 200, log)
+    train_to_plateau(model, Design(X, y), 0.05, 1e-10, 1e-10, 200, log)
     iters = [r[0] for r in log.records]
     assert iters == sorted(set(iters))
     with pytest.raises(ValueError):
@@ -227,12 +229,83 @@ def test_training_is_deterministic():
     for _ in range(2):
         model, X, y = _easy_problem(np.random.default_rng(17))
         log = TrainLog()
-        train_to_plateau(model, X, y, 0.05, 1e-9, 1e-9, 500, log)
+        train_to_plateau(model, Design(X, y), 0.05, 1e-9, 1e-9, 500, log)
         runs.append([(it, ls, np_) for it, ls, np_, _ in log.records])
     assert runs[0] == runs[1]
 
 
+# ------------------------------------------------------------------- step
+
+def _stepping_problem(rows, target):
+    """Two elements on ``rows`` samples of a constant ``target``, synced:
+    the Gram form for 40 rows (p <= N), the residual form for one."""
+    rng = np.random.default_rng(rows)
+    model = wm([(0, 0), (0, 1)], [0.3, -0.2])
+    design = Design(rng.uniform(-1.0, 2.0, size=(rows, 1)),
+                    np.full(rows, target))
+    design.sync(model)
+    assert (design.gram is None) == (rows < model.n_params)
+    return model, design
+
+
+def _assert_step_refused(model, design, lr, direction):
+    before, kept = model.coeffs, model.coeffs.copy()
+    with pytest.raises(TrainingDivergence,
+                       match="^training diverged at iteration 7$"):
+        design.step(model, lr, direction, 7)
+    assert model.coeffs is before
+    np.testing.assert_array_equal(model.coeffs, kept)
+
+
+@pytest.mark.parametrize("rows", [40, 1], ids=["gram", "residual"])
+def test_step_commits_and_returns_the_next_objective(rows):
+    model, design = _stepping_problem(rows, 1.0)
+    direction, _ = design.objective(model.coeffs)
+    want = model.coeffs + 0.01 * 2.0 / rows * direction
+    got = design.step(model, 0.01, direction, 1)
+    np.testing.assert_array_equal(model.coeffs, want)
+    want_direction, want_loss = design.objective(want)
+    np.testing.assert_array_equal(got[0], want_direction)
+    assert got[1] == want_loss
+
+
+@pytest.mark.parametrize("rows", [40, 1], ids=["gram", "residual"])
+def test_step_refuses_a_non_finite_loss(rows):
+    # a huge target and a tiny rate: the stepped coefficients stay small
+    # while the loss at them overflows
+    lr = 1e-200
+    with np.errstate(over="ignore"):
+        model, design = _stepping_problem(rows, 1e200)
+        direction, _ = design.objective(model.coeffs)
+        c = model.coeffs + lr * 2.0 / rows * direction
+        assert np.max(np.abs(c)) < 1e3
+        assert not np.isfinite(design.objective(c)[1])
+        _assert_step_refused(model, design, lr, direction)
+
+
+@pytest.mark.parametrize("rows", [40, 1], ids=["gram", "residual"])
+def test_step_refuses_coefficients_past_the_limit(rows):
+    # a step to about twice the limit, where the loss is still finite
+    model, design = _stepping_problem(rows, 1.0)
+    direction = np.ones(model.n_params)
+    lr = DIVERGENCE_LIMIT * rows
+    c = model.coeffs + lr * 2.0 / rows * direction
+    assert np.max(np.abs(c)) > DIVERGENCE_LIMIT
+    assert np.isfinite(design.objective(c)[1])
+    _assert_step_refused(model, design, lr, direction)
+
+
 # ------------------------------------------------- Gram vs residual form
+
+def _check_finite(model, iteration, last_good):
+    """The divergence check as the loops ran it before ``Design.step``:
+    non-finite or huge coefficients restore ``last_good`` and raise."""
+    c = model.coeffs
+    if (not np.all(np.isfinite(c))
+            or np.max(np.abs(c), initial=0.0) > DIVERGENCE_LIMIT):
+        model.coeffs = last_good
+        raise TrainingDivergence(f"training diverged at iteration {iteration}")
+
 
 def _residual_train(model, X, y, lr, zeta, epsilon, max_iters, log=None):
     """Reference: the plateau loop on the residual form r = y - psi c,
@@ -254,8 +327,8 @@ def _residual_train(model, X, y, lr, zeta, epsilon, max_iters, log=None):
         if not np.isfinite(new):
             _check_finite(model, offset + k, last_good)
             model.coeffs = last_good
-            raise TrainingDivergence("non-finite loss", model=model,
-                                     iteration=offset + k)
+            raise TrainingDivergence(
+                f"training diverged at iteration {offset + k}")
         _check_finite(model, offset + k, last_good)
         if log is not None:
             log.append(offset + k, new, model.n_params)
@@ -289,7 +362,8 @@ def _random_problem(seed, p, n, lr_fraction):
 def _compare_forms(model, X, y, lr, zeta, epsilon, max_iters):
     ref = WaveletModel(model.mother, list(model.bases), model.coeffs.copy())
     log, ref_log = TrainLog(), TrainLog()
-    status = train_to_plateau(model, X, y, lr, zeta, epsilon, max_iters, log)
+    status = train_to_plateau(model, Design(X, y), lr, zeta, epsilon,
+                              max_iters, log)
     ref_status = _residual_train(ref, X, y, lr, zeta, epsilon, max_iters,
                                  ref_log)
     assert status is ref_status
@@ -339,13 +413,13 @@ def _grow_both_ways(monkeypatch, grow):
         shapes = []
 
         # run_growth passes its design; the reference builds psi itself
-        def spy(model, X_, y_, lr, zeta, epsilon, max_iters, log, design,
+        def spy(model, design, lr, zeta, epsilon, max_iters, log,
                 train=train, shapes=shapes):
             assert isinstance(design, Design)
             shapes.append(model.n_params)
-            extra = (design,) if train is train_to_plateau else ()
-            return train(model, X_, y_, lr, zeta, epsilon, max_iters, log,
-                         *extra)
+            data = ((design,) if train is train_to_plateau
+                    else (design.X, design.y))
+            return train(model, *data, lr, zeta, epsilon, max_iters, log)
 
         monkeypatch.setattr(cwnn.growth, "train_to_plateau", spy)
         runs.append((*grow(), shapes))

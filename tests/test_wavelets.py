@@ -16,7 +16,7 @@ from cwnn.quadrature import adaptive_integral, panel_rule_1d
 import cwnn.wavelets as wavelets
 from cwnn.wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
                            MotherWavelet, basis_matrix, build_center_grid,
-                           children_centers, eval_basis)
+                           children_centers, eval_basis, lattice_bases)
 
 
 def w_index(m, n):
@@ -212,7 +212,8 @@ def companion(family, t):
 def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
     # two resolutions and both kinds in runs of three columns, so every
     # (kind, resolution) group is split into two column runs, and a block
-    # size that cuts each group, and one of its runs, into two blocks;
+    # size that cuts each group into three blocks of two columns, so each
+    # run is cut and one block spans both runs;
     # each column against 2^{dm/2} psi(2^m x - n), with the mother from
     # eval_mother and the companion from its closed form
     mother = getattr(MotherWavelet, family)(d)
@@ -227,7 +228,7 @@ def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
     # rows on a center and just off it reach the small-radius series
     X[0] = np.asarray(bases[0].n) * 2.0 ** -bases[0].m
     X[1] = X[0] + 3e-4
-    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 5 * X.size)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2 * X.size)
     psi = basis_matrix(mother, bases, X)
     assert psi.shape == (37, 24)
     for j, b in enumerate(bases):
@@ -300,6 +301,52 @@ def test_basis_matrix_threads_agree_with_serial(family, d, monkeypatch):
         np.testing.assert_allclose(serial[:, j], 2.0 ** (0.5 * d * b.m) * want,
                                    rtol=0.0 if family == "sinc" else 1e-14,
                                    atol=0.0)
+
+
+def _record_block_sizes(monkeypatch):
+    """A list that gathers the column count of every wavelet block that
+    ``basis_matrix`` evaluates."""
+    sizes = []
+    real = wavelets._offset_shapes
+
+    def spy(*args):
+        shapes = real(*args)
+
+        def recording(lo, hi):
+            sizes.append(hi - lo)
+            return shapes(lo, hi)
+        return recording
+
+    monkeypatch.setattr(wavelets, "_offset_shapes", spy)
+    return sizes
+
+
+def test_basis_matrix_balances_its_blocks(monkeypatch):
+    # the wide fit's 1 081-column expansion on 500 rows of two axes: a
+    # block holds at most 2^20 // 1 000 = 1 048 columns, so the group is
+    # cut into two blocks of 541 and 540, not 1 048 and 33
+    sizes = _record_block_sizes(monkeypatch)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
+    mother = MotherWavelet.sinc(2)
+    bases = lattice_bases(5, [range(23), range(47)])
+    X = np.random.default_rng(5).uniform(0.0, 1.0, size=(500, 2))
+    psi = basis_matrix(mother, bases, X)
+    assert sorted(sizes) == [540, 541]
+    # every cell is computed on its own, so one block gives the same bytes
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", psi.size * 2)
+    np.testing.assert_array_equal(basis_matrix(mother, bases, X), psi)
+
+
+@pytest.mark.parametrize("n_cols, block", [(1, 1), (7, 3), (9, 3), (10, 4),
+                                           (2000, 999)])
+def test_basis_matrix_blocks_differ_by_at_most_one(monkeypatch, n_cols,
+                                                   block):
+    sizes = _record_block_sizes(monkeypatch)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", block * 3)
+    basis_matrix(MotherWavelet.mexican_hat(1),
+                 lattice_bases(0, [range(n_cols)]), np.zeros((3, 1)))
+    assert sum(sizes) == n_cols and len(sizes) == -(-n_cols // block)
+    assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
 
 
 def test_concurrent_callers_get_the_serial_result(monkeypatch):
