@@ -12,7 +12,7 @@ from .datasets import (Dataset, DataError, gen_autoregression, gen_example1,
                        gen_example2_regions, load_csv, minmax_scale,
                        minmax_unscale, split)
 from .diagnostics import (DecayReport, TimeFrequencyBox, count_peaks,
-                          decay_report, inner_product, scan_indices)
+                          decay_report, gram, scan_indices)
 from .frequency import (EnergyTrace, EstimateResult,
                         estimate_initial_resolution,
                         estimate_subspace_energy)
@@ -21,7 +21,6 @@ from .growth import (GrowthConfig, GrowthResult, OnlineResult, WaveletPool,
                      run_online, select_high_energy)
 from .model import (TrainLog, TrainStatus, TrainingDivergence, WaveletModel,
                     loss, train_to_plateau)
-from .quadrature import QuadratureError, adaptive_integral
 from .wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
                        MotherWavelet, WaveletFamily, basis_matrix,
                        build_center_grid, children_centers, eval_basis)
@@ -32,14 +31,13 @@ __all__ = [
     "BasisIndex", "BasisKind", "CenterGrid", "DataError", "Dataset",
     "DecayReport", "EnergyTrace", "EstimateResult", "GridError",
     "GrowthConfig", "GrowthResult", "MotherWavelet", "OnlineResult",
-    "QuadratureError", "TimeFrequencyBox", "TrainLog",
-    "TrainStatus", "TrainingDivergence", "WaveletFamily", "WaveletModel",
-    "WaveletPool", "adaptive_integral", "basis_matrix",
+    "TimeFrequencyBox", "TrainLog", "TrainStatus", "TrainingDivergence",
+    "WaveletFamily", "WaveletModel", "WaveletPool", "basis_matrix",
     "build_center_grid", "children_centers", "count_peaks",
     "decay_report", "estimate_initial_resolution",
     "estimate_subspace_energy", "eval_basis", "expand_into_next",
-    "gen_autoregression", "gen_example1", "gen_example2_regions",
-    "inner_product", "load_csv", "loss", "minmax_scale",
-    "minmax_unscale", "run_baseline_wnn", "run_growth", "run_online",
-    "scan_indices", "select_high_energy", "split", "train_to_plateau",
+    "gen_autoregression", "gen_example1", "gen_example2_regions", "gram",
+    "load_csv", "loss", "minmax_scale", "minmax_unscale",
+    "run_baseline_wnn", "run_growth", "run_online", "scan_indices",
+    "select_high_energy", "split", "train_to_plateau",
 ]

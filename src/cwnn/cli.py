@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -28,9 +27,7 @@ from .diagnostics import (TimeFrequencyBox, count_peaks, decay_report,
 from .frequency import estimate_initial_resolution
 from .growth import GrowthConfig, run_baseline_wnn, run_growth, run_online
 from .model import TrainLog, TrainStatus, TrainingDivergence
-from .quadrature import QuadratureError
-from .wavelets import (BasisIndex, BasisKind, MotherWavelet, _cpu_count,
-                       basis_matrix, build_center_grid)
+from .wavelets import BasisIndex, MotherWavelet, build_center_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,9 +46,9 @@ DEFAULTS = {
     "csv_path": None, "target_column": None, "feature_columns": None,
     "train_fraction": 0.8,
     "domain_low": [0.0, 0.0], "domain_high": [1.0, 1.0],
-    "margin": 1.0, "clamp_low": None,
+    "margin": 1.0, "clamp_low": [0.0, 0.0],
     "kappa": 0.36, "learning_rate": 5e-4,
-    "epsilon": 0.006, "zeta": None, "mu": 1 / 3,
+    "epsilon": 0.006, "zeta": 4e-5, "mu": 1 / 3,
     "m_init": 2, "m_cap": 6,
     "max_resolution": 10, "max_iters": 50_000,
     "window": 10, "patience": 40,
@@ -60,24 +57,23 @@ DEFAULTS = {
 }
 
 # Parameter values bundled per experiment scenario, each preset holding
-# only its differences from DEFAULTS.  ``zeta: None`` means "apply the
-# default rule zeta = 0.001 * epsilon at resolution time".
-_EXAMPLE1_COMMON = {"clamp_low": [0.0, 0.0], "zeta": 4e-5}
-
+# only its differences from DEFAULTS (which are the paper's first
+# example).  ``zeta: None`` means "apply the rule zeta = 0.001 * epsilon
+# at resolution time".
 PRESETS = {
-    "example1-d1": dict(_EXAMPLE1_COMMON),
-    "example1-d2": dict(_EXAMPLE1_COMMON, variant="D2"),
-    "example1-d3": dict(_EXAMPLE1_COMMON, variant="D3", epsilon=0.025),
-    "example2": dict(_EXAMPLE1_COMMON, dataset="example2", epsilon=0.005),
+    "example1-d1": {},
+    "example1-d2": {"variant": "D2"},
+    "example1-d3": {"variant": "D3", "epsilon": 0.025},
+    "example2": {"dataset": "example2", "epsilon": 0.005},
     "example3": {
         "dataset": "autoregression", "switch_at": 6001,
-        "domain_high": [2.0, 2.0], "margin": 0.25, "clamp_low": [0.0, 0.0],
-        "learning_rate": 1e-4, "epsilon": 0.02, "zeta": 4e-5,
+        "domain_high": [2.0, 2.0], "margin": 0.25,
+        "learning_rate": 1e-4, "epsilon": 0.02,
         "max_resolution": 5, "max_iters": 10 ** 9,
     },
     "csv": {
-        "dataset": "csv", "margin": 0.0, "kappa": 2 / 3,
-        "learning_rate": 1e-3, "epsilon": 0.015, "m_init": 1,
+        "dataset": "csv", "margin": 0.0, "clamp_low": None, "kappa": 2 / 3,
+        "learning_rate": 1e-3, "epsilon": 0.015, "zeta": None, "m_init": 1,
         "max_resolution": 4,
     },
 }
@@ -116,6 +112,7 @@ def _str_list(text):
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
                list: "a list"}
+_ENTRY_NAMES = {float: "numbers", str: "strings"}
 
 
 def _kind(flag) -> type:
@@ -123,17 +120,33 @@ def _kind(flag) -> type:
     return type(flag.type("1")) if flag.type else str
 
 
+def _fits(value, kind) -> bool:
+    """``value`` is of ``kind``: an integer is a number, a bool is neither."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
+def _nullable(key) -> bool:
+    """Null is a value of ``key`` where the defaults or a preset hold it."""
+    return any(layer.get(key, 0) is None
+               for layer in (DEFAULTS, *PRESETS.values()))
+
+
 def _check_value(key, value, flag) -> None:
     """A config file's ``value`` must be of the kind ``flag`` parses to
-    (a bool is no number), one of its choices, or null where the default
-    is null."""
-    if value is None and DEFAULTS[key] is None:
+    (a list's entries too), one of its choices, or null where the
+    defaults or a preset hold null."""
+    if value is None and _nullable(key):
         return
     kind = _kind(flag)
-    if isinstance(value, bool) or not isinstance(
-            value, (int, float) if kind is float else kind):
-        null = " or null" if DEFAULTS[key] is None else ""
-        raise ConfigError(f"field {key!r} must be {_KIND_NAMES[kind]}{null}, "
+    what, ok = _KIND_NAMES[kind], _fits(value, kind)
+    if kind is list:
+        entry = type(flag.type("1")[0])
+        what = f"a list of {_ENTRY_NAMES[entry]}"
+        ok = ok and all(_fits(v, entry) for v in value)
+    if not ok:
+        null = " or null" if _nullable(key) else ""
+        raise ConfigError(f"field {key!r} must be {what}{null}, "
                           f"got {value!r}")
     if flag.choices and value not in flag.choices:
         raise ConfigError(f"field {key!r} must be one of "
@@ -184,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--learning-rate", dest="learning_rate", type=float)
         p.add_argument("--epsilon", type=float)
         p.add_argument("--zeta", type=float,
-                       help="plateau threshold (default rule: 0.001*epsilon)")
+                       help="plateau threshold (the sweep and the csv preset "
+                            "apply the rule 0.001*epsilon)")
         p.add_argument("--mu", type=_fraction, metavar="1/K")
         p.add_argument("--m-init", dest="m_init", type=int)
         p.add_argument("--m-cap", dest="m_cap", type=int)
@@ -212,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "energy-versus-resolution trace")
     p = command("sweep",
                 help="fit once per mu value on one dataset; the plateau "
-                     "threshold follows the default rule 0.001*epsilon "
+                     "threshold follows the rule 0.001*epsilon "
                      "unless a config file or --zeta sets it")
     p.add_argument("--mu-list", dest="mu_list", type=_fraction_list,
                    metavar="1/2,1/3,...")
@@ -230,7 +244,7 @@ def _setting_flags(parser: argparse.ArgumentParser) -> dict:
 
 def resolve_config(args) -> dict:
     """defaults <- preset <- config file <- explicit flags.  The sweep's
-    preset layer applies the zeta default rule, so a config file or flag
+    preset layer applies the zeta rule, so a config file or flag
     still pins zeta there."""
     cfg = dict(DEFAULTS)
     if args.preset:
@@ -264,10 +278,10 @@ def resolve_config(args) -> dict:
                               f"got {cfg[key]!r}")
     # each sweep run writes mu-<round(1/mu)>/, so no two may share one
     mus = cfg["mu_list"]
-    if not (all(isinstance(v, (int, float)) and v > 0 for v in mus)
+    if not (mus and all(v > 0 for v in mus)
             and len({round(1.0 / v) for v in mus}) == len(mus)):
-        raise ConfigError(f"field 'mu_list' must hold positive numbers with "
-                          f"distinct round(1/mu), got {mus!r}")
+        raise ConfigError(f"field 'mu_list' must hold one or more positive "
+                          f"numbers with distinct round(1/mu), got {mus!r}")
     cfg["preset"] = args.preset
     cfg["command"] = args.command
     return cfg
@@ -468,20 +482,8 @@ def cmd_diag(cfg, out: str) -> int:
     box = _DIAG_BOX
     mother = _mother(cfg, 1)
     m_target = (box.m1 + box.m0) // 2
-    bases = [BasisIndex(m_target, n, BasisKind.WAVELET)
-             for _, n in _DIAG_PARTS]
-
-    def target(pts):
-        cols = basis_matrix(mother, bases, pts)
-        vals = np.zeros(len(pts))
-        for k, (c, _) in enumerate(_DIAG_PARTS):
-            vals += c * cols[:, k]
-        return vals
-
-    half = mother.effective_radius * 2.0 ** (-m_target) + 1.0
-    indices = scan_indices(box, m_pad=2)
-    report = decay_report(target, mother, box, indices,
-                          f_lows=(-half,), f_highs=(half,))
+    target = [(c, BasisIndex(m_target, n)) for c, n in _DIAG_PARTS]
+    report = decay_report(target, mother, box, scan_indices(box, m_pad=2))
     report.to_csv(os.path.join(out, "decay_report.csv"))
     tol = 1e-3 if cfg["family"] == "sinc" else 1e-2
 
@@ -530,21 +532,15 @@ def _sweep_one(cfg, mu, subdir):
 
 
 def cmd_sweep(cfg, out: str) -> int:
-    """One fit per mu on a pool of one worker per mu, up to the CPUs the
-    process may run on."""
-    jobs = [(mu, os.path.join(out, f"mu-{int(round(1.0 / mu))}"))
-            for mu in cfg["mu_list"]]
-    results = [None] * len(jobs)
-    workers = max(1, min(len(jobs), _cpu_count()))
-    with concurrent.futures.ThreadPoolExecutor(workers) as ex:
-        futs = {ex.submit(_sweep_one, cfg, mu, sub): i
-                for i, (mu, sub) in enumerate(jobs)}
-        for fut in concurrent.futures.as_completed(futs):
-            results[futs[fut]] = fut.result()
+    """One fit per mu, one after another: a training step holds the
+    interpreter lock for most of its time, so threads would not overlap."""
+    results = [_sweep_one(cfg, mu,
+                          os.path.join(out, f"mu-{int(round(1.0 / mu))}"))
+               for mu in cfg["mu_list"]]
     _write_summary(out, {
         "command": "sweep",
         "epsilon": cfg["epsilon"],
-        # whether zeta is the default rule's value
+        # whether zeta is the rule's value
         "zeta_rule": cfg["zeta"] == 0.001 * cfg["epsilon"],
         "runs": results,
     })
@@ -568,7 +564,7 @@ def main(argv=None) -> int:
         # ConfigError, DataError and GridError are ValueErrors too
         print(f"cwnn: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingDivergence, QuadratureError) as exc:
+    except TrainingDivergence as exc:
         print(f"cwnn: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -4,14 +4,13 @@ Generators cover a two-input static benchmark with graded heteroscedastic
 noise, a two-region variant of the same surface, and a second-order
 chaotic autoregression whose governing map can switch mid-stream.  All
 randomness flows through a seeded numpy Generator and every dataset
-carries a metadata dict that is saved as a JSON sidecar next to any CSV
-export.
+carries a metadata dict of where it came from (and, once min-max scaled,
+its scaling record).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,22 +39,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.inputs.shape[1]
-
-    def save_csv(self, path) -> None:
-        """Write samples to CSV with a ``<path>.meta.json`` sidecar."""
-        path = str(path)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x{i + 1}" for i in range(self.dim)] + ["y"])
-            for row, t in zip(self.inputs, self.targets):
-                w.writerow([repr(float(v)) for v in row] + [repr(float(t))])
-        with open(_meta_path(path), "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _meta_path(path: str) -> str:
-    return path[:-4] + ".meta.json" if path.endswith(".csv") else path + ".meta.json"
 
 
 def _surface(x1, x2):

@@ -3,14 +3,10 @@
 Everything here answers a question of the form "does the constructed frame
 actually behave the way the approximation argument assumes?":
 
-* quadrature inner products between a target function and single bases,
+* closed-form inner products between wavelet elements,
 * membership in a finite time-frequency index box,
-* coefficient decay outside that box for band-limited targets,
+* coefficient decay outside that box for targets built from elements,
 * unimodality of an energy-versus-resolution trace.
-
-All integrals run through the adaptive tensor Gauss-Legendre rules in
-:mod:`cwnn.quadrature`, so every reported number has passed a two-level
-refinement agreement check.
 """
 
 from __future__ import annotations
@@ -21,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import adaptive_integral
-from .wavelets import BasisIndex, MotherWavelet, eval_basis, lattice_bases
+from .wavelets import (BasisIndex, BasisKind, MotherWavelet, WaveletFamily,
+                       lattice_bases)
 
 
 @dataclass(frozen=True)
@@ -64,54 +60,33 @@ class TimeFrequencyBox:
         return bool(np.all(np.abs(index.n) <= bound + 1e-12))
 
 
-# Quadrature control.  Panel density is in panels per unit of scaled
-# length: a resolution-m basis oscillates on the 2**-m scale, so panel
-# counts grow with 2**m to keep the rule resolved.
-_QUAD_ORDER = 12
-_PANELS_PER_UNIT = 0.5
-_MIN_PANELS = 4
-_QUAD_RTOL = 1e-8
-_QUAD_ATOL = 1e-10
-_MAX_DOUBLINGS = 8
+def gram(mother: MotherWavelet, a: BasisIndex, b: BasisIndex) -> float:
+    """<psi_a, psi_b> of two wavelet elements, in closed form.
 
+    Sinc: the spectrum is flat on the annulus 1 < |w| <= 2, so elements
+    at different resolutions are orthogonal, and within one resolution
+    the inner product is ``(|psi|^2 / psi(0)) * psi(n_a - n_b)``.
 
-def support_box(mother: MotherWavelet, index: BasisIndex):
-    """Box outside which the basis is numerically negligible."""
-    center = index.center()
-    radius = mother.effective_radius * 2.0 ** (-index.m)
-    return center - radius, center + radius
-
-
-def _base_panels(lows, highs, m: int):
-    scale = 2.0 ** max(m, 0)
-    width = np.asarray(highs, dtype=float) - np.asarray(lows, dtype=float)
-    return [max(_MIN_PANELS, int(math.ceil(w * scale * _PANELS_PER_UNIT)))
-            for w in width]
-
-
-def inner_product(f, mother: MotherWavelet, index: BasisIndex,
-                  lows=None, highs=None) -> float:
-    """<psi_mn, f> by adaptive tensor Gauss-Legendre quadrature.
-
-    The integration box defaults to the basis effective support; pass
-    ``lows``/``highs`` to widen it (it is clipped to nothing smaller than
-    the basis support, never shrunk), e.g. when ``f`` extends beyond the
-    basis tail and the cancellation of an out-of-band coefficient depends
-    on covering both supports.
+    Mexican hat (psi = -Laplacian of exp(-|x|^2/2)): by Plancherel, with
+    s = 4^-m_a + 4^-m_b and D the offset of the two centers,
+    ``2^(-d(m_a+m_b)/2) 4^-(m_a+m_b) (2 pi/s)^(d/2) exp(-|D|^2/2s)
+    (|D|^4/s^4 - 2(d+2)|D|^2/s^3 + d(d+2)/s^2)``.
     """
-    b_lo, b_hi = support_box(mother, index)
-    if lows is not None:
-        b_lo = np.minimum(b_lo, np.asarray(lows, dtype=float))
-    if highs is not None:
-        b_hi = np.maximum(b_hi, np.asarray(highs, dtype=float))
-
-    def integrand(pts):
-        return eval_basis(mother, index, pts) * np.asarray(f(pts), dtype=float)
-
-    return adaptive_integral(integrand, b_lo, b_hi,
-                             _base_panels(b_lo, b_hi, index.m),
-                             order=_QUAD_ORDER, rtol=_QUAD_RTOL,
-                             atol=_QUAD_ATOL, max_doublings=_MAX_DOUBLINGS)
+    if a.kind is not BasisKind.WAVELET or b.kind is not BasisKind.WAVELET:
+        raise ValueError("gram is defined for wavelet elements only")
+    d = mother.dim
+    if mother.family is WaveletFamily.SINC:
+        if a.m != b.m:
+            return 0.0
+        offset = np.subtract(a.n, b.n, dtype=float)
+        return float(mother.norm_sq / mother.eval_mother(np.zeros(d))
+                     * mother.eval_mother(offset))
+    mm = a.m + b.m
+    s = 4.0 ** -a.m + 4.0 ** -b.m
+    q = float(np.sum(np.square(a.center() - b.center()))) / s  # |D|^2 / s
+    poly = (q * q - 2 * (d + 2) * q + d * (d + 2)) / (s * s)
+    scale = 2.0 ** (-0.5 * d * mm) * 4.0 ** -mm
+    return scale * (2.0 * math.pi / s) ** (d / 2) * math.exp(-0.5 * q) * poly
 
 
 def scan_indices(box: TimeFrequencyBox, m_pad: int = 2):
@@ -164,18 +139,15 @@ class DecayReport:
                                 + [int(inside), repr(abs(coef))])
 
 
-def decay_report(f, mother: MotherWavelet, box: TimeFrequencyBox, indices,
-                 f_lows=None, f_highs=None) -> DecayReport:
-    """Compute every scanned coefficient and compare the largest magnitude
-    outside the box against the largest inside.
-
-    ``f_lows``/``f_highs`` should bound the region where ``f`` is
-    non-negligible; each per-basis integration box is the union of that
-    region with the basis support.
-    """
+def decay_report(target, mother: MotherWavelet, box: TimeFrequencyBox,
+                 indices) -> DecayReport:
+    """Compute every scanned coefficient of the target ``sum_k c_k psi_k``,
+    given as ``(c_k, BasisIndex)`` pairs, exactly through :func:`gram`, and
+    compare the largest magnitude outside the box against the largest
+    inside."""
     report = DecayReport(box)
     for index in indices:
-        coef = inner_product(f, mother, index, lows=f_lows, highs=f_highs)
+        coef = sum(c * gram(mother, index, b) for c, b in target)
         report.rows.append((index, box.contains(index), coef))
     return report
 

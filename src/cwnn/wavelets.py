@@ -73,12 +73,6 @@ def surface_area(dim: int) -> float:
 # series about the origin, where the closed form divides by almost zero
 _SERIES_RADIUS = 1e-3
 
-# half-width, in mother units, of the window the diagnostics integrate
-# the band-limited family over; the profile itself is not truncated
-# (its envelope decays like r**(-(d+1)/2))
-_SINC_QUADRATURE_RADIUS = 48.0
-
-
 def _sum_of_squares(axes) -> np.ndarray:
     """Elementwise sum of squares of equally shaped per-axis arrays."""
     s2 = np.square(axes[0])
@@ -182,18 +176,6 @@ class MotherWavelet:
         vals = self._eval_kind(BasisKind.WAVELET,
                                [flat[:, k] for k in range(self.dim)])
         return vals.reshape(pts.shape[:-1])[()]
-
-    @property
-    def effective_radius(self) -> float:
-        """Half-width, in mother units, of the window the diagnostics
-        integrate a basis element over.
-
-        The Mexican hat is below 1e-15 past it.  The band-limited profile
-        has unbounded support; 48 is a quadrature window, not a cutoff.
-        """
-        if self.family is WaveletFamily.MEXICAN_HAT:
-            return 9.0
-        return _SINC_QUADRATURE_RADIUS
 
     # -- norm -----------------------------------------------------------
 

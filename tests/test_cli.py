@@ -83,6 +83,34 @@ def test_config_value_of_the_wrong_kind_exits_2(out_root, tmp_path, capsys,
     assert repr(field) in err and "Traceback" not in err
 
 
+_WRONG_ENTRIES = [("sweep", {"mu_list": [True]}, "a list of numbers"),
+                  ("fit", {"domain_low": ["a", "b"]}, "a list of numbers"),
+                  ("fit", {"clamp_low": [[0.0], [0.0]]},
+                   "a list of numbers or null"),
+                  ("fit", {"feature_columns": [1, 2]},
+                   "a list of strings or null")]
+
+
+@pytest.mark.parametrize("command, payload, kind", _WRONG_ENTRIES,
+                         ids=[next(iter(p)) for _, p, _ in _WRONG_ENTRIES])
+def test_config_list_entry_of_the_wrong_kind_exits_2(out_root, tmp_path,
+                                                     capsys, command,
+                                                     payload, kind):
+    # a list's entries are held to the kind its flag parses them to, so
+    # [true] is no mu = 1/1 and ["a", "b"] never reaches numpy
+    (field,) = payload
+    cfg = tmp_path / "entry.json"
+    cfg.write_text(json.dumps(payload))
+    run = out_root / "e"
+    rc = cli.main([command, "--preset", "example1-d1", "--config", str(cfg),
+                   "--n-samples", "60", "--max-iters", "5",
+                   "--out", str(run)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"field {field!r} must be {kind}," in err
+    assert "Traceback" not in err and not run.exists()
+
+
 def test_config_values_of_the_right_kind_resolve(tmp_path):
     # an integer for a number, and null where the default is null
     cfg = tmp_path / "ok.json"
@@ -297,6 +325,18 @@ def test_sweep_rejects_a_repeated_denominator(out_root, capsys, mu_list):
     assert not run.exists()
 
 
+def test_sweep_rejects_an_empty_mu_list(out_root, tmp_path, capsys):
+    # a sweep of no runs would fit nothing and still exit 0
+    cfg = tmp_path / "empty.json"
+    cfg.write_text('{"mu_list": []}')
+    run = out_root / "none"
+    rc = cli.main(["sweep", "--preset", "example1-d1", "--config", str(cfg),
+                   "--out", str(run)])
+    assert rc == 2
+    assert "one or more positive numbers" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_sweep_explicit_zeta_pins_value(out_root, capsys):
     run = out_root / "swz"
     rc = cli.main(["sweep", "--preset", "example1-d1", "--n-samples", "150",
@@ -342,6 +382,37 @@ def test_presets_hold_only_differences(name):
     for key, value in cli.PRESETS[name].items():
         assert key in cli.DEFAULTS, key
         assert value != cli.DEFAULTS[key], key
+
+
+def _resolve(argv):
+    return cli.resolve_config(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_bare_command_is_the_first_example(command):
+    # the defaults are example1-d1, so a bare run is the paper's first
+    # example (178 bases against the baseline's 420 at seed 7)
+    bare = _resolve([command])
+    assert dict(bare, preset="example1-d1") == _resolve(
+        [command, "--preset", "example1-d1"])
+
+
+# (clamp_low, zeta outside a sweep) of each preset: the values every
+# preset resolved to while the defaults held no clamp and the zeta rule
+_PRESET_CLAMP_ZETA = {
+    "example1-d1": ([0.0, 0.0], 4e-5), "example1-d2": ([0.0, 0.0], 4e-5),
+    "example1-d3": ([0.0, 0.0], 4e-5), "example2": ([0.0, 0.0], 4e-5),
+    "example3": ([0.0, 0.0], 4e-5), "csv": (None, 0.001 * 0.015)}
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_presets_keep_their_clamp_and_zeta(name):
+    clamp, zeta = _PRESET_CLAMP_ZETA[name]
+    for command in cli._COMMANDS:
+        cfg = _resolve([command, "--preset", name])
+        assert cfg["clamp_low"] == clamp, command
+        want = 0.001 * cfg["epsilon"] if command == "sweep" else zeta
+        assert cfg["zeta"] == want, command
 
 
 def test_clamp_low_none_clears_the_preset_clamp(out_root, capsys):

@@ -197,13 +197,3 @@ def test_split_exact_example():
     ds = Dataset(np.zeros((10, 1)), np.arange(10.0), {})
     train, test = split(ds, 0.8, seed=0)
     assert len(train) == 8 and len(test) == 2
-
-
-def test_save_csv_meta_round_trip(tmp_path):
-    ds = gen_example1("D1", 20, seed=2)
-    p = tmp_path / "d1.csv"
-    ds.save_csv(p)
-    assert (tmp_path / "d1.meta.json").exists()
-    back = load_csv(p, "y")
-    assert np.allclose(back.inputs, ds.inputs)
-    assert np.allclose(back.targets, ds.targets)

@@ -1,4 +1,5 @@
-"""Frame diagnostics: index boxes, coefficient scans, peak counting."""
+"""Frame diagnostics: index boxes, closed-form inner products, coefficient
+scans, peak counting."""
 
 import math
 
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 
 from cwnn.diagnostics import (DecayReport, TimeFrequencyBox, count_peaks,
-                              decay_report, inner_product, scan_indices,
-                              support_box)
+                              decay_report, gram, scan_indices)
 from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, eval_basis
+from quadrature_oracle import adaptive_integral
 
 MH1 = MotherWavelet.mexican_hat(1)
+SC1 = MotherWavelet.sinc(1)
 
 
 def w_index(m, n):
@@ -57,25 +59,90 @@ def test_scan_indices_shape():
     assert sorted({b.m for b in padded}) == [-1, 0, 1, 2, 3, 4, 5]
 
 
-def test_support_box_scales_with_resolution():
-    lo0, hi0 = support_box(MH1, w_index(0, 0))
-    lo2, hi2 = support_box(MH1, w_index(2, 0))
-    assert hi0[0] - lo0[0] == pytest.approx(4 * (hi2[0] - lo2[0]))
+# ------------------------------------------------------- inner products
 
+def product_integral(mother, a, b, half, panels, **tol):
+    """<psi_a, psi_b> by quadrature over the cube [-half, half]^d."""
+    d = mother.dim
+    return adaptive_integral(
+        lambda pts: eval_basis(mother, a, pts) * eval_basis(mother, b, pts),
+        [-half] * d, [half] * d, [panels] * d, order=16, **tol)
 
-# ---------------------------------------------------------- inner product
 
 def test_inner_product_recovers_norm():
-    b = w_index(1, 2)
-    val = inner_product(lambda pts: eval_basis(MH1, b, pts), MH1, b)
-    assert val == pytest.approx(MH1.norm_sq, rel=1e-7)
+    for mother in (MH1, SC1, MotherWavelet.mexican_hat(3),
+                   MotherWavelet.sinc(2)):
+        b = BasisIndex(1, (2,) * mother.dim)
+        assert gram(mother, b, b) == pytest.approx(mother.norm_sq,
+                                                   rel=1e-14)
 
 
 def test_inner_product_well_separated_translates_tiny():
     b, other = w_index(1, 0), w_index(1, 12)
-    val = inner_product(lambda pts: eval_basis(MH1, b, pts), MH1, other,
-                        lows=(-6.0,), highs=(6.0,))
-    assert abs(val) < 1e-9 * MH1.norm_sq
+    val = gram(MH1, b, other)
+    assert 0.0 < abs(val) < 1e-9 * MH1.norm_sq
+
+
+# (m, n) pairs across levels, translations and both signs of the offset
+PAIRS_1D = [((0, 0), (0, 0)), ((1, 2), (0, 0)), ((2, -1), (1, 3)),
+            ((3, 5), (-1, 0)), ((0, 4), (2, -3)), ((-1, 1), (3, 7))]
+
+
+def test_gram_mexican_hat_matches_wide_window_quadrature():
+    # the Mexican hat is below 1e-300 past |x| = 40 at these levels, so
+    # the window truncates nothing
+    for (ma, na), (mb, nb) in PAIRS_1D:
+        a, b = w_index(ma, na), w_index(mb, nb)
+        want = product_integral(MH1, a, b, 40.0, 512, rtol=1e-14, atol=0.0)
+        assert abs(gram(MH1, a, b) - want) < 1e-12, (a, b)
+    mh2 = MotherWavelet.mexican_hat(2)
+    for a, b in [(BasisIndex(0, (0, 0)), BasisIndex(0, (0, 0))),
+                 (BasisIndex(1, (1, 2)), BasisIndex(0, (0, 1))),
+                 (BasisIndex(2, (-1, 0)), BasisIndex(1, (1, 1)))]:
+        want = product_integral(mh2, a, b, 12.0, 48, rtol=1e-13, atol=0.0,
+                                max_doublings=3)
+        assert abs(gram(mh2, a, b) - want) < 1e-12, (a, b)
+
+
+def test_gram_sinc_quadrature_error_shrinks_with_window():
+    # the sinc envelope decays like 1/|x|, so a truncated window misses a
+    # tail of order 1/width; the closed form is the window's limit
+    for a, b in [(w_index(2, 0), w_index(2, 1)),    # same level
+                 (w_index(1, 0), w_index(2, 1))]:   # orthogonal levels
+        exact = gram(SC1, a, b)
+        errors = [abs(product_integral(SC1, a, b, half, 8 * int(half),
+                                       rtol=1e-10, atol=1e-13,
+                                       max_doublings=6) - exact)
+                  for half in (13.0, 50.0, 200.0)]
+        assert errors[0] > errors[1] > errors[2], errors
+        assert errors[2] < 2e-3, errors
+
+
+def test_gram_sinc_levels_orthogonal():
+    # resolutions occupy disjoint frequency annuli, in every dimension
+    for mother in (SC1, MotherWavelet.sinc(2)):
+        d = mother.dim
+        for ma, mb in [(0, 1), (1, 3), (-1, 2)]:
+            a, b = BasisIndex(ma, (1,) * d), BasisIndex(mb, (0,) * d)
+            assert gram(mother, a, b) == 0.0
+    # one level: the mother's own profile at the integer offset, times pi
+    assert gram(SC1, w_index(2, 3), w_index(2, 1)) == pytest.approx(
+        math.pi * (math.sin(4.0) - math.sin(2.0)) / 2.0, rel=1e-14)
+
+
+def test_gram_is_symmetric():
+    for mother in (MH1, SC1):
+        for (ma, na), (mb, nb) in PAIRS_1D:
+            a, b = w_index(ma, na), w_index(mb, nb)
+            assert gram(mother, a, b) == gram(mother, b, a)
+    for mother in (MotherWavelet.mexican_hat(2), MotherWavelet.sinc(2)):
+        a, b = BasisIndex(1, (1, -2)), BasisIndex(1, (3, 0))
+        assert gram(mother, a, b) == gram(mother, b, a)
+
+
+def test_gram_rejects_companions():
+    with pytest.raises(ValueError):
+        gram(MH1, w_index(0, 0), BasisIndex(0, (0,), BasisKind.SCALING))
 
 
 # ------------------------------------------------------------ decay scan
@@ -83,11 +150,10 @@ def test_inner_product_well_separated_translates_tiny():
 def test_decay_report_partition_and_csv(tmp_path):
     b = w_index(2, 0)
     idx = [w_index(2, 0), w_index(2, 5), w_index(2, 6), w_index(5, 0)]
-    rep = decay_report(lambda pts: eval_basis(MH1, b, pts), MH1, BOX, idx,
-                       f_lows=(-3.0,), f_highs=(3.0,))
+    rep = decay_report([(1.0, b)], MH1, BOX, idx)
     flags = [inside for _, inside, _ in rep.rows]
     assert flags == [True, True, False, False]
-    assert rep.max_inside == pytest.approx(MH1.norm_sq, rel=1e-6)
+    assert rep.max_inside == pytest.approx(MH1.norm_sq, rel=1e-14)
     assert rep.ratio < 1.0
     path = tmp_path / "decay.csv"
     rep.to_csv(path)
@@ -95,6 +161,22 @@ def test_decay_report_partition_and_csv(tmp_path):
     assert lines[0] == "m,n1,inside,coef_abs"
     assert len(lines) == 5
     assert lines[1].split(",")[:3] == ["2", "0", "1"]
+
+
+def test_decay_report_sums_the_target_parts():
+    parts = [(1.0, w_index(2, -1)), (-0.7, w_index(2, 0)),
+             (0.4, w_index(3, 3))]
+    idx = [w_index(2, 0), w_index(3, 1), w_index(1, 0)]
+    rep = decay_report(parts, MH1, BOX, idx)
+    for index, _, coef in rep.rows:
+        want = sum(c * gram(MH1, index, b) for c, b in parts)
+        assert coef == want
+    # sinc: only the parts at the scanned element's own level count
+    rep = decay_report(parts, SC1, BOX, idx)
+    coefs = [c for _, _, c in rep.rows]
+    assert coefs[2] == 0.0
+    assert coefs[1] == pytest.approx(0.4 * gram(SC1, w_index(3, 1),
+                                                w_index(3, 3)), rel=1e-15)
 
 
 def test_decay_ratio_edge_cases():

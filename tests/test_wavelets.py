@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, jv
 
-from cwnn.quadrature import adaptive_integral, panel_rule_1d
 import cwnn.wavelets as wavelets
 from cwnn.wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
                            MotherWavelet, basis_matrix, build_center_grid,
                            children_centers, eval_basis, lattice_bases)
+from quadrature_oracle import adaptive_integral, panel_rule_1d
 
 
 def w_index(m, n):
@@ -66,7 +66,7 @@ PROFILE_RADII = (0.0, 1e-4, 0.999e-3, 1.001e-3, 10.0, 47.9, 48.1, 60.0, 80.0)
 def test_sinc_radial_profile_matches_bessel_form():
     # the closed-form profile against an independent quadrature of its
     # Hankel integral, at radii on both sides of the origin series cut-off
-    # (1e-3) and of the diagnostics window (48), on an axis and a diagonal
+    # (1e-3) and of radius 48, on an axis and a diagonal
     r = np.array(PROFILE_RADII)
     for d in (1, 2, 3, 9):
         sc = MotherWavelet.sinc(d)
@@ -79,10 +79,9 @@ def test_sinc_radial_profile_matches_bessel_form():
 
 
 def test_sinc_2d_profile_continuous_past_quadrature_window():
-    # the profile has unbounded support: no jump at the diagnostics'
-    # quadrature radius and no zero tail beyond it
+    # the profile has unbounded support: no jump at radius 48 and no
+    # zero tail beyond it
     sc = MotherWavelet.sinc(2)
-    assert sc.effective_radius == 48.0
     edge = np.array([[48.0 - 1e-9, 0.0], [48.0 + 1e-9, 0.0]])
     below, above = sc.eval_mother(edge)
     assert abs(below - above) < 1e-9
@@ -153,20 +152,20 @@ def test_mothers_built_alike_compare_equal():
 
 
 def test_wavelets_leave_out_quadrature():
-    # the norms are closed forms, so the module needs no integrator; the
-    # package is stubbed so that its __init__ (which imports everything)
-    # does not run
+    # norms and inner products are closed forms, so no module of the
+    # package integrates numerically: importing all of it (the CLI too)
+    # loads no quadrature module of its own and no scipy.integrate
     src = os.path.dirname(os.path.dirname(os.path.abspath(wavelets.__file__)))
-    probe = ("import sys, types; "
-             "pkg = types.ModuleType('cwnn'); "
-             f"pkg.__path__ = [{os.path.join(src, 'cwnn')!r}]; "
-             "sys.modules['cwnn'] = pkg; "
-             "import cwnn.wavelets; "
-             "print('cwnn.quadrature' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=120)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, cwnn, cwnn.cli; "
+             "print(sorted(m for m in sys.modules if 'quadrature' in m "
+             "or m.startswith('scipy.integrate')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------- evaluation
