@@ -8,7 +8,8 @@ via ``--config``), the CSV logs of whatever it ran, and a deterministic
 same configuration reproduces the summary byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 budget exhausted without reaching the loss target.
+4 the run missed its target (the loss target within budget, or a
+``diag`` check's tolerance).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,34 +35,75 @@ from .wavelets import BasisIndex, MotherWavelet, build_center_grid
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-EXIT_BUDGET = 4
+EXIT_MISSED = 4
 
 
 class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "family": "sinc",
-    "dataset": "example1", "variant": "D1", "n_samples": 500, "seed": 7,
-    "length": 20_000, "switch_at": None,
-    "csv_path": None, "target_column": None, "feature_columns": None,
-    "train_fraction": 0.8,
-    "domain_low": [0.0, 0.0], "domain_high": [1.0, 1.0],
-    "margin": 1.0, "clamp_low": [0.0, 0.0],
-    "kappa": 0.36, "learning_rate": 5e-4,
-    "epsilon": 0.006, "zeta": 4e-5, "mu": 1 / 3,
-    "m_init": 2, "m_cap": 6,
-    "max_resolution": 10, "max_iters": 50_000,
-    "window": 10, "patience": 40,
-    "baseline": "none",
-    "mu_list": [1 / 2, 1 / 3, 1 / 4, 1 / 5],
+def _fraction(text: str) -> float:
+    """Parse '1/3' or '0.25' style numbers."""
+    if "/" in text:
+        num, den = (float(v) for v in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return num / den
+    return float(text)
+
+
+class Setting(NamedTuple):
+    """A setting's default, what its flag reads (a type, ``[type]`` for a
+    comma-separated list, or a tuple of choices), the one command that
+    alone takes it, and its flag's metavar and help text, if any."""
+    default: object
+    reads: object
+    command: str | None = None
+    metavar: str | None = None
+    help: str | None = None
+
+
+# Every setting in flag order; the defaults are the paper's first example.
+SETTINGS = {
+    "seed": Setting(7, int),
+    "family": Setting("sinc", ("sinc", "mexican-hat")),
+    "dataset": Setting("example1",
+                       ("example1", "example2", "autoregression", "csv")),
+    "variant": Setting("D1", ("D1", "D2", "D3")),
+    "n_samples": Setting(500, int),
+    "length": Setting(20_000, int),
+    "switch_at": Setting(None, int),
+    "csv_path": Setting(None, str),
+    "target_column": Setting(None, str),
+    "feature_columns": Setting(None, [str], metavar="A,B,..."),
+    "train_fraction": Setting(0.8, float),
+    "domain_low": Setting([0.0, 0.0], [float]),
+    "domain_high": Setting([1.0, 1.0], [float]),
+    "margin": Setting(1.0, float),
+    "clamp_low": Setting([0.0, 0.0], [float], metavar="X,Y|none"),
+    "kappa": Setting(0.36, float),
+    "learning_rate": Setting(5e-4, float),
+    "epsilon": Setting(0.006, float),
+    "zeta": Setting(4e-5, float, help="plateau threshold (the sweep and the "
+                    "csv preset apply the rule 0.001*epsilon)"),
+    "mu": Setting(1 / 3, _fraction, metavar="1/K"),
+    "m_init": Setting(2, int),
+    "m_cap": Setting(6, int),
+    "max_resolution": Setting(10, int),
+    "max_iters": Setting(50_000, int),
+    "baseline": Setting("none", ("none", "wnn"), "fit", help="also run the "
+                        "non-constructive level-by-level reference on the "
+                        "same data"),
+    "window": Setting(10, int, "online"),
+    "patience": Setting(40, int, "online"),
+    "mu_list": Setting([1 / 2, 1 / 3, 1 / 4, 1 / 5], [_fraction], "sweep",
+                       metavar="1/2,1/3,..."),
 }
+DEFAULTS = {key: s.default for key, s in SETTINGS.items()}
 
 # Parameter values bundled per experiment scenario, each preset holding
-# only its differences from DEFAULTS (which are the paper's first
-# example).  ``zeta: None`` means "apply the rule zeta = 0.001 * epsilon
-# at resolution time".
+# only its differences from DEFAULTS.  ``zeta: None`` means "apply the
+# rule zeta = 0.001 * epsilon at resolution time".
 PRESETS = {
     "example1-d1": {},
     "example1-d2": {"variant": "D2"},
@@ -83,47 +127,9 @@ _START_M = 1
 # rows per input region of the example2 dataset
 _N_PER_REGION = 250
 
-
-def _fraction(text: str) -> float:
-    """Parse '1/3' or '0.25' style numbers."""
-    if "/" in text:
-        num, den = (float(v) for v in text.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return num / den
-    return float(text)
-
-
-def _float_list(text):
-    return [float(v) for v in text.split(",")]
-
-
-def _float_list_or_none(text):
-    return None if text.strip().lower() == "none" else _float_list(text)
-
-
-def _fraction_list(text):
-    return [_fraction(v) for v in text.split(",")]
-
-
-def _str_list(text):
-    return [v.strip() for v in text.split(",")]
-
-
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
-               list: "a list"}
-_ENTRY_NAMES = {float: "numbers", str: "strings"}
-
-
-def _kind(flag) -> type:
-    """The type of what ``flag`` parses; a choices flag takes a string."""
-    return type(flag.type("1")) if flag.type else str
-
-
-def _fits(value, kind) -> bool:
-    """``value`` is of ``kind``: an integer is a number, a bool is neither."""
-    return not isinstance(value, bool) and isinstance(
-        value, (int, float) if kind is float else kind)
+# what a config value must be where a flag reads each type, and its name
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+          _fraction: ((int, float), "a number"), str: (str, "a string")}
 
 
 def _nullable(key) -> bool:
@@ -132,25 +138,39 @@ def _nullable(key) -> bool:
                for layer in (DEFAULTS, *PRESETS.values()))
 
 
-def _check_value(key, value, flag) -> None:
-    """A config file's ``value`` must be of the kind ``flag`` parses to
-    (a list's entries too), one of its choices, or null where the
-    defaults or a preset hold null."""
+def _check_value(key, value) -> None:
+    """A config file's ``value`` must be of the kind its flag reads (a
+    list's entries too; a bool is neither an integer nor a number), one
+    of its choices, or null where the defaults or a preset hold null."""
     if value is None and _nullable(key):
         return
-    kind = _kind(flag)
-    what, ok = _KIND_NAMES[kind], _fits(value, kind)
-    if kind is list:
-        entry = type(flag.type("1")[0])
-        what = f"a list of {_ENTRY_NAMES[entry]}"
-        ok = ok and all(_fits(v, entry) for v in value)
-    if not ok:
+    reads = SETTINGS[key].reads
+    listed = isinstance(reads, list)
+    entry = reads[0] if listed else str if isinstance(reads, tuple) else reads
+    types, what = _KINDS[entry]
+    entries = value if listed and isinstance(value, list) else [value]
+    if isinstance(value, list) != listed or any(
+            isinstance(v, bool) or not isinstance(v, types) for v in entries):
+        what = f"a list of {what.split()[-1]}s" if listed else what
         null = " or null" if _nullable(key) else ""
         raise ConfigError(f"field {key!r} must be {what}{null}, "
                           f"got {value!r}")
-    if flag.choices and value not in flag.choices:
+    if isinstance(reads, tuple) and value not in reads:
         raise ConfigError(f"field {key!r} must be one of "
-                          f"{sorted(flag.choices)}, got {value!r}")
+                          f"{sorted(reads)}, got {value!r}")
+
+
+def _reader(key, reads):
+    """What the flag of setting ``key`` reads: a list flag reads its
+    comma-separated entries, or ``none`` where null is a value of it."""
+    if not isinstance(reads, list):
+        return reads
+
+    def comma_list(text):
+        if text.strip().lower() == "none" and _nullable(key):
+            return None
+        return [reads[0](v.strip()) for v in text.split(",")]
+    return comma_list
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,71 +195,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", default=None,
                        help="run directory (default: a generated name under "
                             "$CWNN_OUT_ROOT or ./runs)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--family", choices=["sinc", "mexican-hat"])
-        p.add_argument("--dataset",
-                       choices=["example1", "example2", "autoregression", "csv"])
-        p.add_argument("--variant", choices=["D1", "D2", "D3"])
-        p.add_argument("--n-samples", dest="n_samples", type=int)
-        p.add_argument("--length", type=int)
-        p.add_argument("--switch-at", dest="switch_at", type=int)
-        p.add_argument("--csv-path", dest="csv_path")
-        p.add_argument("--target-column", dest="target_column")
-        p.add_argument("--feature-columns", dest="feature_columns",
-                       type=_str_list, metavar="A,B,...")
-        p.add_argument("--train-fraction", dest="train_fraction", type=float)
-        p.add_argument("--domain-low", dest="domain_low", type=_float_list)
-        p.add_argument("--domain-high", dest="domain_high", type=_float_list)
-        p.add_argument("--margin", type=float)
-        p.add_argument("--clamp-low", dest="clamp_low",
-                       type=_float_list_or_none, metavar="X,Y|none")
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--zeta", type=float,
-                       help="plateau threshold (the sweep and the csv preset "
-                            "apply the rule 0.001*epsilon)")
-        p.add_argument("--mu", type=_fraction, metavar="1/K")
-        p.add_argument("--m-init", dest="m_init", type=int)
-        p.add_argument("--m-cap", dest="m_cap", type=int)
-        p.add_argument("--max-resolution", dest="max_resolution", type=int)
-        p.add_argument("--max-iters", dest="max_iters", type=int)
-        return p
+        for key, s in SETTINGS.items():
+            if s.command in (None, name):
+                kind = "choices" if isinstance(s.reads, tuple) else "type"
+                p.add_argument("--" + key.replace("_", "-"), metavar=s.metavar,
+                               help=s.help, **{kind: _reader(key, s.reads)})
 
     command("estimate-freq",
             help="probe for the resolution where the mapping's detail "
                  "energy peaks; writes the energy trace")
-    p = command("fit",
-                help="grow and train a model on a batch dataset until the "
-                     "loss target is met")
-    p.add_argument("--baseline", choices=["none", "wnn"],
-                   help="also run the non-constructive level-by-level "
-                        "reference on the same data")
-    p = command("online",
-                help="windowed streaming run with growth on sustained loss "
-                     "plateaus (mapping switches supported)")
-    p.add_argument("--window", type=int)
-    p.add_argument("--patience", type=int)
+    command("fit",
+            help="grow and train a model on a batch dataset until the "
+                 "loss target is met")
+    command("online",
+            help="windowed streaming run with growth on sustained loss "
+                 "plateaus (mapping switches supported)")
     command("diag",
             help="frame diagnostics: coefficient decay outside a fixed "
                  "time-frequency box and unimodality of the "
                  "energy-versus-resolution trace")
-    p = command("sweep",
-                help="fit once per mu value on one dataset; the plateau "
-                     "threshold follows the rule 0.001*epsilon "
-                     "unless a config file or --zeta sets it")
-    p.add_argument("--mu-list", dest="mu_list", type=_fraction_list,
-                   metavar="1/2,1/3,...")
+    command("sweep",
+            help="fit once per mu value on one dataset; the plateau "
+                 "threshold follows the rule 0.001*epsilon "
+                 "unless a config file or --zeta sets it")
     return parser
-
-
-def _setting_flags(parser: argparse.ArgumentParser) -> dict:
-    """``dest -> action`` of every subcommand flag that sets a setting
-    (all but ``--preset``, ``--config`` and ``--out``)."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for p in sub.choices.values() for a in p._actions
-            if a.dest not in ("help", "preset", "config", "out")}
 
 
 def resolve_config(args) -> dict:
@@ -261,13 +240,12 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        flags = _setting_flags(build_parser())
         for key, value in loaded.items():
             if key in ("command", "preset"):
                 continue
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config field {key!r}")
-            _check_value(key, value, flags[key])
+            _check_value(key, value)
             cfg[key] = value
     cfg.update((k, v) for k, v in vars(args).items() if k in DEFAULTS)
     if cfg["zeta"] is None:
@@ -322,14 +300,8 @@ def _mother(cfg, dim: int) -> MotherWavelet:
 
 
 def _growth_config(cfg) -> GrowthConfig:
-    return GrowthConfig(
-        epsilon=cfg["epsilon"], zeta=cfg["zeta"], mu=cfg["mu"],
-        learning_rate=cfg["learning_rate"], m_init=cfg["m_init"],
-        domain_low=tuple(cfg["domain_low"]),
-        domain_high=tuple(cfg["domain_high"]),
-        margin=cfg["margin"],
-        clamp_low=None if cfg["clamp_low"] is None else tuple(cfg["clamp_low"]),
-        max_resolution=cfg["max_resolution"], max_iters=cfg["max_iters"])
+    # each field of GrowthConfig is named like the setting it takes
+    return GrowthConfig(**{f.name: cfg[f.name] for f in fields(GrowthConfig)})
 
 
 def _prepare_out(args, cfg) -> str:
@@ -386,12 +358,10 @@ def _estimate(cfg, out: str, stop_early: bool = True):
     grid = build_center_grid(_START_M, cfg["domain_low"],
                              cfg["domain_high"], cfg["margin"],
                              cfg["clamp_low"])
-    res = estimate_initial_resolution(_mother(cfg, ds.dim), ds.inputs,
-                                      ds.targets, grid, kappa=cfg["kappa"],
-                                      lr=cfg["learning_rate"],
-                                      epsilon=cfg["epsilon"],
-                                      m_cap=cfg["m_cap"],
-                                      stop_early=stop_early)
+    res = estimate_initial_resolution(
+        _mother(cfg, ds.dim), ds.inputs, ds.targets, grid, kappa=cfg["kappa"],
+        lr=cfg["learning_rate"], epsilon=cfg["epsilon"], m_cap=cfg["m_cap"],
+        stop_early=stop_early)
     res.trace.to_csv(os.path.join(out, "energy_trace.csv"))
     return res
 
@@ -415,8 +385,6 @@ def cmd_fit(cfg, out: str) -> int:
     ds, extra = _build_data(cfg)
     mother = _mother(cfg, ds.dim)
     gcfg = _growth_config(cfg)
-    # a csv run trains on min-max scaled data; saved models keep the record
-    scaling = ds.meta.get("scaling")
     log = TrainLog()
     res = run_growth(mother, ds.inputs, ds.targets, gcfg, log)
     summary = {"command": "fit"}
@@ -429,7 +397,8 @@ def cmd_fit(cfg, out: str) -> int:
         log.add_event(log.last_iteration, "ingest", res.final_resolution,
                       len(ds2))
         res = run_growth(mother, X, y, gcfg, log, pool=res.pool)
-    res.model.scaling = scaling
+    # a csv run trains on min-max scaled data; saved models keep the record
+    res.model.scaling = ds.scaling
     summary["cwnn"] = _fit_summary(res)
     if "test" in extra:
         test = extra["test"]
@@ -437,7 +406,7 @@ def cmd_fit(cfg, out: str) -> int:
         summary["test_mse"] = float(np.mean(resid * resid))
     if cfg["baseline"] == "wnn":
         bres = run_baseline_wnn(mother, ds.inputs, ds.targets, gcfg)
-        bres.model.scaling = scaling
+        bres.model.scaling = ds.scaling
         summary["baseline"] = _fit_summary(bres)
         summary["param_ratio"] = res.n_params / bres.n_params
         _write_run(out, bres, prefix="baseline_")
@@ -445,7 +414,7 @@ def cmd_fit(cfg, out: str) -> int:
     _write_summary(out, summary)
     print(f"status={res.status.name.lower()} loss={res.final_loss:.6g} "
           f"n_params={res.n_params} iterations={log.last_iteration}")
-    return EXIT_OK if res.status is TrainStatus.ACHIEVED else EXIT_BUDGET
+    return EXIT_OK if res.status is TrainStatus.ACHIEVED else EXIT_MISSED
 
 
 def cmd_online(cfg, out: str) -> int:
@@ -469,7 +438,7 @@ def cmd_online(cfg, out: str) -> int:
     print(f"windows={len(res.window_losses)} n_params={res.n_params} "
           f"final_rolling_loss={final_roll:.6g} "
           f"growth_events={len(res.growth_iterations)}")
-    return EXIT_OK if reconverged else EXIT_BUDGET
+    return EXIT_OK if reconverged else EXIT_MISSED
 
 
 # The decay diagnostic's box, and its in-box target: three detail
@@ -486,6 +455,7 @@ def cmd_diag(cfg, out: str) -> int:
     report = decay_report(target, mother, box, scan_indices(box, m_pad=2))
     report.to_csv(os.path.join(out, "decay_report.csv"))
     tol = 1e-3 if cfg["family"] == "sinc" else 1e-2
+    decays = report.ratio < tol
 
     est = _estimate(cfg, out, stop_early=False)
     peaks = count_peaks([row[1] for row in est.trace.rows], tol=0.02)
@@ -501,7 +471,7 @@ def cmd_diag(cfg, out: str) -> int:
             "max_outside": report.max_outside,
             "ratio": report.ratio,
             "tolerance": tol,
-            "pass": report.ratio < tol,
+            "pass": decays,
         },
         "unimodality": {
             "m_init": est.m_init,
@@ -511,10 +481,10 @@ def cmd_diag(cfg, out: str) -> int:
         },
     })
     print(f"decay ratio={report.ratio:.3g} (tolerance {tol:g}): "
-          f"{'pass' if report.ratio < tol else 'FAIL'}")
+          f"{'pass' if decays else 'FAIL'}")
     print(f"energy trace peaks={peaks}: "
           f"{'unimodal' if peaks == 1 else 'NOT unimodal'}")
-    return EXIT_OK
+    return EXIT_OK if decays and peaks == 1 else EXIT_MISSED
 
 
 def _sweep_one(cfg, mu, subdir):
@@ -548,7 +518,7 @@ def cmd_sweep(cfg, out: str) -> int:
         print(f"mu=1/{r['denominator']}: n_params={r['n_params']} "
               f"status={r['status']} iterations={r['iterations']}")
     ok = all(r["status"] == "achieved" for r in results)
-    return EXIT_OK if ok else EXIT_BUDGET
+    return EXIT_OK if ok else EXIT_MISSED
 
 
 _COMMANDS = {"estimate-freq": cmd_estimate_freq, "fit": cmd_fit,

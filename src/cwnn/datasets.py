@@ -3,16 +3,15 @@
 Generators cover a two-input static benchmark with graded heteroscedastic
 noise, a two-region variant of the same surface, and a second-order
 chaotic autoregression whose governing map can switch mid-stream.  All
-randomness flows through a seeded numpy Generator and every dataset
-carries a metadata dict of where it came from (and, once min-max scaled,
-its scaling record).
+randomness flows through a seeded numpy Generator, and a min-max scaled
+dataset carries the scaling record that inverts it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,7 @@ class DataError(ValueError):
 class Dataset:
     inputs: np.ndarray   # (n, dim)
     targets: np.ndarray  # (n,)
-    meta: dict = field(default_factory=dict)
+    scaling: dict | None = None  # the min-max record, once scaled
 
     def __post_init__(self):
         self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -64,9 +63,7 @@ def gen_example1(variant: str, n: int, seed: int) -> Dataset:
     scale = _NOISE_SCALE[variant]
     if scale > 0.0:
         y = y + rng.normal(0.0, 1.0, size=n) * scale * (1.0 - x1 * x1)
-    meta = {"source": "example1", "variant": variant, "n": n, "seed": seed,
-            "noise_scale": scale, "rng": "numpy PCG64"}
-    return Dataset(np.column_stack([x1, x2]), y, meta)
+    return Dataset(np.column_stack([x1, x2]), y)
 
 
 def gen_example2_regions(n_per_region: int, seed: int):
@@ -74,13 +71,11 @@ def gen_example2_regions(n_per_region: int, seed: int):
     x1 in [0, 0.6] and x1 in [0.6, 1] (noiseless).  Returns (DS1, DS2)."""
     rng = np.random.default_rng(seed)
     out = []
-    for name, lo, hi in (("DS1", 0.0, 0.6), ("DS2", 0.6, 1.0)):
+    for lo, hi in ((0.0, 0.6), (0.6, 1.0)):
         x1 = rng.uniform(lo, hi, size=n_per_region)
         x2 = np.sqrt(x1)
         y = _surface(x1, x2)
-        meta = {"source": "example2", "region": name, "x1_range": [lo, hi],
-                "n": n_per_region, "seed": seed, "rng": "numpy PCG64"}
-        out.append(Dataset(np.column_stack([x1, x2]), y, meta))
+        out.append(Dataset(np.column_stack([x1, x2]), y))
     return tuple(out)
 
 
@@ -116,9 +111,7 @@ def gen_autoregression(length: int, seed: int, switch_at: int | None = None,
         y[t] = val
         rows_x.append((y[t - 1], y[t - 2]))
         rows_y.append(val)
-    meta = {"source": "autoregression", "length": length, "seed": seed,
-            "switch_at": switch_at, "noise_sd": noise_sd, "rng": "numpy PCG64"}
-    return Dataset(np.array(rows_x), np.array(rows_y), meta)
+    return Dataset(np.array(rows_x), np.array(rows_y))
 
 
 def load_csv(path, target_column: str, feature_columns=None) -> Dataset:
@@ -164,15 +157,13 @@ def load_csv(path, target_column: str, feature_columns=None) -> Dataset:
             ys.append(vals[target_column])
     if not xs:
         raise DataError(f"{path}: no data rows")
-    meta = {"source": str(path), "target_column": target_column,
-            "feature_columns": list(feature_columns)}
-    return Dataset(np.array(xs), np.array(ys), meta)
+    return Dataset(np.array(xs), np.array(ys))
 
 
 def minmax_scale(ds: Dataset, feature_range=(0.0, 1.0)) -> Dataset:
     """Scale each input column (and the target) to ``feature_range``.
 
-    The per-column minima and maxima are recorded in ``meta['scaling']``
+    The per-column minima and maxima are recorded in ``scaling``
     so the transform can be inverted.  A constant column cannot be scaled
     and raises with the column named.
     """
@@ -187,30 +178,26 @@ def minmax_scale(ds: Dataset, feature_range=(0.0, 1.0)) -> Dataset:
         raise DataError("target column is constant; cannot min-max scale")
     X = lo + (ds.inputs - cols_min) / (cols_max - cols_min) * (hi - lo)
     y = lo + (ds.targets - t_min) / (t_max - t_min) * (hi - lo)
-    meta = dict(ds.meta)
-    meta["scaling"] = {
+    return Dataset(X, y, {
         "feature_range": [lo, hi],
         "input_min": cols_min.tolist(),
         "input_max": cols_max.tolist(),
         "target_min": t_min,
         "target_max": t_max,
-    }
-    return Dataset(X, y, meta)
+    })
 
 
 def minmax_unscale(ds: Dataset) -> Dataset:
     """Invert :func:`minmax_scale` using the recorded column extrema."""
-    try:
-        rec = ds.meta["scaling"]
-    except KeyError:
-        raise DataError("dataset has no scaling record to invert") from None
+    rec = ds.scaling
+    if rec is None:
+        raise DataError("dataset has no scaling record to invert")
     lo, hi = rec["feature_range"]
     in_min = np.asarray(rec["input_min"])
     in_max = np.asarray(rec["input_max"])
     X = in_min + (ds.inputs - lo) / (hi - lo) * (in_max - in_min)
     y = rec["target_min"] + (ds.targets - lo) / (hi - lo) * (rec["target_max"] - rec["target_min"])
-    meta = {k: v for k, v in ds.meta.items() if k != "scaling"}
-    return Dataset(X, y, meta)
+    return Dataset(X, y)
 
 
 def split(ds: Dataset, train_fraction: float, seed: int):
@@ -222,7 +209,5 @@ def split(ds: Dataset, train_fraction: float, seed: int):
     perm = rng.permutation(len(ds))
     n_train = int(round(train_fraction * len(ds)))
     tr, te = perm[:n_train], perm[n_train:]
-    meta_tr = dict(ds.meta, split="train", split_seed=seed)
-    meta_te = dict(ds.meta, split="test", split_seed=seed)
-    return (Dataset(ds.inputs[tr], ds.targets[tr], meta_tr),
-            Dataset(ds.inputs[te], ds.targets[te], meta_te))
+    return (Dataset(ds.inputs[tr], ds.targets[tr], ds.scaling),
+            Dataset(ds.inputs[te], ds.targets[te], ds.scaling))

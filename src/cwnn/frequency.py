@@ -123,8 +123,12 @@ def estimate_initial_resolution(mother: MotherWavelet, X, y,
 
     With ``stop_early=False`` the chain records the full trace up to
     ``m_cap`` (band diagnostics) while still reporting where the stop rule
-    first fired.
+    first fired.  ``m_cap`` below the start resolution is an error: the
+    probe never visits a level under its start.
     """
+    if m_cap < start_grid.m:
+        raise ValueError(f"m_cap must be at least the start resolution "
+                         f"{start_grid.m}, got {m_cap}")
     alpha = alpha_from_epsilon(epsilon)
     trace = EnergyTrace(alpha=alpha)
     probes = subsample_centers(start_grid, kappa)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -41,7 +42,7 @@ def test_estimate_freq_preset_prints_m_init(out_root, capsys):
 
 def test_zero_target_degenerate_warning(out_root, capsys, monkeypatch):
     rng = np.random.default_rng(3)
-    ds = Dataset(rng.uniform(0, 1, size=(100, 2)), np.zeros(100), {})
+    ds = Dataset(rng.uniform(0, 1, size=(100, 2)), np.zeros(100))
     monkeypatch.setattr(cli, "gen_example1", lambda variant, n, seed: ds)
     rc = cli.main(["estimate-freq", "--preset", "example1-d1",
                    "--out", str(out_root / "z")])
@@ -122,12 +123,23 @@ def test_config_values_of_the_right_kind_resolve(tmp_path):
     assert resolved["zeta"] == 0.001 * resolved["epsilon"]
 
 
-def test_every_setting_has_one_flag():
-    # the union of the subcommands' flags is the settings: a deleted
-    # setting leaves no flag behind; and each flag parses to a named kind
-    flags = cli._setting_flags(cli.build_parser())
-    assert set(flags) == set(cli.DEFAULTS)
-    assert {cli._kind(f) for f in flags.values()} == set(cli._KIND_NAMES)
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_each_command_takes_its_settings_in_table_order(command, capsys):
+    # a command's setting flags are the table's settings that every
+    # command takes or that it alone takes, in table order
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    flags = dict.fromkeys(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+    got = [f.replace("-", "_") for f in flags
+           if f not in ("help", "preset", "config", "out")]
+    assert got == [key for key, s in cli.SETTINGS.items()
+                   if s.command in (None, command)]
+
+
+def test_settings_name_only_real_commands():
+    # a setting tied to a misspelt command would get no flag anywhere
+    assert {s.command for s in cli.SETTINGS.values()} - {None} <= set(
+        cli._COMMANDS)
 
 
 def test_invalid_json_and_missing_file_exit_2(out_root, tmp_path):
@@ -193,7 +205,7 @@ def test_csv_model_predicts_in_original_units(out_root, tmp_path, capsys):
     hi = np.array(model.scaling["input_max"])
     scaled_inputs = (raw_test.inputs - lo) / (hi - lo)
     back = minmax_unscale(Dataset(scaled_inputs, model.predict(scaled_inputs),
-                                  {"scaling": model.scaling}))
+                                  model.scaling))
     np.testing.assert_allclose(back.inputs, raw_test.inputs, rtol=1e-12)
     mse = float(np.mean((back.targets - raw_test.targets) ** 2))
     s = read_json(run / "summary.json")
@@ -215,6 +227,8 @@ _REPLAYED = {
     "online": (["online", "--preset", "example3", "--length", "300",
                 "--patience", "5", "--epsilon", "0.05"],
                ("train_log.csv", "growth_events.csv", "model.json")),
+    "diag": (["diag", "--preset", "example1-d1"],
+             ("decay_report.csv", "energy_trace.csv")),
 }
 
 
@@ -349,10 +363,16 @@ def test_sweep_explicit_zeta_pins_value(out_root, capsys):
     assert read_json(run / "mu-2" / "config.json")["zeta"] == 1e-6
 
 
-def test_config_precedence_flags_beat_file(out_root, tmp_path, capsys):
+def test_config_precedence_flags_beat_file(out_root, tmp_path, capsys,
+                                           monkeypatch):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"epsilon": 0.05, "seed": 3}))
     run = out_root / "prec"
+    # a config file is checked against the settings table, not a parser
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
     rc = cli.main(["estimate-freq", "--preset", "example1-d1",
                    "--config", str(cfg), "--seed", "11",
                    "--out", str(run)])
@@ -361,6 +381,7 @@ def test_config_precedence_flags_beat_file(out_root, tmp_path, capsys):
     assert resolved["seed"] == 11        # flag wins over file
     assert resolved["epsilon"] == 0.05   # file wins over preset
     assert resolved["variant"] == "D1"   # preset fills the rest
+    assert len(built) == 1
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
@@ -446,3 +467,51 @@ def test_zero_in_mu_exits_2(out_root, capsys, argv):
                               "--out", str(out_root / "mz")]) == 2
     err = capsys.readouterr().err
     assert "mu" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family, code", [("sinc", 0), ("mexican-hat", 4)])
+def test_diag_exits_4_when_a_check_fails(out_root, capsys, family, code):
+    # the Mexican hat's out-of-box ratio (0.19 at seed 7) is over its
+    # 1e-2 tolerance; the run still writes its summary
+    run = out_root / family
+    assert cli.main(["diag", "--preset", "example1-d1", "--family", family,
+                     "--out", str(run)]) == code
+    summary = read_json(run / "summary.json")
+    passed = summary["decay"]["pass"] and summary["unimodality"]["unimodal"]
+    assert passed == (code == 0)
+    assert ("FAIL" in capsys.readouterr().out) == (family == "mexican-hat")
+
+
+def test_m_cap_below_the_start_resolution_exits_2(out_root, capsys):
+    # the probe starts at m = 1 and never visits level 0
+    rc = cli.main(["estimate-freq", "--preset", "example1-d1", "--m-cap", "0",
+                   "--out", str(out_root / "cap")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "m_cap must be at least the start resolution 1, got 0" in \
+        captured.err
+    assert "m_init" not in captured.out
+
+
+@pytest.mark.parametrize("text, want", [("none", None), ("None", None),
+                                        ("a, b", ["a", "b"])])
+def test_feature_columns_flag_reads_none(text, want):
+    # null is a value of feature_columns (every column but the target), so
+    # its flag reads none as a config file's null does
+    assert _resolve(["fit", "--preset", "csv", "--feature-columns", text])[
+        "feature_columns"] == want
+
+
+def test_feature_columns_none_fits_every_column(out_root, tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, size=(60, 2))
+    table.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{a + b!r}\n"
+                                         for a, b in X.tolist()))
+    run = out_root / "fc"
+    rc = cli.main(["fit", "--preset", "csv", "--csv-path", str(table),
+                   "--target-column", "y", "--feature-columns", "none",
+                   "--max-iters", "5", "--out", str(run)])
+    assert rc in (0, 4)
+    assert read_json(run / "config.json")["feature_columns"] is None
+    assert WaveletModel.load(run / "model.json").mother.dim == 2

@@ -153,12 +153,11 @@ def test_load_csv_rejects_non_finite(tmp_path, bad):
 
 
 def test_minmax_scale_endpoints_and_errors(tmp_path):
-    ds = Dataset(np.array([[0.0], [5.0], [10.0]]), np.array([1.0, 2.0, 3.0]),
-                 {})
+    ds = Dataset(np.array([[0.0], [5.0], [10.0]]), np.array([1.0, 2.0, 3.0]))
     sc = minmax_scale(ds)
     assert np.allclose(sc.inputs[:, 0], [0.0, 0.5, 1.0])
     assert np.allclose(sc.targets, [0.0, 0.5, 1.0])
-    const = Dataset(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]), {})
+    const = Dataset(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
     with pytest.raises(DataError):
         minmax_scale(const)
 
@@ -171,7 +170,7 @@ def test_scale_round_trip_property(rows):
     spread = arr.max(axis=0) - arr.min(axis=0)
     if np.any(spread < 1e-9):
         return  # constant columns are a rejected input, tested separately
-    ds = Dataset(arr[:, :2].copy(), arr[:, 2].copy(), {})
+    ds = Dataset(arr[:, :2].copy(), arr[:, 2].copy())
     back = minmax_unscale(minmax_scale(ds))
     assert np.allclose(back.inputs, ds.inputs, atol=1e-9 * max(1, spread.max()))
     assert np.allclose(back.targets, ds.targets,
@@ -180,11 +179,27 @@ def test_scale_round_trip_property(rows):
     assert sc.inputs.min() >= -1e-12 and sc.inputs.max() <= 1 + 1e-12
 
 
+def test_scaling_record_rides_through_split():
+    # the record that inverts the scaling follows both halves of a split;
+    # an unscaled dataset has none to invert
+    raw = Dataset(np.arange(10.0).reshape(-1, 1), np.arange(10.0) ** 2)
+    assert raw.scaling is None
+    with pytest.raises(DataError, match="no scaling record"):
+        minmax_unscale(raw)
+    scaled = minmax_scale(raw)
+    assert scaled.scaling["target_max"] == 81.0
+    train, test = split(scaled, 0.8, seed=0)
+    assert train.scaling == test.scaling == scaled.scaling
+    back = minmax_unscale(test)
+    assert back.scaling is None
+    np.testing.assert_allclose(back.targets, back.inputs[:, 0] ** 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 200), st.floats(0.05, 0.95), st.integers(0, 2 ** 31))
 def test_split_partition_property(n, fraction, seed):
     ds = Dataset(np.arange(n, dtype=float).reshape(-1, 1),
-                 np.arange(n, dtype=float), {})
+                 np.arange(n, dtype=float))
     train, test = split(ds, fraction, seed)
     assert len(train) + len(test) == n
     merged = np.concatenate([train.targets, test.targets])
@@ -194,6 +209,6 @@ def test_split_partition_property(n, fraction, seed):
 
 
 def test_split_exact_example():
-    ds = Dataset(np.zeros((10, 1)), np.arange(10.0), {})
+    ds = Dataset(np.zeros((10, 1)), np.arange(10.0))
     train, test = split(ds, 0.8, seed=0)
     assert len(train) == 8 and len(test) == 2

@@ -176,6 +176,20 @@ def test_estimator_cap_warning():
     assert res.warning is not None and "no energy peak" in res.warning
 
 
+def test_estimator_cap_below_the_start_is_an_error():
+    # the probe never visits a level under its start, so it cannot report
+    # one; a cap at the start probes that one level and stops there
+    mh, X, y = _band_dataset(m_peak=2)
+    grid = build_center_grid(1, [0.0], [1.0], margin=1.0, clamp_low=[0.0])
+    with pytest.raises(ValueError, match="m_cap must be at least the start "
+                                         "resolution 1, got 0"):
+        estimate_initial_resolution(mh, X, y, grid, kappa=1.0, lr=5e-4,
+                                    epsilon=0.01, m_cap=0)
+    res = estimate_initial_resolution(mh, X, y, grid, kappa=1.0, lr=5e-4,
+                                      epsilon=0.01, m_cap=1)
+    assert res.m_init == 1 and [row[0] for row in res.trace.rows] == [1]
+
+
 def test_trace_csv_format(tmp_path):
     mh, X, y = _band_dataset()
     grid = build_center_grid(1, [0.0], [1.0], margin=1.0, clamp_low=[0.0])
