@@ -7,9 +7,9 @@ via ``--config``), the CSV logs of whatever it ran, and a deterministic
 ``summary.json`` (no wall-clock values, sorted keys), so re-running the
 same configuration reproduces the summary byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 the run missed its target (the loss target within budget, or a
-``diag`` check's tolerance).
+Exit codes: 0 success, 2 configuration or data error (no run directory
+is made), 3 numeric failure, 4 the run missed its target (the loss
+target within budget, or a ``diag`` check's tolerance).
 """
 
 from __future__ import annotations
@@ -254,12 +254,26 @@ def resolve_config(args) -> dict:
         if cfg[key] <= 0:
             raise ConfigError(f"field {key!r} must be a positive number, "
                               f"got {cfg[key]!r}")
+    if cfg["kappa"] > 1:
+        raise ConfigError(f"field 'kappa' must be in (0, 1], "
+                          f"got {cfg['kappa']!r}")
+    for key in ("window", "patience"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    # the probe never visits a level under its start
+    if cfg["m_cap"] < _START_M:
+        raise ConfigError(f"m_cap must be at least the start resolution "
+                          f"{_START_M}, got {cfg['m_cap']}")
     # each sweep run writes mu-<round(1/mu)>/, so no two may share one
     mus = cfg["mu_list"]
     if not (mus and all(v > 0 for v in mus)
             and len({round(1.0 / v) for v in mus}) == len(mus)):
         raise ConfigError(f"field 'mu_list' must hold one or more positive "
                           f"numbers with distinct round(1/mu), got {mus!r}")
+    # the growth config of every mu a run may grow with, so a mu that is
+    # no reciprocal stops a sweep before its first fit
+    for mu in mus if args.command == "sweep" else [cfg["mu"]]:
+        _growth_config(dict(cfg, mu=mu))
     cfg["preset"] = args.preset
     cfg["command"] = args.command
     return cfg
@@ -290,6 +304,10 @@ def _build_data(cfg):
         cfg["domain_low"] = [0.0] * ds.dim
         cfg["domain_high"] = [1.0] * ds.dim
         cfg["clamp_low"] = None
+    for key in ("domain_low", "domain_high", "clamp_low"):
+        if cfg[key] is not None and len(cfg[key]) != ds.dim:
+            raise ConfigError(f"field {key!r} must have one bound per input "
+                              f"column ({ds.dim}), got {cfg[key]!r}")
     return ds, extra
 
 
@@ -304,10 +322,10 @@ def _growth_config(cfg) -> GrowthConfig:
     return GrowthConfig(**{f.name: cfg[f.name] for f in fields(GrowthConfig)})
 
 
-def _prepare_out(args, cfg) -> str:
-    if args.out:
-        out = args.out
-    else:
+def _prepare_out(out, cfg) -> str:
+    """Make the run directory ``out`` (if none, a fresh name under
+    $CWNN_OUT_ROOT or ./runs) and write ``cfg`` to its config.json."""
+    if not out:
         root = os.environ.get("CWNN_OUT_ROOT", "runs")
         base = f"{cfg['command']}-{cfg['preset'] or 'custom'}-seed{cfg['seed']}"
         out = os.path.join(root, base)
@@ -351,10 +369,10 @@ def _fit_summary(res) -> dict:
     }
 
 
-def _estimate(cfg, out: str, stop_early: bool = True):
+def _estimate(cfg, data, out: str, stop_early: bool = True):
     """Run the start-resolution estimator on the configured data from the
     configured start grid and write its ``energy_trace.csv``."""
-    ds, _ = _build_data(cfg)
+    ds, _ = data
     grid = build_center_grid(_START_M, cfg["domain_low"],
                              cfg["domain_high"], cfg["margin"],
                              cfg["clamp_low"])
@@ -366,8 +384,8 @@ def _estimate(cfg, out: str, stop_early: bool = True):
     return res
 
 
-def cmd_estimate_freq(cfg, out: str) -> int:
-    res = _estimate(cfg, out)
+def cmd_estimate_freq(cfg, data, out: str) -> int:
+    res = _estimate(cfg, data, out)
     _write_summary(out, {
         "command": "estimate-freq",
         "m_init": res.m_init,
@@ -381,19 +399,22 @@ def cmd_estimate_freq(cfg, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_fit(cfg, out: str) -> int:
-    ds, extra = _build_data(cfg)
+def _fit(cfg, data, out: str):
+    """The one fit path: grow, ingest a second batch, run the optional
+    baseline on the same rows, write the run; returns the model's run."""
+    ds, extra = data
+    X, y = ds.inputs, ds.targets
     mother = _mother(cfg, ds.dim)
     gcfg = _growth_config(cfg)
     log = TrainLog()
-    res = run_growth(mother, ds.inputs, ds.targets, gcfg, log)
+    res = run_growth(mother, X, y, gcfg, log)
     summary = {"command": "fit"}
     if "second" in extra:
         # second dataset arrives: continue growing on the union
         ds2 = extra["second"]
         summary["phase1_iterations"] = log.last_iteration
-        X = np.vstack([ds.inputs, ds2.inputs])
-        y = np.concatenate([ds.targets, ds2.targets])
+        X = np.vstack([X, ds2.inputs])
+        y = np.concatenate([y, ds2.targets])
         log.add_event(log.last_iteration, "ingest", res.final_resolution,
                       len(ds2))
         res = run_growth(mother, X, y, gcfg, log, pool=res.pool)
@@ -405,20 +426,25 @@ def cmd_fit(cfg, out: str) -> int:
         resid = test.targets - res.model.predict(test.inputs)
         summary["test_mse"] = float(np.mean(resid * resid))
     if cfg["baseline"] == "wnn":
-        bres = run_baseline_wnn(mother, ds.inputs, ds.targets, gcfg)
+        bres = run_baseline_wnn(mother, X, y, gcfg)
         bres.model.scaling = ds.scaling
         summary["baseline"] = _fit_summary(bres)
         summary["param_ratio"] = res.n_params / bres.n_params
         _write_run(out, bres, prefix="baseline_")
     _write_run(out, res)
     _write_summary(out, summary)
+    return res
+
+
+def cmd_fit(cfg, data, out: str) -> int:
+    res = _fit(cfg, data, out)
     print(f"status={res.status.name.lower()} loss={res.final_loss:.6g} "
-          f"n_params={res.n_params} iterations={log.last_iteration}")
+          f"n_params={res.n_params} iterations={res.log.last_iteration}")
     return EXIT_OK if res.status is TrainStatus.ACHIEVED else EXIT_MISSED
 
 
-def cmd_online(cfg, out: str) -> int:
-    ds, _ = _build_data(cfg)
+def cmd_online(cfg, data, out: str) -> int:
+    ds, _ = data
     res = run_online(_mother(cfg, ds.dim), ds.inputs, ds.targets,
                      _growth_config(cfg), window=cfg["window"],
                      patience=cfg["patience"])
@@ -447,7 +473,7 @@ _DIAG_BOX = TimeFrequencyBox(T=(1.0,), t_eps=(1,), m0=4, m1=0)
 _DIAG_PARTS = ((1.0, (-1,)), (-0.7, (0,)), (0.4, (3,)))
 
 
-def cmd_diag(cfg, out: str) -> int:
+def cmd_diag(cfg, data, out: str) -> int:
     box = _DIAG_BOX
     mother = _mother(cfg, 1)
     m_target = (box.m1 + box.m0) // 2
@@ -457,7 +483,7 @@ def cmd_diag(cfg, out: str) -> int:
     tol = 1e-3 if cfg["family"] == "sinc" else 1e-2
     decays = report.ratio < tol
 
-    est = _estimate(cfg, out, stop_early=False)
+    est = _estimate(cfg, data, out, stop_early=False)
     peaks = count_peaks([row[1] for row in est.trace.rows], tol=0.02)
 
     _write_summary(out, {
@@ -487,26 +513,17 @@ def cmd_diag(cfg, out: str) -> int:
     return EXIT_OK if decays and peaks == 1 else EXIT_MISSED
 
 
-def _sweep_one(cfg, mu, subdir):
-    sub = dict(cfg, mu=mu)
-    os.makedirs(subdir, exist_ok=True)
-    _write_json(os.path.join(subdir, "config.json"), sub)
-    ds, _ = _build_data(sub)
-    res = run_growth(_mother(sub, ds.dim), ds.inputs, ds.targets,
-                     _growth_config(sub), TrainLog())
-    _write_run(subdir, res)
-    _write_summary(subdir, {"command": "fit", "cwnn": _fit_summary(res)})
-    return {"mu": mu, "denominator": int(round(1.0 / mu)),
-            "status": res.status.name.lower(), "n_params": res.n_params,
-            "final_loss": res.final_loss, "iterations": res.log.last_iteration}
-
-
-def cmd_sweep(cfg, out: str) -> int:
-    """One fit per mu, one after another: a training step holds the
-    interpreter lock for most of its time, so threads would not overlap."""
-    results = [_sweep_one(cfg, mu,
-                          os.path.join(out, f"mu-{int(round(1.0 / mu))}"))
-               for mu in cfg["mu_list"]]
+def cmd_sweep(cfg, data, out: str) -> int:
+    """``fit`` once per mu into mu-<round(1/mu)>/, one after another (a
+    step holds the interpreter lock, so threads would not overlap)."""
+    results = []
+    for mu in cfg["mu_list"]:
+        sub, k = dict(cfg, mu=mu), int(round(1.0 / mu))
+        res = _fit(sub, data, _prepare_out(os.path.join(out, f"mu-{k}"), sub))
+        results.append({"mu": mu, "denominator": k, "n_params": res.n_params,
+                        "status": res.status.name.lower(),
+                        "final_loss": res.final_loss,
+                        "iterations": res.log.last_iteration})
     _write_summary(out, {
         "command": "sweep",
         "epsilon": cfg["epsilon"],
@@ -529,7 +546,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg, _prepare_out(args, cfg))
+        data = _build_data(cfg)  # before the run directory exists
+        return _COMMANDS[args.command](cfg, data, _prepare_out(args.out, cfg))
     except ValueError as exc:
         # ConfigError, DataError and GridError are ValueErrors too
         print(f"cwnn: configuration error: {exc}", file=sys.stderr)

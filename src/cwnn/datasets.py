@@ -119,9 +119,14 @@ def load_csv(path, target_column: str, feature_columns=None) -> Dataset:
 
     ``feature_columns`` defaults to every column except the target.
     Parse failures and values that are not finite (``nan``, ``inf``)
-    name the offending row and column.
+    name the offending row and column; a file that cannot be opened is
+    a ``DataError`` too.
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wavelets import (CenterGrid, MotherWavelet, basis_matrix,
-                       children_centers, lattice_bases)
+from .model import Design, WaveletModel
+from .wavelets import (CenterGrid, MotherWavelet, children_centers,
+                       lattice_bases)
 
 
 def alpha_from_epsilon(epsilon: float) -> float:
@@ -44,17 +45,17 @@ def ema_update(prev_bar: float, current_hat: float, alpha: float, m: int) -> flo
 def estimate_subspace_energy(mother: MotherWavelet, bases, X, y, lr: float):
     """Energy held by a set of elements after one gradient step from zero.
 
-    The step is ``Design.step``'s from zero, ``c = (2 lr / N) psi^T y``;
-    returns ``(sum_j c_j**2 * ||psi||**2, c)``.
+    The step is a zero model's ``Design.step`` (divergence checked),
+    ``c = (2 lr / N) psi^T y``; returns ``(sum_j c_j**2 * ||psi||**2, c)``.
     """
     if not bases:
         return 0.0, np.zeros(0)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    psi = basis_matrix(mother, bases, X)
-    coeffs = lr * 2.0 / y.size * (psi.T @ y)
-    energy = float(np.sum(coeffs * coeffs) * mother.norm_sq)
-    return energy, coeffs
+    model = WaveletModel.zeros(mother, bases)
+    design = Design(X, y)
+    design.sync(model)
+    design.step(model, lr, design.objective(model.coeffs)[0], 1)
+    energy = float(np.sum(model.coeffs * model.coeffs) * mother.norm_sq)
+    return energy, model.coeffs
 
 
 def subsample_centers(grid: CenterGrid, kappa: float):

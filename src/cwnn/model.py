@@ -202,7 +202,7 @@ class Design:
             self.b = np.concatenate([self.b, new.T @ self.y])
         else:
             self.gram = self.b = None
-        self.psi = np.hstack([self.psi, new])
+        self.psi = np.hstack([self.psi, new]) if p_old else new
         self.bases.extend(new_bases)
 
     def objective(self, c):
@@ -221,14 +221,14 @@ class Design:
         exceeds ``DIVERGENCE_LIMIT`` in magnitude; otherwise
         :class:`TrainingDivergence` names ``iteration``."""
         c = model.coeffs + lr * 2.0 / self.y.size * direction
-        direction, new = self.objective(c)
-        # a NaN coefficient fails the comparison too
-        if not (np.isfinite(new)
-                and np.max(np.abs(c), initial=0.0) <= DIVERGENCE_LIMIT):
-            raise TrainingDivergence(
-                f"training diverged at iteration {iteration}")
-        model.coeffs = c
-        return direction, new
+        # a NaN coefficient fails the comparison too; a runaway step
+        # raises before its loss is taken, where it would overflow
+        if np.max(np.abs(c), initial=0.0) <= DIVERGENCE_LIMIT:
+            direction, new = self.objective(c)
+            if np.isfinite(new):
+                model.coeffs = c
+                return direction, new
+        raise TrainingDivergence(f"training diverged at iteration {iteration}")
 
 
 def train_to_plateau(model: WaveletModel, design: Design, lr: float,

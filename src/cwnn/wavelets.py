@@ -201,9 +201,8 @@ def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
     the result drops the last axis (a single point gives a scalar).
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != mother.dim or len(index.n) != mother.dim:
-        raise ValueError(f"dimension mismatch: points have {x.shape[-1]} "
-                         f"components, index {len(index.n)}, "
+    if x.shape[-1] != mother.dim:
+        raise ValueError(f"points have {x.shape[-1]} components, "
                          f"mother expects {mother.dim}")
     col = basis_matrix(mother, [index], x.reshape(-1, mother.dim))[:, 0]
     return col.reshape(x.shape[:-1])[()]
@@ -258,53 +257,50 @@ def _sinc_companions(scaled, centers):
 def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
     """Evaluate every basis in ``bases`` at every row of ``X``.
 
-    Returns the (n_samples, n_bases) design matrix.  Bases are grouped by
-    (kind, resolution) so each group shares one scaled copy of ``X``, and
-    each group is cut into the fewest blocks of at most ``_BLOCK_ELEMS``
+    Returns the (n_samples, n_bases) design matrix.  Each run of
+    consecutive bases of one kind and resolution shares one scaled copy
+    of ``X`` and is cut into the fewest blocks of at most ``_BLOCK_ELEMS``
     scratch elements, their sizes differing by at most one column.  A
     block of wavelets or Mexican-hat companions is evaluated from one
     (n_samples, block) offset array per input axis; a block of sinc
-    companions is gathered from the group's per-axis factor tables.
+    companions is gathered from the run's per-axis factor tables.
 
     When the call's scratch spans more than one block and the process may
     run on several CPUs, the blocks are mapped over a thread pool of at
     most that many workers (numpy and scipy.special release the GIL);
-    each block writes only its own columns, so the result is the same bit
-    for bit on any number of CPUs.  Each worker holds one block's scratch
-    at a time.  Smaller calls run inline.
+    each block writes only its own column slice, so the result is the
+    same bit for bit on any number of CPUs.  Each worker holds one
+    block's scratch at a time.  Smaller calls run inline.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if d != mother.dim:
         raise ValueError(f"X has dim {d}, mother expects {mother.dim}")
     out = np.empty((n, len(bases)))
-    groups = {}
-    for j, b in enumerate(bases):
-        groups.setdefault((b.kind, b.m), []).append(j)
     block = max(1, _BLOCK_ELEMS // max(1, n * d))
     tasks = []
-    for (kind, m), cols in groups.items():
+    start = 0
+    for (kind, m), run in itertools.groupby(bases, lambda b: (b.kind, b.m)):
+        centers = np.array([b.n for b in run], dtype=float)
+        if centers.shape[1:] != (d,):
+            raise ValueError(f"a translation at resolution {m} has the "
+                             f"wrong length; mother expects {d}")
         scaled = X * 2.0 ** m
         amp = 2.0 ** (0.5 * d * m)
-        centers = np.array([bases[j].n for j in cols], dtype=float)
         if kind is BasisKind.SCALING and mother.family is WaveletFamily.SINC:
             shapes = _sinc_companions(scaled, centers)
         else:
             shapes = _offset_shapes(mother, kind, scaled, centers)
         # ceil(len / block) blocks whose sizes differ by at most one
-        k = -(-len(cols) // block)
-        cuts = [len(cols) * i // k for i in range(k + 1)]
-        tasks += [(shapes, lo, cols[lo:hi], amp)
+        k = -(-len(centers) // block)
+        cuts = [len(centers) * i // k for i in range(k + 1)]
+        tasks += [(shapes, lo, hi, start + lo, amp)
                   for lo, hi in zip(cuts[:-1], cuts[1:])]
+        start += len(centers)
 
     def fill(task):
-        shapes, lo, sel, amp = task
-        vals = shapes(lo, lo + len(sel))
-        # scale and store each run of consecutive columns through a
-        # slice; an index-list column store is several times slower
-        cuts = [0, *(np.flatnonzero(np.diff(sel) != 1) + 1), len(sel)]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            np.multiply(vals[:, a:b], amp, out=out[:, sel[a]:sel[a] + b - a])
+        shapes, lo, hi, col, amp = task
+        np.multiply(shapes(lo, hi), amp, out=out[:, col:col + hi - lo])
 
     workers = 1
     if n * d * len(bases) > _BLOCK_ELEMS:

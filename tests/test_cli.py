@@ -1,6 +1,7 @@
 """Command-line interface: config resolution, artifacts, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -515,3 +516,96 @@ def test_feature_columns_none_fits_every_column(out_root, tmp_path, capsys):
     assert rc in (0, 4)
     assert read_json(run / "config.json")["feature_columns"] is None
     assert WaveletModel.load(run / "model.json").mother.dim == 2
+
+
+def test_sweep_is_fit_once_per_mu_on_example2(out_root, capsys):
+    # each mu run ingests the second region as fit does, and replaying a
+    # run's config through fit writes the same summary byte for byte
+    run = out_root / "sw2"
+    argv = ["--preset", "example2", "--epsilon", "0.02",
+            "--max-resolution", "4", "--max-iters", "400"]
+    rc = cli.main(["sweep", *argv, "--mu-list", "1/2,1/3",
+                   "--out", str(run)])
+    assert rc in (0, 4)
+    for denom in (2, 3):
+        summary = read_json(run / f"mu-{denom}" / "summary.json")
+        ingest = [e for e in summary["cwnn"]["events"] if e[1] == "ingest"]
+        assert len(ingest) == 1 and ingest[0][3] == 250
+        assert ingest[0][0] == summary["phase1_iterations"]
+    fit = out_root / "fit2"
+    cli.main(["fit", "--config", str(run / "mu-3" / "config.json"),
+              "--out", str(fit)])
+    assert (fit / "summary.json").read_bytes() == \
+        (run / "mu-3" / "summary.json").read_bytes()
+
+
+def test_csv_sweep_keeps_the_scaling_record(out_root, tmp_path, capsys):
+    table = tmp_path / "s.csv"
+    rng = np.random.default_rng(8)
+    X = rng.uniform([0.0, 10.0], [1.0, 20.0], size=(80, 2))
+    table.write_text("a,b,y\n" + "".join(
+        f"{a!r},{b!r},{math.sin(3 * a) + 0.1 * b!r}\n" for a, b in X.tolist()))
+    run = out_root / "csw"
+    rc = cli.main(["sweep", "--preset", "csv", "--csv-path", str(table),
+                   "--target-column", "y", "--mu-list", "1/2,1/3",
+                   "--max-iters", "50", "--out", str(run)])
+    assert rc in (0, 4)
+    for denom in (2, 3):
+        sub = run / f"mu-{denom}"
+        model = WaveletModel.load(sub / "model.json")
+        assert model.scaling["input_max"] == X.max(axis=0).tolist()
+        assert read_json(sub / "summary.json")["test_mse"] >= 0.0
+        # the run records the unit-cube domain it ran on
+        assert read_json(sub / "config.json")["domain_high"] == [1.0, 1.0]
+
+
+# bad inputs that stop a run before its run directory exists (exit 2),
+# and a probe step that diverges (exit 3)
+_BAD_INPUTS = {
+    "csv-missing": (["fit", "--preset", "csv", "--csv-path",
+                     "/nonexistent/t.csv", "--target-column", "y"], 2,
+                    "cannot read"),
+    "csv-no-path": (["fit", "--dataset", "csv"], 2, "csv_path"),
+    "m-cap": (["estimate-freq", "--m-cap", "0"], 2, "m_cap"),
+    "mu": (["fit", "--mu", "0.3"], 2, "mu must be the reciprocal"),
+    "window": (["online", "--window", "0"], 2, "window"),
+    "kappa": (["estimate-freq", "--kappa", "2"], 2, "'kappa'"),
+    "mu-list": (["sweep", "--mu-list", "1/2,0.3"], 2,
+                "mu must be the reciprocal"),
+    "domain-3d": (["fit", "--domain-low", "0,0,0", "--domain-high", "1,1,1",
+                   "--clamp-low", "none"], 2, "'domain_low'"),
+    "domain-1d": (["estimate-freq", "--domain-low", "0", "--domain-high", "1",
+                   "--clamp-low", "none"], 2, "'domain_low'"),
+    "clamp-1d": (["fit", "--clamp-low", "0"], 2, "'clamp_low'"),
+    "probe-lr": (["estimate-freq", "--learning-rate", "1e200"], 3,
+                 "diverged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_before_the_run_directory(out_root, capsys, case,
+                                                  monkeypatch):
+    argv, code, message = _BAD_INPUTS[case]
+    # a bad input must stop the command before any fit starts
+    monkeypatch.setattr(cli, "run_growth", None)
+    run = out_root / "bad"
+    assert cli.main(argv + ["--out", str(run)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert run.exists() == (code == 3)
+
+
+def test_example2_baseline_trains_on_the_union(out_root, capsys,
+                                               monkeypatch):
+    rows = []
+    real = cli.run_baseline_wnn
+
+    def spy(mother, X, y, config):
+        rows.append(len(y))
+        return real(mother, X, y, config)
+    monkeypatch.setattr(cli, "run_baseline_wnn", spy)
+    rc = cli.main(["fit", "--preset", "example2", "--baseline", "wnn",
+                   "--epsilon", "0.02", "--max-resolution", "4",
+                   "--max-iters", "200", "--out", str(out_root / "b2")])
+    assert rc in (0, 4)
+    assert rows == [2 * cli._N_PER_REGION]

@@ -8,7 +8,8 @@ import pytest
 from cwnn.frequency import (alpha_from_epsilon, ema_update,
                             estimate_initial_resolution,
                             estimate_subspace_energy, subsample_centers)
-from cwnn.model import Design, WaveletModel, train_to_plateau
+from cwnn.model import (Design, TrainingDivergence, WaveletModel,
+                        train_to_plateau)
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet,
                            build_center_grid, eval_basis)
 
@@ -78,6 +79,16 @@ def test_probe_is_the_training_loops_first_step(rows):
     np.testing.assert_array_equal(coeffs, model.coeffs)
     assert e == pytest.approx(np.sum(coeffs ** 2) * sc.norm_sq, rel=1e-15)
     assert e > 0.0
+
+
+def test_probe_step_checks_divergence():
+    # the probe's step is Design.step, so a step size past any stability
+    # bound stops the probe as it stops a fit
+    sc = MotherWavelet.sinc(2)
+    bases = build_center_grid(1, [0.0, 0.0], [1.0, 1.0], margin=0.0).bases()
+    X = np.random.default_rng(2).uniform(0.0, 1.0, size=(40, 2))
+    with pytest.raises(TrainingDivergence, match="iteration 1"):
+        estimate_subspace_energy(sc, bases, X, X[:, 0], 1e200)
 
 
 def test_energy_empty_bases():

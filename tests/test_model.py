@@ -537,6 +537,25 @@ def test_design_sync_matches_full_build(seed, family, d, n, chunks):
         assert design.yy == float(y @ y)
 
 
+def test_design_takes_its_first_block_without_a_copy(monkeypatch):
+    # the first sync's columns are psi itself, so a wide probe level
+    # holds one N x p matrix, not two
+    blocks = []
+
+    def recording(mother, bases, X_):
+        blocks.append(basis_matrix(mother, bases, X_))
+        return blocks[-1]
+
+    monkeypatch.setattr(cwnn.model, "basis_matrix", recording)
+    model = wm([(0, 0), (1, 1)])
+    design = Design(np.linspace(0.0, 1.0, 3).reshape(-1, 1), np.ones(3))
+    design.sync(model)
+    assert design.psi is blocks[0]
+    model.append_bases([BasisIndex(2, (1,), BasisKind.WAVELET)])
+    design.sync(model)
+    assert design.psi.shape == (3, 3) and design.psi is not blocks[0]
+
+
 def test_design_rejects_bases_it_was_not_built_on():
     model = wm([(0, 0), (1, 1)])
     design = Design(np.zeros((3, 1)), np.ones(3))

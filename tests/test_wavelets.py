@@ -197,6 +197,24 @@ def test_eval_dimension_mismatch():
         eval_basis(mh, w_index(0, 0), [[1.0]])
 
 
+@pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
+@pytest.mark.parametrize("n", [(0,), (0, 1, 2)])
+@pytest.mark.parametrize("kind", list(BasisKind))
+def test_basis_matrix_rejects_a_translation_of_the_wrong_length(family, n,
+                                                                kind):
+    # a short translation would read only the first input columns; a run
+    # that mixes lengths is rejected by numpy as it stacks the centers
+    mother = getattr(MotherWavelet, family)(2)
+    X = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="mother expects 2"):
+        basis_matrix(mother, [BasisIndex(1, n, kind)] * 2, X)
+    with pytest.raises(ValueError):
+        basis_matrix(mother, [BasisIndex(1, (0, 0), kind),
+                              BasisIndex(1, n, kind)], X)
+    with pytest.raises(ValueError, match="mother expects 2"):
+        eval_basis(mother, BasisIndex(1, n, kind), [0.5, 0.5])
+
+
 def companion(family, t):
     """Low-pass companion shapes in closed form, at points (n, d)."""
     if family == "mexican_hat":
@@ -210,9 +228,8 @@ def companion(family, t):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
     # two resolutions and both kinds in runs of three columns, so every
-    # (kind, resolution) group is split into two column runs, and a block
-    # size that cuts each group into three blocks of two columns, so each
-    # run is cut and one block spans both runs;
+    # (kind, resolution) pair comes back in a second run, and a block
+    # size of two columns, so each run is cut into two blocks;
     # each column against 2^{dm/2} psi(2^m x - n), with the mother from
     # eval_mother and the companion from its closed form
     mother = getattr(MotherWavelet, family)(d)
