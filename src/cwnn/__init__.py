@@ -16,7 +16,7 @@ from .diagnostics import (DecayReport, TimeFrequencyBox, count_peaks,
 from .frequency import (EnergyTrace, EstimateResult,
                         estimate_initial_resolution,
                         estimate_subspace_energy)
-from .growth import (GrowthConfig, GrowthResult, OnlineResult, WaveletPool,
+from .growth import (GrowthConfig, GrowthResult, WaveletPool,
                      expand_into_next, run_baseline_wnn, run_growth,
                      run_online, select_high_energy)
 from .model import (TrainLog, TrainStatus, TrainingDivergence, WaveletModel,
@@ -30,8 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisIndex", "BasisKind", "CenterGrid", "DataError", "Dataset",
     "DecayReport", "EnergyTrace", "EstimateResult", "GridError",
-    "GrowthConfig", "GrowthResult", "MotherWavelet", "OnlineResult",
-    "TimeFrequencyBox", "TrainLog", "TrainStatus", "TrainingDivergence",
+    "GrowthConfig", "GrowthResult", "MotherWavelet", "TimeFrequencyBox", "TrainLog", "TrainStatus", "TrainingDivergence",
     "WaveletFamily", "WaveletModel", "WaveletPool", "basis_matrix",
     "build_center_grid", "children_centers", "count_peaks",
     "decay_report", "estimate_initial_resolution",

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from .datasets import (gen_autoregression, gen_example1,
                        gen_example2_regions, load_csv, minmax_scale, split)
 from .diagnostics import (TimeFrequencyBox, count_peaks, decay_report,
                           scan_indices)
-from .frequency import estimate_initial_resolution
+from .frequency import alpha_from_epsilon, estimate_initial_resolution
 from .growth import GrowthConfig, run_baseline_wnn, run_growth, run_online
 from .model import TrainLog, TrainStatus, TrainingDivergence
 from .wavelets import BasisIndex, MotherWavelet, build_center_grid
@@ -260,6 +260,8 @@ def resolve_config(args) -> dict:
     for key in ("window", "patience"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    if args.command in ("estimate-freq", "diag"):
+        alpha_from_epsilon(cfg["epsilon"])  # the probe's smoothing weight
     # the probe never visits a level under its start
     if cfg["m_cap"] < _START_M:
         raise ConfigError(f"m_cap must be at least the start resolution "
@@ -271,9 +273,15 @@ def resolve_config(args) -> dict:
         raise ConfigError(f"field 'mu_list' must hold one or more positive "
                           f"numbers with distinct round(1/mu), got {mus!r}")
     # the growth config of every mu a run may grow with, so a mu that is
-    # no reciprocal stops a sweep before its first fit
-    for mu in mus if args.command == "sweep" else [cfg["mu"]]:
-        _growth_config(dict(cfg, mu=mu))
+    # no reciprocal stops a sweep before its first fit; a sweep checks
+    # the other fields at mu = 1 first, so its mu errors name mu_list
+    sweep = args.command == "sweep"
+    gcfg = _growth_config(dict(cfg, mu=1.0) if sweep else cfg)
+    for mu in mus if sweep else []:
+        try:
+            replace(gcfg, mu=mu)
+        except ValueError as exc:
+            raise ConfigError(f"field 'mu_list': {exc}") from None
     cfg["preset"] = args.preset
     cfg["command"] = args.command
     return cfg
@@ -304,6 +312,8 @@ def _build_data(cfg):
         cfg["domain_low"] = [0.0] * ds.dim
         cfg["domain_high"] = [1.0] * ds.dim
         cfg["clamp_low"] = None
+    if not len(ds):
+        raise ConfigError("the dataset has no training rows")
     for key in ("domain_low", "domain_high", "clamp_low"):
         if cfg[key] is not None and len(cfg[key]) != ds.dim:
             raise ConfigError(f"field {key!r} must have one bound per input "
@@ -320,6 +330,15 @@ def _mother(cfg, dim: int) -> MotherWavelet:
 def _growth_config(cfg) -> GrowthConfig:
     # each field of GrowthConfig is named like the setting it takes
     return GrowthConfig(**{f.name: cfg[f.name] for f in fields(GrowthConfig)})
+
+
+def _start_grid(cfg):
+    """The lattice the command starts at: the probe's start level for
+    ``estimate-freq`` and ``diag``, ``m_init`` for the growth commands."""
+    probe = cfg["command"] in ("estimate-freq", "diag")
+    return build_center_grid(_START_M if probe else cfg["m_init"],
+                             cfg["domain_low"], cfg["domain_high"],
+                             cfg["margin"], cfg["clamp_low"])
 
 
 def _prepare_out(out, cfg) -> str:
@@ -373,13 +392,10 @@ def _estimate(cfg, data, out: str, stop_early: bool = True):
     """Run the start-resolution estimator on the configured data from the
     configured start grid and write its ``energy_trace.csv``."""
     ds, _ = data
-    grid = build_center_grid(_START_M, cfg["domain_low"],
-                             cfg["domain_high"], cfg["margin"],
-                             cfg["clamp_low"])
     res = estimate_initial_resolution(
-        _mother(cfg, ds.dim), ds.inputs, ds.targets, grid, kappa=cfg["kappa"],
-        lr=cfg["learning_rate"], epsilon=cfg["epsilon"], m_cap=cfg["m_cap"],
-        stop_early=stop_early)
+        _mother(cfg, ds.dim), ds.inputs, ds.targets, _start_grid(cfg),
+        kappa=cfg["kappa"], lr=cfg["learning_rate"], epsilon=cfg["epsilon"],
+        m_cap=cfg["m_cap"], stop_early=stop_early)
     res.trace.to_csv(os.path.join(out, "energy_trace.csv"))
     return res
 
@@ -448,22 +464,23 @@ def cmd_online(cfg, data, out: str) -> int:
     res = run_online(_mother(cfg, ds.dim), ds.inputs, ds.targets,
                      _growth_config(cfg), window=cfg["window"],
                      patience=cfg["patience"])
-    tail = res.window_losses[-cfg["patience"]:]
+    # a record per window, and an event per growth phase after the seed
+    tail = [r[1] for r in res.log.records[-cfg["patience"]:]]
+    grew = [e[0] for e in res.log.events if e[1] != "seed"]
     final_roll = float(np.mean(tail)) if tail else float("nan")
     reconverged = bool(tail) and final_roll <= cfg["epsilon"]
     _write_run(out, res)
     _write_summary(out, {
         "command": "online",
-        "windows": len(res.window_losses),
+        "windows": res.log.last_iteration,
         "n_params": res.n_params,
         "final_rolling_loss": final_roll,
         "reconverged": reconverged,
-        "growth_iterations": res.growth_iterations,
+        "growth_iterations": grew,
         "events": res.log.events,
     })
-    print(f"windows={len(res.window_losses)} n_params={res.n_params} "
-          f"final_rolling_loss={final_roll:.6g} "
-          f"growth_events={len(res.growth_iterations)}")
+    print(f"windows={res.log.last_iteration} n_params={res.n_params} "
+          f"final_rolling_loss={final_roll:.6g} growth_events={len(grew)}")
     return EXIT_OK if reconverged else EXIT_MISSED
 
 
@@ -546,7 +563,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        data = _build_data(cfg)  # before the run directory exists
+        # the data and the start lattice, before the run directory exists
+        data = _build_data(cfg)
+        _start_grid(cfg)
         return _COMMANDS[args.command](cfg, data, _prepare_out(args.out, cfg))
     except ValueError as exc:
         # ConfigError, DataError and GridError are ValueErrors too

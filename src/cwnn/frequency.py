@@ -132,31 +132,26 @@ def estimate_initial_resolution(mother: MotherWavelet, X, y,
                          f"{start_grid.m}, got {m_cap}")
     alpha = alpha_from_epsilon(epsilon)
     trace = EnergyTrace(alpha=alpha)
-    probes = subsample_centers(start_grid, kappa)
-    e_sum, _ = estimate_subspace_energy(mother, probes, X, y, lr)
-    degenerate = ("zero probe energy at the start resolution; the stop rule "
-                  "fires immediately" if e_sum == 0.0 else None)
-    e_hat = e_sum / len(probes)
-    e_bar = e_hat
-    grid = start_grid
-    m = start_grid.m
-    trace.append(m, e_hat, e_bar, len(probes))
-    position = 1
+    grid, probes = start_grid, subsample_centers(start_grid, kappa)
     exit_m = None
-    while m < m_cap:
-        fine = grid.refine()
-        next_probes = children_centers(probes, fine)
-        e_sum_next, _ = estimate_subspace_energy(mother, next_probes, X, y, lr)
-        e_hat_next = e_sum_next / len(next_probes)
-        position += 1
-        e_bar_next = ema_update(e_bar, e_hat_next, alpha, position)
-        trace.append(fine.m, e_hat_next, e_bar_next, len(next_probes))
-        if e_bar >= e_hat_next and exit_m is None:
-            exit_m = m
-            if stop_early:
-                return EstimateResult(m, trace, warning=degenerate)
-        probes, grid, m = next_probes, fine, fine.m
-        e_bar = e_bar_next
+    while True:
+        e_sum, _ = estimate_subspace_energy(mother, probes, X, y, lr)
+        e_hat = e_sum / len(probes)
+        if trace.rows:
+            prev_m, _, prev_bar, _ = trace.rows[-1]
+            e_bar = ema_update(prev_bar, e_hat, alpha, len(trace.rows) + 1)
+            if prev_bar >= e_hat and exit_m is None:
+                exit_m = prev_m
+        else:
+            degenerate = ("zero probe energy at the start resolution; the "
+                          "stop rule fires immediately" if e_sum == 0.0
+                          else None)
+            e_bar = e_hat
+        trace.append(grid.m, e_hat, e_bar, len(probes))
+        if (exit_m is not None and stop_early) or grid.m >= m_cap:
+            break
+        grid = grid.at(grid.m + 1)
+        probes = children_centers(probes, grid)
     if exit_m is not None:
         return EstimateResult(exit_m, trace, warning=degenerate)
     return EstimateResult(m_cap, trace,

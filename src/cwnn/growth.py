@@ -16,14 +16,14 @@ every gradient step, batch or windowed, is ``Design.step``.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (Design, TrainLog, TrainStatus, WaveletModel,
                     train_to_plateau)
-from .wavelets import (BasisKind, MotherWavelet, build_center_grid,
-                       children_centers, _grid_from_bounds)
+from .wavelets import (BasisKind, CenterGrid, MotherWavelet,
+                       build_center_grid, children_centers)
 
 # resolution the whole-level baseline seeds its scaling and detail grids at
 BASELINE_START_M = 1
@@ -53,8 +53,8 @@ class GrowthConfig:
     def __post_init__(self):
         if self.epsilon <= 0 or self.zeta <= 0 or self.learning_rate <= 0:
             raise ValueError("epsilon, zeta and learning_rate must be positive")
-        inv = 1.0 / self.mu
-        if abs(inv - round(inv)) > 1e-9:
+        inv = 1.0 / self.mu if self.mu > 0 else 0.0  # nan fails here too
+        if not (0.5 < inv < np.inf and abs(inv - round(inv)) <= 1e-9):
             raise ValueError(f"mu must be the reciprocal of a positive "
                              f"integer, got {self.mu}")
         if self.m_init > self.max_resolution:
@@ -66,51 +66,36 @@ class GrowthConfig:
 
 
 class WaveletPool:
-    """The active basis set of a growing model plus expansion bookkeeping.
+    """A growing model, whose ``bases`` are the one list of elements, plus
+    the seed ``grid`` (every level's lattice shares its bounds) and the
+    detail elements each resolution has already expanded as parents, so
+    repeated phases pick fresh ones."""
 
-    Tracks which detail elements have already served as expansion parents
-    at each resolution so repeated phases pick fresh ones.
-    """
-
-    def __init__(self, mother: MotherWavelet, low, high):
+    def __init__(self, mother: MotherWavelet, grid: CenterGrid):
         self.model = WaveletModel.zeros(mother, [])
-        self.low = tuple(float(v) for v in np.atleast_1d(low))
-        self.high = tuple(float(v) for v in np.atleast_1d(high))
+        self.grid = grid
         self.expanded = defaultdict(set)
-        self._pos = {}
-
-    def grid(self, m: int):
-        return _grid_from_bounds(m, self.low, self.high)
 
     def add_bases(self, bases) -> list:
-        new = []
-        start = self.model.n_params
-        for b in bases:
-            if b not in self._pos:
-                self._pos[b] = start + len(new)
-                new.append(b)
+        """Append the elements the model lacks (first occurrence kept)."""
+        have = set(self.model.bases)
+        new = [b for b in dict.fromkeys(bases) if b not in have]
         self.model.append_bases(new)
         return new
 
     def ensure_level(self, m: int) -> int:
         """Add the full scaling and detail grids at resolution ``m``;
         returns how many elements were new."""
-        grid = self.grid(m)
-        added = self.add_bases(grid.bases(BasisKind.SCALING))
-        added += self.add_bases(grid.bases(BasisKind.WAVELET))
-        return len(added)
+        grid = self.grid.at(m)
+        return len(self.add_bases(grid.bases(BasisKind.SCALING))
+                   + self.add_bases(grid.bases(BasisKind.WAVELET)))
 
     def detail_items(self, m: int):
-        """(index, coefficient) pairs for detail elements at resolution m."""
-        out = []
-        for b, pos in self._pos.items():
-            if b.kind is BasisKind.WAVELET and b.m == m:
-                out.append((b, float(self.model.coeffs[pos])))
-        return out
-
-    def top_resolution(self):
-        """Finest resolution present in the pool, or None when empty."""
-        return max((b.m for b in self._pos), default=None)
+        """(index, coefficient) pairs for detail elements at resolution m,
+        in model order."""
+        return [(b, c) for b, c in zip(self.model.bases,
+                                       self.model.coeffs.tolist())
+                if b.kind is BasisKind.WAVELET and b.m == m]
 
 
 def select_high_energy(pool: WaveletPool, m: int, mu_up: float, exclude=frozenset()):
@@ -149,7 +134,7 @@ def expand_into_next(pool: WaveletPool, parents):
     if not parents:
         return []
     return pool.add_bases(children_centers(parents,
-                                           pool.grid(parents[0].m + 1)))
+                                           pool.grid.at(parents[0].m + 1)))
 
 
 @dataclass
@@ -173,9 +158,9 @@ def _seed(mother: MotherWavelet, config: GrowthConfig, m: int,
           log: TrainLog) -> WaveletPool:
     """A pool over the configured domain holding the scaling and detail
     grids at resolution ``m``, logged as the ``seed`` event."""
-    grid = build_center_grid(m, config.domain_low, config.domain_high,
-                             config.margin, config.clamp_low)
-    pool = WaveletPool(mother, grid.low, grid.high)
+    pool = WaveletPool(mother, build_center_grid(
+        m, config.domain_low, config.domain_high, config.margin,
+        config.clamp_low))
     log.add_event(log.last_iteration, "seed", m, pool.ensure_level(m))
     return pool
 
@@ -206,7 +191,7 @@ def _grow(pool: WaveletPool, m: int, sweep: int, config: GrowthConfig,
         return m, sweep
     m += 1
     if whole_levels:
-        added = len(pool.add_bases(pool.grid(m).bases(BasisKind.WAVELET)))
+        added = len(pool.add_bases(pool.grid.at(m).bases(BasisKind.WAVELET)))
     else:
         added = pool.ensure_level(m)
     log.add_event(log.last_iteration, "escalate", m, added)
@@ -252,10 +237,10 @@ def run_growth(mother: MotherWavelet, X, y, config: GrowthConfig,
     if pool is None:
         m = config.m_init
         pool = _seed(mother, config, m, log)
+    elif pool.model.bases:
+        m = max(b.m for b in pool.model.bases)
     else:
-        m = pool.top_resolution()
-        if m is None:
-            raise ValueError("cannot resume from an empty pool")
+        raise ValueError("cannot resume from an empty pool")
     return _grow_to_target(pool, m, X, y, config, log, whole_levels=False)
 
 
@@ -271,21 +256,9 @@ def run_baseline_wnn(mother: MotherWavelet, X, y, config: GrowthConfig,
     return _grow_to_target(pool, m, X, y, config, log, whole_levels=True)
 
 
-@dataclass
-class OnlineResult:
-    model: WaveletModel
-    log: TrainLog
-    window_losses: list
-    growth_iterations: list = field(default_factory=list)
-
-    @property
-    def n_params(self) -> int:
-        return self.model.n_params
-
-
 def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
                window: int = 10, patience: int = 40,
-               log: TrainLog | None = None) -> OnlineResult:
+               log: TrainLog | None = None) -> GrowthResult:
     """Windowed streaming variant: consume ``window`` samples per cycle,
     take one gradient step on that window, and run one growth phase
     whenever the rolling window loss sits above the loss target without
@@ -298,7 +271,9 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
 
     Each window takes one ``Design.step`` on a design of its rows and
     logs the post-step loss as one record numbered by window from 1; a
-    short last window never triggers growth.  A diverging step raises
+    short last window never triggers growth.  Each growth phase is an
+    event at its window's number.  The stream running out ends the run
+    as ``TrainStatus.BUDGET``.  A diverging step raises
     :class:`TrainingDivergence` with the model as it was before that
     window, and a ``window`` or ``patience`` below 1 ``ValueError``.
     """
@@ -311,22 +286,19 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
     m = config.m_init
     pool = _seed(mother, config, m, log)
     sweep = 0
-    losses = []
     best_roll = np.inf
     best_at = 0
-    growth_iters = []
     for w, start in enumerate(range(0, len(y), window), 1):
         design = Design(X[start:start + window], y[start:start + window])
         design.sync(pool.model)
         direction, _ = design.objective(pool.model.coeffs)
         _, lw = design.step(pool.model, config.learning_rate, direction, w)
-        losses.append(lw)
         log.append(w, lw, pool.model.n_params)
         if design.y.size < window:
             # a short last window: its step and record only, no growth
             # trigger on a boundary fragment
             break
-        roll = float(np.mean(losses[-patience:]))
+        roll = float(np.mean([r[1] for r in log.records[-patience:]]))
         gap = max(config.zeta, ONLINE_IMPROVEMENT * best_roll)
         if np.isinf(best_roll) or roll < best_roll - gap:
             best_roll = roll
@@ -338,7 +310,6 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
             grown = _grow(pool, m, sweep, config, log)
             if grown is not None:
                 m, sweep = grown
-                growth_iters.append(w)
             best_roll = roll
             best_at = w
-    return OnlineResult(pool.model, log, losses, growth_iters)
+    return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)

@@ -349,9 +349,9 @@ class CenterGrid:
         return lattice_bases(self.m, [range(lo, hi + 1) for lo, hi
                                       in zip(self.n_lo, self.n_hi)], kind)
 
-    def refine(self) -> "CenterGrid":
-        """Grid at the next finer resolution over the same bounds."""
-        return _grid_from_bounds(self.m + 1, self.low, self.high)
+    def at(self, m: int) -> "CenterGrid":
+        """The lattice at resolution ``m`` over the same bounds."""
+        return _grid_from_bounds(m, self.low, self.high)
 
 
 def _grid_from_bounds(m: int, low, high) -> CenterGrid:

@@ -1,5 +1,6 @@
 """Command-line interface: config resolution, artifacts, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -293,6 +294,26 @@ def test_online_small_stream(out_root, capsys):
     assert (run / "train_log.csv").exists()
 
 
+def test_online_summary_growth_iterations_are_the_logged_phases(out_root,
+                                                                capsys):
+    # a target out of reach and a wide plateau gap: the stream grows,
+    # once with nothing to add
+    run = out_root / "grow"
+    cli.main(["online", "--preset", "example3", "--length", "600",
+              "--patience", "2", "--epsilon", "1e-6", "--zeta", "1e-3",
+              "--max-resolution", "3", "--out", str(run)])
+    summary = read_json(run / "summary.json")
+    with open(run / "growth_events.csv") as fh:
+        events = list(csv.DictReader(fh))
+    grew = [int(e["iter"]) for e in events
+            if e["event"] in ("expand", "escalate")]
+    assert len(grew) == len(events) - 1 >= 2
+    assert "0" in {e["added"] for e in events}
+    assert summary["growth_iterations"] == grew
+    with open(run / "train_log.csv") as fh:
+        assert summary["windows"] == len(fh.readlines()) - 1
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("--window", "0", "window"), ("--window", "-3", "window"),
     ("--patience", "0", "patience")])
@@ -571,7 +592,7 @@ _BAD_INPUTS = {
     "window": (["online", "--window", "0"], 2, "window"),
     "kappa": (["estimate-freq", "--kappa", "2"], 2, "'kappa'"),
     "mu-list": (["sweep", "--mu-list", "1/2,0.3"], 2,
-                "mu must be the reciprocal"),
+                "field 'mu_list': mu must be the reciprocal"),
     "domain-3d": (["fit", "--domain-low", "0,0,0", "--domain-high", "1,1,1",
                    "--clamp-low", "none"], 2, "'domain_low'"),
     "domain-1d": (["estimate-freq", "--domain-low", "0", "--domain-high", "1",
@@ -579,6 +600,14 @@ _BAD_INPUTS = {
     "clamp-1d": (["fit", "--clamp-low", "0"], 2, "'clamp_low'"),
     "probe-lr": (["estimate-freq", "--learning-rate", "1e200"], 3,
                  "diverged"),
+    "probe-epsilon": (["estimate-freq", "--epsilon", "2"], 2,
+                      "epsilon must be in (0, 1]"),
+    "diag-epsilon": (["diag", "--epsilon", "2"], 2,
+                     "epsilon must be in (0, 1]"),
+    "no-rows": (["fit", "--n-samples", "0"], 2, "no training rows"),
+    "domain-order": (["fit", "--domain-low", "1,1", "--domain-high", "0,0"],
+                     2, "inconsistent domain bounds"),
+    "margin": (["fit", "--margin", "-2"], 2, "empty lattice"),
 }
 
 
@@ -593,6 +622,14 @@ def test_bad_input_exits_before_the_run_directory(out_root, capsys, case,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert run.exists() == (code == 3)
+
+
+def test_fit_takes_an_epsilon_the_probe_would_refuse(out_root, capsys):
+    # only the probe's smoothing needs epsilon <= 1
+    run = out_root / "loose"
+    assert cli.main(["fit", "--epsilon", "2", "--max-iters", "10",
+                     "--out", str(run)]) == 0
+    assert read_json(run / "summary.json")["cwnn"]["status"] == "achieved"
 
 
 def test_example2_baseline_trains_on_the_union(out_root, capsys,

@@ -1,5 +1,6 @@
 """Greedy basis growth: selection, expansion, batch and streaming runs."""
 
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cwnn.growth as growth
-from cwnn.growth import (GrowthConfig, OnlineResult, WaveletPool,
+from cwnn.growth import (GrowthConfig, GrowthResult, WaveletPool,
                          expand_into_next, run_baseline_wnn, run_growth,
                          run_online, select_high_energy)
 from cwnn.model import (DIVERGENCE_LIMIT, TrainLog, TrainStatus,
-                        TrainingDivergence)
+                        TrainingDivergence, WaveletModel)
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
                            build_center_grid, eval_basis)
 
@@ -28,14 +29,29 @@ def small_config(**kw):
     return GrowthConfig(**base)
 
 
+def empty_pool(high=2.0):
+    """An empty pool seeded on the lattice over [0, high]."""
+    return WaveletPool(MH1, build_center_grid(0, (0.0,), (high,), margin=0.0))
+
+
 def pool_with_energies(energies):
     """A pool whose m=1 detail coefficients realize the given energies."""
-    pool = WaveletPool(MH1, (0.0,), (2.0,))
+    pool = empty_pool()
     pool.ensure_level(1)
     for (b, _), e in zip(pool.detail_items(1), energies):
-        pos = pool._pos[b]
+        pos = pool.model.bases.index(b)
         pool.model.coeffs[pos] = np.sqrt(e / MH1.norm_sq)
     return pool
+
+
+def window_losses(res):
+    """The online run's loss after each window, from its log."""
+    return [r[1] for r in res.log.records]
+
+
+def growth_iterations(res):
+    """The windows at which the online run grew, from its log."""
+    return [e[0] for e in res.log.events if e[1] != "seed"]
 
 
 def test_config_validation():
@@ -48,12 +64,22 @@ def test_config_validation():
     assert small_config(mu=1 / 4).n_phases == 4
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.5, -1.0, 2.0, 1e10, np.inf, np.nan,
+                                5e-324])
+def test_config_rejects_a_mu_that_is_no_positive_reciprocal(mu):
+    # -0.5 would give n_phases -2, 1e10 and inf n_phases 0, 0 a bare
+    # ZeroDivisionError and 5e-324 (whose reciprocal is inf) an
+    # OverflowError
+    with pytest.raises(ValueError, match="reciprocal of a positive integer"):
+        small_config(mu=mu)
+
+
 # -------------------------------------------------------------- selection
 
 def test_select_prefix_by_cumulative_energy():
     pool = pool_with_energies([4.0, 3.0, 2.0, 1.0])
     chosen = select_high_energy(pool, 1, 0.5)
-    es = sorted(round(pool.model.coeffs[pool._pos[b]] ** 2 * MH1.norm_sq)
+    es = sorted(round(pool.model.coeffs[pool.model.bases.index(b)] ** 2 * MH1.norm_sq)
                 for b in chosen)
     assert es == [3, 4]  # 4 + 3 >= 0.5 * 10
 
@@ -68,7 +94,7 @@ def test_select_with_exclusion():
     pool = pool_with_energies([4.0, 3.0, 2.0, 1.0])
     top = select_high_energy(pool, 1, 0.5)[0]
     chosen = select_high_energy(pool, 1, 0.5, exclude={top})
-    es = sorted(round(pool.model.coeffs[pool._pos[b]] ** 2 * MH1.norm_sq)
+    es = sorted(round(pool.model.coeffs[pool.model.bases.index(b)] ** 2 * MH1.norm_sq)
                 for b in chosen)
     assert es == [2, 3]  # from [3,2,1] until cumulative >= 5
 
@@ -76,7 +102,7 @@ def test_select_with_exclusion():
 def test_select_never_picks_zero_energy():
     pool = pool_with_energies([4.0, 0.0, 0.0, 1.0])
     chosen = select_high_energy(pool, 1, 1.0)
-    assert all(pool.model.coeffs[pool._pos[b]] != 0.0 for b in chosen)
+    assert all(pool.model.coeffs[pool.model.bases.index(b)] != 0.0 for b in chosen)
 
 
 def test_phases_never_repeat_parents_and_cover_level():
@@ -90,6 +116,23 @@ def test_phases_never_repeat_parents_and_cover_level():
         seen |= set(batch)
     nonzero = {b for b, c in pool.detail_items(1) if c != 0.0}
     assert seen == nonzero
+
+
+# ------------------------------------------------------------------- pool
+
+def test_detail_items_follow_the_model_after_repeated_adds():
+    pool = empty_pool()
+    level = pool.grid.at(1)
+    details = level.bases(BasisKind.WAVELET)
+    scaling = level.bases(BasisKind.SCALING)
+    assert pool.add_bases(details[::-1] + details[:2]) == details[::-1]
+    assert pool.add_bases(scaling + details[::2]) == scaling
+    assert pool.add_bases(details) == []
+    assert pool.model.bases == details[::-1] + scaling
+    pool.model.coeffs[:] = np.arange(pool.model.n_params) + 0.5
+    assert pool.detail_items(1) == [(b, i + 0.5)
+                                    for i, b in enumerate(details[::-1])]
+    assert pool.detail_items(2) == []
 
 
 # -------------------------------------------------------------- expansion
@@ -129,7 +172,7 @@ def test_expand_requires_single_resolution():
 # ------------------------------------------------------------- batch runs
 
 def _representable_target(config):
-    pool = WaveletPool(MH1, (0.0,), (2.0,))
+    pool = empty_pool()
     pool.ensure_level(config.m_init)
     b = pool.detail_items(config.m_init)[2][0]
     rng = np.random.default_rng(0)
@@ -195,7 +238,7 @@ def test_growth_resume_from_pool():
 
 
 def test_growth_resume_rejects_empty_pool():
-    pool = WaveletPool(MH1, (0.0,), (1.0,))
+    pool = empty_pool(1.0)
     with pytest.raises(ValueError):
         run_growth(MH1, np.zeros((4, 1)), np.ones(4), small_config(),
                    pool=pool)
@@ -224,8 +267,8 @@ def test_online_constant_zero_stream_never_grows():
     X = np.linspace(0.0, 1.0, 50).reshape(-1, 1)
     res = run_online(MH1, X, np.zeros(50), small_config(epsilon=1e-4),
                      window=10, patience=3)
-    assert res.growth_iterations == []
-    assert max(res.window_losses) == 0.0
+    assert growth_iterations(res) == []
+    assert max(window_losses(res)) == 0.0
 
 
 def test_online_window_one_runs_per_sample():
@@ -235,7 +278,7 @@ def test_online_window_one_runs_per_sample():
     log = TrainLog()
     res = run_online(MH1, X, y, small_config(epsilon=1e-4), window=1,
                      patience=5, log=log)
-    assert len(res.window_losses) == 25
+    assert len(window_losses(res)) == 25
     assert len(log.records) == 25
 
 
@@ -244,8 +287,8 @@ def test_online_short_stream_partial_phase():
     X = rng.uniform(0.0, 1.0, size=(6, 1))
     y = np.sin(3.0 * X[:, 0])
     res = run_online(MH1, X, y, small_config(), window=10, patience=5)
-    assert len(res.window_losses) == 1  # one partial window, clean exit
-    assert res.growth_iterations == []
+    assert len(window_losses(res)) == 1  # one partial window, clean exit
+    assert growth_iterations(res) == []
 
 
 def test_online_plateau_triggers_growth():
@@ -257,7 +300,7 @@ def test_online_plateau_triggers_growth():
     config = small_config(epsilon=1e-5, learning_rate=0.02, mu=1 / 2)
     log = TrainLog()
     res = run_online(MH1, X, y, config, window=10, patience=5, log=log)
-    assert len(res.growth_iterations) >= 1
+    assert len(growth_iterations(res)) >= 1
     assert any(e[1] in ("expand", "escalate") for e in log.events)
 
 
@@ -272,6 +315,14 @@ def _check_finite(model, iteration, last_good):
         raise TrainingDivergence(f"training diverged at iteration {iteration}")
 
 
+class OnlineRecord(NamedTuple):
+    """What the reference loop returns: the model, the loss after each
+    window and the windows at which it grew."""
+    model: WaveletModel
+    window_losses: list
+    growth_iterations: list
+
+
 def _reference_online(mother, X, y, config, window=10, patience=40,
                       improvement=0.02, log=None):
     """The windowed loop as it stood before run_online shared the growth
@@ -284,7 +335,7 @@ def _reference_online(mother, X, y, config, window=10, patience=40,
     grid = build_center_grid(max(config.m_init, 0), config.domain_low,
                              config.domain_high, config.margin,
                              config.clamp_low)
-    pool = WaveletPool(mother, grid.low, grid.high)
+    pool = WaveletPool(mother, grid)
     m = config.m_init
     added = pool.ensure_level(m)
     log.add_event(log.last_iteration, "seed", m, added)
@@ -344,7 +395,7 @@ def _reference_online(mother, X, y, config, window=10, patience=40,
         resid = yw - psi @ pool.model.coeffs
         losses.append(float(np.mean(resid * resid)))
         log.append(step, losses[-1], pool.model.n_params)
-    return OnlineResult(pool.model, log, losses, growth_iters)
+    return OnlineRecord(pool.model, losses, growth_iters)
 
 
 def _rich_stream(rows):
@@ -363,10 +414,11 @@ def _online_both_ways(window):
     # the stream grew up to the resolution cap and ended on a short window
     assert ("escalate", config.max_resolution) in {e[1:3] for e in log.events}
     assert max(b.m for b in res.model.bases) == config.max_resolution
-    assert len(y) % window and len(res.window_losses) == -(-len(y) // window)
-    assert log.last_iteration == len(res.window_losses)
+    assert isinstance(res, GrowthResult) and res.status is TrainStatus.BUDGET
+    assert len(y) % window and len(window_losses(res)) == -(-len(y) // window)
+    assert log.last_iteration == len(window_losses(res))
     assert log.events == ref_log.events
-    assert res.growth_iterations == ref.growth_iterations
+    assert growth_iterations(res) == ref.growth_iterations
     assert [r[::2] for r in log.records] == [r[::2] for r in ref_log.records]
     assert res.model.bases == ref.model.bases
     return res, log, ref, ref_log
@@ -379,7 +431,7 @@ def test_online_matches_the_reference_loop_bit_for_bit():
     # each window's design runs the residual form, as the reference does
     res, log, ref, ref_log = _online_both_ways(8)
     assert [r[1] for r in log.records] == [r[1] for r in ref_log.records]
-    assert res.window_losses == ref.window_losses
+    assert window_losses(res) == ref.window_losses
     assert np.array_equal(res.model.coeffs, ref.model.coeffs)
 
 
@@ -440,16 +492,16 @@ def test_online_streams_past_the_resolution_cap():
     # seeded at the cap, the run never grows; every window is still
     # trained and recorded
     assert [e[1:3] for e in log.events] == [("seed", 1)]
-    assert res.growth_iterations == []
+    assert growth_iterations(res) == []
     assert all(b.m == 1 for b in res.model.bases)
-    assert len(res.window_losses) == 81 and log.last_iteration == 81
+    assert len(window_losses(res)) == 81 and log.last_iteration == 81
     # with room to grow the same stream grows, so plateaus did fire at
     # the cap and logged nothing
     roomy = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)
     free_log = TrainLog()
     free = run_online(MH1, X, y, roomy, log=free_log, **kw)
     assert free_log.events[0] == log.events[0]
-    assert free.growth_iterations
+    assert growth_iterations(free)
 
 
 # ------------------------------------------------------ pool properties
@@ -489,10 +541,11 @@ def test_selection_is_deterministic(energies, mu_up, order):
     # the same coefficients give the same selection, in the same order,
     # whatever order the pool received its bases in
     pool = pool_with_energies(energies)
-    shuffled = WaveletPool(MH1, (0.0,), (2.0,))
+    shuffled = empty_pool()
     shuffled.add_bases([pool.model.bases[i] for i in order])
-    for b, pos in pool._pos.items():
-        shuffled.model.coeffs[shuffled._pos[b]] = pool.model.coeffs[pos]
+    for pos, b in enumerate(pool.model.bases):
+        shuffled.model.coeffs[shuffled.model.bases.index(b)] = \
+            pool.model.coeffs[pos]
     first = select_high_energy(pool, 1, mu_up)
     assert select_high_energy(pool, 1, mu_up) == first
     assert select_high_energy(shuffled, 1, mu_up) == first

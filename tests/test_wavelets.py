@@ -467,13 +467,22 @@ def test_build_center_grid_examples():
     assert (g2.n_lo, g2.n_hi) == ((0,), (4,))
 
 
-def test_grid_refine_halves_spacing():
+def test_grid_at_next_level_halves_spacing():
     g = build_center_grid(1, [0.0], [1.0], margin=0.0)
-    f = g.refine()
+    f = g.at(g.m + 1)
     assert f.m == g.m + 1
     # every coarse point n is the fine point 2n
     coarse = {2 * n for n in range(g.n_lo[0], g.n_hi[0] + 1)}
     assert coarse <= set(range(f.n_lo[0], f.n_hi[0] + 1))
+
+
+@pytest.mark.parametrize("m", [-2, 0, 1, 3, 5])
+def test_grid_at_is_the_lattice_over_the_same_box(m):
+    box = dict(domain_low=[0.0, 0.25], domain_high=[1.0, 2.0], margin=0.3,
+               clamp_low=[0.0, 0.0])
+    seed = build_center_grid(2, **box)
+    assert seed.at(m) == build_center_grid(m, **box)
+    assert seed.at(m).at(2) == seed
 
 
 def test_grid_bases_order_and_kinds():
