@@ -13,12 +13,11 @@ from .datasets import (Dataset, DataError, gen_autoregression, gen_example1,
                        minmax_unscale, split)
 from .diagnostics import (DecayReport, TimeFrequencyBox, count_peaks,
                           decay_report, gram, scan_indices)
-from .frequency import (EnergyTrace, EstimateResult,
-                        estimate_initial_resolution,
+from .frequency import (EnergyTrace, estimate_initial_resolution,
                         estimate_subspace_energy)
-from .growth import (GrowthConfig, GrowthResult, WaveletPool,
-                     expand_into_next, run_baseline_wnn, run_growth,
-                     run_online, select_high_energy)
+from .growth import (GrowthConfig, WaveletPool, expand_into_next,
+                     run_baseline_wnn, run_growth, run_online,
+                     select_high_energy)
 from .model import (TrainLog, TrainStatus, TrainingDivergence, WaveletModel,
                     loss, train_to_plateau)
 from .wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
@@ -29,14 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisIndex", "BasisKind", "CenterGrid", "DataError", "Dataset",
-    "DecayReport", "EnergyTrace", "EstimateResult", "GridError",
-    "GrowthConfig", "GrowthResult", "MotherWavelet", "TimeFrequencyBox", "TrainLog", "TrainStatus", "TrainingDivergence",
+    "DecayReport", "EnergyTrace", "GridError", "GrowthConfig", "MotherWavelet",
+    "TimeFrequencyBox", "TrainLog", "TrainStatus", "TrainingDivergence",
     "WaveletFamily", "WaveletModel", "WaveletPool", "basis_matrix",
-    "build_center_grid", "children_centers", "count_peaks",
-    "decay_report", "estimate_initial_resolution",
-    "estimate_subspace_energy", "eval_basis", "expand_into_next",
-    "gen_autoregression", "gen_example1", "gen_example2_regions", "gram",
-    "load_csv", "loss", "minmax_scale", "minmax_unscale",
-    "run_baseline_wnn", "run_growth", "run_online", "scan_indices",
-    "select_high_energy", "split", "train_to_plateau",
+    "build_center_grid", "children_centers", "count_peaks", "decay_report",
+    "estimate_initial_resolution", "estimate_subspace_energy", "eval_basis",
+    "expand_into_next", "gen_autoregression", "gen_example1",
+    "gen_example2_regions", "gram", "load_csv", "loss", "minmax_scale",
+    "minmax_unscale", "run_baseline_wnn", "run_growth", "run_online",
+    "scan_indices", "select_high_energy", "split", "train_to_plateau",
 ]

@@ -28,8 +28,9 @@ from .datasets import (gen_autoregression, gen_example1,
 from .diagnostics import (TimeFrequencyBox, count_peaks, decay_report,
                           scan_indices)
 from .frequency import alpha_from_epsilon, estimate_initial_resolution
-from .growth import GrowthConfig, run_baseline_wnn, run_growth, run_online
-from .model import TrainLog, TrainStatus, TrainingDivergence
+from .growth import (BASELINE_START_M, GrowthConfig, run_baseline_wnn,
+                     run_growth, run_online)
+from .model import TrainStatus, TrainingDivergence
 from .wavelets import BasisIndex, MotherWavelet, build_center_grid
 
 EXIT_OK = 0
@@ -332,12 +333,14 @@ def _growth_config(cfg) -> GrowthConfig:
     return GrowthConfig(**{f.name: cfg[f.name] for f in fields(GrowthConfig)})
 
 
-def _start_grid(cfg):
-    """The lattice the command starts at: the probe's start level for
-    ``estimate-freq`` and ``diag``, ``m_init`` for the growth commands."""
-    probe = cfg["command"] in ("estimate-freq", "diag")
-    return build_center_grid(_START_M if probe else cfg["m_init"],
-                             cfg["domain_low"], cfg["domain_high"],
+def _start_grid(cfg, m=None):
+    """The lattice at resolution ``m``, by default the one the command
+    starts at: the probe's start level for ``estimate-freq`` and
+    ``diag``, ``m_init`` for the growth commands."""
+    if m is None:
+        probe = cfg["command"] in ("estimate-freq", "diag")
+        m = _START_M if probe else cfg["m_init"]
+    return build_center_grid(m, cfg["domain_low"], cfg["domain_high"],
                              cfg["margin"], cfg["clamp_low"])
 
 
@@ -383,7 +386,7 @@ def _fit_summary(res) -> dict:
         "final_loss": res.final_loss,
         "n_params": res.n_params,
         "iterations": res.log.last_iteration,
-        "final_resolution": res.final_resolution,
+        "final_resolution": res.m,
         "events": res.log.events,
     }
 
@@ -392,26 +395,26 @@ def _estimate(cfg, data, out: str, stop_early: bool = True):
     """Run the start-resolution estimator on the configured data from the
     configured start grid and write its ``energy_trace.csv``."""
     ds, _ = data
-    res = estimate_initial_resolution(
+    trace = estimate_initial_resolution(
         _mother(cfg, ds.dim), ds.inputs, ds.targets, _start_grid(cfg),
         kappa=cfg["kappa"], lr=cfg["learning_rate"], epsilon=cfg["epsilon"],
         m_cap=cfg["m_cap"], stop_early=stop_early)
-    res.trace.to_csv(os.path.join(out, "energy_trace.csv"))
-    return res
+    trace.to_csv(os.path.join(out, "energy_trace.csv"))
+    return trace
 
 
 def cmd_estimate_freq(cfg, data, out: str) -> int:
-    res = _estimate(cfg, data, out)
+    trace = _estimate(cfg, data, out)
     _write_summary(out, {
         "command": "estimate-freq",
-        "m_init": res.m_init,
-        "alpha": res.trace.alpha,
-        "warning": res.warning,
-        "trace": res.trace.rows,
+        "m_init": trace.m_init,
+        "alpha": trace.alpha,
+        "warning": trace.warning,
+        "trace": trace.rows,
     })
-    if res.warning:
-        print(f"warning: {res.warning}", file=sys.stderr)
-    print(f"m_init={res.m_init}")
+    if trace.warning:
+        print(f"warning: {trace.warning}", file=sys.stderr)
+    print(f"m_init={trace.m_init}")
     return EXIT_OK
 
 
@@ -422,18 +425,16 @@ def _fit(cfg, data, out: str):
     X, y = ds.inputs, ds.targets
     mother = _mother(cfg, ds.dim)
     gcfg = _growth_config(cfg)
-    log = TrainLog()
-    res = run_growth(mother, X, y, gcfg, log)
+    res = run_growth(mother, X, y, gcfg)
     summary = {"command": "fit"}
     if "second" in extra:
         # second dataset arrives: continue growing on the union
         ds2 = extra["second"]
-        summary["phase1_iterations"] = log.last_iteration
+        summary["phase1_iterations"] = res.log.last_iteration
         X = np.vstack([X, ds2.inputs])
         y = np.concatenate([y, ds2.targets])
-        log.add_event(log.last_iteration, "ingest", res.final_resolution,
-                      len(ds2))
-        res = run_growth(mother, X, y, gcfg, log, pool=res.pool)
+        res.log.add_event("ingest", res.m, len(ds2))
+        res = run_growth(mother, X, y, gcfg, pool=res)
     # a csv run trains on min-max scaled data; saved models keep the record
     res.model.scaling = ds.scaling
     summary["cwnn"] = _fit_summary(res)
@@ -500,8 +501,8 @@ def cmd_diag(cfg, data, out: str) -> int:
     tol = 1e-3 if cfg["family"] == "sinc" else 1e-2
     decays = report.ratio < tol
 
-    est = _estimate(cfg, data, out, stop_early=False)
-    peaks = count_peaks([row[1] for row in est.trace.rows], tol=0.02)
+    trace = _estimate(cfg, data, out, stop_early=False)
+    peaks = count_peaks([row[1] for row in trace.rows], tol=0.02)
 
     _write_summary(out, {
         "command": "diag",
@@ -517,10 +518,10 @@ def cmd_diag(cfg, data, out: str) -> int:
             "pass": decays,
         },
         "unimodality": {
-            "m_init": est.m_init,
+            "m_init": trace.m_init,
             "peaks": peaks,
             "unimodal": peaks == 1,
-            "trace": est.trace.rows,
+            "trace": trace.rows,
         },
     })
     print(f"decay ratio={report.ratio:.3g} (tolerance {tol:g}): "
@@ -563,9 +564,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        # the data and the start lattice, before the run directory exists
+        # the data and the seed lattices, before the run directory exists
         data = _build_data(cfg)
         _start_grid(cfg)
+        if cfg["baseline"] == "wnn":
+            _start_grid(cfg, min(BASELINE_START_M, cfg["max_resolution"]))
         return _COMMANDS[args.command](cfg, data, _prepare_out(args.out, cfg))
     except ValueError as exc:
         # ConfigError, DataError and GridError are ValueErrors too

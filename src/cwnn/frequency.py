@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Design, WaveletModel
-from .wavelets import (CenterGrid, MotherWavelet, children_centers,
-                       lattice_bases)
+from .model import DIVERGENCE_LIMIT, TrainingDivergence
+from .wavelets import (CenterGrid, MotherWavelet, basis_matrix,
+                       children_centers, lattice_bases)
 
 
 def alpha_from_epsilon(epsilon: float) -> float:
@@ -45,17 +45,19 @@ def ema_update(prev_bar: float, current_hat: float, alpha: float, m: int) -> flo
 def estimate_subspace_energy(mother: MotherWavelet, bases, X, y, lr: float):
     """Energy held by a set of elements after one gradient step from zero.
 
-    The step is a zero model's ``Design.step`` (divergence checked),
-    ``c = (2 lr / N) psi^T y``; returns ``(sum_j c_j**2 * ||psi||**2, c)``.
+    The step is ``c = (2 lr / N) psi^T y``, the same doubles a zero
+    model's ``Design.step`` gives, and it raises ``TrainingDivergence``
+    past ``DIVERGENCE_LIMIT`` as that step does, without forming the Gram
+    matrix.  Returns ``(sum_j c_j**2 * ||psi||**2, c)``.
     """
-    if not bases:
-        return 0.0, np.zeros(0)
-    model = WaveletModel.zeros(mother, bases)
-    design = Design(X, y)
-    design.sync(model)
-    design.step(model, lr, design.objective(model.coeffs)[0], 1)
-    energy = float(np.sum(model.coeffs * model.coeffs) * mother.norm_sq)
-    return energy, model.coeffs
+    y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        raise ValueError("empty batch")
+    c = lr * 2.0 / y.size * (basis_matrix(mother, bases, X).T @ y)
+    # a NaN coefficient fails the comparison too
+    if not np.max(np.abs(c), initial=0.0) <= DIVERGENCE_LIMIT:
+        raise TrainingDivergence("training diverged at iteration 1")
+    return float(np.sum(c * c) * mother.norm_sq), c
 
 
 def subsample_centers(grid: CenterGrid, kappa: float):
@@ -84,10 +86,13 @@ def subsample_centers(grid: CenterGrid, kappa: float):
 
 @dataclass
 class EnergyTrace:
-    """Per-resolution raw and smoothed energy estimates from probing."""
+    """Per-resolution raw and smoothed energy estimates from probing, the
+    resolution ``m_init`` they pick, and the probe's warning, if any."""
 
     alpha: float
     rows: list = field(default_factory=list)  # (m, e_hat, e_bar, n_bases)
+    m_init: int | None = None
+    warning: str | None = None
 
     def append(self, m: int, e_hat: float, e_bar: float, n_bases: int) -> None:
         self.rows.append((m, e_hat, e_bar, n_bases))
@@ -100,17 +105,10 @@ class EnergyTrace:
                 w.writerow([m, repr(eh), repr(eb), nb])
 
 
-@dataclass
-class EstimateResult:
-    m_init: int
-    trace: EnergyTrace
-    warning: str | None = None
-
-
 def estimate_initial_resolution(mother: MotherWavelet, X, y,
                                 start_grid: CenterGrid, kappa: float,
                                 lr: float, epsilon: float, m_cap: int = 10,
-                                stop_early: bool = True) -> EstimateResult:
+                                stop_early: bool = True) -> EnergyTrace:
     """Probe detail subspaces upward in resolution until energy peaks.
 
     The starting grid is stride-subsampled by ``kappa``; each following
@@ -122,10 +120,12 @@ def estimate_initial_resolution(mother: MotherWavelet, X, y,
     the smoothed per-element energy at the current level lies strictly
     below the raw value one level finer; the exit level seeds the build.
 
-    With ``stop_early=False`` the chain records the full trace up to
-    ``m_cap`` (band diagnostics) while still reporting where the stop rule
-    first fired.  ``m_cap`` below the start resolution is an error: the
-    probe never visits a level under its start.
+    Returns the trace, whose ``m_init`` is the exit level (``m_cap``,
+    with a warning, if the rule never fired).  With ``stop_early=False``
+    the chain records the full trace up to ``m_cap`` (band diagnostics)
+    while still reporting where the stop rule first fired.  ``m_cap``
+    below the start resolution is an error: the probe never visits a
+    level under its start.
     """
     if m_cap < start_grid.m:
         raise ValueError(f"m_cap must be at least the start resolution "
@@ -143,16 +143,16 @@ def estimate_initial_resolution(mother: MotherWavelet, X, y,
             if prev_bar >= e_hat and exit_m is None:
                 exit_m = prev_m
         else:
-            degenerate = ("zero probe energy at the start resolution; the "
-                          "stop rule fires immediately" if e_sum == 0.0
-                          else None)
+            trace.warning = ("zero probe energy at the start resolution; "
+                             "the stop rule fires immediately"
+                             if e_sum == 0.0 else None)
             e_bar = e_hat
         trace.append(grid.m, e_hat, e_bar, len(probes))
         if (exit_m is not None and stop_early) or grid.m >= m_cap:
             break
         grid = grid.at(grid.m + 1)
         probes = children_centers(probes, grid)
-    if exit_m is not None:
-        return EstimateResult(exit_m, trace, warning=degenerate)
-    return EstimateResult(m_cap, trace,
-                          warning=f"no energy peak found up to m={m_cap}")
+    if exit_m is None:
+        exit_m, trace.warning = m_cap, f"no energy peak found up to m={m_cap}"
+    trace.m_init = exit_m
+    return trace

@@ -8,9 +8,10 @@ retrains.  Once the fraction schedule is exhausted the whole next level is
 seeded and the schedule restarts there.  A non-constructive baseline that
 escalates full detail grids level by level is included for comparison, as
 is a windowed online variant that triggers the same growth phases on a
-sustained loss plateau.  All three seed through ``_seed`` and grow
-through ``_grow``; the batch runs share one train-to-plateau loop, and
-every gradient step, batch or windowed, is ``Design.step``.
+sustained loss plateau.  All three seed through ``_seed``, grow through
+``_grow`` and return their pool, which holds the run's model, log,
+resolution and status; the batch runs share one train-to-plateau loop,
+and every gradient step, batch or windowed, is ``Design.step``.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ class GrowthConfig:
     mu: float
     learning_rate: float
     m_init: int
-    domain_low: tuple = (0.0,)
-    domain_high: tuple = (1.0,)
-    margin: float = 1.0
-    clamp_low: tuple | None = None
-    max_resolution: int = 10
-    max_iters: int = 50_000
+    domain_low: tuple
+    domain_high: tuple
+    margin: float
+    clamp_low: tuple | None
+    max_resolution: int
+    max_iters: int
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.zeta <= 0 or self.learning_rate <= 0:
@@ -66,15 +67,29 @@ class GrowthConfig:
 
 
 class WaveletPool:
-    """A growing model, whose ``bases`` are the one list of elements, plus
-    the seed ``grid`` (every level's lattice shares its bounds) and the
-    detail elements each resolution has already expanded as parents, so
-    repeated phases pick fresh ones."""
+    """A growth run's record: the growing ``model`` (its ``bases`` are the
+    one list of elements), the seed ``grid`` whose bounds every level's
+    lattice shares, the run's ``log``, the resolution ``m`` it grows at,
+    the ``sweep`` of phases run there, the ``status`` a run ended in, and
+    the parents each resolution has expanded, so phases pick fresh ones."""
 
-    def __init__(self, mother: MotherWavelet, grid: CenterGrid):
+    def __init__(self, mother: MotherWavelet, grid: CenterGrid,
+                 log: TrainLog | None = None):
         self.model = WaveletModel.zeros(mother, [])
         self.grid = grid
+        self.log = log if log is not None else TrainLog()
+        self.m = grid.m
+        self.sweep = 0
+        self.status = None
         self.expanded = defaultdict(set)
+
+    @property
+    def n_params(self) -> int:
+        return self.model.n_params
+
+    @property
+    def final_loss(self) -> float:
+        return self.log.records[-1][1] if self.log.records else float("nan")
 
     def add_bases(self, bases) -> list:
         """Append the elements the model lacks (first occurrence kept)."""
@@ -137,39 +152,22 @@ def expand_into_next(pool: WaveletPool, parents):
                                            pool.grid.at(parents[0].m + 1)))
 
 
-@dataclass
-class GrowthResult:
-    model: WaveletModel
-    log: TrainLog
-    status: TrainStatus
-    final_resolution: int
-    pool: "WaveletPool | None" = None
-
-    @property
-    def n_params(self) -> int:
-        return self.model.n_params
-
-    @property
-    def final_loss(self) -> float:
-        return self.log.records[-1][1] if self.log.records else float("nan")
-
-
 def _seed(mother: MotherWavelet, config: GrowthConfig, m: int,
-          log: TrainLog) -> WaveletPool:
-    """A pool over the configured domain holding the scaling and detail
-    grids at resolution ``m``, logged as the ``seed`` event."""
+          log: TrainLog | None) -> WaveletPool:
+    """A pool over the configured domain growing at resolution ``m`` and
+    holding its two grids there, logged as the ``seed`` event in ``log``."""
     pool = WaveletPool(mother, build_center_grid(
         m, config.domain_low, config.domain_high, config.margin,
-        config.clamp_low))
-    log.add_event(log.last_iteration, "seed", m, pool.ensure_level(m))
+        config.clamp_low), log)
+    pool.log.add_event("seed", m, pool.ensure_level(m))
     return pool
 
 
-def _grow(pool: WaveletPool, m: int, sweep: int, config: GrowthConfig,
-          log: TrainLog, whole_levels: bool = False):
-    """One growth phase at resolution ``m``, ``sweep`` phases after the
-    pool reached it, logged at the log's last iteration.  Returns the new
-    ``(m, sweep)``, or None when ``m`` is ``config.max_resolution``: no
+def _grow(pool: WaveletPool, config: GrowthConfig,
+          whole_levels: bool = False) -> bool:
+    """One growth phase at the pool's resolution ``m``, ``sweep`` phases
+    after the pool reached it; it advances ``m`` and ``sweep``.  Returns
+    False, growing nothing, when ``m`` is ``config.max_resolution``: no
     phase adds bases past the cap, so there the schedule is spent.
 
     The constructive rule expands the parents holding the next energy
@@ -179,86 +177,85 @@ def _grow(pool: WaveletPool, m: int, sweep: int, config: GrowthConfig,
     (``whole_levels``) escalates at every phase and adds the detail grid
     of m + 1 only.
     """
+    m = pool.m
     if m >= config.max_resolution:
-        return None
-    if not whole_levels and sweep < config.n_phases:
-        sweep += 1
-        mu_up = 1.0 if sweep == config.n_phases else sweep * config.mu
+        return False
+    if not whole_levels and pool.sweep < config.n_phases:
+        pool.sweep += 1
+        mu_up = 1.0 if pool.sweep == config.n_phases else pool.sweep * config.mu
         parents = select_high_energy(pool, m, mu_up, pool.expanded[m])
         new = expand_into_next(pool, parents)
         pool.expanded[m].update(parents)
-        log.add_event(log.last_iteration, "expand", m, len(new))
-        return m, sweep
-    m += 1
+        pool.log.add_event("expand", m, len(new))
+        return True
+    pool.m, pool.sweep = m + 1, 0
     if whole_levels:
-        added = len(pool.add_bases(pool.grid.at(m).bases(BasisKind.WAVELET)))
+        level = pool.grid.at(pool.m).bases(BasisKind.WAVELET)
+        added = len(pool.add_bases(level))
     else:
-        added = pool.ensure_level(m)
-    log.add_event(log.last_iteration, "escalate", m, added)
-    return m, 0
+        added = pool.ensure_level(pool.m)
+    pool.log.add_event("escalate", pool.m, added)
+    return True
 
 
-def _grow_to_target(pool: WaveletPool, m: int, X, y, config: GrowthConfig,
-                    log: TrainLog, whole_levels: bool) -> GrowthResult:
+def _grow_to_target(pool: WaveletPool, X, y, config: GrowthConfig,
+                    whole_levels: bool) -> WaveletPool:
     """Train to a plateau, grow, and repeat until the loss target is met
-    (Achieved) or the iterations or resolutions run out (Budget).  Every
-    phase trains on one design of ``X`` and ``y``."""
+    (Achieved) or the iterations or resolutions run out (Budget), and
+    set the pool's ``status`` to that.  Every phase trains on one design
+    of ``X`` and ``y``."""
     design = Design(X, y)
-    start_iter = log.last_iteration
-    sweep = 0
-    while True:
-        remaining = config.max_iters - (log.last_iteration - start_iter)
-        if remaining <= 0:
-            return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
-        st = train_to_plateau(pool.model, design, config.learning_rate,
-                              config.zeta, config.epsilon, remaining, log)
-        if st is not TrainStatus.PLATEAU:
-            return GrowthResult(pool.model, log, st, m, pool)
-        grown = _grow(pool, m, sweep, config, log, whole_levels)
-        if grown is None:
-            return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
-        m, sweep = grown
+    stop_at = pool.log.last_iteration + config.max_iters
+    while pool.log.last_iteration < stop_at:
+        pool.status = train_to_plateau(
+            pool.model, design, config.learning_rate, config.zeta,
+            config.epsilon, stop_at - pool.log.last_iteration, pool.log)
+        if pool.status is not TrainStatus.PLATEAU:
+            return pool
+        if not _grow(pool, config, whole_levels):
+            break
+    pool.status = TrainStatus.BUDGET
+    return pool
 
 
 def run_growth(mother: MotherWavelet, X, y, config: GrowthConfig,
                log: TrainLog | None = None,
-               pool: WaveletPool | None = None) -> GrowthResult:
+               pool: WaveletPool | None = None) -> WaveletPool:
     """Grow and train until the loss target is met (Achieved) or the
-    iteration/resolution budget runs out (Budget).
+    iteration/resolution budget runs out (Budget); returns the pool.
 
     Passing an existing ``pool`` continues a previous run (e.g. after new
-    data arrives) instead of seeding afresh: training resumes at the
-    pool's finest resolution with a fresh expansion-phase schedule.
-    Every phase trains on one design of ``X`` and ``y``, so each column
-    is evaluated once per call, and a resumed pool's columns are built
-    anew on the rows given here.
+    data arrives) in the pool's log (another ``log`` is a ValueError):
+    training resumes at the pool's finest resolution with a fresh
+    expansion-phase schedule.  Every phase trains on one design of ``X``
+    and ``y``, so each column is evaluated once per call, and a resumed
+    pool's columns are built anew on the rows given here.
     """
-    log = log if log is not None else TrainLog()
     if pool is None:
-        m = config.m_init
-        pool = _seed(mother, config, m, log)
+        pool = _seed(mother, config, config.m_init, log)
+    elif log is not None and log is not pool.log:
+        raise ValueError("a resumed run continues in its pool's log")
     elif pool.model.bases:
-        m = max(b.m for b in pool.model.bases)
+        pool.m, pool.sweep = max(b.m for b in pool.model.bases), 0
     else:
         raise ValueError("cannot resume from an empty pool")
-    return _grow_to_target(pool, m, X, y, config, log, whole_levels=False)
+    return _grow_to_target(pool, X, y, config, whole_levels=False)
 
 
 def run_baseline_wnn(mother: MotherWavelet, X, y, config: GrowthConfig,
-                     log: TrainLog | None = None) -> GrowthResult:
+                     log: TrainLog | None = None) -> WaveletPool:
     """Non-constructive reference: seed scaling + detail grids at the
     start resolution (``BASELINE_START_M``, or the resolution cap when
     that is lower), then add whole detail grids level by level whenever
     training plateaus above the target."""
-    log = log if log is not None else TrainLog()
-    m = min(BASELINE_START_M, config.max_resolution)
-    pool = _seed(mother, config, m, log)
-    return _grow_to_target(pool, m, X, y, config, log, whole_levels=True)
+    pool = _seed(mother, config, min(BASELINE_START_M, config.max_resolution),
+                 log)
+    return _grow_to_target(pool, X, y, config, whole_levels=True)
 
 
 def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
-               window: int = 10, patience: int = 40,
-               log: TrainLog | None = None) -> GrowthResult:
+               window: int, patience: int,
+               log: TrainLog | None = None) -> WaveletPool:
     """Windowed streaming variant: consume ``window`` samples per cycle,
     take one gradient step on that window, and run one growth phase
     whenever the rolling window loss sits above the loss target without
@@ -272,20 +269,18 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
     Each window takes one ``Design.step`` on a design of its rows and
     logs the post-step loss as one record numbered by window from 1; a
     short last window never triggers growth.  Each growth phase is an
-    event at its window's number.  The stream running out ends the run
-    as ``TrainStatus.BUDGET``.  A diverging step raises
-    :class:`TrainingDivergence` with the model as it was before that
-    window, and a ``window`` or ``patience`` below 1 ``ValueError``.
+    event at its window's number.  The stream running out ends the run,
+    and the pool it returns has status ``TrainStatus.BUDGET``.  A
+    diverging step raises :class:`TrainingDivergence` with the model as
+    it was before that window, and a ``window`` or ``patience`` below 1
+    ``ValueError``.
     """
     for name, value in (("window", window), ("patience", patience)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    log = log if log is not None else TrainLog()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    m = config.m_init
-    pool = _seed(mother, config, m, log)
-    sweep = 0
+    pool = _seed(mother, config, config.m_init, log)
     best_roll = np.inf
     best_at = 0
     for w, start in enumerate(range(0, len(y), window), 1):
@@ -293,12 +288,13 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
         design.sync(pool.model)
         direction, _ = design.objective(pool.model.coeffs)
         _, lw = design.step(pool.model, config.learning_rate, direction, w)
-        log.append(w, lw, pool.model.n_params)
+        pool.log.append(w, lw, pool.model.n_params)
         if design.y.size < window:
             # a short last window: its step and record only, no growth
             # trigger on a boundary fragment
             break
-        roll = float(np.mean([r[1] for r in log.records[-patience:]]))
+        roll = float(np.mean([r[1]
+                              for r in pool.log.records[-patience:]]))
         gap = max(config.zeta, ONLINE_IMPROVEMENT * best_roll)
         if np.isinf(best_roll) or roll < best_roll - gap:
             best_roll = roll
@@ -307,9 +303,8 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
             # sustained plateau above target: one growth phase; at the
             # resolution cap keep streaming plain steps and just restart
             # the patience clock
-            grown = _grow(pool, m, sweep, config, log)
-            if grown is not None:
-                m, sweep = grown
+            _grow(pool, config)
             best_roll = roll
             best_at = w
-    return GrowthResult(pool.model, log, TrainStatus.BUDGET, m, pool)
+    pool.status = TrainStatus.BUDGET
+    return pool

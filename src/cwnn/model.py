@@ -130,7 +130,7 @@ class TrainLog:
 
     Records are ``(iteration, loss, n_params, elapsed_ms)`` rows with a
     strictly increasing global iteration counter; growth events are
-    ``(iteration, event, resolution, added)`` rows.
+    ``(last_iteration, event, resolution, added)`` rows.
     """
 
     records: list = field(default_factory=list)
@@ -147,8 +147,8 @@ class TrainLog:
         ms = (time.perf_counter() - self._t0) * 1000.0
         self.records.append((iteration, loss_value, n_params, ms))
 
-    def add_event(self, iteration: int, event: str, resolution: int, added: int) -> None:
-        self.events.append((iteration, event, resolution, added))
+    def add_event(self, event: str, resolution: int, added: int) -> None:
+        self.events.append((self.last_iteration, event, resolution, added))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -133,8 +133,8 @@ def test_criterion_5_energy_unimodality(capsys):
             mother, ds.inputs, ds.targets, grid, kappa=0.36, lr=5e-4,
             epsilon=0.006 if variant != "D3" else 0.025, m_cap=6,
             stop_early=False)
-        trace = [row[1] for row in res.trace.rows]
-        assert [row[0] for row in res.trace.rows] == [1, 2, 3, 4, 5, 6]
+        trace = [row[1] for row in res.rows]
+        assert [row[0] for row in res.rows] == [1, 2, 3, 4, 5, 6]
         peaks_by_variant[variant] = count_peaks(trace, tol=0.02)
     ok = all(p == 1 for p in peaks_by_variant.values())
     verdict(5, ok, f"probe-energy trace peaks over resolutions 1..6: "

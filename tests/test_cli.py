@@ -608,6 +608,12 @@ _BAD_INPUTS = {
     "domain-order": (["fit", "--domain-low", "1,1", "--domain-high", "0,0"],
                      2, "inconsistent domain bounds"),
     "margin": (["fit", "--margin", "-2"], 2, "empty lattice"),
+    # lattice points at m_init = 3 but none at the baseline's seed, m = 1
+    "baseline-lattice": (["fit", "--baseline", "wnn", "--domain-low",
+                          "0.3,0.3", "--domain-high", "0.4,0.4", "--margin",
+                          "0", "--clamp-low", "none", "--m-init", "3",
+                          "--max-iters", "50"], 2,
+                         "empty lattice at resolution 1"),
 }
 
 

@@ -63,9 +63,9 @@ def test_energy_single_sample_hand_case():
 
 @pytest.mark.parametrize("rows", [60, 5])
 def test_probe_is_the_training_loops_first_step(rows):
-    # the probe's coefficients are train_to_plateau's first step from
-    # zero, on the Gram form (9 bases, 60 rows) and on the residual form
-    # (9 bases, 5 rows)
+    # the probe's coefficients are a zero model's Design.step and
+    # train_to_plateau's first step from zero, bit for bit, on the Gram
+    # form (9 bases, 60 rows) and on the residual form (9 bases, 5 rows)
     sc = MotherWavelet.sinc(2)
     bases = build_center_grid(1, [0.0, 0.0], [1.0, 1.0],
                               margin=0.0).bases()
@@ -73,6 +73,12 @@ def test_probe_is_the_training_loops_first_step(rows):
     X = rng.uniform(0.0, 1.0, size=(rows, 2))
     y = np.sin(5.0 * X[:, 0]) * X[:, 1]
     e, coeffs = estimate_subspace_energy(sc, bases, X, y, 5e-4)
+    stepped = WaveletModel.zeros(sc, bases)
+    design = Design(X, y)
+    design.sync(stepped)
+    assert (design.gram is None) == (len(bases) > rows)
+    design.step(stepped, 5e-4, design.objective(stepped.coeffs)[0], 1)
+    assert coeffs.tobytes() == stepped.coeffs.tobytes()
     model = WaveletModel.zeros(sc, bases)
     train_to_plateau(model, Design(X, y), 5e-4, zeta=0.0, epsilon=-1.0,
                      max_iters=1)
@@ -82,8 +88,8 @@ def test_probe_is_the_training_loops_first_step(rows):
 
 
 def test_probe_step_checks_divergence():
-    # the probe's step is Design.step, so a step size past any stability
-    # bound stops the probe as it stops a fit
+    # the probe checks its step as Design.step does, so a step size past
+    # any stability bound stops the probe as it stops a fit
     sc = MotherWavelet.sinc(2)
     bases = build_center_grid(1, [0.0, 0.0], [1.0, 1.0], margin=0.0).bases()
     X = np.random.default_rng(2).uniform(0.0, 1.0, size=(40, 2))
@@ -148,7 +154,7 @@ def test_estimator_finds_planted_band():
                                       epsilon=0.01)
     assert res.m_init == 2
     assert res.warning is None
-    assert [row[0] for row in res.trace.rows] == [1, 2, 3]
+    assert [row[0] for row in res.rows] == [1, 2, 3]
 
 
 def test_estimator_zero_targets_degenerate():
@@ -166,7 +172,7 @@ def test_estimator_full_trace_mode():
     grid = build_center_grid(1, [0.0], [1.0], margin=1.0, clamp_low=[0.0])
     res = estimate_initial_resolution(mh, X, y, grid, kappa=1.0, lr=5e-4,
                                       epsilon=0.01, m_cap=5, stop_early=False)
-    assert [row[0] for row in res.trace.rows] == [1, 2, 3, 4, 5]
+    assert [row[0] for row in res.rows] == [1, 2, 3, 4, 5]
     # the full trace still reports the stop-rule resolution
     assert res.m_init == 2
 
@@ -198,7 +204,7 @@ def test_estimator_cap_below_the_start_is_an_error():
                                     epsilon=0.01, m_cap=0)
     res = estimate_initial_resolution(mh, X, y, grid, kappa=1.0, lr=5e-4,
                                       epsilon=0.01, m_cap=1)
-    assert res.m_init == 1 and [row[0] for row in res.trace.rows] == [1]
+    assert res.m_init == 1 and [row[0] for row in res.rows] == [1]
 
 
 def test_trace_csv_format(tmp_path):
@@ -207,10 +213,10 @@ def test_trace_csv_format(tmp_path):
     res = estimate_initial_resolution(mh, X, y, grid, kappa=1.0, lr=5e-4,
                                       epsilon=0.01)
     path = tmp_path / "trace.csv"
-    res.trace.to_csv(path)
+    res.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "m,E_hat,E_bar,n_bases"
-    assert len(lines) == 1 + len(res.trace.rows)
+    assert len(lines) == 1 + len(res.rows)
     # float cells round-trip exactly
     m, eh, eb, nb = lines[1].split(",")
-    assert float(eh) == res.trace.rows[0][1]
+    assert float(eh) == res.rows[0][1]

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cwnn.growth as growth
-from cwnn.growth import (GrowthConfig, GrowthResult, WaveletPool,
-                         expand_into_next, run_baseline_wnn, run_growth,
-                         run_online, select_high_energy)
+from cwnn.growth import (GrowthConfig, WaveletPool, expand_into_next,
+                         run_baseline_wnn, run_growth, run_online,
+                         select_high_energy)
 from cwnn.model import (DIVERGENCE_LIMIT, TrainLog, TrainStatus,
                         TrainingDivergence, WaveletModel)
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
@@ -230,7 +230,7 @@ def test_growth_resume_from_pool():
     y2 = np.sin(6.0 * X2[:, 0])
     X = np.vstack([X1, X2])
     y = np.concatenate([y1, y2])
-    res2 = run_growth(MH1, X, y, config, log, pool=res1.pool)
+    res2 = run_growth(MH1, X, y, config, log, pool=res1)
     assert res2.status is TrainStatus.ACHIEVED
     assert res2.n_params >= n1  # resumed, never reseeded smaller
     iters = [r[0] for r in log.records]
@@ -242,6 +242,24 @@ def test_growth_resume_rejects_empty_pool():
     with pytest.raises(ValueError):
         run_growth(MH1, np.zeros((4, 1)), np.ones(4), small_config(),
                    pool=pool)
+
+
+def test_growth_resume_rejects_another_log():
+    # a resumed run continues in its pool's log, so a second log would
+    # split one run's records in two
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, size=(60, 1))
+    y = np.sin(6.0 * X[:, 0])
+    config = small_config(epsilon=5e-3, zeta=5e-6, max_iters=50)
+    pool = run_growth(MH1, X, y, config)
+    records, events = list(pool.log.records), list(pool.log.events)
+    with pytest.raises(ValueError, match="its pool's log"):
+        run_growth(MH1, X, y, config, TrainLog(), pool=pool)
+    assert (pool.log.records, pool.log.events) == (records, events)
+    # the pool's own log, passed or not, resumes the run
+    assert run_growth(MH1, X, y, config, pool.log, pool=pool) is pool
+    assert run_growth(MH1, X, y, config, pool=pool) is pool
+    assert pool.log.last_iteration > records[-1][0]
 
 
 def test_baseline_escalates_whole_levels_and_is_deterministic():
@@ -338,7 +356,7 @@ def _reference_online(mother, X, y, config, window=10, patience=40,
     pool = WaveletPool(mother, grid)
     m = config.m_init
     added = pool.ensure_level(m)
-    log.add_event(log.last_iteration, "seed", m, added)
+    log.add_event("seed", m, added)
     sweep = 0
     losses = []
     best_roll = np.inf
@@ -373,13 +391,13 @@ def _reference_online(mother, X, y, config, window=10, patience=40,
                 parents = select_high_energy(pool, m, mu_up, pool.expanded[m])
                 new = expand_into_next(pool, parents)
                 pool.expanded[m].update(parents)
-                log.add_event(step, "expand", m, len(new))
+                log.add_event("expand", m, len(new))
                 growth_iters.append(step)
             elif m < config.max_resolution:
                 m += 1
                 new = pool.ensure_level(m)
                 sweep = 0
-                log.add_event(step, "escalate", m, new)
+                log.add_event("escalate", m, new)
                 growth_iters.append(step)
             best_roll = roll
             best_at = w
@@ -414,7 +432,7 @@ def _online_both_ways(window):
     # the stream grew up to the resolution cap and ended on a short window
     assert ("escalate", config.max_resolution) in {e[1:3] for e in log.events}
     assert max(b.m for b in res.model.bases) == config.max_resolution
-    assert isinstance(res, GrowthResult) and res.status is TrainStatus.BUDGET
+    assert isinstance(res, WaveletPool) and res.status is TrainStatus.BUDGET
     assert len(y) % window and len(window_losses(res)) == -(-len(y) // window)
     assert log.last_iteration == len(window_losses(res))
     assert log.events == ref_log.events
@@ -462,10 +480,33 @@ def test_batch_runs_stop_at_the_resolution_cap():
         log = TrainLog()
         res = run(MH1, X, y, config, log)
         assert res.status is TrainStatus.BUDGET
-        assert res.final_resolution == config.max_resolution
+        assert res.m == config.max_resolution
         assert log.last_iteration < config.max_iters
         assert max(e[2] for e in log.events) == config.max_resolution
         assert max(b.m for b in res.model.bases) == config.max_resolution
+
+
+def test_a_capped_run_leaves_its_record_in_the_pool():
+    # no log given: the returned pool holds the run's own log, the cap it
+    # stopped at as its resolution, and its status
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.0, 1.0, size=(200, 1))
+    y = np.sin(30.0 * X[:, 0])
+    config = small_config(epsilon=1e-9, zeta=1e-4, max_resolution=2,
+                          max_iters=10 ** 6)
+    for run in (run_growth, run_baseline_wnn):
+        pool = run(MH1, X, y, config)
+        assert isinstance(pool, WaveletPool)
+        assert (pool.m, pool.sweep) == (config.max_resolution, 0)
+        assert pool.status is TrainStatus.BUDGET
+        assert pool.log.events[0][1] == "seed"
+        assert pool.log.events[-1][1:3] == ("escalate", config.max_resolution)
+        assert pool.final_loss == pool.log.records[-1][1]
+        assert pool.n_params == pool.model.n_params == pool.log.records[-1][2]
+        # at the cap the schedule is spent: a phase grows and logs nothing
+        before = (pool.m, pool.sweep, pool.n_params, list(pool.log.events))
+        assert growth._grow(pool, config) is False
+        assert (pool.m, pool.sweep, pool.n_params, pool.log.events) == before
 
 
 def test_baseline_seeds_at_a_cap_below_its_start():
@@ -478,7 +519,7 @@ def test_baseline_seeds_at_a_cap_below_its_start():
     log = TrainLog()
     res = run_baseline_wnn(MH1, X, y, config, log)
     assert res.status is TrainStatus.BUDGET
-    assert res.final_resolution == 0
+    assert res.m == 0
     assert [e[1:3] for e in log.events] == [("seed", 0)]
     assert max(b.m for b in res.model.bases) == 0
 
@@ -582,11 +623,11 @@ def test_growth_phases_never_reuse_a_parent(energies, n_phases):
         picked.append(select_high_energy(*args, **kwargs))
         return picked[-1]
 
-    m, sweep = 1, 0
+    pool.m = 1
     with mock.patch.object(growth, "select_high_energy", spy):
         for _ in range(n_phases):
-            m, sweep = growth._grow(pool, m, sweep, config, TrainLog())
-    assert (m, sweep) == (1, n_phases) and len(picked) == n_phases
+            assert growth._grow(pool, config) is True
+    assert (pool.m, pool.sweep) == (1, n_phases) and len(picked) == n_phases
     parents = [b for batch in picked for b in batch]
     assert len(parents) == len(set(parents))
     assert set(parents) == {b for b, e in level_energies(pool).items()

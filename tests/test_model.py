@@ -213,7 +213,7 @@ def test_log_csv_formats(tmp_path):
     log = TrainLog()
     log.append(1, 0.125, 3)
     log.append(2, 0.0625, 3)
-    log.add_event(2, "expand", 2, 4)
+    log.add_event("expand", 2, 4)
     p1, p2 = tmp_path / "log.csv", tmp_path / "events.csv"
     log.to_csv(p1)
     log.events_to_csv(p2)
@@ -222,6 +222,17 @@ def test_log_csv_formats(tmp_path):
     assert lines[1].startswith("1,0.125,3,")
     assert p2.read_text().splitlines() == ["iter,event,resolution,added",
                                            "2,expand,2,4"]
+
+
+def test_add_event_stamps_the_last_iteration():
+    log = TrainLog()
+    log.add_event("seed", 1, 10)
+    log.append(1, 0.5, 10)
+    log.append(4, 0.25, 10)
+    log.add_event("expand", 1, 3)
+    log.add_event("escalate", 2, 6)
+    assert log.events == [(0, "seed", 1, 10), (4, "expand", 1, 3),
+                          (4, "escalate", 2, 6)]
 
 
 def test_training_is_deterministic():
@@ -488,7 +499,7 @@ def test_growth_resume_on_new_rows_matches_residual_form(monkeypatch, rows):
         first = run_growth(MH1, X1, target(X1), config, log)
         resumed_at.append(len(log.events))
         return run_growth(MH1, X, target(X), config, log,
-                          pool=first.pool), log
+                          pool=first), log
 
     got, want = _grow_both_ways(monkeypatch, grow)
     # the resumed run grows, so its design syncs more than once
