@@ -55,7 +55,7 @@ def estimate_subspace_energy(mother: MotherWavelet, bases, X, y, lr: float):
         raise ValueError("empty batch")
     c = lr * 2.0 / y.size * (basis_matrix(mother, bases, X).T @ y)
     # a NaN coefficient fails the comparison too
-    if not np.max(np.abs(c), initial=0.0) <= DIVERGENCE_LIMIT:
+    if not np.abs(c).max(initial=0.0) <= DIVERGENCE_LIMIT:
         raise TrainingDivergence("training diverged at iteration 1")
     return float(np.sum(c * c) * mother.norm_sq), c
 

@@ -10,17 +10,21 @@ Every gradient step, the plateau loop's and the online windows', is
 :class:`Design` is the N x p design matrix psi of one dataset, kept in
 step with a model whose basis only grows.  Each sync evaluates only the
 columns of bases appended since the last one, so a growth run builds
-every column once.  While psi has no more columns than rows (p <= N) the
-design also holds G = psi^T psi, b = psi^T y and y^T y, extended at each
-sync by the border blocks psi_old^T psi_new and psi_new^T psi_new, and
-each step costs one p x p product instead of two N x p ones.  The first
-sync that takes p past N drops G for good (p never shrinks), and the
-residual form r = y - psi c runs from then on, where G would be both
-larger and slower per step.  The rule depends only on the shapes.  The
-Gram-form loss (y^T y - 2 c^T b + c^T G c) / N is a difference of terms
-of size y^T y, so its rounding floor is a few ulp of y^T y / N: about
-1e-15 on the example1 presets (y^T y / N is about 3.1, one ulp 4.4e-16),
-far below any loss target or plateau gap in use.
+every column once, and psi is held once: as the list of column blocks
+the syncs evaluated, which are never joined into one matrix, so a sync
+allocates its new block and not a copy of the old ones.  While psi has
+no more columns than rows (p <= N) the design also holds G = psi^T psi,
+b = psi^T y and y^T y, extended at each sync by the border blocks
+psi_old^T psi_new (one product per held block) and psi_new^T psi_new,
+and each step costs one p x p product instead of two N x p ones.  The
+first sync that takes p past N drops G for good (p never shrinks), and
+the residual form r = y - psi c runs from then on, one product per block
+each way, where G would be both larger and slower per step.  The rule
+depends only on the shapes.  The Gram-form loss
+(y^T y - 2 c^T b + c^T G c) / N is a difference of terms of size y^T y,
+so its rounding floor is a few ulp of y^T y / N: about 1e-15 on the
+example1 presets (y^T y / N is about 3.1, one ulp 4.4e-16), far below
+any loss target or plateau gap in use.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -169,10 +174,11 @@ class Design:
     """The design matrix of the data ``X``, ``y``, kept in step with a
     model whose bases are only ever appended (see the module docstring).
 
-    ``psi`` holds one column per synced basis.  While p <= N, ``gram``,
-    ``b`` and ``yy`` hold psi^T psi, psi^T y and y^T y; past N ``gram``
-    is None.  A design belongs to one dataset: data with other rows need
-    a new design.
+    ``blocks`` holds psi once, as the ``basis_matrix`` output of each
+    sync in order: its columns, joined, are one per synced basis.  While
+    p <= N, ``gram``, ``b`` and ``yy`` hold psi^T psi, psi^T y and y^T y;
+    past N ``gram`` is None.  A design belongs to one dataset: data with
+    other rows need a new design.
     """
 
     def __init__(self, X, y):
@@ -181,14 +187,14 @@ class Design:
         if self.y.size == 0:
             raise ValueError("empty batch")
         self.bases = []
-        self.psi = np.empty((self.y.size, 0))
+        self.blocks = []
         self.gram = np.empty((0, 0))
         self.b = np.empty(0)
         self.yy = float(self.y @ self.y)
 
     def sync(self, model: WaveletModel) -> None:
         """Evaluate the columns of the bases ``model`` gained since the
-        last sync and border G and b with them."""
+        last sync as one new block and border G and b with them."""
         p_old = len(self.bases)
         if model.bases[:p_old] != self.bases:
             raise ValueError("the model's bases do not extend the design's")
@@ -197,12 +203,13 @@ class Design:
             return
         new = basis_matrix(model.mother, new_bases, self.X)
         if self.gram is not None and model.n_params <= self.y.size:
-            cross = self.psi.T @ new
+            # new[:0] is the empty border of a first sync
+            cross = np.vstack([blk.T @ new for blk in self.blocks] or [new[:0]])
             self.gram = np.block([[self.gram, cross], [cross.T, new.T @ new]])
             self.b = np.concatenate([self.b, new.T @ self.y])
         else:
             self.gram = self.b = None
-        self.psi = np.hstack([self.psi, new]) if p_old else new
+        self.blocks.append(new)
         self.bases.extend(new_bases)
 
     def objective(self, c):
@@ -211,8 +218,13 @@ class Design:
         if self.gram is not None:
             g = self.b - self.gram @ c
             return g, (self.yy - float(c @ (self.b + g))) / self.y.size
-        resid = self.y - self.psi @ c
-        return self.psi.T @ resid, float(np.mean(resid * resid))
+        resid = self.y.copy()
+        lo = 0
+        for blk in self.blocks:
+            resid -= blk @ c[lo:lo + blk.shape[1]]
+            lo += blk.shape[1]
+        direction = np.concatenate([blk.T @ resid for blk in self.blocks])
+        return direction, float(np.mean(resid * resid))
 
     def step(self, model: WaveletModel, lr: float, direction, iteration: int):
         """One gradient step ``c + (2 lr / N) direction`` on a synced
@@ -223,9 +235,9 @@ class Design:
         c = model.coeffs + lr * 2.0 / self.y.size * direction
         # a NaN coefficient fails the comparison too; a runaway step
         # raises before its loss is taken, where it would overflow
-        if np.max(np.abs(c), initial=0.0) <= DIVERGENCE_LIMIT:
+        if np.abs(c).max(initial=0.0) <= DIVERGENCE_LIMIT:
             direction, new = self.objective(c)
-            if np.isfinite(new):
+            if math.isfinite(new):
                 model.coeffs = c
                 return direction, new
         raise TrainingDivergence(f"training diverged at iteration {iteration}")
@@ -244,7 +256,7 @@ def train_to_plateau(model: WaveletModel, design: Design, lr: float,
 
     ``design`` is synced to the model first: a caller that trains one
     growing model in phases passes the same design each time, so psi
-    keeps its columns across phases and G is bordered rather than
+    keeps its blocks across phases and G is bordered rather than
     rebuilt.  Steps run on the Gram form while p <= N and on the residual
     form after (see the module docstring).
     """

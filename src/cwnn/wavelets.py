@@ -13,12 +13,13 @@ mother families are provided, both radial in frequency:
   product of ``sin(x_i)/x_i`` factors.
 
 Shapes are evaluated from per-axis coordinate arrays, so a design matrix
-is built from one (n_samples, block) offset array per input axis and
-never from an (n_samples, n_bases, dim) stack.  The separable sinc
-companion is built from one (n_samples, distinct n_k) factor table per
-axis instead.  A design matrix whose scratch spans several blocks is
-built on every CPU the process may run on (its affinity mask, which
-``taskset`` limits); the result does not depend on the CPU count.
+is built block by block from one (rows, columns) offset array per input
+axis and never from an (n_samples, n_bases, dim) stack.  The separable
+sinc companion is built from one (rows, distinct n_k) factor table per
+axis and chunk of rows instead.  A design matrix whose scratch spans
+several blocks is built on every CPU the process may run on (its
+affinity mask, which ``taskset`` limits); the result does not depend on
+the CPU count.
 """
 
 from __future__ import annotations
@@ -208,8 +209,23 @@ def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
     return col.reshape(x.shape[:-1])[()]
 
 
-# target number of scratch elements per evaluation block (memory control)
-_BLOCK_ELEMS = 2 ** 20
+# Target number of offset elements per evaluation block, summed over the
+# input axes.  A worker holds one block's scratch at a time: its offsets
+# and the shape's temporaries, at most 4 * _BLOCK_ELEMS doubles (8 MiB;
+# the 1-D sinc wavelet's offsets, radii, profile and one temporary reach
+# it), on top of the call's output, one scaled copy of X per run of bases
+# and the sinc companion's per-axis factor tables.  2**18 is the smallest
+# power of two that still builds a 500-row, 162-column two-axis design
+# inline: at 2**17 that call enters the thread pool and slows from about
+# 3 to 4 ms.
+_BLOCK_ELEMS = 2 ** 18
+# Most rows per evaluation block.  A block of all 50 000 rows of a
+# two-axis design would hold two columns at 2**18, and writing a design
+# two columns at a time moves each cache line of it about four times; a
+# block of at most 4096 rows holds at least 2**18 // (4096 d) columns
+# (21 at d = 3), so each output row is written in runs of whole cache
+# lines.  Designs of at most 4096 rows are cut by columns alone.
+_BLOCK_ROWS = 4096
 
 
 def _cpu_count() -> int:
@@ -259,17 +275,19 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
 
     Returns the (n_samples, n_bases) design matrix.  Each run of
     consecutive bases of one kind and resolution shares one scaled copy
-    of ``X`` and is cut into the fewest blocks of at most ``_BLOCK_ELEMS``
-    scratch elements, their sizes differing by at most one column.  A
-    block of wavelets or Mexican-hat companions is evaluated from one
-    (n_samples, block) offset array per input axis; a block of sinc
-    companions is gathered from the run's per-axis factor tables.
+    of ``X``.  Its rows are cut into the fewest chunks of at most
+    ``_BLOCK_ROWS``, and each chunk's columns into the fewest blocks of
+    at most ``_BLOCK_ELEMS`` scratch elements, their sizes differing by
+    at most one row or column.  A block of wavelets or Mexican-hat
+    companions is evaluated from one (rows, block) offset array per
+    input axis; a block of sinc companions is gathered from its row
+    chunk's per-axis factor tables.
 
     When the call's scratch spans more than one block and the process may
     run on several CPUs, the blocks are mapped over a thread pool of at
     most that many workers (numpy and scipy.special release the GIL);
-    each block writes only its own column slice, so the result is the
-    same bit for bit on any number of CPUs.  Each worker holds one
+    each block writes only its own slice of the output, so the result is
+    the same bit for bit on any number of CPUs.  Each worker holds one
     block's scratch at a time.  Smaller calls run inline.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -277,7 +295,10 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
     if d != mother.dim:
         raise ValueError(f"X has dim {d}, mother expects {mother.dim}")
     out = np.empty((n, len(bases)))
-    block = max(1, _BLOCK_ELEMS // max(1, n * d))
+    # ceil(n / _BLOCK_ROWS) row chunks whose sizes differ by at most one
+    kr = max(1, -(-n // _BLOCK_ROWS))
+    rows = [n * i // kr for i in range(kr + 1)]
+    block = max(1, _BLOCK_ELEMS // max(1, -(-n // kr) * d))
     tasks = []
     start = 0
     for (kind, m), run in itertools.groupby(bases, lambda b: (b.kind, b.m)):
@@ -287,20 +308,22 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
                              f"wrong length; mother expects {d}")
         scaled = X * 2.0 ** m
         amp = 2.0 ** (0.5 * d * m)
-        if kind is BasisKind.SCALING and mother.family is WaveletFamily.SINC:
-            shapes = _sinc_companions(scaled, centers)
-        else:
-            shapes = _offset_shapes(mother, kind, scaled, centers)
         # ceil(len / block) blocks whose sizes differ by at most one
         k = -(-len(centers) // block)
         cuts = [len(centers) * i // k for i in range(k + 1)]
-        tasks += [(shapes, lo, hi, start + lo, amp)
-                  for lo, hi in zip(cuts[:-1], cuts[1:])]
+        for r0, r1 in zip(rows[:-1], rows[1:]):
+            if (kind is BasisKind.SCALING
+                    and mother.family is WaveletFamily.SINC):
+                shapes = _sinc_companions(scaled[r0:r1], centers)
+            else:
+                shapes = _offset_shapes(mother, kind, scaled[r0:r1], centers)
+            tasks += [(shapes, lo, hi, out[r0:r1, start + lo:start + hi], amp)
+                      for lo, hi in zip(cuts[:-1], cuts[1:])]
         start += len(centers)
 
     def fill(task):
-        shapes, lo, hi, col, amp = task
-        np.multiply(shapes(lo, hi), amp, out=out[:, col:col + hi - lo])
+        shapes, lo, hi, dest, amp = task
+        np.multiply(shapes(lo, hi), amp, out=dest)
 
     workers = 1
     if n * d * len(bases) > _BLOCK_ELEMS:

@@ -1,6 +1,7 @@
 """Linear-in-coefficients predictor: loss, gradient, plateau training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import cwnn.growth
 import cwnn.model
+import cwnn.wavelets
 from cwnn.growth import GrowthConfig, run_growth
 from cwnn.model import (DIVERGENCE_LIMIT, Design, TrainLog, TrainStatus,
                         TrainingDivergence, WaveletModel, loss,
@@ -536,7 +538,7 @@ def test_design_sync_matches_full_build(seed, family, d, n, chunks):
         start += size
         design.sync(model)
         psi = basis_matrix(mother, model.bases, X)
-        assert np.array_equal(design.psi, psi)
+        assert np.array_equal(np.hstack(design.blocks), psi)
         crossed = crossed or model.n_params > n
         if crossed:
             assert design.gram is None and design.b is None
@@ -561,10 +563,45 @@ def test_design_takes_its_first_block_without_a_copy(monkeypatch):
     model = wm([(0, 0), (1, 1)])
     design = Design(np.linspace(0.0, 1.0, 3).reshape(-1, 1), np.ones(3))
     design.sync(model)
-    assert design.psi is blocks[0]
-    model.append_bases([BasisIndex(2, (1,), BasisKind.WAVELET)])
-    design.sync(model)
-    assert design.psi.shape == (3, 3) and design.psi is not blocks[0]
+    assert len(design.blocks) == 1 and design.blocks[0] is blocks[0]
+    # every later sync keeps its block as evaluated too, in both forms:
+    # the third sync takes p past N = 3
+    for m in (2, 3):
+        model.append_bases([BasisIndex(m, (1,), BasisKind.WAVELET)])
+        design.sync(model)
+    assert design.gram is None
+    assert len(design.blocks) == len(blocks) == 3
+    assert all(got is want for got, want in zip(design.blocks, blocks))
+
+
+def test_design_sync_allocates_its_new_block_not_a_copy():
+    # 5 000 rows of a Gram-form design: two syncs of 150 columns hold
+    # 12 MB, and the third adds 5 columns.  Joining the blocks would
+    # allocate all 12 MB again; a sync may take only the new block, the
+    # evaluation scratch bound stated in wavelets.py, and the Gram
+    # border, which fits well inside that bound at these sizes
+    rows = 5000
+    X = np.linspace(-2.0, 2.0, rows).reshape(-1, 1)
+    design = Design(X, np.sin(3.0 * X[:, 0]))
+    model = WaveletModel.zeros(MH1, [])
+    for lo, hi in ((0, 150), (150, 300)):
+        model.append_bases([BasisIndex(6, (n - 150,), BasisKind.WAVELET)
+                            for n in range(lo, hi)])
+        design.sync(model)
+    held = sum(blk.nbytes for blk in design.blocks)
+    model.append_bases([BasisIndex(2, (n,), BasisKind.WAVELET)
+                        for n in range(5)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        design.sync(model)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert design.gram is not None and len(design.blocks) == 3
+    new = design.blocks[-1].nbytes
+    assert peak < held
+    assert peak <= new + 4 * cwnn.wavelets._BLOCK_ELEMS * 8
 
 
 def test_design_rejects_bases_it_was_not_built_on():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,18 +340,48 @@ def _record_block_sizes(monkeypatch):
 
 def test_basis_matrix_balances_its_blocks(monkeypatch):
     # the wide fit's 1 081-column expansion on 500 rows of two axes: a
-    # block holds at most 2^20 // 1 000 = 1 048 columns, so the group is
-    # cut into two blocks of 541 and 540, not 1 048 and 33
+    # block holds at most _BLOCK_ELEMS // 1 000 columns (262 at 2^18), so
+    # the group is cut into the fewest blocks that allow (five of 216 or
+    # 217), not into full blocks and a short remainder
     sizes = _record_block_sizes(monkeypatch)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
     mother = MotherWavelet.sinc(2)
     bases = lattice_bases(5, [range(23), range(47)])
     X = np.random.default_rng(5).uniform(0.0, 1.0, size=(500, 2))
     psi = basis_matrix(mother, bases, X)
-    assert sorted(sizes) == [540, 541]
+    block = wavelets._BLOCK_ELEMS // X.size
+    k = -(-len(bases) // block)
+    assert k > 1 and sum(sizes) == len(bases) and len(sizes) == k
+    assert set(sizes) == {len(bases) // k, -(-len(bases) // k)}
     # every cell is computed on its own, so one block gives the same bytes
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", psi.size * 2)
     np.testing.assert_array_equal(basis_matrix(mother, bases, X), psi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family, kind", [
+    ("mexican_hat", BasisKind.WAVELET), ("mexican_hat", BasisKind.SCALING),
+    ("sinc", BasisKind.WAVELET)])
+def test_basis_matrix_scratch_stays_within_its_bound(monkeypatch, d, family,
+                                                     kind):
+    # the bound the _BLOCK_ELEMS comment states: beyond its output and
+    # one scaled copy of X, a serial call of one run of bases holds at
+    # most 4 * _BLOCK_ELEMS doubles of scratch (and a few kilobytes of
+    # bookkeeping: the centers, the task list)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    rng = np.random.default_rng(d)
+    X = rng.uniform(0.0, 1.0, size=(4096 // d, d))
+    cols = 3 * (wavelets._BLOCK_ELEMS // X.size)
+    bases = [BasisIndex(2, tuple(int(v) for v in rng.integers(-2, 6, size=d)),
+                        kind) for _ in range(cols)]
+    tracemalloc.start()
+    try:
+        out = basis_matrix(getattr(MotherWavelet, family)(d), bases, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = peak - out.nbytes - X.nbytes
+    assert scratch <= 4 * wavelets._BLOCK_ELEMS * 8 + 2 ** 16
 
 
 @pytest.mark.parametrize("n_cols, block", [(1, 1), (7, 3), (9, 3), (10, 4),
@@ -363,6 +394,70 @@ def test_basis_matrix_blocks_differ_by_at_most_one(monkeypatch, n_cols,
                  lattice_bases(0, [range(n_cols)]), np.zeros((3, 1)))
     assert sum(sizes) == n_cols and len(sizes) == -(-n_cols // block)
     assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+
+
+def test_basis_matrix_cuts_tall_designs_by_rows(monkeypatch):
+    # the 50k fit's shape: 162 columns on 50 000 rows of two axes.  Rows
+    # come in the fewest chunks of at most _BLOCK_ROWS (13 of 3 846 or
+    # 3 847), so a block holds 32 or 33 columns instead of the two that
+    # full-height blocks of _BLOCK_ELEMS would; a serial call keeps the
+    # scratch bound, and full-height blocks give the same bytes
+    blocks = []
+    real = wavelets._offset_shapes
+
+    def spy(mother, kind, scaled, centers):
+        shapes = real(mother, kind, scaled, centers)
+
+        def recording(lo, hi):
+            blocks.append((scaled.shape[0], hi - lo))
+            return shapes(lo, hi)
+        return recording
+
+    monkeypatch.setattr(wavelets, "_offset_shapes", spy)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    mother = MotherWavelet.mexican_hat(2)
+    bases = lattice_bases(4, [range(-1, 17), range(-1, 8)])
+    X = np.random.default_rng(6).uniform(0.0, 1.0, size=(50_000, 2))
+    tracemalloc.start()
+    try:
+        psi = basis_matrix(mother, bases, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = peak - psi.nbytes - X.nbytes
+    assert scratch <= 4 * wavelets._BLOCK_ELEMS * 8 + 2 ** 16
+    kr = -(-len(X) // wavelets._BLOCK_ROWS)
+    block = wavelets._BLOCK_ELEMS // (-(-len(X) // kr) * 2)
+    k = -(-len(bases) // block)
+    assert len(blocks) == kr * k
+    assert {r for r, _ in blocks} == {len(X) // kr, -(-len(X) // kr)}
+    assert {c for _, c in blocks} == {len(bases) // k, -(-len(bases) // k)}
+    assert sum(r * c for r, c in blocks) == psi.size
+    assert min(c for _, c in blocks) >= 32
+    monkeypatch.setattr(wavelets, "_BLOCK_ROWS", len(X))
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
+    assert basis_matrix(mother, bases, X).tobytes() == psi.tobytes()
+
+
+@pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_chunks_agree_with_one_block(family, d, monkeypatch):
+    # chunks of 5 or 6 rows and blocks of three columns on 23 rows,
+    # serial and on two CPUs, against one block of the whole design
+    mother = getattr(MotherWavelet, family)(d)
+    bases = mixed_bases(d, 100 + d)
+    X = np.random.default_rng(110 + d).uniform(-2.0, 2.0, size=(23, d))
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 6 * 3 * d)
+    monkeypatch.setattr(wavelets, "_BLOCK_ROWS", 6)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    serial = basis_matrix(mother, bases, X)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
+    threaded = basis_matrix(mother, bases, X)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", X.size * len(bases))
+    monkeypatch.setattr(wavelets, "_BLOCK_ROWS", len(X))
+    whole = basis_matrix(mother, bases, X)
+    assert serial.tobytes() == whole.tobytes()
+    assert threaded.tobytes() == whole.tobytes()
 
 
 def test_concurrent_callers_get_the_serial_result(monkeypatch):
