@@ -28,7 +28,7 @@ from .datasets import (gen_autoregression, gen_example1,
 from .diagnostics import (TimeFrequencyBox, count_peaks, decay_report,
                           scan_indices)
 from .frequency import alpha_from_epsilon, estimate_initial_resolution
-from .growth import (BASELINE_START_M, GrowthConfig, run_baseline_wnn,
+from .growth import (GrowthConfig, WaveletPool, run_baseline_wnn,
                      run_growth, run_online)
 from .model import TrainStatus, TrainingDivergence
 from .wavelets import BasisIndex, MotherWavelet, build_center_grid
@@ -125,6 +125,8 @@ PRESETS = {
 
 # resolution the start-resolution estimator probes up from
 _START_M = 1
+# resolution the whole-level baseline seeds its scaling and detail grids at
+BASELINE_START_M = 1
 # rows per input region of the example2 dataset
 _N_PER_REGION = 250
 
@@ -278,6 +280,8 @@ def resolve_config(args) -> dict:
     # the other fields at mu = 1 first, so its mu errors name mu_list
     sweep = args.command == "sweep"
     gcfg = _growth_config(dict(cfg, mu=1.0) if sweep else cfg)
+    if cfg["m_init"] > cfg["max_resolution"]:
+        raise ConfigError("m_init exceeds max_resolution")
     for mu in mus if sweep else []:
         try:
             replace(gcfg, mu=mu)
@@ -309,6 +313,8 @@ def _build_data(cfg):
                       cfg["feature_columns"])
         ds = minmax_scale(ds)
         ds, test = split(ds, cfg["train_fraction"], cfg["seed"])
+        if not len(test):
+            raise ConfigError("the dataset has no held-out rows")
         extra["test"] = test
         cfg["domain_low"] = [0.0] * ds.dim
         cfg["domain_high"] = [1.0] * ds.dim
@@ -333,13 +339,16 @@ def _growth_config(cfg) -> GrowthConfig:
     return GrowthConfig(**{f.name: cfg[f.name] for f in fields(GrowthConfig)})
 
 
-def _start_grid(cfg, m=None):
-    """The lattice at resolution ``m``, by default the one the command
-    starts at: the probe's start level for ``estimate-freq`` and
-    ``diag``, ``m_init`` for the growth commands."""
-    if m is None:
-        probe = cfg["command"] in ("estimate-freq", "diag")
-        m = _START_M if probe else cfg["m_init"]
+def _start_grid(cfg, baseline: bool = False):
+    """The lattice a run starts at: the probe's start level for
+    ``estimate-freq`` and ``diag``, ``m_init`` for the growth commands,
+    and with ``baseline`` the baseline's, ``BASELINE_START_M`` or the
+    resolution cap when that is lower."""
+    m = cfg["m_init"]
+    if baseline:
+        m = min(BASELINE_START_M, cfg["max_resolution"])
+    elif cfg["command"] in ("estimate-freq", "diag"):
+        m = _START_M
     return build_center_grid(m, cfg["domain_low"], cfg["domain_high"],
                              cfg["margin"], cfg["clamp_low"])
 
@@ -425,7 +434,7 @@ def _fit(cfg, data, out: str):
     X, y = ds.inputs, ds.targets
     mother = _mother(cfg, ds.dim)
     gcfg = _growth_config(cfg)
-    res = run_growth(mother, X, y, gcfg)
+    res = run_growth(WaveletPool(mother, _start_grid(cfg)), X, y, gcfg)
     summary = {"command": "fit"}
     if "second" in extra:
         # second dataset arrives: continue growing on the union
@@ -434,7 +443,7 @@ def _fit(cfg, data, out: str):
         X = np.vstack([X, ds2.inputs])
         y = np.concatenate([y, ds2.targets])
         res.log.add_event("ingest", res.m, len(ds2))
-        res = run_growth(mother, X, y, gcfg, pool=res)
+        res = run_growth(res, X, y, gcfg)
     # a csv run trains on min-max scaled data; saved models keep the record
     res.model.scaling = ds.scaling
     summary["cwnn"] = _fit_summary(res)
@@ -443,7 +452,8 @@ def _fit(cfg, data, out: str):
         resid = test.targets - res.model.predict(test.inputs)
         summary["test_mse"] = float(np.mean(resid * resid))
     if cfg["baseline"] == "wnn":
-        bres = run_baseline_wnn(mother, X, y, gcfg)
+        base = WaveletPool(mother, _start_grid(cfg, baseline=True))
+        bres = run_baseline_wnn(base, X, y, gcfg)
         bres.model.scaling = ds.scaling
         summary["baseline"] = _fit_summary(bres)
         summary["param_ratio"] = res.n_params / bres.n_params
@@ -462,9 +472,9 @@ def cmd_fit(cfg, data, out: str) -> int:
 
 def cmd_online(cfg, data, out: str) -> int:
     ds, _ = data
-    res = run_online(_mother(cfg, ds.dim), ds.inputs, ds.targets,
-                     _growth_config(cfg), window=cfg["window"],
-                     patience=cfg["patience"])
+    res = run_online(WaveletPool(_mother(cfg, ds.dim), _start_grid(cfg)),
+                     ds.inputs, ds.targets, _growth_config(cfg),
+                     window=cfg["window"], patience=cfg["patience"])
     # a record per window, and an event per growth phase after the seed
     tail = [r[1] for r in res.log.records[-cfg["patience"]:]]
     grew = [e[0] for e in res.log.events if e[1] != "seed"]
@@ -568,7 +578,7 @@ def main(argv=None) -> int:
         data = _build_data(cfg)
         _start_grid(cfg)
         if cfg["baseline"] == "wnn":
-            _start_grid(cfg, min(BASELINE_START_M, cfg["max_resolution"]))
+            _start_grid(cfg, baseline=True)
         return _COMMANDS[args.command](cfg, data, _prepare_out(args.out, cfg))
     except ValueError as exc:
         # ConfigError, DataError and GridError are ValueErrors too

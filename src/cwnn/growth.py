@@ -8,9 +8,10 @@ retrains.  Once the fraction schedule is exhausted the whole next level is
 seeded and the schedule restarts there.  A non-constructive baseline that
 escalates full detail grids level by level is included for comparison, as
 is a windowed online variant that triggers the same growth phases on a
-sustained loss plateau.  All three seed through ``_seed``, grow through
-``_grow`` and return their pool, which holds the run's model, log,
-resolution and status; the batch runs share one train-to-plateau loop,
+sustained loss plateau.  Each run grows the pool it is given, seeded on
+the caller's start lattice (``run_growth`` resumes a pool that holds
+bases), through ``_grow``, and returns it: the run's model, log,
+resolution and status.  The batch runs share one train-to-plateau loop,
 and every gradient step, batch or windowed, is ``Design.step``.
 """
 
@@ -23,11 +24,7 @@ import numpy as np
 
 from .model import (Design, TrainLog, TrainStatus, WaveletModel,
                     train_to_plateau)
-from .wavelets import (BasisKind, CenterGrid, MotherWavelet,
-                       build_center_grid, children_centers)
-
-# resolution the whole-level baseline seeds its scaling and detail grids at
-BASELINE_START_M = 1
+from .wavelets import BasisKind, CenterGrid, MotherWavelet, children_centers
 
 # relative drop in the online rolling loss that counts as improvement
 ONLINE_IMPROVEMENT = 0.02
@@ -37,17 +34,12 @@ ONLINE_IMPROVEMENT = 0.02
 class GrowthConfig:
     """Knobs for a growth run.  ``epsilon`` is the loss target, ``zeta``
     the plateau threshold, ``mu`` the per-phase energy fraction (must be a
-    reciprocal of a positive integer)."""
+    reciprocal of a positive integer), ``max_iters`` at least 1."""
 
     epsilon: float
     zeta: float
     mu: float
     learning_rate: float
-    m_init: int
-    domain_low: tuple
-    domain_high: tuple
-    margin: float
-    clamp_low: tuple | None
     max_resolution: int
     max_iters: int
 
@@ -58,8 +50,9 @@ class GrowthConfig:
         if not (0.5 < inv < np.inf and abs(inv - round(inv)) <= 1e-9):
             raise ValueError(f"mu must be the reciprocal of a positive "
                              f"integer, got {self.mu}")
-        if self.m_init > self.max_resolution:
-            raise ValueError("m_init exceeds max_resolution")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, "
+                             f"got {self.max_iters}")
 
     @property
     def n_phases(self) -> int:
@@ -68,16 +61,15 @@ class GrowthConfig:
 
 class WaveletPool:
     """A growth run's record: the growing ``model`` (its ``bases`` are the
-    one list of elements), the seed ``grid`` whose bounds every level's
+    one list of elements), the start ``grid`` whose bounds every level's
     lattice shares, the run's ``log``, the resolution ``m`` it grows at,
     the ``sweep`` of phases run there, the ``status`` a run ended in, and
     the parents each resolution has expanded, so phases pick fresh ones."""
 
-    def __init__(self, mother: MotherWavelet, grid: CenterGrid,
-                 log: TrainLog | None = None):
+    def __init__(self, mother: MotherWavelet, grid: CenterGrid):
         self.model = WaveletModel.zeros(mother, [])
         self.grid = grid
-        self.log = log if log is not None else TrainLog()
+        self.log = TrainLog()
         self.m = grid.m
         self.sweep = 0
         self.status = None
@@ -152,14 +144,21 @@ def expand_into_next(pool: WaveletPool, parents):
                                            pool.grid.at(parents[0].m + 1)))
 
 
-def _seed(mother: MotherWavelet, config: GrowthConfig, m: int,
-          log: TrainLog | None) -> WaveletPool:
-    """A pool over the configured domain growing at resolution ``m`` and
-    holding its two grids there, logged as the ``seed`` event in ``log``."""
-    pool = WaveletPool(mother, build_center_grid(
-        m, config.domain_low, config.domain_high, config.margin,
-        config.clamp_low), log)
-    pool.log.add_event("seed", m, pool.ensure_level(m))
+def _start(pool: WaveletPool, config: GrowthConfig,
+           resume: bool = False) -> WaveletPool:
+    """Seed an empty pool with its two grids at its resolution ``m`` (the
+    ``seed`` event); with ``resume``, a pool that holds bases continues at
+    its finest basis resolution with a fresh schedule.  Any other pool,
+    or one above ``config.max_resolution``, is a ValueError."""
+    if pool.model.bases:
+        if not resume:
+            raise ValueError("this run starts from an empty pool")
+        pool.m, pool.sweep = max(b.m for b in pool.model.bases), 0
+    if pool.m > config.max_resolution:
+        raise ValueError(f"the pool is at resolution {pool.m}, above "
+                         f"max_resolution {config.max_resolution}")
+    if not pool.model.bases:
+        pool.log.add_event("seed", pool.m, pool.ensure_level(pool.m))
     return pool
 
 
@@ -218,48 +217,37 @@ def _grow_to_target(pool: WaveletPool, X, y, config: GrowthConfig,
     return pool
 
 
-def run_growth(mother: MotherWavelet, X, y, config: GrowthConfig,
-               log: TrainLog | None = None,
-               pool: WaveletPool | None = None) -> WaveletPool:
-    """Grow and train until the loss target is met (Achieved) or the
-    iteration/resolution budget runs out (Budget); returns the pool.
+def run_growth(pool: WaveletPool, X, y, config: GrowthConfig) -> WaveletPool:
+    """Grow ``pool`` and train until the loss target is met (Achieved) or
+    the iteration/resolution budget runs out (Budget); returns the pool.
 
-    Passing an existing ``pool`` continues a previous run (e.g. after new
-    data arrives) in the pool's log (another ``log`` is a ValueError):
-    training resumes at the pool's finest resolution with a fresh
+    An empty pool is seeded at its resolution.  A pool that already holds
+    bases (a previous run's, e.g. before new data arrives) is resumed in
+    its own log, at its finest basis resolution with a fresh
     expansion-phase schedule.  Every phase trains on one design of ``X``
     and ``y``, so each column is evaluated once per call, and a resumed
     pool's columns are built anew on the rows given here.
     """
-    if pool is None:
-        pool = _seed(mother, config, config.m_init, log)
-    elif log is not None and log is not pool.log:
-        raise ValueError("a resumed run continues in its pool's log")
-    elif pool.model.bases:
-        pool.m, pool.sweep = max(b.m for b in pool.model.bases), 0
-    else:
-        raise ValueError("cannot resume from an empty pool")
-    return _grow_to_target(pool, X, y, config, whole_levels=False)
+    return _grow_to_target(_start(pool, config, resume=True), X, y, config,
+                           whole_levels=False)
 
 
-def run_baseline_wnn(mother: MotherWavelet, X, y, config: GrowthConfig,
-                     log: TrainLog | None = None) -> WaveletPool:
-    """Non-constructive reference: seed scaling + detail grids at the
-    start resolution (``BASELINE_START_M``, or the resolution cap when
-    that is lower), then add whole detail grids level by level whenever
-    training plateaus above the target."""
-    pool = _seed(mother, config, min(BASELINE_START_M, config.max_resolution),
-                 log)
-    return _grow_to_target(pool, X, y, config, whole_levels=True)
+def run_baseline_wnn(pool: WaveletPool, X, y,
+                     config: GrowthConfig) -> WaveletPool:
+    """Non-constructive reference: seed an empty pool's scaling and detail
+    grids at its resolution, then add whole detail grids level by level
+    whenever training plateaus above the target."""
+    return _grow_to_target(_start(pool, config), X, y, config,
+                           whole_levels=True)
 
 
-def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
-               window: int, patience: int,
-               log: TrainLog | None = None) -> WaveletPool:
-    """Windowed streaming variant: consume ``window`` samples per cycle,
-    take one gradient step on that window, and run one growth phase
-    whenever the rolling window loss sits above the loss target without
-    improving for ``patience`` cycles.
+def run_online(pool: WaveletPool, X, y, config: GrowthConfig,
+               window: int, patience: int) -> WaveletPool:
+    """Windowed streaming variant: seed an empty pool at its resolution,
+    then consume ``window`` samples per cycle, take one gradient step on
+    that window, and run one growth phase whenever the rolling window
+    loss sits above the loss target without improving for ``patience``
+    cycles.
 
     Improvement means the rolling loss dropped below its best by more
     than ``zeta`` absolutely or by the relative ``ONLINE_IMPROVEMENT``
@@ -272,7 +260,8 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
     event at its window's number.  The stream running out ends the run,
     and the pool it returns has status ``TrainStatus.BUDGET``.  A
     diverging step raises :class:`TrainingDivergence` with the model as
-    it was before that window, and a ``window`` or ``patience`` below 1
+    it was before that window; a ``window`` or ``patience`` below 1, a
+    pool that holds bases or one above the resolution cap raise
     ``ValueError``.
     """
     for name, value in (("window", window), ("patience", patience)):
@@ -280,7 +269,7 @@ def run_online(mother: MotherWavelet, X, y, config: GrowthConfig,
             raise ValueError(f"{name} must be at least 1, got {value}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    pool = _seed(mother, config, config.m_init, log)
+    _start(pool, config)
     best_roll = np.inf
     best_at = 0
     for w, start in enumerate(range(0, len(y), window), 1):

@@ -275,6 +275,22 @@ def test_fit_baseline_schema(out_root, capsys):
     assert (run / "baseline_train_log.csv").exists()
 
 
+@pytest.mark.parametrize("cap", [0, 10])
+def test_baseline_seeds_at_its_start_or_a_lower_cap(out_root, capsys, cap):
+    # whatever m_init is, the baseline seeds at BASELINE_START_M, or at
+    # the resolution cap when that is lower
+    assert cli.BASELINE_START_M > 0
+    run = out_root / f"cap{cap}"
+    rc = cli.main(["fit", "--baseline", "wnn", "--m-init", "0",
+                   "--max-resolution", str(cap), "--n-samples", "48",
+                   "--max-iters", "20", "--out", str(run)])
+    assert rc in (0, 4)
+    events = read_json(run / "summary.json")["baseline"]["events"]
+    assert events[0][1:3] == ["seed", min(cli.BASELINE_START_M, cap)]
+    model = WaveletModel.load(run / "baseline_model.json")
+    assert max(b.m for b in model.bases) <= cap
+
+
 def test_generated_run_dirs_do_not_collide(out_root, capsys):
     for _ in range(2):
         assert cli.main(["estimate-freq", "--preset", "example1-d1"]) == 0
@@ -614,6 +630,16 @@ _BAD_INPUTS = {
                           "0", "--clamp-low", "none", "--m-init", "3",
                           "--max-iters", "50"], 2,
                          "empty lattice at resolution 1"),
+    "m-init": (["fit", "--m-init", "12"], 2,
+               "m_init exceeds max_resolution"),
+    "max-iters-0": (["fit", "--max-iters", "0"], 2,
+                    "max_iters must be at least 1, got 0"),
+    "max-iters-negative": (["fit", "--max-iters", "-5"], 2,
+                           "max_iters must be at least 1, got -5"),
+    # a two-row table splits into two training rows and no held-out one
+    "no-held-out-rows": (["fit", "--preset", "csv", "--csv-path",
+                          "<two-row.csv>", "--target-column", "y"], 2,
+                         "no held-out rows"),
 }
 
 
@@ -621,6 +647,9 @@ _BAD_INPUTS = {
 def test_bad_input_exits_before_the_run_directory(out_root, capsys, case,
                                                   monkeypatch):
     argv, code, message = _BAD_INPUTS[case]
+    table = out_root / "two-row.csv"
+    table.write_text("x1,x2,y\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+    argv = [str(table) if a == "<two-row.csv>" else a for a in argv]
     # a bad input must stop the command before any fit starts
     monkeypatch.setattr(cli, "run_growth", None)
     run = out_root / "bad"
@@ -643,9 +672,9 @@ def test_example2_baseline_trains_on_the_union(out_root, capsys,
     rows = []
     real = cli.run_baseline_wnn
 
-    def spy(mother, X, y, config):
+    def spy(pool, X, y, config):
         rows.append(len(y))
-        return real(mother, X, y, config)
+        return real(pool, X, y, config)
     monkeypatch.setattr(cli, "run_baseline_wnn", spy)
     rc = cli.main(["fit", "--preset", "example2", "--baseline", "wnn",
                    "--epsilon", "0.02", "--max-resolution", "4",

@@ -22,11 +22,20 @@ MH1 = MotherWavelet.mexican_hat(1)
 
 def small_config(**kw):
     base = dict(epsilon=1e-6, zeta=1e-10, mu=1 / 2, learning_rate=0.05,
-                m_init=1, domain_low=(0.0,), domain_high=(1.0,),
-                margin=1.0, clamp_low=(0.0,), max_resolution=4,
-                max_iters=20_000)
+                max_resolution=4, max_iters=20_000)
     base.update(kw)
     return GrowthConfig(**base)
+
+
+def start_grid(m=1):
+    """The lattice at resolution ``m`` over [0, 1] with a one-span
+    margin, clamped at 0."""
+    return build_center_grid(m, (0.0,), (1.0,), margin=1.0, clamp_low=(0.0,))
+
+
+def start_pool(m=1):
+    """An empty pool a run seeds at resolution ``m``."""
+    return WaveletPool(MH1, start_grid(m))
 
 
 def empty_pool(high=2.0):
@@ -59,8 +68,9 @@ def test_config_validation():
         small_config(mu=0.3)  # not a reciprocal of an integer
     with pytest.raises(ValueError):
         small_config(epsilon=-1.0)
-    with pytest.raises(ValueError):
-        small_config(m_init=9, max_resolution=4)
+    for max_iters in (0, -5):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            small_config(max_iters=max_iters)
     assert small_config(mu=1 / 4).n_phases == 4
 
 
@@ -171,10 +181,11 @@ def test_expand_requires_single_resolution():
 
 # ------------------------------------------------------------- batch runs
 
-def _representable_target(config):
+def _representable_target():
+    # a detail element at m = 1, where start_pool() seeds
     pool = empty_pool()
-    pool.ensure_level(config.m_init)
-    b = pool.detail_items(config.m_init)[2][0]
+    pool.ensure_level(1)
+    b = pool.detail_items(1)[2][0]
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 1.0, size=(60, 1))
     return X, eval_basis(MH1, b, X)
@@ -183,12 +194,11 @@ def _representable_target(config):
 def test_growth_representable_target_no_growth():
     config = small_config(epsilon=1e-5, learning_rate=0.1,
                           max_iters=50_000)
-    X, y = _representable_target(config)
-    log = TrainLog()
-    res = run_growth(MH1, X, y, config, log)
+    X, y = _representable_target()
+    res = run_growth(start_pool(), X, y, config)
     assert res.status is TrainStatus.ACHIEVED
     assert res.final_loss <= config.epsilon
-    assert [e[1] for e in log.events] == ["seed"]  # no expand/escalate
+    assert [e[1] for e in res.log.events] == ["seed"]  # no expand/escalate
 
 
 def test_growth_achieved_loss_bound_and_monotone_params():
@@ -198,8 +208,8 @@ def test_growth_achieved_loss_bound_and_monotone_params():
     y = np.sin(12.0 * X[:, 0]) * np.exp(-X[:, 0])
     config = small_config(epsilon=5e-3, zeta=5e-6, learning_rate=0.05,
                           mu=1 / 3)
-    log = TrainLog()
-    res = run_growth(MH1, X, y, config, log)
+    res = run_growth(start_pool(), X, y, config)
+    log = res.log
     assert res.status is TrainStatus.ACHIEVED
     assert res.final_loss <= config.epsilon
     counts = [r[2] for r in log.records]
@@ -211,7 +221,8 @@ def test_growth_budget_status():
     rng = np.random.default_rng(2)
     X = rng.uniform(0.0, 1.0, size=(100, 1))
     y = np.sin(30.0 * X[:, 0])
-    res = run_growth(MH1, X, y, small_config(epsilon=1e-9, max_iters=50))
+    res = run_growth(start_pool(), X, y,
+                     small_config(epsilon=1e-9, max_iters=50))
     assert res.status is TrainStatus.BUDGET
     assert res.model.n_params > 0
 
@@ -221,8 +232,8 @@ def test_growth_resume_from_pool():
     rng = np.random.default_rng(5)
     X1 = rng.uniform(0.0, 0.5, size=(120, 1))
     y1 = np.sin(6.0 * X1[:, 0])
-    log = TrainLog()
-    res1 = run_growth(MH1, X1, y1, config, log)
+    res1 = run_growth(start_pool(), X1, y1, config)
+    log = res1.log
     assert res1.status is TrainStatus.ACHIEVED
     n1 = res1.n_params
 
@@ -230,36 +241,62 @@ def test_growth_resume_from_pool():
     y2 = np.sin(6.0 * X2[:, 0])
     X = np.vstack([X1, X2])
     y = np.concatenate([y1, y2])
-    res2 = run_growth(MH1, X, y, config, log, pool=res1)
-    assert res2.status is TrainStatus.ACHIEVED
+    res2 = run_growth(res1, X, y, config)
+    assert res2 is res1 and res2.status is TrainStatus.ACHIEVED
     assert res2.n_params >= n1  # resumed, never reseeded smaller
     iters = [r[0] for r in log.records]
     assert iters == sorted(set(iters))  # one continuous log
 
 
-def test_growth_resume_rejects_empty_pool():
-    pool = empty_pool(1.0)
-    with pytest.raises(ValueError):
-        run_growth(MH1, np.zeros((4, 1)), np.ones(4), small_config(),
-                   pool=pool)
-
-
-def test_growth_resume_rejects_another_log():
-    # a resumed run continues in its pool's log, so a second log would
-    # split one run's records in two
-    rng = np.random.default_rng(5)
-    X = rng.uniform(0.0, 1.0, size=(60, 1))
-    y = np.sin(6.0 * X[:, 0])
-    config = small_config(epsilon=5e-3, zeta=5e-6, max_iters=50)
-    pool = run_growth(MH1, X, y, config)
+def test_a_resumed_pool_grows_first_at_its_finest_basis_resolution():
+    # a plateau gap every step meets: each phase trains two steps, so a
+    # budget of two ends the first run right after its first expand
+    # phase, growing at m = 1 one phase into its schedule and holding
+    # children at m = 2; the resume restarts the schedule at m = 2 and
+    # continues the pool's own log
+    X, y = _rich_stream(48)
+    config = small_config(epsilon=1e-12, zeta=1.0, mu=1 / 3, max_iters=2)
+    pool = run_growth(start_pool(), X, y, config)
+    assert [e[1:3] for e in pool.log.events] == [("seed", 1), ("expand", 1)]
+    assert (pool.m, pool.sweep) == (1, 1)
+    assert max(b.m for b in pool.model.bases) == 2
     records, events = list(pool.log.records), list(pool.log.events)
-    with pytest.raises(ValueError, match="its pool's log"):
-        run_growth(MH1, X, y, config, TrainLog(), pool=pool)
-    assert (pool.log.records, pool.log.events) == (records, events)
-    # the pool's own log, passed or not, resumes the run
-    assert run_growth(MH1, X, y, config, pool.log, pool=pool) is pool
-    assert run_growth(MH1, X, y, config, pool=pool) is pool
+    grow, at_growth = growth._grow, []
+
+    def spy(pool_, config_, whole_levels=False):
+        at_growth.append((pool_.m, pool_.sweep))
+        return grow(pool_, config_, whole_levels)
+
+    with mock.patch.object(growth, "_grow", spy):
+        assert run_growth(pool, X, y, config) is pool
+    assert at_growth == [(2, 0)]
+    assert pool.log.records[:len(records)] == records
     assert pool.log.last_iteration > records[-1][0]
+    assert pool.log.events[:len(events)] == events
+    assert [e[1:3] for e in pool.log.events[len(events):]] == [("expand", 2)]
+    assert (pool.m, pool.sweep) == (2, 1)
+
+
+def test_runs_refuse_a_pool_they_cannot_start_from():
+    # a pool above the cap, for every run; a pool that holds bases, for
+    # the two runs that only start afresh (run_growth resumes it)
+    X, y = _rich_stream(48)
+    config = small_config(max_resolution=1)
+    runs = {"growth": run_growth, "baseline": run_baseline_wnn,
+            "online": lambda pool, X_, y_, config_: run_online(
+                pool, X_, y_, config_, window=4, patience=1)}
+    for run in runs.values():
+        pool = start_pool(2)
+        with pytest.raises(ValueError, match="above max_resolution 1"):
+            run(pool, X, y, config)
+        assert (pool.model.bases, pool.log.events) == ([], [])
+    held = run_growth(start_pool(), X, y, small_config(max_iters=2))
+    state = (list(held.model.bases), list(held.log.records),
+             list(held.log.events))
+    for name in ("baseline", "online"):
+        with pytest.raises(ValueError, match="empty pool"):
+            runs[name](held, X, y, config)
+        assert (held.model.bases, held.log.records, held.log.events) == state
 
 
 def test_baseline_escalates_whole_levels_and_is_deterministic():
@@ -269,8 +306,8 @@ def test_baseline_escalates_whole_levels_and_is_deterministic():
     config = small_config(epsilon=5e-3, zeta=5e-6, learning_rate=0.05)
     logs = []
     for _ in range(2):
-        log = TrainLog()
-        res = run_baseline_wnn(MH1, X, y, config, log)
+        res = run_baseline_wnn(start_pool(), X, y, config)
+        log = res.log
         assert res.status is TrainStatus.ACHIEVED
         logs.append((list(log.events),
                      [(it, ls, np_) for it, ls, np_, _ in log.records]))
@@ -283,8 +320,8 @@ def test_baseline_escalates_whole_levels_and_is_deterministic():
 
 def test_online_constant_zero_stream_never_grows():
     X = np.linspace(0.0, 1.0, 50).reshape(-1, 1)
-    res = run_online(MH1, X, np.zeros(50), small_config(epsilon=1e-4),
-                     window=10, patience=3)
+    res = run_online(start_pool(), X, np.zeros(50),
+                     small_config(epsilon=1e-4), window=10, patience=3)
     assert growth_iterations(res) == []
     assert max(window_losses(res)) == 0.0
 
@@ -293,18 +330,18 @@ def test_online_window_one_runs_per_sample():
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 1.0, size=(25, 1))
     y = np.sin(3.0 * X[:, 0])
-    log = TrainLog()
-    res = run_online(MH1, X, y, small_config(epsilon=1e-4), window=1,
-                     patience=5, log=log)
+    res = run_online(start_pool(), X, y, small_config(epsilon=1e-4), window=1,
+                     patience=5)
     assert len(window_losses(res)) == 25
-    assert len(log.records) == 25
+    assert len(res.log.records) == 25
 
 
 def test_online_short_stream_partial_phase():
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 1.0, size=(6, 1))
     y = np.sin(3.0 * X[:, 0])
-    res = run_online(MH1, X, y, small_config(), window=10, patience=5)
+    res = run_online(start_pool(), X, y, small_config(), window=10,
+                     patience=5)
     assert len(window_losses(res)) == 1  # one partial window, clean exit
     assert growth_iterations(res) == []
 
@@ -316,10 +353,9 @@ def test_online_plateau_triggers_growth():
     X = rng.uniform(0.0, 1.0, size=(400, 1))
     y = np.sin(14.0 * X[:, 0])
     config = small_config(epsilon=1e-5, learning_rate=0.02, mu=1 / 2)
-    log = TrainLog()
-    res = run_online(MH1, X, y, config, window=10, patience=5, log=log)
+    res = run_online(start_pool(), X, y, config, window=10, patience=5)
     assert len(growth_iterations(res)) >= 1
-    assert any(e[1] in ("expand", "escalate") for e in log.events)
+    assert any(e[1] in ("expand", "escalate") for e in res.log.events)
 
 
 def _check_finite(model, iteration, last_good):
@@ -341,20 +377,18 @@ class OnlineRecord(NamedTuple):
     growth_iterations: list
 
 
-def _reference_online(mother, X, y, config, window=10, patience=40,
+def _reference_online(mother, grid, X, y, config, window=10, patience=40,
                       improvement=0.02, log=None):
     """The windowed loop as it stood before run_online shared the growth
-    phase and Design.step: psi per window, its own gradient step, and a
-    copied block for the short last window.  Growth follows the
-    resolution cap rule: no phase runs at ``max_resolution``."""
+    phase and Design.step, seeded at the resolution of ``grid``: psi per
+    window, its own gradient step, and a copied block for the short last
+    window.  Growth follows the resolution cap rule: no phase runs at
+    ``max_resolution``."""
     log = log if log is not None else TrainLog()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    grid = build_center_grid(max(config.m_init, 0), config.domain_low,
-                             config.domain_high, config.margin,
-                             config.clamp_low)
     pool = WaveletPool(mother, grid)
-    m = config.m_init
+    m = grid.m
     added = pool.ensure_level(m)
     log.add_event("seed", m, added)
     sweep = 0
@@ -426,9 +460,11 @@ def _online_both_ways(window):
     X, y = _rich_stream(8 * 80 + 4)
     config = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)
     kw = dict(window=window, patience=3)
-    log, ref_log = TrainLog(), TrainLog()
-    res = run_online(MH1, X, y, config, log=log, **kw)
-    ref = _reference_online(MH1, X, y, config, log=ref_log, **kw)
+    ref_log = TrainLog()
+    res = run_online(start_pool(), X, y, config, **kw)
+    log = res.log
+    ref = _reference_online(MH1, start_grid(), X, y, config, log=ref_log,
+                            **kw)
     # the stream grew up to the resolution cap and ended on a short window
     assert ("escalate", config.max_resolution) in {e[1:3] for e in log.events}
     assert max(b.m for b in res.model.bases) == config.max_resolution
@@ -477,8 +513,8 @@ def test_batch_runs_stop_at_the_resolution_cap():
     config = small_config(epsilon=1e-9, zeta=1e-4, max_resolution=2,
                           max_iters=10 ** 6)
     for run in (run_growth, run_baseline_wnn):
-        log = TrainLog()
-        res = run(MH1, X, y, config, log)
+        res = run(start_pool(), X, y, config)
+        log = res.log
         assert res.status is TrainStatus.BUDGET
         assert res.m == config.max_resolution
         assert log.last_iteration < config.max_iters
@@ -487,15 +523,15 @@ def test_batch_runs_stop_at_the_resolution_cap():
 
 
 def test_a_capped_run_leaves_its_record_in_the_pool():
-    # no log given: the returned pool holds the run's own log, the cap it
-    # stopped at as its resolution, and its status
+    # the returned pool holds the run's own log, the cap it stopped at as
+    # its resolution, and its status
     rng = np.random.default_rng(2)
     X = rng.uniform(0.0, 1.0, size=(200, 1))
     y = np.sin(30.0 * X[:, 0])
     config = small_config(epsilon=1e-9, zeta=1e-4, max_resolution=2,
                           max_iters=10 ** 6)
     for run in (run_growth, run_baseline_wnn):
-        pool = run(MH1, X, y, config)
+        pool = run(start_pool(), X, y, config)
         assert isinstance(pool, WaveletPool)
         assert (pool.m, pool.sweep) == (config.max_resolution, 0)
         assert pool.status is TrainStatus.BUDGET
@@ -510,17 +546,16 @@ def test_a_capped_run_leaves_its_record_in_the_pool():
 
 
 def test_baseline_seeds_at_a_cap_below_its_start():
-    # a cap under BASELINE_START_M: the baseline seeds at the cap and
-    # never holds a basis past it
-    assert growth.BASELINE_START_M > 0
+    # a pool at a cap under the baseline's usual start (the command line's
+    # BASELINE_START_M): the baseline seeds at the cap and never holds a
+    # basis past it
     X, y = _rich_stream(48)
-    config = small_config(epsilon=1e-12, zeta=1.0, m_init=0,
-                          max_resolution=0, max_iters=200)
-    log = TrainLog()
-    res = run_baseline_wnn(MH1, X, y, config, log)
+    config = small_config(epsilon=1e-12, zeta=1.0, max_resolution=0,
+                          max_iters=200)
+    res = run_baseline_wnn(start_pool(0), X, y, config)
     assert res.status is TrainStatus.BUDGET
     assert res.m == 0
-    assert [e[1:3] for e in log.events] == [("seed", 0)]
+    assert [e[1:3] for e in res.log.events] == [("seed", 0)]
     assert max(b.m for b in res.model.bases) == 0
 
 
@@ -528,8 +563,8 @@ def test_online_streams_past_the_resolution_cap():
     X, y = _rich_stream(8 * 80 + 4)
     kw = dict(window=8, patience=3)
     capped = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=1)
-    log = TrainLog()
-    res = run_online(MH1, X, y, capped, log=log, **kw)
+    res = run_online(start_pool(), X, y, capped, **kw)
+    log = res.log
     # seeded at the cap, the run never grows; every window is still
     # trained and recorded
     assert [e[1:3] for e in log.events] == [("seed", 1)]
@@ -539,9 +574,8 @@ def test_online_streams_past_the_resolution_cap():
     # with room to grow the same stream grows, so plateaus did fire at
     # the cap and logged nothing
     roomy = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)
-    free_log = TrainLog()
-    free = run_online(MH1, X, y, roomy, log=free_log, **kw)
-    assert free_log.events[0] == log.events[0]
+    free = run_online(start_pool(), X, y, roomy, **kw)
+    assert free.log.events[0] == log.events[0]
     assert growth_iterations(free)
 
 
@@ -642,12 +676,12 @@ def test_no_run_adds_a_basis_past_the_cap(cap, start, n_phases, run):
     # an unreachable target and a plateau gap every step meets: growth
     # fires at every chance until the cap stops it
     config = small_config(epsilon=1e-12, zeta=1.0, mu=1 / n_phases,
-                          m_init=min(start, cap), max_resolution=cap,
-                          max_iters=200)
+                          max_resolution=cap, max_iters=200)
     X, y = _rich_stream(48)
+    pool = start_pool(min(start, cap))
     if run == "online":
-        res = run_online(MH1, X, y, config, window=4, patience=1)
+        res = run_online(pool, X, y, config, window=4, patience=1)
     else:
         runner = run_growth if run == "growth" else run_baseline_wnn
-        res = runner(MH1, X, y, config)
+        res = runner(pool, X, y, config)
     assert max(b.m for b in res.model.bases) <= cap

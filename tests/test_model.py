@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 import cwnn.growth
 import cwnn.model
 import cwnn.wavelets
-from cwnn.growth import GrowthConfig, run_growth
+from cwnn.growth import GrowthConfig, WaveletPool, run_growth
 from cwnn.model import (DIVERGENCE_LIMIT, Design, TrainLog, TrainStatus,
                         TrainingDivergence, WaveletModel, loss,
                         train_to_plateau)
-from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, basis_matrix
+from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
+                           build_center_grid)
 
 MH1 = MotherWavelet.mexican_hat(1)
 
@@ -455,10 +456,16 @@ def _assert_same_growth(got, want):
 
 def _growth_config(**kw):
     base = dict(epsilon=1e-4, zeta=1e-5, mu=1 / 2, learning_rate=0.03,
-                m_init=1, domain_low=(0.0,), domain_high=(1.0,), margin=1.0,
-                clamp_low=(0.0,), max_resolution=3, max_iters=20_000)
+                max_resolution=3, max_iters=20_000)
     base.update(kw)
     return GrowthConfig(**base)
+
+
+def _start_pool():
+    """An empty pool a run seeds at m = 1 over [0, 1] with a one-span
+    margin, clamped at 0."""
+    return WaveletPool(MH1, build_center_grid(1, (0.0,), (1.0,), margin=1.0,
+                                              clamp_low=(0.0,)))
 
 
 def test_growth_crossing_sample_count_matches_residual_form(monkeypatch):
@@ -470,8 +477,8 @@ def test_growth_crossing_sample_count_matches_residual_form(monkeypatch):
     config = _growth_config()
 
     def grow():
-        log = TrainLog()
-        return run_growth(MH1, X, y, config, log), log
+        res = run_growth(_start_pool(), X, y, config)
+        return res, res.log
 
     got, want = _grow_both_ways(monkeypatch, grow)
     shapes = got[2]
@@ -497,11 +504,9 @@ def test_growth_resume_on_new_rows_matches_residual_form(monkeypatch, rows):
     resumed_at = []
 
     def grow():
-        log = TrainLog()
-        first = run_growth(MH1, X1, target(X1), config, log)
-        resumed_at.append(len(log.events))
-        return run_growth(MH1, X, target(X), config, log,
-                          pool=first), log
+        first = run_growth(_start_pool(), X1, target(X1), config)
+        resumed_at.append(len(first.log.events))
+        return run_growth(first, X, target(X), config), first.log
 
     got, want = _grow_both_ways(monkeypatch, grow)
     # the resumed run grows, so its design syncs more than once
@@ -618,9 +623,8 @@ def test_growth_evaluates_each_column_once(monkeypatch):
     X = rng.uniform(0.0, 1.0, size=(200, 1))
     y = np.sin(12.0 * X[:, 0]) * np.exp(-X[:, 0])
     config = GrowthConfig(epsilon=5e-3, zeta=5e-6, mu=1 / 3,
-                          learning_rate=0.05, m_init=1, domain_low=(0.0,),
-                          domain_high=(1.0,), margin=1.0, clamp_low=(0.0,),
-                          max_resolution=4, max_iters=20_000)
+                          learning_rate=0.05, max_resolution=4,
+                          max_iters=20_000)
     cells = []
 
     def counting(mother, bases, X_):
@@ -629,9 +633,8 @@ def test_growth_evaluates_each_column_once(monkeypatch):
         return out
 
     monkeypatch.setattr(cwnn.model, "basis_matrix", counting)
-    log = TrainLog()
-    res = run_growth(MH1, X, y, config, log)
+    res = run_growth(_start_pool(), X, y, config)
     assert res.status is TrainStatus.ACHIEVED
-    assert sum(e[1] != "seed" for e in log.events) >= 2
+    assert sum(e[1] != "seed" for e in res.log.events) >= 2
     assert len(cells) >= 3
     assert sum(cells) == y.size * res.n_params
