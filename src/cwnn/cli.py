@@ -30,7 +30,7 @@ from .diagnostics import (TimeFrequencyBox, count_peaks, decay_report,
 from .frequency import alpha_from_epsilon, estimate_initial_resolution
 from .growth import (GrowthConfig, WaveletPool, run_baseline_wnn,
                      run_growth, run_online)
-from .model import TrainStatus, TrainingDivergence
+from .model import TrainStatus, TrainingDivergence, loss
 from .wavelets import BasisIndex, MotherWavelet, build_center_grid
 
 EXIT_OK = 0
@@ -449,8 +449,7 @@ def _fit(cfg, data, out: str):
     summary["cwnn"] = _fit_summary(res)
     if "test" in extra:
         test = extra["test"]
-        resid = test.targets - res.model.predict(test.inputs)
-        summary["test_mse"] = float(np.mean(resid * resid))
+        summary["test_mse"] = loss(res.model, test.inputs, test.targets)
     if cfg["baseline"] == "wnn":
         base = WaveletPool(mother, _start_grid(cfg, baseline=True))
         bres = run_baseline_wnn(base, X, y, gcfg)

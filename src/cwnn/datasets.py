@@ -103,15 +103,10 @@ def gen_autoregression(length: int, seed: int, switch_at: int | None = None,
     rng = np.random.default_rng(seed)
     y = np.empty(length + 1)
     y[1] = y[2] = 1.0
-    rows_x = []
-    rows_y = []
     for t in range(3, length + 1):
         f = armap_base if switch_at is None or t < switch_at else armap_switched
-        val = f(y[t - 1], y[t - 2]) + rng.normal(0.0, noise_sd)
-        y[t] = val
-        rows_x.append((y[t - 1], y[t - 2]))
-        rows_y.append(val)
-    return Dataset(np.array(rows_x), np.array(rows_y))
+        y[t] = f(y[t - 1], y[t - 2]) + rng.normal(0.0, noise_sd)
+    return Dataset(np.column_stack([y[2:-1], y[1:-2]]), y[3:])
 
 
 def load_csv(path, target_column: str, feature_columns=None) -> Dataset:

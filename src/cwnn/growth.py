@@ -254,15 +254,15 @@ def run_online(pool: WaveletPool, X, y, config: GrowthConfig,
     fraction (the relative branch keeps slow-but-real recovery after a
     regime switch from firing growth on every patience interval).
 
-    Each window takes one ``Design.step`` on a design of its rows and
-    logs the post-step loss as one record numbered by window from 1; a
-    short last window never triggers growth.  Each growth phase is an
-    event at its window's number.  The stream running out ends the run,
-    and the pool it returns has status ``TrainStatus.BUDGET``.  A
-    diverging step raises :class:`TrainingDivergence` with the model as
-    it was before that window; a ``window`` or ``patience`` below 1, a
-    pool that holds bases or one above the resolution cap raise
-    ``ValueError``.
+    Each window takes one ``Design.step`` on a design of its rows, which
+    records the post-step loss, so the records are numbered by window
+    from 1; a short last window never triggers growth.  Each growth
+    phase is an event at its window's number.  The stream running out
+    ends the run, and the pool it returns has status
+    ``TrainStatus.BUDGET``.  A diverging step raises
+    :class:`TrainingDivergence` with the model as it was before that
+    window; a ``window`` or ``patience`` below 1, a pool that holds
+    bases or one above the resolution cap raise ``ValueError``.
     """
     for name, value in (("window", window), ("patience", patience)):
         if value < 1:
@@ -276,8 +276,7 @@ def run_online(pool: WaveletPool, X, y, config: GrowthConfig,
         design = Design(X[start:start + window], y[start:start + window])
         design.sync(pool.model)
         direction, _ = design.objective(pool.model.coeffs)
-        _, lw = design.step(pool.model, config.learning_rate, direction, w)
-        pool.log.append(w, lw, pool.model.n_params)
+        design.step(pool.model, config.learning_rate, direction, pool.log)
         if design.y.size < window:
             # a short last window: its step and record only, no growth
             # trigger on a boundary fragment

@@ -6,7 +6,10 @@ loss target is met (Achieved), the loss stops moving (Plateau), or the
 iteration budget runs out (Budget).
 
 Every gradient step, the plateau loop's and the online windows', is
-:meth:`Design.step`, which also owns the divergence check.  A
+:meth:`Design.step`, which also owns the divergence check and appends
+each step it commits to the run's :class:`TrainLog`, so a log holds
+every committed step once, in order, and a refused step leaves it
+unchanged.  A
 :class:`Design` is the N x p design matrix psi of one dataset, kept in
 step with a model whose basis only grows.  Each sync evaluates only the
 columns of bases appended since the last one, so a growth run builds
@@ -133,9 +136,10 @@ def loss(model: WaveletModel, X, y) -> float:
 class TrainLog:
     """Iteration records and structural growth events for one run.
 
-    Records are ``(iteration, loss, n_params, elapsed_ms)`` rows with a
-    strictly increasing global iteration counter; growth events are
-    ``(last_iteration, event, resolution, added)`` rows.
+    Records are ``(iteration, loss, n_params, elapsed_ms)`` rows, numbered
+    1, 2, ... by the log itself, so ``last_iteration`` is the record
+    count; growth events are ``(last_iteration, event, resolution,
+    added)`` rows.
     """
 
     records: list = field(default_factory=list)
@@ -144,13 +148,11 @@ class TrainLog:
 
     @property
     def last_iteration(self) -> int:
-        return self.records[-1][0] if self.records else 0
+        return len(self.records)
 
-    def append(self, iteration: int, loss_value: float, n_params: int) -> None:
-        if self.records and iteration <= self.records[-1][0]:
-            raise ValueError("iteration counter must strictly increase")
+    def append(self, loss_value: float, n_params: int) -> None:
         ms = (time.perf_counter() - self._t0) * 1000.0
-        self.records.append((iteration, loss_value, n_params, ms))
+        self.records.append((len(self.records) + 1, loss_value, n_params, ms))
 
     def add_event(self, event: str, resolution: int, added: int) -> None:
         self.events.append((self.last_iteration, event, resolution, added))
@@ -226,12 +228,13 @@ class Design:
         direction = np.concatenate([blk.T @ resid for blk in self.blocks])
         return direction, float(np.mean(resid * resid))
 
-    def step(self, model: WaveletModel, lr: float, direction, iteration: int):
+    def step(self, model: WaveletModel, lr: float, direction, log: TrainLog):
         """One gradient step ``c + (2 lr / N) direction`` on a synced
         model; returns the direction and the loss at the new ``c``.  The
         step is committed only when that loss is finite and no coefficient
-        exceeds ``DIVERGENCE_LIMIT`` in magnitude; otherwise
-        :class:`TrainingDivergence` names ``iteration``."""
+        exceeds ``DIVERGENCE_LIMIT`` in magnitude, and a committed step
+        is appended to ``log``; otherwise nothing is recorded and
+        :class:`TrainingDivergence` names ``log.last_iteration + 1``."""
         c = model.coeffs + lr * 2.0 / self.y.size * direction
         # a NaN coefficient fails the comparison too; a runaway step
         # raises before its loss is taken, where it would overflow
@@ -239,20 +242,23 @@ class Design:
             direction, new = self.objective(c)
             if math.isfinite(new):
                 model.coeffs = c
+                log.append(new, model.n_params)
                 return direction, new
-        raise TrainingDivergence(f"training diverged at iteration {iteration}")
+        raise TrainingDivergence(
+            f"training diverged at iteration {log.last_iteration + 1}")
 
 
 def train_to_plateau(model: WaveletModel, design: Design, lr: float,
                      zeta: float, epsilon: float, max_iters: int,
-                     log: TrainLog | None = None) -> TrainStatus:
+                     log: TrainLog) -> TrainStatus:
     """Run gradient steps until the loss target, a plateau, or the budget.
 
     The loss is checked before the first step, so a model already at or
     below ``epsilon`` returns Achieved without stepping.  A plateau is a
     consecutive-loss change of at most ``zeta``.  Every step is
-    ``design.step``, which raises on divergence and leaves the model at
-    its last committed coefficients.
+    ``design.step``, which records it in ``log`` after the records
+    already there, and which raises on divergence and leaves the model
+    at its last committed coefficients.
 
     ``design`` is synced to the model first: a caller that trains one
     growing model in phases passes the same design each time, so psi
@@ -264,11 +270,8 @@ def train_to_plateau(model: WaveletModel, design: Design, lr: float,
     direction, current = design.objective(model.coeffs)
     if current <= epsilon:
         return TrainStatus.ACHIEVED
-    offset = log.last_iteration if log is not None else 0
     for k in range(1, max_iters + 1):
-        direction, new = design.step(model, lr, direction, offset + k)
-        if log is not None:
-            log.append(offset + k, new, model.n_params)
+        direction, new = design.step(model, lr, direction, log)
         if new <= epsilon:
             return TrainStatus.ACHIEVED
         # the plateau gap compares consecutive post-step losses, so the

@@ -365,6 +365,30 @@ def test_sweep_applies_zeta_rule_per_run(out_root, capsys):
         assert (run / f"mu-{denom}" / "summary.json").exists()
 
 
+def test_sweep_runs_share_their_seed_phase(out_root, capsys):
+    # mu first acts at the first growth phase, so every mu run trains the
+    # seed level to the same first plateau: the train logs agree step for
+    # step up to the first growth event, which every run reaches at the
+    # same iteration, and the runs part there
+    run = out_root / "seed-phase"
+    rc = cli.main(["sweep"] + FAST_FIT[1:] + ["--mu-list", "1/2,1/3,1/4",
+                                              "--out", str(run)])
+    assert rc == 0
+    firsts, logs = [], []
+    for denom in (2, 3, 4):
+        with open(run / f"mu-{denom}" / "growth_events.csv") as fh:
+            grown = [e for e in csv.DictReader(fh) if e["event"] != "seed"]
+        with open(run / f"mu-{denom}" / "train_log.csv") as fh:
+            logs.append([(r["iter"], r["loss"], r["n_params"])
+                         for r in csv.DictReader(fh)])
+        firsts.append((int(grown[0]["iter"]), grown[0]["added"]))
+    at = firsts[0][0]
+    assert at > 2 and all(first[0] == at for first in firsts)
+    assert len({first[1] for first in firsts}) == 3
+    assert logs[0][:at] == logs[1][:at] == logs[2][:at]
+    assert [int(r[0]) for r in logs[0][:at]] == list(range(1, at + 1))
+
+
 @pytest.mark.parametrize("mu_list", ["1/2,1/2", "1/2,0.5"])
 def test_sweep_rejects_a_repeated_denominator(out_root, capsys, mu_list):
     # two runs would share mu-2/; the sweep stops before either starts

@@ -102,6 +102,16 @@ def test_autoregression_switch():
     assert not np.allclose(ds.targets[~pre], base[~pre])
 
 
+def test_autoregression_rows_are_the_lag_embedding_of_one_series():
+    # noisy and switched: each row's inputs are the previous row's target
+    # and first input, exactly, so the rows are slices of one series
+    ds = gen_autoregression(3000, 7, switch_at=1500)
+    assert ds.inputs.shape == (2998, 2) and ds.targets.shape == (2998,)
+    assert ds.inputs[0].tolist() == [1.0, 1.0]
+    np.testing.assert_array_equal(ds.inputs[1:, 0], ds.targets[:-1])
+    np.testing.assert_array_equal(ds.inputs[1:, 1], ds.inputs[:-1, 0])
+
+
 def test_autoregression_noise_level():
     ds = gen_autoregression(20_000, seed=1, noise_sd=0.01)
     s = ds.inputs[:, 0] ** 2 + ds.inputs[:, 1] ** 2

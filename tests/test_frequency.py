@@ -8,7 +8,7 @@ import pytest
 from cwnn.frequency import (alpha_from_epsilon, ema_update,
                             estimate_initial_resolution,
                             estimate_subspace_energy, subsample_centers)
-from cwnn.model import (Design, TrainingDivergence, WaveletModel,
+from cwnn.model import (Design, TrainLog, TrainingDivergence, WaveletModel,
                         train_to_plateau)
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet,
                            build_center_grid, eval_basis)
@@ -77,11 +77,12 @@ def test_probe_is_the_training_loops_first_step(rows):
     design = Design(X, y)
     design.sync(stepped)
     assert (design.gram is None) == (len(bases) > rows)
-    design.step(stepped, 5e-4, design.objective(stepped.coeffs)[0], 1)
+    design.step(stepped, 5e-4, design.objective(stepped.coeffs)[0],
+                TrainLog())
     assert coeffs.tobytes() == stepped.coeffs.tobytes()
     model = WaveletModel.zeros(sc, bases)
     train_to_plateau(model, Design(X, y), 5e-4, zeta=0.0, epsilon=-1.0,
-                     max_iters=1)
+                     max_iters=1, log=TrainLog())
     np.testing.assert_array_equal(coeffs, model.coeffs)
     assert e == pytest.approx(np.sum(coeffs ** 2) * sc.norm_sq, rel=1e-15)
     assert e > 0.0

@@ -1,5 +1,6 @@
 """Greedy basis growth: selection, expansion, batch and streaming runs."""
 
+from dataclasses import replace
 from typing import NamedTuple
 from unittest import mock
 
@@ -12,10 +13,11 @@ import cwnn.growth as growth
 from cwnn.growth import (GrowthConfig, WaveletPool, expand_into_next,
                          run_baseline_wnn, run_growth, run_online,
                          select_high_energy)
-from cwnn.model import (DIVERGENCE_LIMIT, TrainLog, TrainStatus,
+from cwnn.model import (DIVERGENCE_LIMIT, Design, TrainLog, TrainStatus,
                         TrainingDivergence, WaveletModel)
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
                            build_center_grid, eval_basis)
+from divergence_oracle import check_finite
 
 MH1 = MotherWavelet.mexican_hat(1)
 
@@ -358,17 +360,6 @@ def test_online_plateau_triggers_growth():
     assert any(e[1] in ("expand", "escalate") for e in res.log.events)
 
 
-def _check_finite(model, iteration, last_good):
-    """The divergence check as the windowed loop ran it before
-    ``Design.step``: non-finite or huge coefficients restore
-    ``last_good`` and raise."""
-    c = model.coeffs
-    if (not np.all(np.isfinite(c))
-            or np.max(np.abs(c), initial=0.0) > DIVERGENCE_LIMIT):
-        model.coeffs = last_good
-        raise TrainingDivergence(f"training diverged at iteration {iteration}")
-
-
 class OnlineRecord(NamedTuple):
     """What the reference loop returns: the model, the loss after each
     window and the windows at which it grew."""
@@ -406,11 +397,11 @@ def _reference_online(mother, grid, X, y, config, window=10, patience=40,
         resid = yw - psi @ pool.model.coeffs
         pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
         step += 1
-        _check_finite(pool.model, step, last_good)
+        check_finite(pool.model, step, last_good)
         resid = yw - psi @ pool.model.coeffs
         lw = float(np.mean(resid * resid))
         losses.append(lw)
-        log.append(step, lw, pool.model.n_params)
+        log.append(lw, pool.model.n_params)
         roll = float(np.mean(losses[-patience:]))
         if np.isinf(best_roll):
             best_roll = roll
@@ -443,10 +434,10 @@ def _reference_online(mother, grid, X, y, config, window=10, patience=40,
         resid = yw - psi @ pool.model.coeffs
         pool.model.coeffs += config.learning_rate * (2.0 / len(yw)) * (psi.T @ resid)
         step += 1
-        _check_finite(pool.model, step, last_good)
+        check_finite(pool.model, step, last_good)
         resid = yw - psi @ pool.model.coeffs
         losses.append(float(np.mean(resid * resid)))
-        log.append(step, losses[-1], pool.model.n_params)
+        log.append(losses[-1], pool.model.n_params)
     return OnlineRecord(pool.model, losses, growth_iters)
 
 
@@ -500,6 +491,79 @@ def test_online_matches_the_reference_loop_when_rounding_differs():
     assert np.max(np.abs(losses - ref_losses)) <= 1e-12
     np.testing.assert_allclose(res.model.coeffs, ref.model.coeffs, rtol=1e-9,
                                atol=1e-9 * np.max(np.abs(ref.model.coeffs)))
+
+
+# -------------------------------------------------------------- run logs
+
+def _logged_run(name, pool, learning_rate=None):
+    """Run ``name`` on ``pool`` with a target that makes it grow; returns
+    the pool and the rows of its last call.  ``resumed`` grows the pool
+    on half the interval and resumes it on both halves; ``online`` ends
+    on a short window.  A ``learning_rate`` replaces the last call's."""
+    rate = {} if learning_rate is None else {"learning_rate": learning_rate}
+    if name == "online":
+        X, y = _rich_stream(8 * 80 + 4)
+        config = small_config(epsilon=1e-5, learning_rate=0.02,
+                              max_resolution=2)
+        return (run_online(pool, X, y, replace(config, **rate), window=8,
+                           patience=3), X, y)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, size=(240, 1))
+    y = np.sin(12.0 * X[:, 0]) * np.exp(-X[:, 0])
+    config = small_config(epsilon=1e-3, zeta=5e-6, mu=1 / 3,
+                          learning_rate=0.05)
+    if name == "resumed":
+        first = X[:, 0] < 0.5
+        run_growth(pool, X[first], y[first], config)
+    run = run_baseline_wnn if name == "baseline" else run_growth
+    return run(pool, X, y, replace(config, **rate)), X, y
+
+
+def _assert_numbered(log):
+    """Records numbered 1..n with no gap, and every event stamped at a
+    record number: the seed at 0, a growth phase after a step."""
+    n = log.last_iteration
+    assert [r[0] for r in log.records] == list(range(1, n + 1))
+    stamps = [e[0] for e in log.events]
+    assert stamps == sorted(stamps) and stamps[-1] <= n
+    assert [e[0] for e in log.events if e[1] == "seed"] == [0]
+    assert all(e[0] >= 1 for e in log.events if e[1] != "seed")
+
+
+@pytest.mark.parametrize("name", ["fresh", "resumed", "baseline", "online"])
+def test_every_run_logs_each_committed_step_once(name):
+    with mock.patch.object(Design, "step", autospec=True,
+                           side_effect=Design.step) as step:
+        pool, X, y = _logged_run(name, start_pool())
+    log = pool.log
+    _assert_numbered(log)
+    assert log.last_iteration == step.call_count  # none refused
+    assert len(log.events) > 2  # the run grew
+    if name == "online":
+        assert len(y) % 8 and log.last_iteration == -(-len(y) // 8)
+    # a step past the coefficient limit is refused and recorded nowhere
+    design = Design(X, y)
+    design.sync(pool.model)
+    records, coeffs = list(log.records), pool.model.coeffs.copy()
+    with pytest.raises(TrainingDivergence, match=(
+            f"^training diverged at iteration {log.last_iteration + 1}$")):
+        design.step(pool.model, DIVERGENCE_LIMIT * len(y),
+                    np.ones(pool.model.n_params), log)
+    assert log.records == records
+    np.testing.assert_array_equal(pool.model.coeffs, coeffs)
+
+
+@pytest.mark.parametrize("name", ["fresh", "resumed", "baseline", "online"])
+def test_a_diverging_run_names_the_step_after_its_last_record(name):
+    # the run stops at the step it refuses, a few steps in; the steps it
+    # committed before are in its log, numbered as ever
+    pool = start_pool()
+    with pytest.raises(TrainingDivergence) as got:
+        _logged_run(name, pool, learning_rate=50.0)
+    _assert_numbered(pool.log)
+    assert pool.log.last_iteration >= 1
+    assert str(got.value) == (f"training diverged at iteration "
+                              f"{pool.log.last_iteration + 1}")
 
 
 # ------------------------------------------------------- resolution cap

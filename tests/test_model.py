@@ -17,6 +17,7 @@ from cwnn.model import (DIVERGENCE_LIMIT, Design, TrainLog, TrainStatus,
                         train_to_plateau)
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
                            build_center_grid)
+from divergence_oracle import check_finite
 
 MH1 = MotherWavelet.mexican_hat(1)
 
@@ -59,7 +60,7 @@ def one_step(model, X, y, lr):
     """One full-batch gradient update through the training loop: an
     epsilon below any loss and a single-iteration budget."""
     train_to_plateau(model, Design(X, y), lr, zeta=0.0, epsilon=-1.0,
-                     max_iters=1)
+                     max_iters=1, log=TrainLog())
 
 
 def test_gradient_step_hand_case():
@@ -168,14 +169,16 @@ def test_train_reaches_closed_form_solution():
     y = rng.standard_normal(30)
     psi = basis_matrix(MH1, model.bases, X)[:, 0]
     best = float(psi @ y / (psi @ psi))
-    st = train_to_plateau(model, Design(X, y), 0.2, 1e-14, 1e-12, 50_000)
+    st = train_to_plateau(model, Design(X, y), 0.2, 1e-14, 1e-12, 50_000,
+                          TrainLog())
     assert st is TrainStatus.PLATEAU  # generic data cannot hit loss 1e-12
     assert model.coeffs[0] == pytest.approx(best, abs=1e-4)
 
 
 def test_train_budget_status():
     model, X, y = _easy_problem()
-    st = train_to_plateau(model, Design(X, y), 1e-5, 1e-15, 1e-12, 3)
+    st = train_to_plateau(model, Design(X, y), 1e-5, 1e-15, 1e-12, 3,
+                          TrainLog())
     assert st is TrainStatus.BUDGET
 
 
@@ -191,7 +194,8 @@ def test_train_infinite_zeta_stops_in_two_iterations():
 def test_train_divergence_restores_last_good():
     model, X, y = _easy_problem()
     with pytest.raises(TrainingDivergence) as got:
-        train_to_plateau(model, Design(X, y), 1e6, 1e-12, 1e-12, 1000)
+        train_to_plateau(model, Design(X, y), 1e6, 1e-12, 1e-12, 1000,
+                         TrainLog())
     assert np.all(np.isfinite(model.coeffs))
     # p = 2 <= N = 40 runs the Gram form; the residual form must diverge
     # at the same step and restore the same coefficients
@@ -202,20 +206,10 @@ def test_train_divergence_restores_last_good():
     np.testing.assert_allclose(model.coeffs, ref.coeffs, rtol=1e-9)
 
 
-def test_log_iterations_strictly_increase():
-    model, X, y = _easy_problem()
-    log = TrainLog()
-    train_to_plateau(model, Design(X, y), 0.05, 1e-10, 1e-10, 200, log)
-    iters = [r[0] for r in log.records]
-    assert iters == sorted(set(iters))
-    with pytest.raises(ValueError):
-        log.append(iters[-1], 0.5, model.n_params)  # not increasing
-
-
 def test_log_csv_formats(tmp_path):
     log = TrainLog()
-    log.append(1, 0.125, 3)
-    log.append(2, 0.0625, 3)
+    log.append(0.125, 3)
+    log.append(0.0625, 3)
     log.add_event("expand", 2, 4)
     p1, p2 = tmp_path / "log.csv", tmp_path / "events.csv"
     log.to_csv(p1)
@@ -230,8 +224,8 @@ def test_log_csv_formats(tmp_path):
 def test_add_event_stamps_the_last_iteration():
     log = TrainLog()
     log.add_event("seed", 1, 10)
-    log.append(1, 0.5, 10)
-    log.append(4, 0.25, 10)
+    for loss_value in (0.5, 0.4, 0.3, 0.25):
+        log.append(loss_value, 10)
     log.add_event("expand", 1, 3)
     log.add_event("escalate", 2, 6)
     assert log.events == [(0, "seed", 1, 10), (4, "expand", 1, 3),
@@ -263,12 +257,18 @@ def _stepping_problem(rows, target):
 
 
 def _assert_step_refused(model, design, lr, direction):
+    # a log that holds six steps: the refused one would be the seventh
+    log = TrainLog()
+    for k in range(6):
+        log.append(1.0 / (k + 1), model.n_params)
+    records = list(log.records)
     before, kept = model.coeffs, model.coeffs.copy()
     with pytest.raises(TrainingDivergence,
                        match="^training diverged at iteration 7$"):
-        design.step(model, lr, direction, 7)
+        design.step(model, lr, direction, log)
     assert model.coeffs is before
     np.testing.assert_array_equal(model.coeffs, kept)
+    assert log.records == records
 
 
 @pytest.mark.parametrize("rows", [40, 1], ids=["gram", "residual"])
@@ -276,11 +276,14 @@ def test_step_commits_and_returns_the_next_objective(rows):
     model, design = _stepping_problem(rows, 1.0)
     direction, _ = design.objective(model.coeffs)
     want = model.coeffs + 0.01 * 2.0 / rows * direction
-    got = design.step(model, 0.01, direction, 1)
+    log = TrainLog()
+    got = design.step(model, 0.01, direction, log)
     np.testing.assert_array_equal(model.coeffs, want)
     want_direction, want_loss = design.objective(want)
     np.testing.assert_array_equal(got[0], want_direction)
     assert got[1] == want_loss
+    # the committed step is the log's first record
+    assert [r[:3] for r in log.records] == [(1, want_loss, model.n_params)]
 
 
 @pytest.mark.parametrize("rows", [40, 1], ids=["gram", "residual"])
@@ -311,16 +314,6 @@ def test_step_refuses_coefficients_past_the_limit(rows):
 
 # ------------------------------------------------- Gram vs residual form
 
-def _check_finite(model, iteration, last_good):
-    """The divergence check as the loops ran it before ``Design.step``:
-    non-finite or huge coefficients restore ``last_good`` and raise."""
-    c = model.coeffs
-    if (not np.all(np.isfinite(c))
-            or np.max(np.abs(c), initial=0.0) > DIVERGENCE_LIMIT):
-        model.coeffs = last_good
-        raise TrainingDivergence(f"training diverged at iteration {iteration}")
-
-
 def _residual_train(model, X, y, lr, zeta, epsilon, max_iters, log=None):
     """Reference: the plateau loop on the residual form r = y - psi c,
     with the same exits, checks and log records as ``train_to_plateau``."""
@@ -339,13 +332,13 @@ def _residual_train(model, X, y, lr, zeta, epsilon, max_iters, log=None):
         resid = y - psi @ model.coeffs
         new = float(np.mean(resid * resid))
         if not np.isfinite(new):
-            _check_finite(model, offset + k, last_good)
+            check_finite(model, offset + k, last_good)
             model.coeffs = last_good
             raise TrainingDivergence(
                 f"training diverged at iteration {offset + k}")
-        _check_finite(model, offset + k, last_good)
+        check_finite(model, offset + k, last_good)
         if log is not None:
-            log.append(offset + k, new, model.n_params)
+            log.append(new, model.n_params)
         if new <= epsilon:
             return TrainStatus.ACHIEVED
         if k >= 2 and abs(new - current) <= zeta:
