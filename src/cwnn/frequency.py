@@ -2,7 +2,10 @@
 
 Starting from a coarse detail subspace, each resolution is probed with a
 cheap energy estimate (coefficients after one gradient step from zero,
-weighted by the element norm).  A debiased exponential moving average
+weighted by the element norm).  The step needs only psi^T y, which is
+summed block by block as the design matrix's blocks are evaluated, so a
+level of 2**d times the elements of the one before costs time but not
+its N x p matrix in memory.  A debiased exponential moving average
 smooths the sequence; probing stops once the smoothed energy at the
 current resolution is no longer exceeded by the raw estimate one level
 finer, and that resolution seeds the network build.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DIVERGENCE_LIMIT, TrainingDivergence
-from .wavelets import (CenterGrid, MotherWavelet, basis_matrix,
+from .wavelets import (CenterGrid, MotherWavelet, basis_matrix_tdot,
                        children_centers, lattice_bases)
 
 
@@ -45,15 +48,18 @@ def ema_update(prev_bar: float, current_hat: float, alpha: float, m: int) -> flo
 def estimate_subspace_energy(mother: MotherWavelet, bases, X, y, lr: float):
     """Energy held by a set of elements after one gradient step from zero.
 
-    The step is ``c = (2 lr / N) psi^T y``, the same doubles a zero
-    model's ``Design.step`` gives, and it raises ``TrainingDivergence``
-    past ``DIVERGENCE_LIMIT`` as that step does, without forming the Gram
-    matrix.  Returns ``(sum_j c_j**2 * ||psi||**2, c)``.
+    The step is ``c = (2 lr / N) psi^T y``, and it raises
+    ``TrainingDivergence`` past ``DIVERGENCE_LIMIT`` as a zero model's
+    ``Design.step`` does, without holding psi: ``psi^T y`` is summed
+    block by block as the blocks are evaluated (``basis_matrix_tdot``),
+    so the probe holds one block per worker, not N x p doubles.  Once the
+    elements span several blocks, ``c`` may differ from that step's in
+    the last bits.  Returns ``(sum_j c_j**2 * ||psi||**2, c)``.
     """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("empty batch")
-    c = lr * 2.0 / y.size * (basis_matrix(mother, bases, X).T @ y)
+    c = lr * 2.0 / y.size * basis_matrix_tdot(mother, bases, X, y)
     # a NaN coefficient fails the comparison too
     if not np.abs(c).max(initial=0.0) <= DIVERGENCE_LIMIT:
         raise TrainingDivergence("training diverged at iteration 1")

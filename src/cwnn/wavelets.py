@@ -9,17 +9,21 @@ mother families are provided, both radial in frequency:
   Gaussian low-pass companion.
 * ``SINC``: band-limited to the annulus ``1 < |w| <= 2``; in one dimension
   ``(sin(2x) - sin(x)) / x``, in higher dimensions evaluated from the
-  closed-form Bessel profile.  Its low-pass companion is the tensor
-  product of ``sin(x_i)/x_i`` factors.
+  closed-form Bessel profile, which in odd dimensions is elementary (the
+  spherical Bessel functions ``j_n``).  Its low-pass companion is the
+  tensor product of ``sin(x_i)/x_i`` factors.
 
 Shapes are evaluated from per-axis coordinate arrays, so a design matrix
 is built block by block from one (rows, columns) offset array per input
 axis and never from an (n_samples, n_bases, dim) stack.  The separable
 sinc companion is built from one (rows, distinct n_k) factor table per
-axis and chunk of rows instead.  A design matrix whose scratch spans
-several blocks is built on every CPU the process may run on (its
-affinity mask, which ``taskset`` limits); the result does not depend on
-the CPU count.
+axis and chunk of rows instead.  One tiling of the matrix into row
+chunks and column blocks serves two consumers: ``basis_matrix`` writes
+each block into the matrix, and ``basis_matrix_tdot`` multiplies each
+block by its rows of a target and frees it, so ``psi^T y`` never holds
+psi.  Work whose scratch spans several blocks runs on every CPU the
+process may run on (its affinity mask, which ``taskset`` limits); the
+result does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1, jv
+from scipy.special import j1, jv, spherical_jn
 
 
 class WaveletFamily(enum.Enum):
@@ -89,8 +93,14 @@ def _sinc_profile(dim: int, r: np.ndarray) -> np.ndarray:
 
     The inverse transform of the unit-height annulus ``1 < |w| <= 2`` is
     ``sqrt(pi/2) * r**-nu * (2**nu J_nu(2r) - J_nu(r))`` with nu = dim/2;
-    in one dimension it reduces to ``(sin 2r - sin r) / r``.  Radii below
-    ``_SERIES_RADIUS`` take ``sqrt(pi/2) * (c0 - c2 r**2)`` instead.
+    in one dimension it reduces to ``(sin 2r - sin r) / r``.  For odd
+    dim >= 3, ``J_{n+1/2}(x) = sqrt(2x/pi) j_n(x)`` with n = (dim - 1)/2
+    turns it into ``r**-n * (2**(n+1) j_n(2r) - j_n(r))``.  The
+    spherical Bessel function j_n is elementary in sin and cos; where its
+    argument is at least n, scipy builds it by recurrence from them at
+    about a tenth of the cost of ``jv`` (below n at about the same cost).
+    Radii below ``_SERIES_RADIUS`` take ``sqrt(pi/2) * (c0 - c2 r**2)``
+    instead.
     """
     nu = 0.5 * dim
     amp = math.sqrt(math.pi / 2.0)
@@ -99,6 +109,12 @@ def _sinc_profile(dim: int, r: np.ndarray) -> np.ndarray:
             out = np.sin(2.0 * r)
             out -= np.sin(r)
             out /= r
+        elif dim % 2:
+            n = dim // 2
+            out = spherical_jn(n, np.multiply(r, 2.0))
+            out *= 2.0 ** (n + 1)
+            out -= spherical_jn(n, r)
+            out /= r ** n
         else:
             out = np.multiply(r, 2.0)
             if dim == 2:
@@ -214,10 +230,13 @@ def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
 # and the shape's temporaries, at most 4 * _BLOCK_ELEMS doubles (8 MiB;
 # the 1-D sinc wavelet's offsets, radii, profile and one temporary reach
 # it), on top of the call's output, one scaled copy of X per run of bases
-# and the sinc companion's per-axis factor tables.  2**18 is the smallest
-# power of two that still builds a 500-row, 162-column two-axis design
-# inline: at 2**17 that call enters the thread pool and slows from about
-# 3 to 4 ms.
+# and the sinc companion's per-axis factor tables.  A worker of the
+# psi^T y path holds one block's scratch plus that block's values, whose
+# rows x columns cells are at most _BLOCK_ELEMS / d; in place of the
+# output, its call holds one partial sum per row chunk and column.  2**18
+# is the smallest power of two that still builds a 500-row, 162-column
+# two-axis design inline: at 2**17 that call enters the thread pool and
+# slows from about 3 to 4 ms.
 _BLOCK_ELEMS = 2 ** 18
 # Most rows per evaluation block.  A block of all 50 000 rows of a
 # two-axis design would hold two columns at 2**18, and writing a design
@@ -252,14 +271,22 @@ def _sinc_companions(scaled, centers):
     ``lo:hi``.
 
     Each axis's factor is evaluated once per distinct ``n_k`` into an
-    (n_samples, distinct) table; a column gathers its factors and
+    (n_samples, distinct) table, in place but with ``np.sinc``'s steps:
+    ``t = pi * (o / pi)``, a tiny ``t`` in place of 0 (whose factor is
+    then exactly 1) and ``sin(t) / t``.  A column gathers its factors and
     multiplies them in axis order, so every value is the per-cell
-    product bit for bit.
+    ``np.sinc`` product bit for bit.
     """
     tables, which = [], []
     for k in range(centers.shape[1]):
         u, inv = np.unique(centers[:, k], return_inverse=True)
-        tables.append(np.sinc(np.subtract.outer(scaled[:, k], u) / np.pi))
+        t = np.subtract.outer(scaled[:, k], u)
+        t /= np.pi
+        t *= np.pi
+        t[t == 0] = np.pi * 1e-20
+        table = np.sin(t)
+        table /= t
+        tables.append(table)
         which.append(inv)
 
     def shapes(lo, hi):
@@ -270,31 +297,26 @@ def _sinc_companions(scaled, centers):
     return shapes
 
 
-def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
-    """Evaluate every basis in ``bases`` at every row of ``X``.
+def _tiles(mother: MotherWavelet, bases, X):
+    """The blocks of the design matrix of ``bases`` at ``X``, unevaluated.
 
-    Returns the (n_samples, n_bases) design matrix.  Each run of
-    consecutive bases of one kind and resolution shares one scaled copy
-    of ``X``.  Its rows are cut into the fewest chunks of at most
-    ``_BLOCK_ROWS``, and each chunk's columns into the fewest blocks of
-    at most ``_BLOCK_ELEMS`` scratch elements, their sizes differing by
-    at most one row or column.  A block of wavelets or Mexican-hat
-    companions is evaluated from one (rows, block) offset array per
-    input axis; a block of sinc companions is gathered from its row
-    chunk's per-axis factor tables.
-
-    When the call's scratch spans more than one block and the process may
-    run on several CPUs, the blocks are mapped over a thread pool of at
-    most that many workers (numpy and scipy.special release the GIL);
-    each block writes only its own slice of the output, so the result is
-    the same bit for bit on any number of CPUs.  Each worker holds one
-    block's scratch at a time.  Smaller calls run inline.
+    Returns X as a 2-D float array, the number of row chunks and one task
+    per block, ``(shapes, lo, hi, amp, chunk, rows, cols)``: the block's
+    values are ``amp * shapes(lo, hi)``, its cells the design matrix's
+    ``[rows, cols]`` and ``chunk`` the index of its row chunk.  Each run
+    of consecutive bases of one kind and resolution shares one scaled
+    copy of ``X``.  Its rows are cut into the fewest chunks of at most
+    ``_BLOCK_ROWS``, and each chunk's columns into the fewest blocks of at
+    most ``_BLOCK_ELEMS`` scratch elements, their sizes differing by at
+    most one row or column.  A block of wavelets or Mexican-hat
+    companions is evaluated from one (rows, block) offset array per input
+    axis; a block of sinc companions is gathered from its row chunk's
+    per-axis factor tables.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if d != mother.dim:
         raise ValueError(f"X has dim {d}, mother expects {mother.dim}")
-    out = np.empty((n, len(bases)))
     # ceil(n / _BLOCK_ROWS) row chunks whose sizes differ by at most one
     kr = max(1, -(-n // _BLOCK_ROWS))
     rows = [n * i // kr for i in range(kr + 1)]
@@ -311,30 +333,84 @@ def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
         # ceil(len / block) blocks whose sizes differ by at most one
         k = -(-len(centers) // block)
         cuts = [len(centers) * i // k for i in range(k + 1)]
-        for r0, r1 in zip(rows[:-1], rows[1:]):
+        for chunk, (r0, r1) in enumerate(zip(rows[:-1], rows[1:])):
             if (kind is BasisKind.SCALING
                     and mother.family is WaveletFamily.SINC):
                 shapes = _sinc_companions(scaled[r0:r1], centers)
             else:
                 shapes = _offset_shapes(mother, kind, scaled[r0:r1], centers)
-            tasks += [(shapes, lo, hi, out[r0:r1, start + lo:start + hi], amp)
+            tasks += [(shapes, lo, hi, amp, chunk, slice(r0, r1),
+                       slice(start + lo, start + hi))
                       for lo, hi in zip(cuts[:-1], cuts[1:])]
         start += len(centers)
+    return X, kr, tasks
 
-    def fill(task):
-        shapes, lo, hi, dest, amp = task
-        np.multiply(shapes(lo, hi), amp, out=dest)
 
+def _each_tile(work, tasks, cells: int) -> None:
+    """Apply ``work`` to every task, on a thread pool of at most one
+    worker per CPU when the ``cells`` offset elements span more than one
+    block, else inline.  numpy and scipy.special release the GIL."""
     workers = 1
-    if n * d * len(bases) > _BLOCK_ELEMS:
+    if cells > _BLOCK_ELEMS:
         workers = min(_cpu_count(), len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, tasks))
+            list(pool.map(work, tasks))
     else:
         for task in tasks:
-            fill(task)
+            work(task)
+
+
+def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
+    """Evaluate every basis in ``bases`` at every row of ``X``.
+
+    Returns the (n_samples, n_bases) design matrix, evaluated block by
+    block as :func:`_tiles` cuts it.  When the call's scratch spans more
+    than one block and the process may run on several CPUs, the blocks
+    are mapped over a thread pool of at most that many workers; each
+    block writes only its own slice of the output, so the result is the
+    same bit for bit on any number of CPUs.  Each worker holds one
+    block's scratch at a time.  Smaller calls run inline.
+    """
+    X, _, tasks = _tiles(mother, bases, X)
+    out = np.empty((len(X), len(bases)))
+
+    def fill(task):
+        shapes, lo, hi, amp, _, rows, cols = task
+        np.multiply(shapes(lo, hi), amp, out=out[rows, cols])
+
+    _each_tile(fill, tasks, X.size * len(bases))
     return out
+
+
+def basis_matrix_tdot(mother: MotherWavelet, bases, X, y) -> np.ndarray:
+    """``basis_matrix(mother, bases, X).T @ y`` without holding the matrix.
+
+    Each block of :func:`_tiles` is evaluated, multiplied by its rows of
+    ``y`` into its own slot of a (row chunks, n_bases) array of partial
+    sums and freed; the chunks' partial sums are then added in chunk
+    order.  So a worker holds one block's scratch and values at a time,
+    and the result is the same bit for bit on any number of CPUs.  It
+    may differ from the product of the whole matrix in the last bits,
+    since the BLAS sums each block's products on its own.
+    """
+    X, kr, tasks = _tiles(mother, bases, X)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (len(X),):
+        raise ValueError(f"y has shape {y.shape}, X has {len(X)} rows")
+    parts = np.empty((kr, len(bases)))
+
+    def fold(task):
+        shapes, lo, hi, amp, chunk, rows, cols = task
+        values = shapes(lo, hi)
+        values *= amp
+        np.matmul(y[rows], values, out=parts[chunk, cols])
+
+    _each_tile(fold, tasks, X.size * len(bases))
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
 
 
 # -- translation-center grids ------------------------------------------

@@ -1,17 +1,19 @@
 """Dominant-band probing: smoothing weight, EMA, energy probes, stop rule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import cwnn.wavelets as wavelets
 from cwnn.frequency import (alpha_from_epsilon, ema_update,
                             estimate_initial_resolution,
                             estimate_subspace_energy, subsample_centers)
 from cwnn.model import (Design, TrainLog, TrainingDivergence, WaveletModel,
                         train_to_plateau)
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet,
-                           build_center_grid, eval_basis)
+                           build_center_grid, eval_basis, lattice_bases)
 
 
 def test_alpha_values():
@@ -96,6 +98,32 @@ def test_probe_step_checks_divergence():
     X = np.random.default_rng(2).uniform(0.0, 1.0, size=(40, 2))
     with pytest.raises(TrainingDivergence, match="iteration 1"):
         estimate_subspace_energy(sc, bases, X, X[:, 0], 1e200)
+
+
+def test_probe_scratch_stays_within_the_per_worker_bound(monkeypatch):
+    # diag's widest level: 6 561 sinc elements at m = 6 on 500 rows of two
+    # axes, whose psi would be 26 MB.  A serial probe never holds it: it
+    # stays within the bound the _BLOCK_ELEMS comment gives a worker of
+    # the psi^T y path, one block's scratch (4 * _BLOCK_ELEMS doubles)
+    # plus that block's values (rows x columns), on top of the centers,
+    # the partial sums, one scaled copy of X and a few kilobytes of
+    # bookkeeping (5.2 MB in all, against a bound of 9.7 MB)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    mother = MotherWavelet.sinc(2)
+    bases = lattice_bases(6, [range(-8, 73), range(-8, 73)])
+    X = np.random.default_rng(8).uniform(0.0, 1.0, size=(500, 2))
+    y = np.sin(5.0 * X[:, 0]) * X[:, 1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, c = estimate_subspace_energy(mother, bases, X, y, 5e-4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    values = 500 * (wavelets._BLOCK_ELEMS // X.size)
+    kept = (len(bases) * 2 + c.size) * 8 + X.nbytes
+    assert peak <= (4 * wavelets._BLOCK_ELEMS + values) * 8 + kept + 2 ** 16
+    assert peak < X.shape[0] * len(bases) * 8 / 2
 
 
 def test_energy_empty_bases():

@@ -15,8 +15,9 @@ from scipy.special import gamma, jv
 
 import cwnn.wavelets as wavelets
 from cwnn.wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
-                           MotherWavelet, basis_matrix, build_center_grid,
-                           children_centers, eval_basis, lattice_bases)
+                           MotherWavelet, basis_matrix, basis_matrix_tdot,
+                           build_center_grid, children_centers, eval_basis,
+                           lattice_bases)
 from quadrature_oracle import adaptive_integral, panel_rule_1d
 
 
@@ -90,6 +91,62 @@ def test_sinc_2d_profile_continuous_past_quadrature_window():
     tail = np.zeros((200, 2))
     tail[:, 0] = np.linspace(48.1, 80.0, 200)
     assert np.max(np.abs(sc.eval_mother(tail))) > 1e-3
+
+
+def jv_profile(d, r):
+    """The profile's Bessel form with ``jv`` at order d/2, in the steps
+    the package takes for even d >= 4: ``sqrt(pi/2) * r**-nu * (2**nu
+    J_nu(2r) - J_nu(r))``, and the two-term series below the cut-off."""
+    nu = d / 2
+    amp = math.sqrt(math.pi / 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.multiply(r, 2.0)
+        jv(nu, out, out=out)
+        out *= 2.0 ** nu
+        out -= jv(nu, r)
+        out /= r ** nu
+        out *= amp
+    small = r < wavelets._SERIES_RADIUS
+    c0 = (2.0 ** nu - 2.0 ** -nu) / math.gamma(nu + 1.0)
+    c2 = (2.0 ** nu - 2.0 ** (-nu - 2.0)) / math.gamma(nu + 2.0)
+    out[small] = amp * (c0 - c2 * r[small] * r[small])
+    return out
+
+
+# a dense grid of [0, 50] plus geometric radii through the series cut-off
+DENSE_RADII = np.concatenate([np.linspace(0.0, 50.0, 200_001),
+                              np.geomspace(1e-6, 2.0, 2_001)])
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_odd_dimension_profile_matches_jv_form(d):
+    # the spherical-Bessel form against the jv form as an oracle, within
+    # 1e-14 of the profile's peak at 0 (the largest gap measured on this
+    # grid is 3.3e-15 of it, at d = 3); the series below the cut-off is
+    # the same code on both sides
+    r = DENSE_RADII
+    peak = wavelets._sinc_profile(d, np.zeros(1))[0]
+    got = wavelets._sinc_profile(d, r)
+    assert np.max(np.abs(got - jv_profile(d, r))) <= 1e-14 * peak
+    small = r < wavelets._SERIES_RADIUS
+    assert got[small].tobytes() == jv_profile(d, r)[small].tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_odd_dimension_profile_continuous_across_series_radius(d):
+    # the two-term series meets the spherical-Bessel form at the cut-off
+    # within its truncation error, the r**4 term at r = 1e-3: 6.6e-14 of
+    # the peak at d = 3 and less above
+    R = wavelets._SERIES_RADIUS
+    r = np.array([0.0, R * (1 - 1e-12), R, R * (1 + 1e-12)])
+    p = wavelets._sinc_profile(d, r)
+    assert np.max(np.abs(np.diff(p[1:]))) <= 1e-13 * p[0]
+
+
+def test_even_dimension_profile_keeps_jv():
+    # d = 4 still takes jv, bit for bit
+    r = DENSE_RADII
+    assert wavelets._sinc_profile(4, r).tobytes() == jv_profile(4, r).tobytes()
 
 
 def test_rotation_symmetry():
@@ -441,6 +498,58 @@ def test_basis_matrix_cuts_tall_designs_by_rows(monkeypatch):
 
 @pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
 @pytest.mark.parametrize("d", [1, 2, 3])
+def test_tdot_matches_the_matrix_product(family, d, monkeypatch):
+    # 5 000 rows (two row chunks) against wavelet runs at two resolutions
+    # and a companion run between them, each run cut into blocks of 12
+    # columns.  Each entry against basis_matrix(...).T @ y within the
+    # rounding of a dot product, 16 eps * sum_i |psi_ij y_i| (the
+    # largest gap measured here is 3.2 of it) rather than a relative
+    # tolerance, which a sum with cancellation would not meet; and the
+    # same bytes on one CPU and on two
+    mother = getattr(MotherWavelet, family)(d)
+    rng = np.random.default_rng(120 + d)
+    X = rng.uniform(0.0, 1.0, size=(5000, d))
+    y = rng.standard_normal(5000)
+    per = {1: 40, 2: 7, 3: 4}[d]
+    bases = (lattice_bases(3, [range(-2, per)] * d)
+             + lattice_bases(2, [range(-1, per)] * d, BasisKind.SCALING)
+             + lattice_bases(4, [range(per)] * d))
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2500 * d * 12)
+    _, chunks, tasks = wavelets._tiles(mother, bases, X)
+    assert chunks == 2 and len(tasks) >= 3 * 2 * chunks
+    psi = basis_matrix(mother, bases, X)
+    bound = 16 * np.finfo(float).eps * np.abs(psi * y[:, None]).sum(axis=0)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    serial = basis_matrix_tdot(mother, bases, X, y)
+    assert np.all(np.abs(serial - psi.T @ y) <= bound)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
+    assert basis_matrix_tdot(mother, bases, X, y).tobytes() == serial.tobytes()
+
+
+def test_tdot_checks_its_target_and_takes_empty_bases():
+    mother = MotherWavelet.mexican_hat(1)
+    X = np.zeros((4, 1))
+    with pytest.raises(ValueError, match="rows"):
+        basis_matrix_tdot(mother, lattice_bases(0, [range(3)]), X, np.ones(5))
+    assert basis_matrix_tdot(mother, [], X, np.ones(4)).shape == (0,)
+
+
+def test_sinc_companion_tables_match_np_sinc():
+    # rows on lattice points put exact zeros in the factor tables; the
+    # in-place tables give np.sinc's bits there and everywhere else
+    rng = np.random.default_rng(12)
+    centers = rng.integers(-3, 4, size=(50, 2)).astype(float)
+    scaled = rng.uniform(-4.0, 4.0, size=(200, 2))
+    scaled[:20] = centers[:20]
+    got = wavelets._sinc_companions(scaled, centers)(0, len(centers))
+    want = np.sinc((scaled[:, None, 0] - centers[:, 0]) / np.pi)
+    want *= np.sinc((scaled[:, None, 1] - centers[:, 1]) / np.pi)
+    assert np.count_nonzero(got == 1.0) >= 20
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_row_chunks_agree_with_one_block(family, d, monkeypatch):
     # chunks of 5 or 6 rows and blocks of three columns on 23 rows,
     # serial and on two CPUs, against one block of the whole design
@@ -460,17 +569,24 @@ def test_row_chunks_agree_with_one_block(family, d, monkeypatch):
     assert threaded.tobytes() == whole.tobytes()
 
 
-def test_concurrent_callers_get_the_serial_result(monkeypatch):
+def tdot_of_first_axis(mother, bases, X):
+    return basis_matrix_tdot(mother, bases, X, X[:, 0])
+
+
+@pytest.mark.parametrize("evaluate", [basis_matrix, tdot_of_first_axis])
+def test_concurrent_callers_get_the_serial_result(monkeypatch, evaluate):
     # four callers at once, as sweep workers call in, each on its own
     # rows and each through its own pool; a shared buffer or a store into
-    # another call's matrix would break the match
+    # another call's matrix or partial sums would break the match.  Row
+    # chunks of at most 8 rows give psi^T y four slots per column
     mother = MotherWavelet.sinc(2)
     bases = mixed_bases(2, 80)
     inputs = [np.random.default_rng(90 + i).uniform(-2.0, 2.0, size=(31, 2))
               for i in range(4)]
-    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 4 * 31 * 2)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 4 * 8 * 2)
+    monkeypatch.setattr(wavelets, "_BLOCK_ROWS", 8)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
-    want = [basis_matrix(mother, bases, X) for X in inputs]
+    want = [evaluate(mother, bases, X) for X in inputs]
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 3)
     got = [None] * len(inputs)
     start = threading.Barrier(len(inputs))
@@ -478,7 +594,7 @@ def test_concurrent_callers_get_the_serial_result(monkeypatch):
     def call(i):
         start.wait(timeout=30)
         for _ in range(20):
-            got[i] = basis_matrix(mother, bases, inputs[i])
+            got[i] = evaluate(mother, bases, inputs[i])
             if not np.array_equal(got[i], want[i]):
                 return
 
@@ -500,7 +616,7 @@ def test_concurrent_callers_get_the_serial_result(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sinc_companion_evaluates_each_axis_factor_once(d, monkeypatch):
-    # a companion group with 30 columns evaluates sinc once per row and
+    # a companion group with 30 columns evaluates sin once per row and
     # distinct translation per axis, not once per cell and axis
     mother = MotherWavelet.sinc(d)
     rng = np.random.default_rng(100 + d)
@@ -508,13 +624,13 @@ def test_sinc_companion_evaluates_each_axis_factor_once(d, monkeypatch):
              for _ in range(30)]
     X = rng.uniform(-1.0, 1.0, size=(23, d))
     points = []
-    real_sinc = np.sinc
+    real_sin = np.sin
 
-    def spy(x):
+    def spy(x, *args, **kwargs):
         points.append(np.size(x))
-        return real_sinc(x)
+        return real_sin(x, *args, **kwargs)
 
-    monkeypatch.setattr(np, "sinc", spy)
+    monkeypatch.setattr(np, "sin", spy)
     psi = basis_matrix(mother, bases, X)
     distinct = [len({b.n[k] for b in bases}) for k in range(d)]
     assert sum(points) == X.shape[0] * sum(distinct)
