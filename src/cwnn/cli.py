@@ -29,8 +29,8 @@ from .diagnostics import (TimeFrequencyBox, count_peaks, decay_report,
                           scan_indices)
 from .frequency import alpha_from_epsilon, estimate_initial_resolution
 from .growth import (GrowthConfig, WaveletPool, run_baseline_wnn,
-                     run_growth, run_online)
-from .model import TrainStatus, TrainingDivergence, loss
+                     run_growth, run_online, run_seed_phase)
+from .model import Design, TrainStatus, TrainingDivergence, loss
 from .wavelets import BasisIndex, MotherWavelet, build_center_grid
 
 EXIT_OK = 0
@@ -427,22 +427,28 @@ def cmd_estimate_freq(cfg, data, out: str) -> int:
     return EXIT_OK
 
 
-def _fit(cfg, data, out: str):
+def _fit(cfg, data, out: str, seeded=None):
     """The one fit path: grow, ingest a second batch, run the optional
-    baseline on the same rows, write the run; returns the model's run."""
+    baseline on the same rows, write the run; returns the model's run.
+    ``seeded`` is a sweep's fork of its seed-phase pool and design
+    (``run_seed_phase``): the fit grows on from it, or takes it as the
+    run when the seed phase ended the run."""
     ds, extra = data
     X, y = ds.inputs, ds.targets
-    mother = _mother(cfg, ds.dim)
     gcfg = _growth_config(cfg)
-    res = run_growth(WaveletPool(mother, _start_grid(cfg)), X, y, gcfg)
+    res, design = seeded or (WaveletPool(_mother(cfg, ds.dim),
+                                         _start_grid(cfg)), None)
+    if res.status in (None, TrainStatus.PLATEAU):
+        res = run_growth(res, X, y, gcfg, design)
     summary = {"command": "fit"}
     if "second" in extra:
-        # second dataset arrives: continue growing on the union
+        # second dataset arrives: continue growing on the union, from the
+        # resolution the resumed run grows at
         ds2 = extra["second"]
         summary["phase1_iterations"] = res.log.last_iteration
         X = np.vstack([X, ds2.inputs])
         y = np.concatenate([y, ds2.targets])
-        res.log.add_event("ingest", res.m, len(ds2))
+        res.log.add_event("ingest", res.finest_m, len(ds2))
         res = run_growth(res, X, y, gcfg)
     # a csv run trains on min-max scaled data; saved models keep the record
     res.model.scaling = ds.scaling
@@ -451,7 +457,7 @@ def _fit(cfg, data, out: str):
         test = extra["test"]
         summary["test_mse"] = loss(res.model, test.inputs, test.targets)
     if cfg["baseline"] == "wnn":
-        base = WaveletPool(mother, _start_grid(cfg, baseline=True))
+        base = WaveletPool(res.model.mother, _start_grid(cfg, baseline=True))
         bres = run_baseline_wnn(base, X, y, gcfg)
         bres.model.scaling = ds.scaling
         summary["baseline"] = _fit_summary(bres)
@@ -542,11 +548,25 @@ def cmd_diag(cfg, data, out: str) -> int:
 
 def cmd_sweep(cfg, data, out: str) -> int:
     """``fit`` once per mu into mu-<round(1/mu)>/, one after another (a
-    step holds the interpreter lock, so threads would not overlap)."""
+    step holds the interpreter lock, so threads would not overlap).
+
+    mu first acts at the first growth phase, so the seed phase (the seed
+    level trained to its first plateau) is trained once, on one design,
+    and each mu run is ``_fit`` on a fork of that pool and design, made
+    just before the run and dropped once it is written: every mu-k/ holds
+    what a lone ``fit --mu 1/k`` with the sweep's zeta writes, apart from
+    the train log's ``elapsed_ms``."""
+    ds, _ = data
+    seed = WaveletPool(_mother(cfg, ds.dim), _start_grid(cfg))
+    design = Design(ds.inputs, ds.targets)
+    # the seed phase reads no mu, and a sweep's own mu goes unchecked, so
+    # mu = 1 stands in
+    run_seed_phase(seed, design, _growth_config(dict(cfg, mu=1.0)))
     results = []
     for mu in cfg["mu_list"]:
         sub, k = dict(cfg, mu=mu), int(round(1.0 / mu))
-        res = _fit(sub, data, _prepare_out(os.path.join(out, f"mu-{k}"), sub))
+        res = _fit(sub, data, _prepare_out(os.path.join(out, f"mu-{k}"), sub),
+                   (seed.fork(), design.fork()))
         results.append({"mu": mu, "denominator": k, "n_params": res.n_params,
                         "status": res.status.name.lower(),
                         "final_loss": res.final_loss,

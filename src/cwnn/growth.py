@@ -12,13 +12,17 @@ sustained loss plateau.  Each run grows the pool it is given, seeded on
 the caller's start lattice (``run_growth`` resumes a pool that holds
 bases), through ``_grow``, and returns it: the run's model, log,
 resolution and status.  The batch runs share one train-to-plateau loop,
-and every gradient step, batch or windowed, is ``Design.step``.
+and every gradient step, batch or windowed, is ``Design.step``.  A run
+paused at its first plateau (``run_seed_phase``) can be forked, pool and
+design, and each fork grown on as a run of its own: the sweep over mu
+trains that seed phase once.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,6 +79,18 @@ class WaveletPool:
         self.status = None
         self.expanded = defaultdict(set)
 
+    def fork(self) -> "WaveletPool":
+        """A pool that grows on from this one's state and leaves it as it
+        is: its own copies of the model's bases and coefficients, of the
+        log (``TrainLog.fork``) and of the expanded sets."""
+        twin = copy.copy(self)
+        twin.model = replace(self.model, bases=list(self.model.bases),
+                             coeffs=self.model.coeffs.copy())
+        twin.log = self.log.fork()
+        twin.expanded = defaultdict(set, {m: set(parents) for m, parents
+                                          in self.expanded.items()})
+        return twin
+
     @property
     def n_params(self) -> int:
         return self.model.n_params
@@ -82,6 +98,12 @@ class WaveletPool:
     @property
     def final_loss(self) -> float:
         return self.log.records[-1][1] if self.log.records else float("nan")
+
+    @property
+    def finest_m(self) -> int:
+        """The finest resolution of the pool's bases, where ``run_growth``
+        resumes it."""
+        return max(b.m for b in self.model.bases)
 
     def add_bases(self, bases) -> list:
         """Append the elements the model lacks (first occurrence kept)."""
@@ -153,7 +175,7 @@ def _start(pool: WaveletPool, config: GrowthConfig,
     if pool.model.bases:
         if not resume:
             raise ValueError("this run starts from an empty pool")
-        pool.m, pool.sweep = max(b.m for b in pool.model.bases), 0
+        pool.m, pool.sweep = pool.finest_m, 0
     if pool.m > config.max_resolution:
         raise ValueError(f"the pool is at resolution {pool.m}, above "
                          f"max_resolution {config.max_resolution}")
@@ -197,27 +219,35 @@ def _grow(pool: WaveletPool, config: GrowthConfig,
     return True
 
 
-def _grow_to_target(pool: WaveletPool, X, y, config: GrowthConfig,
-                    whole_levels: bool) -> WaveletPool:
+def _grow_to_target(pool: WaveletPool, design: Design,
+                    config: GrowthConfig, whole_levels: bool) -> WaveletPool:
     """Train to a plateau, grow, and repeat until the loss target is met
     (Achieved) or the iterations or resolutions run out (Budget), and
-    set the pool's ``status`` to that.  Every phase trains on one design
-    of ``X`` and ``y``."""
-    design = Design(X, y)
-    stop_at = pool.log.last_iteration + config.max_iters
-    while pool.log.last_iteration < stop_at:
+    set the pool's ``status`` to that.  Every phase trains on ``design``.
+
+    A pool paused at a plateau (a fork of ``run_seed_phase``'s pool)
+    grows first, and its budget counts from iteration 0, as the run it
+    continues began there; any other pool trains first, with
+    ``config.max_iters`` iterations past its log."""
+    paused = pool.status is TrainStatus.PLATEAU
+    stop_at = config.max_iters + (0 if paused else pool.log.last_iteration)
+    while True:
+        if (pool.status is TrainStatus.PLATEAU
+                and not _grow(pool, config, whole_levels)):
+            break
+        if pool.log.last_iteration >= stop_at:
+            break
         pool.status = train_to_plateau(
             pool.model, design, config.learning_rate, config.zeta,
             config.epsilon, stop_at - pool.log.last_iteration, pool.log)
         if pool.status is not TrainStatus.PLATEAU:
             return pool
-        if not _grow(pool, config, whole_levels):
-            break
     pool.status = TrainStatus.BUDGET
     return pool
 
 
-def run_growth(pool: WaveletPool, X, y, config: GrowthConfig) -> WaveletPool:
+def run_growth(pool: WaveletPool, X, y, config: GrowthConfig,
+               design: Design | None = None) -> WaveletPool:
     """Grow ``pool`` and train until the loss target is met (Achieved) or
     the iteration/resolution budget runs out (Budget); returns the pool.
 
@@ -227,9 +257,29 @@ def run_growth(pool: WaveletPool, X, y, config: GrowthConfig) -> WaveletPool:
     expansion-phase schedule.  Every phase trains on one design of ``X``
     and ``y``, so each column is evaluated once per call, and a resumed
     pool's columns are built anew on the rows given here.
+
+    A fork of a pool ``run_seed_phase`` paused, given with a fork of its
+    ``design``, continues the paused run (its seed level is its finest,
+    so the resume rule leaves it as it is) and ends as a run that never
+    paused.
     """
-    return _grow_to_target(_start(pool, config, resume=True), X, y, config,
+    return _grow_to_target(_start(pool, config, resume=True),
+                           design or Design(X, y), config,
                            whole_levels=False)
+
+
+def run_seed_phase(pool: WaveletPool, design: Design,
+                   config: GrowthConfig) -> WaveletPool:
+    """Seed an empty pool and train it on ``design`` to its first
+    plateau, the part of a ``run_growth`` that mu does not touch, and
+    leave it paused there with status Plateau.  A seed phase that meets
+    the target or spends ``config.max_iters`` ends the run (Achieved or
+    Budget) as ``run_growth`` would."""
+    _start(pool, config)
+    pool.status = train_to_plateau(
+        pool.model, design, config.learning_rate, config.zeta,
+        config.epsilon, config.max_iters, pool.log)
+    return pool
 
 
 def run_baseline_wnn(pool: WaveletPool, X, y,
@@ -237,7 +287,7 @@ def run_baseline_wnn(pool: WaveletPool, X, y,
     """Non-constructive reference: seed an empty pool's scaling and detail
     grids at its resolution, then add whole detail grids level by level
     whenever training plateaus above the target."""
-    return _grow_to_target(_start(pool, config), X, y, config,
+    return _grow_to_target(_start(pool, config), Design(X, y), config,
                            whole_levels=True)
 
 

@@ -32,6 +32,7 @@ any loss target or plateau gap in use.
 
 from __future__ import annotations
 
+import copy
 import csv
 import enum
 import json
@@ -113,9 +114,11 @@ class WaveletModel:
         return cls(mother, bases, coeffs, payload.get("scaling"))
 
     def save(self, path) -> None:
+        """One line of key-sorted JSON: ``json.dumps`` without an indent
+        takes the C encoder, where ``json.dump`` and any indent take the
+        pure-Python one."""
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "WaveletModel":
@@ -157,12 +160,21 @@ class TrainLog:
     def add_event(self, event: str, resolution: int, added: int) -> None:
         self.events.append((self.last_iteration, event, resolution, added))
 
+    def fork(self) -> "TrainLog":
+        """A log that goes on from this one's records and events and
+        leaves them as they are.  Its clock runs on from the last record,
+        so its ``elapsed_ms`` reads as if the run had never paused."""
+        paused_ms = self.records[-1][3] if self.records else 0.0
+        return TrainLog(list(self.records), list(self.events),
+                        time.perf_counter() - paused_ms / 1000.0)
+
     def to_csv(self, path) -> None:
+        # the rows csv.writer would write, \r\n line ending included, in
+        # one write: no field holds a comma or a quote
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "loss", "n_params", "elapsed_ms"])
-            for it, lv, np_, ms in self.records:
-                w.writerow([it, repr(lv), np_, f"{ms:.3f}"])
+            fh.write("iter,loss,n_params,elapsed_ms\r\n" + "".join(
+                f"{it},{lv!r},{np_},{ms:.3f}\r\n"
+                for it, lv, np_, ms in self.records))
 
     def events_to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -213,6 +225,16 @@ class Design:
             self.gram = self.b = None
         self.blocks.append(new)
         self.bases.extend(new_bases)
+
+    def fork(self) -> "Design":
+        """A design of the same data that syncs on from this one's columns
+        and leaves it as it is.  It has its own ``bases`` and ``blocks``
+        lists but shares the block arrays, which nothing writes after the
+        sync that made them, and G, b and y^T y, which a sync replaces
+        and never writes into."""
+        twin = copy.copy(self)
+        twin.bases, twin.blocks = list(self.bases), list(self.blocks)
+        return twin
 
     def objective(self, c):
         """The descent direction ``g = psi^T (y - psi c)`` and the mean

@@ -13,7 +13,7 @@ import pytest
 
 import cwnn.cli as cli
 from cwnn.datasets import Dataset, load_csv, minmax_unscale, split
-from cwnn.model import WaveletModel
+from cwnn.model import Design, WaveletModel
 
 
 @pytest.fixture()
@@ -387,6 +387,82 @@ def test_sweep_runs_share_their_seed_phase(out_root, capsys):
     assert len({first[1] for first in firsts}) == 3
     assert logs[0][:at] == logs[1][:at] == logs[2][:at]
     assert [int(r[0]) for r in logs[0][:at]] == list(range(1, at + 1))
+
+
+def _fit_files(run):
+    """What a fit run writes, less config.json and the train log's
+    elapsed_ms column."""
+    files = {name: (run / name).read_bytes()
+             for name in ("summary.json", "model.json", "growth_events.csv")}
+    with open(run / "train_log.csv") as fh:
+        files["train_log.csv"] = [line.rsplit(",", 1)[0] for line in fh]
+    return files
+
+
+_SWEPT = {
+    "fast": FAST_FIT[1:],
+    # each run ingests the second region after its fork grew
+    "example2": ["--preset", "example2"],
+    # the seed phase plateaus at iteration 2,114 and every run needs more
+    # than 2,125 steps, so each ends on the one-run budget after its fork
+    # grew
+    "budget": FAST_FIT[1:] + ["--max-iters", "2125"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEPT))
+def test_each_sweep_run_is_a_lone_fit(out_root, capsys, case):
+    # a run grown from a fork of the shared seed phase writes what a fit
+    # with its mu and the sweep's zeta writes
+    argv = _SWEPT[case]
+    run = out_root / "sweep"
+    rc = cli.main(["sweep", *argv, "--mu-list", "1/2,1/3", "--out", str(run)])
+    zeta = repr(read_json(run / "config.json")["zeta"])
+    for k in (2, 3):
+        fit = out_root / f"fit-{k}"
+        assert cli.main(["fit", *argv, "--mu", f"1/{k}", "--zeta", zeta,
+                         "--out", str(fit)]) in (rc, 4)
+        assert _fit_files(run / f"mu-{k}") == _fit_files(fit)
+        summary = read_json(fit / "summary.json")["cwnn"]
+        assert {e[1] for e in summary["events"]} & {"expand", "escalate"}
+        assert summary["status"] == ("budget" if case == "budget"
+                                     else "achieved")
+
+
+def test_a_sweep_steps_through_its_seed_phase_once(out_root, capsys,
+                                                   monkeypatch):
+    # every gradient step is Design.step: the sweep takes the seed phase's
+    # steps once and then each run's steps past its fork
+    step, calls = Design.step, []
+
+    def spy(self, *args):
+        calls.append(None)
+        return step(self, *args)
+
+    monkeypatch.setattr(Design, "step", spy)
+    run = out_root / "steps"
+    assert cli.main(["sweep"] + FAST_FIT[1:] + ["--mu-list", "1/2,1/3,1/4",
+                                                "--out", str(run)]) == 0
+    runs = read_json(run / "summary.json")["runs"]
+    seed_steps = set()
+    for k in (2, 3, 4):
+        events = read_json(run / f"mu-{k}" / "summary.json")["cwnn"]["events"]
+        seed_steps.add(events[1][0])
+    (at,) = seed_steps
+    assert len(calls) == at + sum(r["iterations"] - at for r in runs)
+
+
+def test_the_ingest_event_names_the_resolution_the_resumed_run_grows_at(
+        out_root, capsys):
+    # the first region's run stops at m = 2 after an expand phase, holding
+    # children at m = 3, and the resumed run grows at its finest basis
+    # resolution
+    run = out_root / "ex2"
+    assert cli.main(["fit", "--preset", "example2", "--out", str(run)]) == 0
+    events = read_json(run / "summary.json")["cwnn"]["events"]
+    at = [e[1] for e in events].index("ingest")
+    assert events[at - 1][1:3] == ["expand", 2]
+    assert events[at][2] == 3 and events[at + 1][1:3] == ["expand", 3]
 
 
 @pytest.mark.parametrize("mu_list", ["1/2,1/2", "1/2,0.5"])

@@ -1,5 +1,6 @@
 """Greedy basis growth: selection, expansion, batch and streaming runs."""
 
+import copy
 from dataclasses import replace
 from typing import NamedTuple
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import cwnn.growth as growth
 from cwnn.growth import (GrowthConfig, WaveletPool, expand_into_next,
                          run_baseline_wnn, run_growth, run_online,
-                         select_high_energy)
+                         run_seed_phase, select_high_energy)
 from cwnn.model import (DIVERGENCE_LIMIT, Design, TrainLog, TrainStatus,
                         TrainingDivergence, WaveletModel)
 from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
@@ -277,6 +278,98 @@ def test_a_resumed_pool_grows_first_at_its_finest_basis_resolution():
     assert pool.log.events[:len(events)] == events
     assert [e[1:3] for e in pool.log.events[len(events):]] == [("expand", 2)]
     assert (pool.m, pool.sweep) == (2, 1)
+
+
+# ------------------------------------------------------------ forked runs
+
+def _forked_problem(rows):
+    """A target the seed level at m = 1 (10 bases) cannot meet, so runs
+    expand and escalate after the seed phase: on 200 rows every phase
+    trains in the Gram form, on 8 every phase trains in the residual
+    form (p > N from the seed level on)."""
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0.0, 1.0, size=(rows, 1))
+    y = np.sin(12.0 * X[:, 0]) * np.exp(-X[:, 0])
+    config = small_config(epsilon=5e-3 if rows > 8 else 1e-4, zeta=5e-6,
+                          learning_rate=0.05, mu=1 / 3)
+    return X, y, config
+
+
+def _assert_same_run(got, want):
+    """Bit for bit: bases, coefficients, every record but its clock,
+    events, expanded sets, resolution, schedule and status."""
+    assert got.model.bases == want.model.bases
+    assert np.array_equal(got.model.coeffs, want.model.coeffs)
+    assert ([r[:3] for r in got.log.records]
+            == [r[:3] for r in want.log.records])
+    assert got.log.events == want.log.events
+    assert got.expanded == want.expanded
+    assert (got.m, got.sweep, got.status) == (want.m, want.sweep,
+                                              want.status)
+
+
+@pytest.mark.parametrize("rows", [200, 8], ids=["gram", "residual"])
+def test_a_forked_pool_grows_as_an_unforked_one(rows):
+    X, y, config = _forked_problem(rows)
+    design = Design(X, y)
+    seed = run_seed_phase(start_pool(), design, config)
+    assert seed.status is TrainStatus.PLATEAU
+    assert [e[1] for e in seed.log.events] == ["seed"]
+    assert (design.gram is None) == (rows == 8)
+    fork, twin = seed.fork(), design.fork()
+    got = run_growth(fork, X, y, config, twin)
+    assert got is fork and got.status is TrainStatus.ACHIEVED
+    assert "escalate" in {e[1] for e in got.log.events}
+    # the forked design synced on in the same form
+    assert len(twin.blocks) > len(design.blocks)
+    assert (twin.gram is None) == (rows == 8)
+    _assert_same_run(got, run_growth(start_pool(), X, y, config))
+
+
+@pytest.mark.parametrize("rows", [200, 8], ids=["gram", "residual"])
+def test_training_a_fork_leaves_its_parent_untouched(rows):
+    # two forks grown in turn, as a sweep grows them, on two schedules
+    X, y, config = _forked_problem(rows)
+    design = Design(X, y)
+    seed = run_seed_phase(start_pool(), design, config)
+    before = copy.deepcopy(seed)
+    bases, blocks = list(design.bases), list(design.blocks)
+    held = [blk.copy() for blk in blocks]
+    gram, b = design.gram, design.b
+    gram_was = None if gram is None else (gram.copy(), b.copy())
+    for mu in (1 / 2, 1 / 3):
+        fork = run_growth(seed.fork(), X, y, replace(config, mu=mu),
+                          design.fork())
+        assert fork.n_params > seed.n_params
+    _assert_same_run(seed, before)
+    assert seed.log.records == before.log.records  # the clock too
+    assert design.bases == bases and len(design.blocks) == len(blocks)
+    for blk, was, copied in zip(design.blocks, blocks, held):
+        assert blk is was and np.array_equal(blk, copied)
+    assert design.gram is gram and design.b is b
+    if gram is not None:
+        assert np.array_equal(gram, gram_was[0])
+        assert np.array_equal(b, gram_was[1])
+
+
+def test_a_pool_fork_copies_what_a_run_writes_in_place():
+    # a pool with an expanded set, whose fork is changed everywhere a
+    # run changes a pool
+    X, y = _rich_stream(48)
+    pool = run_growth(start_pool(), X, y, small_config(
+        epsilon=1e-12, zeta=1.0, mu=1 / 3, max_iters=2))
+    assert pool.expanded[1]
+    before = copy.deepcopy(pool)
+    fork = pool.fork()
+    fork.add_bases([BasisIndex(3, (0,), BasisKind.WAVELET)])
+    fork.model.coeffs[0] += 1.0
+    fork.log.append(0.5, fork.n_params)
+    fork.log.add_event("expand", 2, 1)
+    fork.expanded[1].clear()
+    fork.expanded[2].add(pool.model.bases[0])
+    fork.m, fork.sweep, fork.status = 3, 2, TrainStatus.ACHIEVED
+    _assert_same_run(pool, before)
+    assert fork.model.mother is pool.model.mother and fork.grid is pool.grid
 
 
 def test_runs_refuse_a_pool_they_cannot_start_from():

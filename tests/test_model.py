@@ -1,5 +1,7 @@
 """Linear-in-coefficients predictor: loss, gradient, plateau training."""
 
+import csv
+import io
 import math
 import tracemalloc
 
@@ -143,6 +145,28 @@ def test_save_load_round_trip(tmp_path):
     assert WaveletModel.load(path).scaling == model.scaling
 
 
+def test_save_writes_one_line_that_loads_back_bit_for_bit(tmp_path):
+    # coefficients whose shortest repr takes all 17 digits, a subnormal,
+    # extremes and both zeros; every basis kind, and a scaling record
+    rng = np.random.default_rng(11)
+    bases = [BasisIndex(m, (n, -n), kind) for m in range(3)
+             for n in range(-3, 4) for kind in BasisKind]
+    coeffs = rng.standard_normal(len(bases)) * 10.0 ** rng.integers(
+        -12, 12, len(bases))
+    coeffs[:4] = [5e-324, -1.7976931348623157e308, 0.0, -0.0]
+    model = WaveletModel(MotherWavelet.sinc(2), bases, coeffs,
+                         {"input_min": [-2.0, 0.1], "target_max": 4.0})
+    path = tmp_path / "model.json"
+    model.save(path)
+    text = path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    back = WaveletModel.load(path)
+    assert back.bases == model.bases
+    assert np.array_equal(back.coeffs, model.coeffs)
+    assert np.array_equal(np.signbit(back.coeffs), np.signbit(coeffs))
+    assert back.mother == model.mother and back.scaling == model.scaling
+
+
 # --------------------------------------------------------------- training
 
 def _easy_problem(rng=None):
@@ -219,6 +243,39 @@ def test_log_csv_formats(tmp_path):
     assert lines[1].startswith("1,0.125,3,")
     assert p2.read_text().splitlines() == ["iter,event,resolution,added",
                                            "2,expand,2,4"]
+
+
+def test_log_csv_writes_the_bytes_csv_writer_writes(tmp_path):
+    # losses whose repr takes an exponent or all 17 digits, and clock
+    # readings past a second
+    log = TrainLog()
+    rng = np.random.default_rng(3)
+    for loss_value in [0.125, 1e-300, 3.0, 2.5e16] + list(
+            rng.uniform(0.0, 1.0, 50) * 10.0 ** rng.integers(-9, 9, 50)):
+        log.append(float(loss_value), int(rng.integers(1, 5000)))
+    log.records[-1] = log.records[-1][:3] + (123456.7891,)
+    path = tmp_path / "log.csv"
+    log.to_csv(path)
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(["iter", "loss", "n_params", "elapsed_ms"])
+    for it, lv, np_, ms in log.records:
+        w.writerow([it, repr(lv), np_, f"{ms:.3f}"])
+    assert path.read_bytes() == want.getvalue().encode()
+
+
+def test_a_log_fork_goes_on_apart_with_its_clock_running_on():
+    log = TrainLog()
+    log.append(0.5, 3)
+    log.add_event("seed", 1, 3)
+    fork = log.fork()
+    assert fork.records == log.records and fork.events == log.events
+    fork.append(0.25, 4)
+    fork.add_event("expand", 1, 1)
+    assert (len(log.records), len(log.events)) == (1, 1)
+    # the fork's clock reads on from the last record, not from the fork
+    assert fork.records[1][3] >= log.records[0][3]
+    assert fork.records[1][3] - log.records[0][3] < 1000.0
 
 
 def test_add_event_stamps_the_last_iteration():
@@ -600,6 +657,33 @@ def test_design_sync_allocates_its_new_block_not_a_copy():
     new = design.blocks[-1].nbytes
     assert peak < held
     assert peak <= new + 4 * cwnn.wavelets._BLOCK_ELEMS * 8
+
+
+def test_a_design_fork_shares_its_columns_and_syncs_apart():
+    # the fork holds the parent's blocks, G and b themselves; its syncs
+    # add blocks and border G in the fork alone, in either form
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0.0, 1.0, size=(6, 1))
+    model = wm([(0, 0), (0, 1)], [0.5, -0.25])
+    design = Design(X, np.sin(3.0 * X[:, 0]))
+    design.sync(model)
+    gram, b, blocks = design.gram, design.b, list(design.blocks)
+    fork = design.fork()
+    assert fork.blocks is not design.blocks and len(fork.blocks) == 1
+    assert fork.blocks[0] is blocks[0]
+    assert fork.gram is gram and fork.b is b and fork.bases == design.bases
+    grown = WaveletModel(MH1, list(model.bases), model.coeffs.copy())
+    for more in ([(1, 0), (1, 1)], [(2, n) for n in range(4)]):
+        grown.append_bases([BasisIndex(m, (n,), BasisKind.WAVELET)
+                            for m, n in more])
+        fork.sync(grown)
+    # 8 columns on 6 rows: the fork runs the residual form
+    assert fork.gram is None and len(fork.blocks) == 3
+    assert len(design.blocks) == 1 and design.blocks[0] is blocks[0]
+    assert design.bases == model.bases
+    assert design.gram is gram and design.b is b and gram.shape == (2, 2)
+    direction, value = fork.objective(grown.coeffs)
+    assert value == pytest.approx(loss(grown, X, design.y), rel=1e-12)
 
 
 def test_design_rejects_bases_it_was_not_built_on():
