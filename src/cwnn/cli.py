@@ -15,10 +15,12 @@ target within budget, or a ``diag`` check's tolerance).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -427,12 +429,14 @@ def cmd_estimate_freq(cfg, data, out: str) -> int:
     return EXIT_OK
 
 
-def _fit(cfg, data, out: str, seeded=None):
+def _fit(cfg, data, out: str, seeded=None, baseline=None):
     """The one fit path: grow, ingest a second batch, run the optional
-    baseline on the same rows, write the run; returns the model's run.
-    ``seeded`` is a sweep's fork of its seed-phase pool and design
-    (``run_seed_phase``): the fit grows on from it, or takes it as the
-    run when the seed phase ended the run."""
+    baseline on the same rows, write the run; returns the model's run and
+    the baseline's (None without one).  ``seeded`` is a sweep's fork of
+    its seed-phase pool and design (``run_seed_phase``): the fit grows on
+    from it, or takes it as the run when the seed phase ended the run.
+    ``baseline`` is a baseline run already trained on this data, which
+    reads no mu: the fit writes it and does not train its own."""
     ds, extra = data
     X, y = ds.inputs, ds.targets
     gcfg = _growth_config(cfg)
@@ -457,19 +461,21 @@ def _fit(cfg, data, out: str, seeded=None):
         test = extra["test"]
         summary["test_mse"] = loss(res.model, test.inputs, test.targets)
     if cfg["baseline"] == "wnn":
-        base = WaveletPool(res.model.mother, _start_grid(cfg, baseline=True))
-        bres = run_baseline_wnn(base, X, y, gcfg)
-        bres.model.scaling = ds.scaling
-        summary["baseline"] = _fit_summary(bres)
-        summary["param_ratio"] = res.n_params / bres.n_params
-        _write_run(out, bres, prefix="baseline_")
+        if baseline is None:
+            base = WaveletPool(res.model.mother,
+                               _start_grid(cfg, baseline=True))
+            baseline = run_baseline_wnn(base, X, y, gcfg)
+            baseline.model.scaling = ds.scaling
+        summary["baseline"] = _fit_summary(baseline)
+        summary["param_ratio"] = res.n_params / baseline.n_params
+        _write_run(out, baseline, prefix="baseline_")
     _write_run(out, res)
     _write_summary(out, summary)
-    return res
+    return res, baseline
 
 
 def cmd_fit(cfg, data, out: str) -> int:
-    res = _fit(cfg, data, out)
+    res, _ = _fit(cfg, data, out)
     print(f"status={res.status.name.lower()} loss={res.final_loss:.6g} "
           f"n_params={res.n_params} iterations={res.log.last_iteration}")
     return EXIT_OK if res.status is TrainStatus.ACHIEVED else EXIT_MISSED
@@ -555,18 +561,21 @@ def cmd_sweep(cfg, data, out: str) -> int:
     and each mu run is ``_fit`` on a fork of that pool and design, made
     just before the run and dropped once it is written: every mu-k/ holds
     what a lone ``fit --mu 1/k`` with the sweep's zeta writes, apart from
-    the train log's ``elapsed_ms``."""
+    the train logs' ``elapsed_ms``.  The baseline reads no mu either, so
+    a config that asks for it trains it once, in the first run, and each
+    later run writes that one."""
     ds, _ = data
     seed = WaveletPool(_mother(cfg, ds.dim), _start_grid(cfg))
     design = Design(ds.inputs, ds.targets)
     # the seed phase reads no mu, and a sweep's own mu goes unchecked, so
     # mu = 1 stands in
     run_seed_phase(seed, design, _growth_config(dict(cfg, mu=1.0)))
-    results = []
+    results, baseline = [], None
     for mu in cfg["mu_list"]:
         sub, k = dict(cfg, mu=mu), int(round(1.0 / mu))
-        res = _fit(sub, data, _prepare_out(os.path.join(out, f"mu-{k}"), sub),
-                   (seed.fork(), design.fork()))
+        res, baseline = _fit(
+            sub, data, _prepare_out(os.path.join(out, f"mu-{k}"), sub),
+            (seed.fork(), design.fork()), baseline)
         results.append({"mu": mu, "denominator": k, "n_params": res.n_params,
                         "status": res.status.name.lower(),
                         "final_loss": res.final_loss,
@@ -589,23 +598,77 @@ _COMMANDS = {"estimate-freq": cmd_estimate_freq, "fit": cmd_fit,
              "online": cmd_online, "diag": cmd_diag, "sweep": cmd_sweep}
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _openblas_paths() -> list:
+    """The OpenBLAS objects the process has loaded (on Linux, numpy's and
+    scipy's copies once imported), else those of numpy's wheel."""
     try:
-        cfg = resolve_config(args)
-        # the data and the seed lattices, before the run directory exists
-        data = _build_data(cfg)
-        _start_grid(cfg)
-        if cfg["baseline"] == "wnn":
-            _start_grid(cfg, baseline=True)
-        return _COMMANDS[args.command](cfg, data, _prepare_out(args.out, cfg))
-    except ValueError as exc:
-        # ConfigError, DataError and GridError are ValueErrors too
-        print(f"cwnn: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TrainingDivergence as exc:
-        print(f"cwnn: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        with open("/proc/self/maps", errors="surrogateescape") as fh:
+            return sorted({line.split(None, 5)[5].strip()
+                           for line in fh if "openblas" in line})
+    except OSError:
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        return sorted(str(path) for path in libs.glob("*openblas*"))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS the process has loaded on one
+    thread, and give each back the thread count it had.
+
+    A run's parallelism is the tile pool of ``wavelets._each_tile``.
+    OpenBLAS's own pool would contend with it for the same CPUs, and its
+    products round differently on one thread than on several, so a run's
+    bytes would depend on the CPU count.  Where no OpenBLAS is found (MKL,
+    Accelerate) nothing changes.  Library calls outside ``main`` keep the
+    caller's BLAS threads.
+    """
+    import ctypes  # here, so that importing the module loads no more
+
+    restore = []
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                restore.append((put, get()))
+                put(1)
+                break
+    try:
+        yield
+    finally:
+        for put, threads in restore:
+            put(threads)
+
+
+def main(argv=None) -> int:
+    """Run one command with BLAS on one thread (see ``_one_blas_thread``)
+    and return its exit code."""
+    with _one_blas_thread():
+        args = build_parser().parse_args(argv)
+        try:
+            cfg = resolve_config(args)
+            # the data and the seed lattices, before the run directory exists
+            data = _build_data(cfg)
+            _start_grid(cfg)
+            if cfg["baseline"] == "wnn":
+                _start_grid(cfg, baseline=True)
+            return _COMMANDS[args.command](cfg, data,
+                                           _prepare_out(args.out, cfg))
+        except ValueError as exc:
+            # ConfigError, DataError and GridError are ValueErrors too
+            print(f"cwnn: configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except TrainingDivergence as exc:
+            print(f"cwnn: numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -19,7 +19,12 @@ allocates its new block and not a copy of the old ones.  While psi has
 no more columns than rows (p <= N) the design also holds G = psi^T psi,
 b = psi^T y and y^T y, extended at each sync by the border blocks
 psi_old^T psi_new (one product per held block) and psi_new^T psi_new,
-and each step costs one p x p product instead of two N x p ones.  The
+and each step costs one p x p product instead of two N x p ones.  Past
+4,096 rows (``wavelets._BLOCK_ROWS``) the border is summed by the row
+chunks of ``wavelets._row_chunks``: each chunk's products go to their
+own slot on the tile pool and the slots are added in chunk order, so G
+and b are the same bytes on any CPU count; a design of at most 4,096
+rows is one chunk and takes the products over all its rows.  The
 first sync that takes p past N drops G for good (p never shrinks), and
 the residual form r = y - psi c runs from then on, one product per block
 each way, where G would be both larger and slower per step.  The rule
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .wavelets import (BasisIndex, BasisKind, MotherWavelet, WaveletFamily,
-                       basis_matrix)
+                       _each_tile, _row_chunks, basis_matrix)
 
 # coefficients beyond this magnitude are treated as divergence
 DIVERGENCE_LIMIT = 1e12
@@ -208,7 +213,8 @@ class Design:
 
     def sync(self, model: WaveletModel) -> None:
         """Evaluate the columns of the bases ``model`` gained since the
-        last sync as one new block and border G and b with them."""
+        last sync as one new block and border G and b with them, summed
+        by row chunk (see the module docstring)."""
         p_old = len(self.bases)
         if model.bases[:p_old] != self.bases:
             raise ValueError("the model's bases do not extend the design's")
@@ -217,10 +223,26 @@ class Design:
             return
         new = basis_matrix(model.mother, new_bases, self.X)
         if self.gram is not None and model.n_params <= self.y.size:
-            # new[:0] is the empty border of a first sync
-            cross = np.vstack([blk.T @ new for blk in self.blocks] or [new[:0]])
-            self.gram = np.block([[self.gram, cross], [cross.T, new.T @ new]])
-            self.b = np.concatenate([self.b, new.T @ self.y])
+            chunks = _row_chunks(self.y.size)
+            parts = [None] * len(chunks)
+
+            def border(chunk):
+                r = chunks[chunk]
+                # new[:0] is the empty border of a first sync
+                parts[chunk] = (
+                    np.vstack([blk[r].T @ new[r] for blk in self.blocks]
+                              or [new[:0]]),
+                    new[r].T @ new[r], new[r].T @ self.y[r])
+
+            _each_tile(border, range(len(chunks)),
+                       self.y.size * model.n_params)
+            cross, nn, nb = parts[0]
+            for c, g, b in parts[1:]:
+                cross += c
+                nn += g
+                nb += b
+            self.gram = np.block([[self.gram, cross], [cross.T, nn]])
+            self.b = np.concatenate([self.b, nb])
         else:
             self.gram = self.b = None
         self.blocks.append(new)

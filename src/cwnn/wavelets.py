@@ -23,7 +23,11 @@ each block into the matrix, and ``basis_matrix_tdot`` multiplies each
 block by its rows of a target and frees it, so ``psi^T y`` never holds
 psi.  Work whose scratch spans several blocks runs on every CPU the
 process may run on (its affinity mask, which ``taskset`` limits); the
-result does not depend on the CPU count.
+result does not depend on the CPU count.  The same row chunks and pool
+sum the Gram border of a design taller than one chunk
+(``model.Design.sync``).  The command line runs BLAS on one thread, so
+there this pool is a run's only parallelism; a library caller keeps the
+BLAS threads it set.
 """
 
 from __future__ import annotations
@@ -256,6 +260,14 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _row_chunks(n: int) -> list:
+    """The row slices of an ``n``-row design's chunks: the fewest of at
+    most ``_BLOCK_ROWS`` rows, their sizes differing by at most one (one
+    chunk of all rows when ``n <= _BLOCK_ROWS``)."""
+    k = max(1, -(-n // _BLOCK_ROWS))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def _offset_shapes(mother: MotherWavelet, kind: BasisKind, scaled, centers):
     """Shapes of a group's columns ``lo:hi`` from one (n_samples, hi - lo)
     offset array per input axis."""
@@ -305,21 +317,19 @@ def _tiles(mother: MotherWavelet, bases, X):
     values are ``amp * shapes(lo, hi)``, its cells the design matrix's
     ``[rows, cols]`` and ``chunk`` the index of its row chunk.  Each run
     of consecutive bases of one kind and resolution shares one scaled
-    copy of ``X``.  Its rows are cut into the fewest chunks of at most
-    ``_BLOCK_ROWS``, and each chunk's columns into the fewest blocks of at
-    most ``_BLOCK_ELEMS`` scratch elements, their sizes differing by at
-    most one row or column.  A block of wavelets or Mexican-hat
-    companions is evaluated from one (rows, block) offset array per input
-    axis; a block of sinc companions is gathered from its row chunk's
-    per-axis factor tables.
+    copy of ``X``.  Its rows are cut into :func:`_row_chunks`, and each
+    chunk's columns into the fewest blocks of at most ``_BLOCK_ELEMS``
+    scratch elements, their sizes differing by at most one column.  A
+    block of wavelets or Mexican-hat companions is evaluated from one
+    (rows, block) offset array per input axis; a block of sinc
+    companions is gathered from its row chunk's per-axis factor tables.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if d != mother.dim:
         raise ValueError(f"X has dim {d}, mother expects {mother.dim}")
-    # ceil(n / _BLOCK_ROWS) row chunks whose sizes differ by at most one
-    kr = max(1, -(-n // _BLOCK_ROWS))
-    rows = [n * i // kr for i in range(kr + 1)]
+    chunks = _row_chunks(n)
+    kr = len(chunks)
     block = max(1, _BLOCK_ELEMS // max(1, -(-n // kr) * d))
     tasks = []
     start = 0
@@ -333,13 +343,13 @@ def _tiles(mother: MotherWavelet, bases, X):
         # ceil(len / block) blocks whose sizes differ by at most one
         k = -(-len(centers) // block)
         cuts = [len(centers) * i // k for i in range(k + 1)]
-        for chunk, (r0, r1) in enumerate(zip(rows[:-1], rows[1:])):
+        for chunk, rows in enumerate(chunks):
             if (kind is BasisKind.SCALING
                     and mother.family is WaveletFamily.SINC):
-                shapes = _sinc_companions(scaled[r0:r1], centers)
+                shapes = _sinc_companions(scaled[rows], centers)
             else:
-                shapes = _offset_shapes(mother, kind, scaled[r0:r1], centers)
-            tasks += [(shapes, lo, hi, amp, chunk, slice(r0, r1),
+                shapes = _offset_shapes(mother, kind, scaled[rows], centers)
+            tasks += [(shapes, lo, hi, amp, chunk, rows,
                        slice(start + lo, start + hi))
                       for lo, hi in zip(cuts[:-1], cuts[1:])]
         start += len(centers)
@@ -349,7 +359,13 @@ def _tiles(mother: MotherWavelet, bases, X):
 def _each_tile(work, tasks, cells: int) -> None:
     """Apply ``work`` to every task, on a thread pool of at most one
     worker per CPU when the ``cells`` offset elements span more than one
-    block, else inline.  numpy and scipy.special release the GIL."""
+    block, else inline.  numpy and scipy.special release the GIL.
+
+    Each caller's task writes only its own slot (a block of the design
+    matrix, a row chunk's partial sums of psi^T y or of a Gram border),
+    and partial sums are added in chunk order, so the result does not
+    depend on the worker count.  Its products are BLAS calls, which
+    inside ``cli.main`` run on one thread each."""
     workers = 1
     if cells > _BLOCK_ELEMS:
         workers = min(_cpu_count(), len(tasks))

@@ -1,6 +1,7 @@
 """Command-line interface: config resolution, artifacts, exit codes."""
 
 import csv
+import ctypes
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import cwnn.cli as cli
 from cwnn.datasets import Dataset, load_csv, minmax_unscale, split
-from cwnn.model import Design, WaveletModel
+from cwnn.model import Design, TrainingDivergence, WaveletModel
 
 
 @pytest.fixture()
@@ -390,12 +391,16 @@ def test_sweep_runs_share_their_seed_phase(out_root, capsys):
 
 
 def _fit_files(run):
-    """What a fit run writes, less config.json and the train log's
+    """What a fit run writes, less config.json and the train logs'
     elapsed_ms column."""
-    files = {name: (run / name).read_bytes()
-             for name in ("summary.json", "model.json", "growth_events.csv")}
-    with open(run / "train_log.csv") as fh:
-        files["train_log.csv"] = [line.rsplit(",", 1)[0] for line in fh]
+    files = {}
+    for path in sorted(run.iterdir()):
+        if path.name.endswith("train_log.csv"):
+            with open(path) as fh:
+                files[path.name] = [line.rsplit(",", 1)[0] for line in fh]
+        elif path.name != "config.json":
+            files[path.name] = path.read_bytes()
+    assert {"summary.json", "model.json", "train_log.csv"} <= set(files)
     return files
 
 
@@ -407,14 +412,19 @@ _SWEPT = {
     # than 2,125 steps, so each ends on the one-run budget after its fork
     # grew
     "budget": FAST_FIT[1:] + ["--max-iters", "2125"],
+    # a config file asks for the baseline, which the sweep trains once
+    # and each run writes
+    "baseline": FAST_FIT[1:] + ["--config", "wnn.json"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SWEPT))
-def test_each_sweep_run_is_a_lone_fit(out_root, capsys, case):
+def test_each_sweep_run_is_a_lone_fit(out_root, capsys, monkeypatch, case):
     # a run grown from a fork of the shared seed phase writes what a fit
     # with its mu and the sweep's zeta writes
     argv = _SWEPT[case]
+    monkeypatch.chdir(out_root)
+    (out_root / "wnn.json").write_text('{"baseline": "wnn"}')
     run = out_root / "sweep"
     rc = cli.main(["sweep", *argv, "--mu-list", "1/2,1/3", "--out", str(run)])
     zeta = repr(read_json(run / "config.json")["zeta"])
@@ -450,6 +460,28 @@ def test_a_sweep_steps_through_its_seed_phase_once(out_root, capsys,
         seed_steps.add(events[1][0])
     (at,) = seed_steps
     assert len(calls) == at + sum(r["iterations"] - at for r in runs)
+
+
+def test_a_sweep_trains_its_baseline_once(out_root, capsys, monkeypatch):
+    # the baseline reads no mu, so each run writes the one the first
+    # run trained
+    real, calls = cli.run_baseline_wnn, []
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "run_baseline_wnn", spy)
+    cfg = out_root / "wnn.json"
+    cfg.write_text('{"baseline": "wnn"}')
+    run = out_root / "wnn"
+    assert cli.main(["sweep"] + FAST_FIT[1:] + ["--mu-list", "1/2,1/3,1/4",
+                                                "--config", str(cfg),
+                                                "--out", str(run)]) == 0
+    assert len(calls) == 1
+    models = {(run / f"mu-{k}" / "baseline_model.json").read_bytes()
+              for k in (2, 3, 4)}
+    assert len(models) == 1
 
 
 def test_the_ingest_event_names_the_resolution_the_resumed_run_grows_at(
@@ -781,3 +813,61 @@ def test_example2_baseline_trains_on_the_union(out_root, capsys,
                    "--max-iters", "200", "--out", str(out_root / "b2")])
     assert rc in (0, 4)
     assert rows == [2 * cli._N_PER_REGION]
+
+
+# ------------------------------------------------------- BLAS thread count
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of each OpenBLAS the process
+    has loaded; skips where numpy's BLAS is not OpenBLAS."""
+    name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in name.lower():
+        pytest.skip(f"numpy's BLAS is {name}, not OpenBLAS")
+    found = []
+    for path in cli._openblas_paths():
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_{}_num_threads64_",
+                    "scipy_openblas_{}_num_threads",
+                    "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, sym.format("get"), None)
+            if get is not None:
+                put = getattr(lib, sym.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    assert found, "numpy's OpenBLAS was not found"
+    return found
+
+
+@pytest.mark.parametrize("raised, code", [
+    (None, 0), (cli.ConfigError("bad data"), 2),
+    (TrainingDivergence("diverged"), 3)])
+def test_a_run_holds_blas_at_one_thread_and_restores_its_count(
+        out_root, capsys, monkeypatch, raised, code):
+    # every loaded OpenBLAS runs the command on one thread and gets back
+    # the count it had, 3 here, on a success and on either error path
+    libs = _openblas_threads()
+    build, seen = cli._build_data, []
+
+    def spy(cfg):
+        seen.append([get() for get, _ in libs])
+        if raised is not None:
+            raise raised
+        return build(cfg)
+
+    monkeypatch.setattr(cli, "_build_data", spy)
+    found = [get() for get, _ in libs]
+    try:
+        for _, put in libs:
+            put(3)
+        assert cli.main(FAST_FIT + ["--out", str(out_root / "f")]) == code
+        assert seen == [[1] * len(libs)]
+        assert [get() for get, _ in libs] == [3] * len(libs)
+        # argparse's exit leaves the block too
+        with pytest.raises(SystemExit):
+            cli.main(["fit", "--no-such-flag"])
+        assert [get() for get, _ in libs] == [3] * len(libs)
+    finally:
+        for (_, put), threads in zip(libs, found):
+            put(threads)

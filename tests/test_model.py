@@ -605,6 +605,70 @@ def test_design_sync_matches_full_build(seed, family, d, n, chunks):
         assert design.yy == float(y @ y)
 
 
+def _synced(mother, X, y, sizes):
+    """A design of ``X`` and ``y`` synced to a model grown by lattice runs
+    of the given sizes, wavelets and companions taking turns."""
+    model = WaveletModel.zeros(mother, [])
+    design = Design(X, y)
+    for k, size in enumerate(sizes):
+        kind = (BasisKind.WAVELET, BasisKind.SCALING)[k % 2]
+        model.append_bases([BasisIndex(3 + k, (n,), kind)
+                            for n in range(-2, size - 2)])
+        design.sync(model)
+    return model, design
+
+
+@pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
+def test_a_tall_design_sums_its_gram_border_by_row_chunk(family,
+                                                         monkeypatch):
+    # 3 * 4096 + 5 rows are four row chunks, and each sync past the first
+    # borders G on the tile pool (N * p cells exceed one block).  G and b
+    # are the same bytes on one CPU and on two, and each entry is within
+    # the rounding of a dot product of psi^T psi and psi^T y, 16 eps *
+    # sum_i |psi_ij psi_ik| (or |psi_ij y_i|), the bound of the psi^T y
+    # test in test_wavelets.py
+    mother = getattr(MotherWavelet, family)(1)
+    rows = 3 * cwnn.wavelets._BLOCK_ROWS + 5
+    assert len(cwnn.wavelets._row_chunks(rows)) == 4
+    rng = np.random.default_rng(31)
+    X = rng.uniform(0.0, 1.0, size=(rows, 1))
+    y = np.sin(7.0 * X[:, 0]) + 0.1 * rng.standard_normal(rows)
+    pool, pools = cwnn.wavelets.ThreadPoolExecutor, []
+    monkeypatch.setattr(cwnn.wavelets, "ThreadPoolExecutor",
+                        lambda workers: pools.append(workers) or pool(workers))
+    got = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cwnn.wavelets, "_cpu_count", lambda: cpus)
+        model, design = _synced(mother, X, y, (12, 10, 20))
+        got.append((design.gram.tobytes(), design.b.tobytes()))
+    assert got[0] == got[1]
+    assert pools == [2, 2]
+    psi = basis_matrix(mother, model.bases, X)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(design.gram - psi.T @ psi)
+                  <= 16 * eps * (np.abs(psi).T @ np.abs(psi)))
+    assert np.all(np.abs(design.b - psi.T @ y)
+                  <= 16 * eps * (np.abs(psi).T @ np.abs(y)))
+
+
+@pytest.mark.parametrize("rows", [500, cwnn.wavelets._BLOCK_ROWS])
+def test_a_design_of_one_row_chunk_borders_with_the_whole_products(rows):
+    # up to _BLOCK_ROWS rows, each sync borders G and b with the products
+    # over all rows, bit for bit as before the chunked sums
+    rng = np.random.default_rng(32)
+    X = rng.uniform(0.0, 1.0, size=(rows, 1))
+    y = np.cos(5.0 * X[:, 0])
+    _, design = _synced(MH1, X, y, (12, 9, 20))
+    gram, b = np.empty((0, 0)), np.empty(0)
+    for i, new in enumerate(design.blocks):
+        cross = np.vstack([blk.T @ new for blk in design.blocks[:i]]
+                          or [new[:0]])
+        gram = np.block([[gram, cross], [cross.T, new.T @ new]])
+        b = np.concatenate([b, new.T @ y])
+    assert design.gram.tobytes() == gram.tobytes()
+    assert design.b.tobytes() == b.tobytes()
+
+
 def test_design_takes_its_first_block_without_a_copy(monkeypatch):
     # the first sync's columns are psi itself, so a wide probe level
     # holds one N x p matrix, not two
