@@ -17,12 +17,17 @@ Shapes are evaluated from per-axis coordinate arrays, so a design matrix
 is built block by block from one (rows, columns) offset array per input
 axis and never from an (n_samples, n_bases, dim) stack.  The separable
 sinc companion is built from one (rows, distinct n_k) factor table per
-axis and chunk of rows instead.  One tiling of the matrix into row
-chunks and column blocks serves two consumers: ``basis_matrix`` writes
-each block into the matrix, and ``basis_matrix_tdot`` multiplies each
-block by its rows of a target and frees it, so ``psi^T y`` never holds
-psi.  Work whose scratch spans several blocks runs on every CPU the
-process may run on (its affinity mask, which ``taskset`` limits); the
+axis and chunk of rows instead, inside that chunk's task.  One tiling
+of the matrix into row chunks and column blocks serves two consumers:
+``basis_matrix`` writes each block into the matrix, and
+``basis_matrix_tdot`` multiplies each block by its rows of a target and
+frees it, so ``psi^T y`` never holds psi.  Three module constants bound
+the work: a worker evaluates at most ``_BLOCK_ELEMS`` offset elements
+at once, so its scratch fits one core's L2 cache; a block of a design
+taller than one row chunk keeps at least ``_BLOCK_COLS`` columns and is
+evaluated in row slabs that stay within that bound; and a call larger
+than ``_POOL_ELEMS`` runs on every CPU the process may run on (its
+affinity mask, which ``taskset`` limits), smaller ones inline.  The
 result does not depend on the CPU count.  The same row chunks and pool
 sum the Gram border of a design taller than one chunk
 (``model.Design.sync``).  The command line runs BLAS on one thread, so
@@ -33,14 +38,27 @@ BLAS threads it set.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1, jv, spherical_jn
+from scipy.special import j1, jv
+
+# The ufunc behind scipy.special.spherical_jn.  Since scipy 1.15 the
+# public function reflects negative arguments through a mask, a scatter
+# and a few copies, about 0.2 ms of Python a call; radii are never
+# negative, and a 9-D probe level calls it twice in each of about 12 000
+# blocks, where that Python work, holding the interpreter lock, kept the
+# tile pool from running the blocks side by side.
+try:
+    from scipy.special._ufuncs import _spherical_jn as spherical_jn
+except ImportError:
+    from scipy.special import spherical_jn
 
 
 class WaveletFamily(enum.Enum):
@@ -229,26 +247,35 @@ def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
     return col.reshape(x.shape[:-1])[()]
 
 
-# Target number of offset elements per evaluation block, summed over the
-# input axes.  A worker holds one block's scratch at a time: its offsets
-# and the shape's temporaries, at most 4 * _BLOCK_ELEMS doubles (8 MiB;
-# the 1-D sinc wavelet's offsets, radii, profile and one temporary reach
-# it), on top of the call's output, one scaled copy of X per run of bases
-# and the sinc companion's per-axis factor tables.  A worker of the
-# psi^T y path holds one block's scratch plus that block's values, whose
-# rows x columns cells are at most _BLOCK_ELEMS / d; in place of the
-# output, its call holds one partial sum per row chunk and column.  2**18
-# is the smallest power of two that still builds a 500-row, 162-column
-# two-axis design inline: at 2**17 that call enters the thread pool and
-# slows from about 3 to 4 ms.
-_BLOCK_ELEMS = 2 ** 18
-# Most rows per evaluation block.  A block of all 50 000 rows of a
-# two-axis design would hold two columns at 2**18, and writing a design
-# two columns at a time moves each cache line of it about four times; a
-# block of at most 4096 rows holds at least 2**18 // (4096 d) columns
-# (21 at d = 3), so each output row is written in runs of whole cache
-# lines.  Designs of at most 4096 rows are cut by columns alone.
+# Most offset elements, summed over the input axes, that a worker
+# evaluates at once: one row slab of one block.  A worker holds one
+# slab's scratch at a time, its offsets and the shape's temporaries, at
+# most 4 * _BLOCK_ELEMS doubles (2 MiB, one core's L2 cache on the
+# two-core Xeon the benchmarks run on; the 1-D sinc wavelet's offsets,
+# radii, profile and one temporary reach it), on top of the call's
+# output and, in a sinc companion task, its row chunk's per-axis factor
+# tables.  A worker of the psi^T y path also holds its block's values,
+# rows x columns cells; in place of the output, its call holds one
+# partial sum per row chunk and column.  A bound of 2**18, four times
+# that cache, made the scratch most of an N = 500 run's memory above the
+# interpreter's.
+_BLOCK_ELEMS = 2 ** 16
+# Offset elements of a call above which its blocks go to the thread
+# pool; smaller calls run inline.  2**18 is the smallest power of two
+# that still builds a 500-row, 162-column two-axis design inline: at
+# 2**17 that call enters the pool and slows from about 3 to 4 ms.
+_POOL_ELEMS = 2 ** 18
+# Most rows per row chunk.  A design of at most 4096 rows is one chunk
+# and is cut by columns alone; a taller one's psi^T y partial sums and
+# Gram border (model.Design.sync) are summed by chunk, in chunk order.
 _BLOCK_ROWS = 4096
+# Fewest columns of a block of a design taller than one row chunk.  At
+# 4096 rows only 2**16 // (4096 d) columns fit the bound (8 at d = 2);
+# in blocks of eight columns the 50k fit's 162-column sinc design builds
+# about 14% slower (604 -> 689 ms on two cores), and 32 columns write
+# each row of psi in whole cache lines.  Such a block is evaluated in
+# row slabs that stay within the bound.
+_BLOCK_COLS = 32
 
 
 def _cpu_count() -> int:
@@ -268,132 +295,196 @@ def _row_chunks(n: int) -> list:
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def _offset_shapes(mother: MotherWavelet, kind: BasisKind, scaled, centers):
-    """Shapes of a group's columns ``lo:hi`` from one (n_samples, hi - lo)
-    offset array per input axis."""
+def _translations(run, dim: int) -> np.ndarray:
+    """The translations of a run of bases as a (len(run), dim) float
+    array."""
+    centers = np.array([b.n for b in run], dtype=float)
+    if centers.shape[1:] != (dim,):
+        raise ValueError(f"a translation at resolution {run[0].m} has the "
+                         f"wrong length; mother expects {dim}")
+    return centers
+
+
+def _offset_shapes(mother: MotherWavelet, kind: BasisKind, X, m: int, run):
+    """Shapes of a run's columns ``lo:hi`` at rows ``s`` of ``X``, from
+    one (rows, hi - lo) offset array per input axis, the slices of one
+    (dim, rows, hi - lo) array built by one subtraction.  Each block
+    converts its own translations."""
+    scale = 2.0 ** m
+
     def shapes(lo, hi):
-        return mother._eval_kind(
-            kind, [np.subtract.outer(scaled[:, k], centers[lo:hi, k])
-                   for k in range(centers.shape[1])])
+        centers = _translations(run[lo:hi], X.shape[1]).T[:, None, :]
+        return lambda s: mother._eval_kind(
+            kind, np.subtract((X[s] * scale).T[:, :, None], centers,
+                              order="C"))
     return shapes
 
 
-def _sinc_companions(scaled, centers):
-    """Sinc companions ``prod_k sinc(2^m x_k - n_k)`` of a group's columns
-    ``lo:hi``.
+def _sinc_companions(X, m: int, run):
+    """Sinc companions ``prod_k sinc(2^m x_k - n_k)`` of a run's columns
+    ``lo:hi`` at rows ``s`` of ``X``.
 
-    Each axis's factor is evaluated once per distinct ``n_k`` into an
-    (n_samples, distinct) table, in place but with ``np.sinc``'s steps:
+    Each axis's factor is evaluated once per row of ``X`` and distinct
+    ``n_k`` into a table, in place but with ``np.sinc``'s steps:
     ``t = pi * (o / pi)``, a tiny ``t`` in place of 0 (whose factor is
     then exactly 1) and ``sin(t) / t``.  A column gathers its factors and
     multiplies them in axis order, so every value is the per-cell
     ``np.sinc`` product bit for bit.
     """
+    centers = _translations(run, X.shape[1])
     tables, which = [], []
-    for k in range(centers.shape[1]):
+    for k in range(X.shape[1]):
         u, inv = np.unique(centers[:, k], return_inverse=True)
-        t = np.subtract.outer(scaled[:, k], u)
+        t = np.subtract.outer(X[:, k] * 2.0 ** m, u)
         t /= np.pi
         t *= np.pi
         t[t == 0] = np.pi * 1e-20
-        table = np.sin(t)
-        table /= t
-        tables.append(table)
+        tables.append(np.divide(np.sin(t), t, out=t))
         which.append(inv)
 
     def shapes(lo, hi):
-        out = tables[0][:, which[0][lo:hi]]
-        for t, inv in zip(tables[1:], which[1:]):
-            out *= t[:, inv[lo:hi]]
-        return out
+        def at(s):
+            out = tables[0][s, which[0][lo:hi]]
+            for t, inv in zip(tables[1:], which[1:]):
+                out *= t[s, inv[lo:hi]]
+            return out
+        return at
     return shapes
 
 
 def _tiles(mother: MotherWavelet, bases, X):
     """The blocks of the design matrix of ``bases`` at ``X``, unevaluated.
 
-    Returns X as a 2-D float array, the number of row chunks and one task
-    per block, ``(shapes, lo, hi, amp, chunk, rows, cols)``: the block's
-    values are ``amp * shapes(lo, hi)``, its cells the design matrix's
-    ``[rows, cols]`` and ``chunk`` the index of its row chunk.  Each run
-    of consecutive bases of one kind and resolution shares one scaled
-    copy of ``X``.  Its rows are cut into :func:`_row_chunks`, and each
-    chunk's columns into the fewest blocks of at most ``_BLOCK_ELEMS``
-    scratch elements, their sizes differing by at most one column.  A
-    block of wavelets or Mexican-hat companions is evaluated from one
-    (rows, block) offset array per input axis; a block of sinc
-    companions is gathered from its row chunk's per-axis factor tables.
+    Returns X as a 2-D float array, the number of row chunks and the
+    tasks, each ``(prepare, amp, chunk, rows, blocks)``.  ``prepare()``
+    gives the task's ``shapes``; a block ``(lo, hi, cols, step)`` is the
+    design matrix's ``[rows, cols]``, whose values at the chunk's rows
+    ``s`` are ``amp * shapes(lo, hi)(s)``, taken in slabs of at most
+    ``step`` rows; ``chunk`` is the index of the row chunk.
+
+    Rows are cut into :func:`_row_chunks`.  Each run of consecutive
+    bases of one kind and resolution is cut into the fewest column
+    blocks whose offsets over a chunk's rows fit ``_BLOCK_ELEMS``, their
+    sizes differing by at most one column.  In a design of several
+    chunks where fewer than ``_BLOCK_COLS`` columns fit, it is cut into
+    the most blocks of at least ``_BLOCK_COLS`` columns instead.  A
+    slab of a block stays within the bound.  A block of wavelets or
+    Mexican-hat companions is its own task, evaluated from one offset
+    array per input axis; a run's sinc companions are one task per row
+    chunk, which builds that chunk's per-axis factor tables, gathers its
+    blocks from them and frees them.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     if d != mother.dim:
         raise ValueError(f"X has dim {d}, mother expects {mother.dim}")
     chunks = _row_chunks(n)
-    kr = len(chunks)
-    block = max(1, _BLOCK_ELEMS // max(1, -(-n // kr) * d))
+    # offset elements of one column over the tallest chunk
+    column = max(1, -(-n // len(chunks)) * d)
+    width = max(1, _BLOCK_ELEMS // column)
+    tall = len(chunks) > 1 and width < _BLOCK_COLS
     tasks = []
     start = 0
-    for (kind, m), run in itertools.groupby(bases, lambda b: (b.kind, b.m)):
-        centers = np.array([b.n for b in run], dtype=float)
-        if centers.shape[1:] != (d,):
-            raise ValueError(f"a translation at resolution {m} has the "
-                             f"wrong length; mother expects {d}")
-        scaled = X * 2.0 ** m
+    for (kind, m), group in itertools.groupby(bases, lambda b: (b.kind, b.m)):
+        run = list(group)
+        # blocks whose sizes differ by at most one: at most width
+        # columns each, or at least _BLOCK_COLS in a tall design
+        k = max(1, len(run) // _BLOCK_COLS) if tall else -(-len(run) // width)
+        cuts = [len(run) * i // k for i in range(k + 1)]
+        blocks = [(lo, hi, slice(start + lo, start + hi),
+                   max(1, _BLOCK_ELEMS // ((hi - lo) * d)))
+                  for lo, hi in zip(cuts[:-1], cuts[1:])]
         amp = 2.0 ** (0.5 * d * m)
-        # ceil(len / block) blocks whose sizes differ by at most one
-        k = -(-len(centers) // block)
-        cuts = [len(centers) * i // k for i in range(k + 1)]
         for chunk, rows in enumerate(chunks):
             if (kind is BasisKind.SCALING
                     and mother.family is WaveletFamily.SINC):
-                shapes = _sinc_companions(scaled[rows], centers)
+                prepare = functools.partial(_sinc_companions, X[rows], m, run)
+                tasks.append((prepare, amp, chunk, rows, blocks))
             else:
-                shapes = _offset_shapes(mother, kind, scaled[rows], centers)
-            tasks += [(shapes, lo, hi, amp, chunk, rows,
-                       slice(start + lo, start + hi))
-                      for lo, hi in zip(cuts[:-1], cuts[1:])]
-        start += len(centers)
-    return X, kr, tasks
+                prepare = functools.partial(_offset_shapes, mother, kind,
+                                            X[rows], m, run)
+                tasks += [(prepare, amp, chunk, rows, [b]) for b in blocks]
+        start += len(run)
+    return X, len(chunks), tasks
+
+
+def _blocks(task):
+    """Evaluate a task's blocks one at a time.
+
+    Yields each block's ``(chunk, rows, cols, write)``; ``write(dest)``
+    writes the block's values into ``dest``, an array of its (rows,
+    columns) shape, slab by slab, before the next block is evaluated.
+    What ``prepare`` built (a sinc companion task's factor tables) is
+    freed with the generator.
+    """
+    prepare, amp, chunk, rows, blocks = task
+    shapes = prepare()
+    for lo, hi, cols, step in blocks:
+        at = shapes(lo, hi)
+
+        def write(dest, at=at, step=step):
+            for i in range(0, len(dest), step):
+                np.multiply(at(slice(i, i + step)), amp,
+                            out=dest[i:i + step])
+        yield chunk, rows, cols, write
 
 
 def _each_tile(work, tasks, cells: int) -> None:
     """Apply ``work`` to every task, on a thread pool of at most one
-    worker per CPU when the ``cells`` offset elements span more than one
-    block, else inline.  numpy and scipy.special release the GIL.
+    worker per CPU when the ``cells`` offset elements exceed
+    ``_POOL_ELEMS``, else inline.  numpy and scipy.special release the
+    GIL.
 
     Each caller's task writes only its own slot (a block of the design
     matrix, a row chunk's partial sums of psi^T y or of a Gram border),
     and partial sums are added in chunk order, so the result does not
     depend on the worker count.  Its products are BLAS calls, which
-    inside ``cli.main`` run on one thread each."""
+    inside ``cli.main`` run on one thread each.
+
+    Each worker takes the next task from one shared iterator until none
+    is left, so a call makes one future per worker, not one per task
+    (the 12 000 futures of a 9-D probe level's blocks would hold some
+    30 MB)."""
     workers = 1
-    if cells > _BLOCK_ELEMS:
+    if cells > _POOL_ELEMS:
         workers = min(_cpu_count(), len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(work, tasks))
-    else:
+    if workers < 2:
         for task in tasks:
             work(task)
+        return
+    pending = iter(tasks)
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                task = next(pending, None)
+            if task is None:
+                return
+            work(task)
+
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(drain) for _ in range(workers)]:
+            future.result()
 
 
 def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
     """Evaluate every basis in ``bases`` at every row of ``X``.
 
     Returns the (n_samples, n_bases) design matrix, evaluated block by
-    block as :func:`_tiles` cuts it.  When the call's scratch spans more
-    than one block and the process may run on several CPUs, the blocks
-    are mapped over a thread pool of at most that many workers; each
-    block writes only its own slice of the output, so the result is the
-    same bit for bit on any number of CPUs.  Each worker holds one
-    block's scratch at a time.  Smaller calls run inline.
+    block as :func:`_tiles` cuts it.  When the call exceeds the pool
+    threshold and the process may run on several CPUs, the tasks are
+    mapped over a thread pool of at most that many workers; each block
+    writes only its own slice of the output, so the result is the same
+    bit for bit on any number of CPUs.  Each worker holds one slab's
+    scratch at a time.  Smaller calls run inline.
     """
     X, _, tasks = _tiles(mother, bases, X)
     out = np.empty((len(X), len(bases)))
 
     def fill(task):
-        shapes, lo, hi, amp, _, rows, cols = task
-        np.multiply(shapes(lo, hi), amp, out=out[rows, cols])
+        for _, rows, cols, write in _blocks(task):
+            write(out[rows, cols])
 
     _each_tile(fill, tasks, X.size * len(bases))
     return out
@@ -405,10 +496,10 @@ def basis_matrix_tdot(mother: MotherWavelet, bases, X, y) -> np.ndarray:
     Each block of :func:`_tiles` is evaluated, multiplied by its rows of
     ``y`` into its own slot of a (row chunks, n_bases) array of partial
     sums and freed; the chunks' partial sums are then added in chunk
-    order.  So a worker holds one block's scratch and values at a time,
-    and the result is the same bit for bit on any number of CPUs.  It
-    may differ from the product of the whole matrix in the last bits,
-    since the BLAS sums each block's products on its own.
+    order.  So a worker holds one slab's scratch and one block's values
+    at a time, and the result is the same bit for bit on any number of
+    CPUs.  It may differ from the product of the whole matrix in the
+    last bits, since the BLAS sums each block's products on its own.
     """
     X, kr, tasks = _tiles(mother, bases, X)
     y = np.asarray(y, dtype=float)
@@ -417,10 +508,11 @@ def basis_matrix_tdot(mother: MotherWavelet, bases, X, y) -> np.ndarray:
     parts = np.empty((kr, len(bases)))
 
     def fold(task):
-        shapes, lo, hi, amp, chunk, rows, cols = task
-        values = shapes(lo, hi)
-        values *= amp
-        np.matmul(y[rows], values, out=parts[chunk, cols])
+        for chunk, rows, cols, write in _blocks(task):
+            values = np.empty((rows.stop - rows.start,
+                               cols.stop - cols.start))
+            write(values)
+            np.matmul(y[rows], values, out=parts[chunk, cols])
 
     _each_tile(fold, tasks, X.size * len(bases))
     total = parts[0]

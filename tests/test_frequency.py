@@ -104,10 +104,11 @@ def test_probe_scratch_stays_within_the_per_worker_bound(monkeypatch):
     # diag's widest level: 6 561 sinc elements at m = 6 on 500 rows of two
     # axes, whose psi would be 26 MB.  A serial probe never holds it: it
     # stays within the bound the _BLOCK_ELEMS comment gives a worker of
-    # the psi^T y path, one block's scratch (4 * _BLOCK_ELEMS doubles)
-    # plus that block's values (rows x columns), on top of the centers,
-    # the partial sums, one scaled copy of X and a few kilobytes of
-    # bookkeeping (5.2 MB in all, against a bound of 9.7 MB)
+    # the psi^T y path, one slab's scratch (4 * _BLOCK_ELEMS doubles)
+    # plus its block's values (rows x columns), on top of the run's list
+    # of bases, the partial sums and a few kilobytes of bookkeeping (1.7
+    # MB in all, against a bound of 2.5 MB; each block converts its own
+    # translations, so no (p, d) array of them is held)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     mother = MotherWavelet.sinc(2)
     bases = lattice_bases(6, [range(-8, 73), range(-8, 73)])
@@ -121,7 +122,7 @@ def test_probe_scratch_stays_within_the_per_worker_bound(monkeypatch):
     finally:
         tracemalloc.stop()
     values = 500 * (wavelets._BLOCK_ELEMS // X.size)
-    kept = (len(bases) * 2 + c.size) * 8 + X.nbytes
+    kept = (len(bases) + c.size) * 8
     assert peak <= (4 * wavelets._BLOCK_ELEMS + values) * 8 + kept + 2 ** 16
     assert peak < X.shape[0] * len(bases) * 8 / 2
 

@@ -1,5 +1,6 @@
 """Mother wavelets, dyadic bases, center grids and child selection."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -333,21 +334,28 @@ def mixed_bases(d, seed):
 
 class CountingPool(wavelets.ThreadPoolExecutor):
     opened = 0
+    submitted = 0
 
     def __init__(self, *args, **kwargs):
         type(self).opened += 1
         super().__init__(*args, **kwargs)
 
+    def submit(self, *args, **kwargs):
+        type(self).submitted += 1
+        return super().submit(*args, **kwargs)
+
 
 @pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_basis_matrix_threads_agree_with_serial(family, d, monkeypatch):
-    # blocks of three columns, so every group spans several blocks and
-    # the call takes the pool path on two CPUs and the inline one on one
+    # blocks of three columns, so every group spans several blocks, and
+    # a pool threshold of one block, so the call takes the pool path on
+    # two CPUs and the inline one on one
     mother = getattr(MotherWavelet, family)(d)
     bases = mixed_bases(d, 60 + d)
     X = np.random.default_rng(70 + d).uniform(-2.0, 2.0, size=(29, d))
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 3 * X.size)
+    monkeypatch.setattr(wavelets, "_POOL_ELEMS", 3 * X.size)
     monkeypatch.setattr(wavelets, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(CountingPool, "opened", 0)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
@@ -397,9 +405,9 @@ def _record_block_sizes(monkeypatch):
 
 def test_basis_matrix_balances_its_blocks(monkeypatch):
     # the wide fit's 1 081-column expansion on 500 rows of two axes: a
-    # block holds at most _BLOCK_ELEMS // 1 000 columns (262 at 2^18), so
-    # the group is cut into the fewest blocks that allow (five of 216 or
-    # 217), not into full blocks and a short remainder
+    # block holds at most _BLOCK_ELEMS // 1 000 columns (65 at 2^16), so
+    # the group is cut into the fewest blocks that allow (17 of 63 or
+    # 64), not into full blocks and a short remainder
     sizes = _record_block_sizes(monkeypatch)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
     mother = MotherWavelet.sinc(2)
@@ -408,7 +416,7 @@ def test_basis_matrix_balances_its_blocks(monkeypatch):
     psi = basis_matrix(mother, bases, X)
     block = wavelets._BLOCK_ELEMS // X.size
     k = -(-len(bases) // block)
-    assert k > 1 and sum(sizes) == len(bases) and len(sizes) == k
+    assert k == 17 and sum(sizes) == len(bases) and len(sizes) == k
     assert set(sizes) == {len(bases) // k, -(-len(bases) // k)}
     # every cell is computed on its own, so one block gives the same bytes
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", psi.size * 2)
@@ -421,10 +429,10 @@ def test_basis_matrix_balances_its_blocks(monkeypatch):
     ("sinc", BasisKind.WAVELET)])
 def test_basis_matrix_scratch_stays_within_its_bound(monkeypatch, d, family,
                                                      kind):
-    # the bound the _BLOCK_ELEMS comment states: beyond its output and
-    # one scaled copy of X, a serial call of one run of bases holds at
-    # most 4 * _BLOCK_ELEMS doubles of scratch (and a few kilobytes of
-    # bookkeeping: the centers, the task list)
+    # the bound the _BLOCK_ELEMS comment states: beyond its output, a
+    # serial call of one run of bases holds at most 4 * _BLOCK_ELEMS
+    # doubles of scratch (and a few kilobytes of bookkeeping: a block's
+    # translations, the task list)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     rng = np.random.default_rng(d)
     X = rng.uniform(0.0, 1.0, size=(4096 // d, d))
@@ -437,7 +445,7 @@ def test_basis_matrix_scratch_stays_within_its_bound(monkeypatch, d, family,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    scratch = peak - out.nbytes - X.nbytes
+    scratch = peak - out.nbytes
     assert scratch <= 4 * wavelets._BLOCK_ELEMS * 8 + 2 ** 16
 
 
@@ -445,29 +453,50 @@ def test_basis_matrix_scratch_stays_within_its_bound(monkeypatch, d, family,
                                            (2000, 999)])
 def test_basis_matrix_blocks_differ_by_at_most_one(monkeypatch, n_cols,
                                                    block):
+    # a design of one row chunk takes the fewest blocks of at most
+    # `block` columns; a design of three one-row chunks whose bound fits
+    # one column fewer than a floor of `block` takes the most blocks of
+    # at least `block` columns
     sizes = _record_block_sizes(monkeypatch)
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", block * 3)
     basis_matrix(MotherWavelet.mexican_hat(1),
                  lattice_bases(0, [range(n_cols)]), np.zeros((3, 1)))
     assert sum(sizes) == n_cols and len(sizes) == -(-n_cols // block)
     assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
+    sizes.clear()
+    monkeypatch.setattr(wavelets, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", block - 1 or 1)
+    monkeypatch.setattr(wavelets, "_BLOCK_COLS", block)
+    basis_matrix(MotherWavelet.mexican_hat(1),
+                 lattice_bases(0, [range(n_cols)]), np.zeros((3, 1)))
+    k = max(1, n_cols // block)
+    assert sum(sizes) == 3 * n_cols and len(sizes) == 3 * k
+    assert min(sizes) >= min(block, n_cols) and max(sizes) - min(sizes) <= 1
 
 
 def test_basis_matrix_cuts_tall_designs_by_rows(monkeypatch):
     # the 50k fit's shape: 162 columns on 50 000 rows of two axes.  Rows
     # come in the fewest chunks of at most _BLOCK_ROWS (13 of 3 846 or
-    # 3 847), so a block holds 32 or 33 columns instead of the two that
-    # full-height blocks of _BLOCK_ELEMS would; a serial call keeps the
+    # 3 847), and a chunk's columns in the most blocks of at least
+    # _BLOCK_COLS (five of 32 or 33), not the eight columns that fit the
+    # bound at full chunk height; each block is evaluated in row slabs
+    # whose offsets stay within _BLOCK_ELEMS.  A serial call keeps the
     # scratch bound, and full-height blocks give the same bytes
-    blocks = []
+    blocks, slabs = [], []
     real = wavelets._offset_shapes
 
-    def spy(mother, kind, scaled, centers):
-        shapes = real(mother, kind, scaled, centers)
+    def spy(mother, kind, X, m, run):
+        shapes = real(mother, kind, X, m, run)
 
         def recording(lo, hi):
-            blocks.append((scaled.shape[0], hi - lo))
-            return shapes(lo, hi)
+            blocks.append((X.shape[0], hi - lo))
+            at = shapes(lo, hi)
+
+            def slab(s):
+                values = at(s)
+                slabs.append(values.shape)
+                return values
+            return slab
         return recording
 
     monkeypatch.setattr(wavelets, "_offset_shapes", spy)
@@ -481,31 +510,37 @@ def test_basis_matrix_cuts_tall_designs_by_rows(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    scratch = peak - psi.nbytes - X.nbytes
+    scratch = peak - psi.nbytes
     assert scratch <= 4 * wavelets._BLOCK_ELEMS * 8 + 2 ** 16
     kr = -(-len(X) // wavelets._BLOCK_ROWS)
-    block = wavelets._BLOCK_ELEMS // (-(-len(X) // kr) * 2)
-    k = -(-len(bases) // block)
-    assert len(blocks) == kr * k
+    k = len(bases) // wavelets._BLOCK_COLS
+    assert len(blocks) == kr * k == 13 * 5
     assert {r for r, _ in blocks} == {len(X) // kr, -(-len(X) // kr)}
     assert {c for _, c in blocks} == {len(bases) // k, -(-len(bases) // k)}
-    assert sum(r * c for r, c in blocks) == psi.size
-    assert min(c for _, c in blocks) >= 32
+    assert min(c for _, c in blocks) >= wavelets._BLOCK_COLS
+    assert max(r * c * 2 for r, c in slabs) <= wavelets._BLOCK_ELEMS
+    assert len(slabs) > len(blocks)
+    assert sum(r * c for r, c in slabs) == psi.size
+    # full-height blocks of two columns, each one slab
     monkeypatch.setattr(wavelets, "_BLOCK_ROWS", len(X))
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2 * X.size)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
+    slabs.clear()
     assert basis_matrix(mother, bases, X).tobytes() == psi.tobytes()
+    assert set(slabs) == {(len(X), 2)}
 
 
 @pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_tdot_matches_the_matrix_product(family, d, monkeypatch):
     # 5 000 rows (two row chunks) against wavelet runs at two resolutions
-    # and a companion run between them, each run cut into blocks of 12
-    # columns.  Each entry against basis_matrix(...).T @ y within the
-    # rounding of a dot product, 16 eps * sum_i |psi_ij y_i| (the
-    # largest gap measured here is 3.2 of it) rather than a relative
-    # tolerance, which a sum with cancellation would not meet; and the
-    # same bytes on one CPU and on two
+    # and a companion run between them, each run cut into blocks of at
+    # least 12 columns, evaluated in row slabs of at most 833 rows.
+    # Each entry against basis_matrix(...).T @ y within the rounding of
+    # a dot product, 16 eps * sum_i |psi_ij y_i| (the largest gap
+    # measured here is 3.2 of it) rather than a relative tolerance,
+    # which a sum with cancellation would not meet; and the same bytes
+    # on one CPU and, on the thread pool, on two
     mother = getattr(MotherWavelet, family)(d)
     rng = np.random.default_rng(120 + d)
     X = rng.uniform(0.0, 1.0, size=(5000, d))
@@ -514,16 +549,22 @@ def test_tdot_matches_the_matrix_product(family, d, monkeypatch):
     bases = (lattice_bases(3, [range(-2, per)] * d)
              + lattice_bases(2, [range(-1, per)] * d, BasisKind.SCALING)
              + lattice_bases(4, [range(per)] * d))
-    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2500 * d * 12)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2500 * d * 4)
+    monkeypatch.setattr(wavelets, "_BLOCK_COLS", 12)
+    monkeypatch.setattr(wavelets, "_POOL_ELEMS", 2500 * d * 12)
     _, chunks, tasks = wavelets._tiles(mother, bases, X)
-    assert chunks == 2 and len(tasks) >= 3 * 2 * chunks
+    assert chunks == 2 and sum(len(t[4]) for t in tasks) >= 3 * 2 * chunks
+    assert max(b[3] for t in tasks for b in t[4]) <= 833
     psi = basis_matrix(mother, bases, X)
     bound = 16 * np.finfo(float).eps * np.abs(psi * y[:, None]).sum(axis=0)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     serial = basis_matrix_tdot(mother, bases, X, y)
     assert np.all(np.abs(serial - psi.T @ y) <= bound)
+    monkeypatch.setattr(wavelets, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "opened", 0)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
     assert basis_matrix_tdot(mother, bases, X, y).tobytes() == serial.tobytes()
+    assert CountingPool.opened == 1
 
 
 def test_tdot_checks_its_target_and_takes_empty_bases():
@@ -541,7 +582,9 @@ def test_sinc_companion_tables_match_np_sinc():
     centers = rng.integers(-3, 4, size=(50, 2)).astype(float)
     scaled = rng.uniform(-4.0, 4.0, size=(200, 2))
     scaled[:20] = centers[:20]
-    got = wavelets._sinc_companions(scaled, centers)(0, len(centers))
+    run = [BasisIndex(0, tuple(int(v) for v in c), BasisKind.SCALING)
+           for c in centers]
+    got = wavelets._sinc_companions(scaled, 0, run)(0, len(run))(slice(None))
     want = np.sinc((scaled[:, None, 0] - centers[:, 0]) / np.pi)
     want *= np.sinc((scaled[:, None, 1] - centers[:, 1]) / np.pi)
     assert np.count_nonzero(got == 1.0) >= 20
@@ -551,12 +594,15 @@ def test_sinc_companion_tables_match_np_sinc():
 @pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_row_chunks_agree_with_one_block(family, d, monkeypatch):
-    # chunks of 5 or 6 rows and blocks of three columns on 23 rows,
-    # serial and on two CPUs, against one block of the whole design
+    # chunks of 5 or 6 rows, blocks of at least three columns and row
+    # slabs of two rows on 23 rows, serial and on two CPUs (a pool
+    # threshold of one block), against one block of the whole design
     mother = getattr(MotherWavelet, family)(d)
     bases = mixed_bases(d, 100 + d)
     X = np.random.default_rng(110 + d).uniform(-2.0, 2.0, size=(23, d))
-    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 6 * 3 * d)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 6 * d)
+    monkeypatch.setattr(wavelets, "_BLOCK_COLS", 3)
+    monkeypatch.setattr(wavelets, "_POOL_ELEMS", 6 * 3 * d)
     monkeypatch.setattr(wavelets, "_BLOCK_ROWS", 6)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     serial = basis_matrix(mother, bases, X)
@@ -578,12 +624,15 @@ def test_concurrent_callers_get_the_serial_result(monkeypatch, evaluate):
     # four callers at once, as sweep workers call in, each on its own
     # rows and each through its own pool; a shared buffer or a store into
     # another call's matrix or partial sums would break the match.  Row
-    # chunks of at most 8 rows give psi^T y four slots per column
+    # chunks of at most 8 rows give psi^T y four slots per column, and a
+    # pool threshold of one block sends every call to its pool
     mother = MotherWavelet.sinc(2)
     bases = mixed_bases(2, 80)
     inputs = [np.random.default_rng(90 + i).uniform(-2.0, 2.0, size=(31, 2))
               for i in range(4)]
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 4 * 8 * 2)
+    monkeypatch.setattr(wavelets, "_BLOCK_COLS", 4)
+    monkeypatch.setattr(wavelets, "_POOL_ELEMS", 4 * 8 * 2)
     monkeypatch.setattr(wavelets, "_BLOCK_ROWS", 8)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     want = [evaluate(mother, bases, X) for X in inputs]
@@ -612,6 +661,133 @@ def test_concurrent_callers_get_the_serial_result(monkeypatch, evaluate):
     assert not any(t.is_alive() for t in threads)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+def _companion_tables(mother, bases, n):
+    """Bytes of one row chunk's sinc factor tables for the largest
+    companion run, plus one axis table more (the one being built)."""
+    rows = -(-n // len(wavelets._row_chunks(n)))
+    most = 0
+    for (kind, _), run in itertools.groupby(bases, lambda b: (b.kind, b.m)):
+        if (kind is BasisKind.SCALING
+                and mother.family is wavelets.WaveletFamily.SINC):
+            run = list(run)
+            sizes = [rows * len({b.n[k] for b in run})
+                     for k in range(mother.dim)]
+            most = max(most, (sum(sizes) + max(sizes)) * 8)
+    return most
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       n=st.one_of(st.integers(1, 300), st.integers(4097, 4600)),
+       d=st.sampled_from([1, 2, 3, 9]),
+       family=st.sampled_from(["mexican_hat", "sinc"]),
+       elems=st.integers(2 ** 11, 2 ** 16), cols=st.integers(1, 64))
+def test_any_block_bound_gives_the_whole_design_bytes(data, n, d, family,
+                                                      elems, cols):
+    # under any per-worker bound and column floor, a serial call gives
+    # the bytes of one block of the whole design, and its scratch beyond
+    # the output stays within 4 * _BLOCK_ELEMS doubles, one chunk's sinc
+    # factor tables and a few kilobytes of bookkeeping
+    mother = getattr(MotherWavelet, family)(d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    runs = data.draw(st.lists(
+        st.tuples(st.sampled_from(list(BasisKind)), st.integers(0, 2),
+                  st.integers(1, 10)), min_size=1, max_size=3))
+    bases = [BasisIndex(m, tuple(int(v) for v in rng.integers(-3, 5, size=d)),
+                        kind)
+             for kind, m, size in runs for _ in range(size)]
+    X = rng.uniform(-1.0, 2.0, size=(n, d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavelets, "_cpu_count", lambda: 1)
+        mp.setattr(wavelets, "_BLOCK_ELEMS", elems)
+        mp.setattr(wavelets, "_BLOCK_COLS", cols)
+        # a first call warms numpy's and scipy's caches
+        basis_matrix(mother, bases, X)
+        tracemalloc.start()
+        try:
+            psi = basis_matrix(mother, bases, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mp.setattr(wavelets, "_BLOCK_ELEMS", X.size * len(bases))
+        mp.setattr(wavelets, "_BLOCK_ROWS", n)
+        whole = basis_matrix(mother, bases, X)
+    assert psi.tobytes() == whole.tobytes()
+    scratch = peak - psi.nbytes
+    assert scratch <= (4 * elems * 8 + _companion_tables(mother, bases, n)
+                       + 2 ** 16)
+
+
+def test_a_500_row_162_column_design_runs_inline(monkeypatch):
+    # the N = 500 seed design, 162 columns on two axes, is three blocks
+    # at the per-worker bound but 162 000 offset elements, under the
+    # pool threshold, so it runs inline even with two CPUs
+    monkeypatch.setattr(wavelets, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "opened", 0)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
+    mother = MotherWavelet.sinc(2)
+    bases = lattice_bases(2, [range(-1, 17), range(-1, 8)])
+    X = np.random.default_rng(3).uniform(0.0, 1.0, size=(500, 2))
+    assert len(bases) == 162 and len(wavelets._tiles(mother, bases, X)[2]) == 3
+    basis_matrix(mother, bases, X)
+    assert CountingPool.opened == 0
+
+
+def test_a_500_row_probe_level_of_6561_elements_takes_the_pool(monkeypatch):
+    # diag's widest probe level, 6 561 sinc elements at m = 6 on 500 rows
+    # of two axes, is past the pool threshold: with two CPUs its psi^T y
+    # runs on the pool, one future per worker for its 101 blocks, and
+    # gives the serial bytes
+    mother = MotherWavelet.sinc(2)
+    bases = lattice_bases(6, [range(-8, 73), range(-8, 73)])
+    X = np.random.default_rng(8).uniform(0.0, 1.0, size=(500, 2))
+    y = np.sin(5.0 * X[:, 0]) * X[:, 1]
+    monkeypatch.setattr(wavelets, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "opened", 0)
+    monkeypatch.setattr(CountingPool, "submitted", 0)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
+    assert len(wavelets._tiles(mother, bases, X)[2]) == 101
+    pooled = basis_matrix_tdot(mother, bases, X, y)
+    assert CountingPool.opened == 1 and CountingPool.submitted == 2
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    assert basis_matrix_tdot(mother, bases, X, y).tobytes() == pooled.tobytes()
+    assert CountingPool.opened == 1
+
+
+def test_a_tall_sinc_companion_run_holds_one_chunk_of_tables(monkeypatch):
+    # 16 384 rows of three axes (four chunks of 4 096) and 48 companions
+    # whose translations differ on every axis: a chunk's factor tables
+    # are 3 x 4 096 x 48 doubles (4.7 MB), all four chunks' 18.9 MB.
+    # _tiles builds none; each chunk's task builds its own and frees
+    # them, so a serial call holds one chunk's tables, the axis table
+    # being built and one slab's scratch beyond its output
+    built = []
+    real = wavelets._sinc_companions
+
+    def spy(X, m, run):
+        built.append(len(X))
+        return real(X, m, run)
+
+    monkeypatch.setattr(wavelets, "_sinc_companions", spy)
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    mother = MotherWavelet.sinc(3)
+    bases = [s_index(3, (j, j, j)) for j in range(-8, 40)]
+    X = np.random.default_rng(9).uniform(0.0, 1.0, size=(4 * 4096, 3))
+    wavelets._tiles(mother, bases, X)
+    assert built == []
+    tracemalloc.start()
+    try:
+        psi = basis_matrix(mother, bases, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [4096] * 4
+    table = 4096 * len(bases) * 8
+    scratch = peak - psi.nbytes
+    assert scratch <= 4 * table + 4 * wavelets._BLOCK_ELEMS * 8 + 2 ** 16
+    assert scratch < 2 * 3 * table
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
