@@ -20,20 +20,20 @@ from .growth import (GrowthConfig, WaveletPool, expand_into_next,
                      select_high_energy)
 from .model import (TrainLog, TrainStatus, TrainingDivergence, WaveletModel,
                     loss, train_to_plateau)
-from .wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
-                       MotherWavelet, WaveletFamily, basis_matrix,
+from .wavelets import (BasisKind, CenterGrid, GridError, MotherWavelet,
+                       WaveletFamily, basis_matrix, basis_set,
                        build_center_grid, children_centers, eval_basis)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisIndex", "BasisKind", "CenterGrid", "DataError", "Dataset",
-    "DecayReport", "EnergyTrace", "GridError", "GrowthConfig", "MotherWavelet",
+    "BasisKind", "CenterGrid", "DataError", "Dataset", "DecayReport",
+    "EnergyTrace", "GridError", "GrowthConfig", "MotherWavelet",
     "TimeFrequencyBox", "TrainLog", "TrainStatus", "TrainingDivergence",
     "WaveletFamily", "WaveletModel", "WaveletPool", "basis_matrix",
-    "build_center_grid", "children_centers", "count_peaks", "decay_report",
-    "estimate_initial_resolution", "estimate_subspace_energy", "eval_basis",
-    "expand_into_next", "gen_autoregression", "gen_example1",
+    "basis_set", "build_center_grid", "children_centers", "count_peaks",
+    "decay_report", "estimate_initial_resolution", "estimate_subspace_energy",
+    "eval_basis", "expand_into_next", "gen_autoregression", "gen_example1",
     "gen_example2_regions", "gram", "load_csv", "loss", "minmax_scale",
     "minmax_unscale", "run_baseline_wnn", "run_growth", "run_online",
     "scan_indices", "select_high_energy", "split", "train_to_plateau",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -33,7 +34,7 @@ from .frequency import alpha_from_epsilon, estimate_initial_resolution
 from .growth import (GrowthConfig, WaveletPool, run_baseline_wnn,
                      run_growth, run_online, run_seed_phase)
 from .model import Design, TrainStatus, TrainingDivergence, loss
-from .wavelets import BasisIndex, MotherWavelet, build_center_grid
+from .wavelets import MotherWavelet, basis_set, build_center_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -255,6 +256,11 @@ def resolve_config(args) -> dict:
     cfg.update((k, v) for k, v in vars(args).items() if k in DEFAULTS)
     if cfg["zeta"] is None:
         cfg["zeta"] = 0.001 * cfg["epsilon"]
+    # float() reads nan and inf, and json.load NaN and Infinity
+    for key, value in cfg.items():
+        entries = value if isinstance(value, list) else [value]
+        if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
+            raise ConfigError(f"field {key!r} must be finite, got {value!r}")
     for key in ("epsilon", "zeta", "mu", "learning_rate", "kappa"):
         if cfg[key] <= 0:
             raise ConfigError(f"field {key!r} must be a positive number, "
@@ -509,14 +515,14 @@ def cmd_online(cfg, data, out: str) -> int:
 # The decay diagnostic's box, and its in-box target: three detail
 # elements two resolutions inside the box, with O(1) coefficients.
 _DIAG_BOX = TimeFrequencyBox(T=(1.0,), t_eps=(1,), m0=4, m1=0)
-_DIAG_PARTS = ((1.0, (-1,)), (-0.7, (0,)), (0.4, (3,)))
+_DIAG_COEFFS, _DIAG_TRANSLATIONS = (1.0, -0.7, 0.4), ((-1,), (0,), (3,))
 
 
 def cmd_diag(cfg, data, out: str) -> int:
     box = _DIAG_BOX
     mother = _mother(cfg, 1)
     m_target = (box.m1 + box.m0) // 2
-    target = [(c, BasisIndex(m_target, n)) for c, n in _DIAG_PARTS]
+    target = list(zip(_DIAG_COEFFS, basis_set(m_target, _DIAG_TRANSLATIONS)))
     report = decay_report(target, mother, box, scan_indices(box, m_pad=2))
     report.to_csv(os.path.join(out, "decay_report.csv"))
     tol = 1e-3 if cfg["family"] == "sinc" else 1e-2

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wavelets import (BasisIndex, BasisKind, MotherWavelet, WaveletFamily,
-                       lattice_bases)
+from .wavelets import (KIND, RES, TRANS, BasisKind, MotherWavelet,
+                       WaveletFamily, lattice_bases)
 
 
 @dataclass(frozen=True)
@@ -50,18 +50,20 @@ class TimeFrequencyBox:
     def dim(self) -> int:
         return len(self.T)
 
-    def contains(self, index: BasisIndex) -> bool:
-        if len(index.n) != self.dim:
-            raise ValueError(f"index has {len(index.n)} translation "
+    def contains(self, index) -> bool:
+        """Whether ``index``, a basis set's row, lies in the box."""
+        m, n = int(index[RES]), index[TRANS]
+        if len(n) != self.dim:
+            raise ValueError(f"index has {len(n)} translation "
                              f"components, box is {self.dim}-dimensional")
-        if not (self.m1 < index.m < self.m0):
+        if not (self.m1 < m < self.m0):
             return False
-        bound = 2.0 ** index.m * np.asarray(self.T) + np.asarray(self.t_eps)
-        return bool(np.all(np.abs(index.n) <= bound + 1e-12))
+        bound = 2.0 ** m * np.asarray(self.T) + np.asarray(self.t_eps)
+        return bool(np.all(np.abs(n) <= bound + 1e-12))
 
 
-def gram(mother: MotherWavelet, a: BasisIndex, b: BasisIndex) -> float:
-    """<psi_a, psi_b> of two wavelet elements, in closed form.
+def gram(mother: MotherWavelet, a, b) -> float:
+    """<psi_a, psi_b> of two wavelet elements (rows), in closed form.
 
     Sinc: the spectrum is flat on the annulus 1 < |w| <= 2, so elements
     at different resolutions are orthogonal, and within one resolution
@@ -72,18 +74,20 @@ def gram(mother: MotherWavelet, a: BasisIndex, b: BasisIndex) -> float:
     ``2^(-d(m_a+m_b)/2) 4^-(m_a+m_b) (2 pi/s)^(d/2) exp(-|D|^2/2s)
     (|D|^4/s^4 - 2(d+2)|D|^2/s^3 + d(d+2)/s^2)``.
     """
-    if a.kind is not BasisKind.WAVELET or b.kind is not BasisKind.WAVELET:
+    if a[KIND] != BasisKind.WAVELET or b[KIND] != BasisKind.WAVELET:
         raise ValueError("gram is defined for wavelet elements only")
     d = mother.dim
+    ma, mb = int(a[RES]), int(b[RES])
     if mother.family is WaveletFamily.SINC:
-        if a.m != b.m:
+        if ma != mb:
             return 0.0
-        offset = np.subtract(a.n, b.n, dtype=float)
+        offset = np.subtract(a[TRANS], b[TRANS], dtype=float)
         return float(mother.norm_sq / mother.eval_mother(np.zeros(d))
                      * mother.eval_mother(offset))
-    mm = a.m + b.m
-    s = 4.0 ** -a.m + 4.0 ** -b.m
-    q = float(np.sum(np.square(a.center() - b.center()))) / s  # |D|^2 / s
+    mm = ma + mb
+    s = 4.0 ** -ma + 4.0 ** -mb
+    q = float(np.sum(np.square(a[TRANS] * 2.0 ** -ma
+                               - b[TRANS] * 2.0 ** -mb))) / s  # |D|^2 / s
     poly = (q * q - 2 * (d + 2) * q + d * (d + 2)) / (s * s)
     scale = 2.0 ** (-0.5 * d * mm) * 4.0 ** -mm
     return scale * (2.0 * math.pi / s) ** (d / 2) * math.exp(-0.5 * q) * poly
@@ -92,14 +96,14 @@ def gram(mother: MotherWavelet, a: BasisIndex, b: BasisIndex) -> float:
 def scan_indices(box: TimeFrequencyBox, m_pad: int = 2):
     """Standard scan range around a box: resolutions from m1+1-m_pad to
     m0-1+m_pad, translations out to the box bound at each resolution.
-    Wavelet-kind indices, lexicographic order.
+    A wavelet basis set, levels in order, each in lexicographic order.
     """
-    out = []
+    levels = []
     for m in range(box.m1 + 1 - m_pad, box.m0 + m_pad):
         limits = [int(math.floor(2.0 ** m * T + te))
                   for T, te in zip(box.T, box.t_eps)]
-        out += lattice_bases(m, [range(-L, L + 1) for L in limits])
-    return out
+        levels.append(lattice_bases(m, [range(-L, L + 1) for L in limits]))
+    return np.concatenate(levels)
 
 
 @dataclass
@@ -107,7 +111,7 @@ class DecayReport:
     """Scan of |<psi_mn, f>| partitioned by box membership."""
 
     box: TimeFrequencyBox
-    rows: list = field(default_factory=list)  # (index, inside, coefficient)
+    rows: list = field(default_factory=list)  # (row, inside, coefficient)
 
     @property
     def max_inside(self) -> float:
@@ -135,14 +139,14 @@ class DecayReport:
             writer.writerow(["m"] + [f"n{i + 1}" for i in range(dim)]
                             + ["inside", "coef_abs"])
             for index, inside, coef in self.rows:
-                writer.writerow([index.m] + list(index.n)
+                writer.writerow([int(index[RES])] + index[TRANS].tolist()
                                 + [int(inside), repr(abs(coef))])
 
 
 def decay_report(target, mother: MotherWavelet, box: TimeFrequencyBox,
                  indices) -> DecayReport:
     """Compute every scanned coefficient of the target ``sum_k c_k psi_k``,
-    given as ``(c_k, BasisIndex)`` pairs, exactly through :func:`gram`, and
+    given as ``(c_k, row)`` pairs, exactly through :func:`gram`, and
     compare the largest magnitude outside the box against the largest
     inside."""
     report = DecayReport(box)

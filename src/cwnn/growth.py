@@ -21,14 +21,14 @@ trains that seed phase once.
 from __future__ import annotations
 
 import copy
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (Design, TrainLog, TrainStatus, WaveletModel,
                     train_to_plateau)
-from .wavelets import BasisKind, CenterGrid, MotherWavelet, children_centers
+from .wavelets import (KIND, RES, TRANS, BasisKind, CenterGrid,
+                       MotherWavelet, _fresh, basis_set, children_centers)
 
 # relative drop in the online rolling loss that counts as improvement
 ONLINE_IMPROVEMENT = 0.02
@@ -64,31 +64,29 @@ class GrowthConfig:
 
 
 class WaveletPool:
-    """A growth run's record: the growing ``model`` (its ``bases`` are the
-    one list of elements), the start ``grid`` whose bounds every level's
-    lattice shares, the run's ``log``, the resolution ``m`` it grows at,
-    the ``sweep`` of phases run there, the ``status`` a run ended in, and
-    the parents each resolution has expanded, so phases pick fresh ones."""
+    """A growth run's record: the growing ``model``, whose basis set holds
+    its elements, the start ``grid`` whose bounds every level's lattice
+    shares, the run's ``log``, the resolution ``m`` it grows at, the
+    ``sweep`` of phases run there, the ``status`` a run ended in, and the
+    parents ``expanded`` so far (a basis set), so phases pick fresh ones."""
 
     def __init__(self, mother: MotherWavelet, grid: CenterGrid):
-        self.model = WaveletModel.zeros(mother, [])
+        self.model = WaveletModel.zeros(
+            mother, basis_set(grid.m, np.zeros((0, grid.dim), int)))
         self.grid = grid
         self.log = TrainLog()
         self.m = grid.m
         self.sweep = 0
         self.status = None
-        self.expanded = defaultdict(set)
+        self.expanded = self.model.bases
 
     def fork(self) -> "WaveletPool":
         """A pool that grows on from this one's state and leaves it as it
-        is: its own copies of the model's bases and coefficients, of the
-        log (``TrainLog.fork``) and of the expanded sets."""
+        is: its own coefficients and log (``TrainLog.fork``); the basis
+        sets it shares are replaced as a run grows, never written into."""
         twin = copy.copy(self)
-        twin.model = replace(self.model, bases=list(self.model.bases),
-                             coeffs=self.model.coeffs.copy())
+        twin.model = replace(self.model, coeffs=self.model.coeffs.copy())
         twin.log = self.log.fork()
-        twin.expanded = defaultdict(set, {m: set(parents) for m, parents
-                                          in self.expanded.items()})
         return twin
 
     @property
@@ -103,12 +101,12 @@ class WaveletPool:
     def finest_m(self) -> int:
         """The finest resolution of the pool's bases, where ``run_growth``
         resumes it."""
-        return max(b.m for b in self.model.bases)
+        return int(self.model.bases[:, RES].max())
 
-    def add_bases(self, bases) -> list:
-        """Append the elements the model lacks (first occurrence kept)."""
-        have = set(self.model.bases)
-        new = [b for b in dict.fromkeys(bases) if b not in have]
+    def add_bases(self, bases) -> np.ndarray:
+        """Append the rows of the basis set ``bases`` that the model lacks
+        (first occurrence kept); returns them as a basis set."""
+        new = bases[_fresh(bases, self.model.bases)]
         self.model.append_bases(new)
         return new
 
@@ -116,54 +114,45 @@ class WaveletPool:
         """Add the full scaling and detail grids at resolution ``m``;
         returns how many elements were new."""
         grid = self.grid.at(m)
-        return len(self.add_bases(grid.bases(BasisKind.SCALING))
-                   + self.add_bases(grid.bases(BasisKind.WAVELET)))
-
-    def detail_items(self, m: int):
-        """(index, coefficient) pairs for detail elements at resolution m,
-        in model order."""
-        return [(b, c) for b, c in zip(self.model.bases,
-                                       self.model.coeffs.tolist())
-                if b.kind is BasisKind.WAVELET and b.m == m]
+        return (len(self.add_bases(grid.bases(BasisKind.SCALING)))
+                + len(self.add_bases(grid.bases(BasisKind.WAVELET))))
 
 
-def select_high_energy(pool: WaveletPool, m: int, mu_up: float, exclude=frozenset()):
+def select_high_energy(pool: WaveletPool, m: int, mu_up: float,
+                       exclude=None) -> np.ndarray:
     """Highest-energy detail elements at resolution ``m`` holding a
-    ``mu_up`` fraction of the level's total energy.
+    ``mu_up`` fraction of the level's total energy, in rank order.
 
-    Elements already used as parents (``exclude``) are skipped but still
-    count toward the total, so successive phases with growing ``mu_up``
-    reach deeper into the energy ranking.  Zero-energy elements are never
-    selected.  Ordering ties break on the index itself, so selection is
-    deterministic.
+    Elements already used as parents (rows of the basis set ``exclude``)
+    are skipped but still count toward the total, so successive phases
+    with growing ``mu_up`` reach deeper into the energy ranking.
+    Zero-energy elements are never selected.  Ordering ties break on the
+    translation, so selection is deterministic.
     """
-    items = pool.detail_items(m)
-    norm = pool.model.mother.norm_sq
-    energies = {b: c * c * norm for b, c in items}
-    total = sum(energies.values())
-    target = mu_up * total
-    ranked = sorted(items, key=lambda bc: (-energies[bc[0]], bc[0].sort_key()))
-    chosen = []
-    acc = 0.0
-    for b, _ in ranked:
-        if acc >= target - 1e-12 * max(total, 1e-300):
-            break
-        e = energies[b]
-        if e == 0.0 or b in exclude:
-            continue
-        chosen.append(b)
-        acc += e
-    return chosen
+    bases = pool.model.bases
+    at = (bases[:, KIND] == BasisKind.WAVELET) & (bases[:, RES] == m)
+    level, c = bases[at], pool.model.coeffs[at]
+    energy = c * c * pool.model.mother.norm_sq
+    # sums add one energy at a time, in model and in rank order
+    total = np.cumsum(np.append(0.0, energy))[-1]
+    order = np.lexsort((*level[:, TRANS].T[::-1], -energy))
+    level, energy = level[order], energy[order]
+    take = (energy != 0.0) & _fresh(level, exclude)
+    # the energy held before each element never falls, so the elements
+    # taken below the target are a prefix of the ranking's
+    before = np.cumsum(np.append(0.0, np.where(take, energy, 0.0)))[:-1]
+    return level[take & (before < mu_up * total
+                         - 1e-12 * max(total, 1e-300))]
 
 
 def expand_into_next(pool: WaveletPool, parents):
     """Add the children of each parent one resolution finer; returns the
     newly created elements (zero coefficients, predictions unchanged).
     Parents on more than one resolution raise ``GridError``."""
-    if not parents:
-        return []
-    return pool.add_bases(children_centers(parents,
-                                           pool.grid.at(parents[0].m + 1)))
+    if not len(parents):
+        return parents
+    return pool.add_bases(children_centers(
+        parents, pool.grid.at(int(parents[0, RES]) + 1)))
 
 
 def _start(pool: WaveletPool, config: GrowthConfig,
@@ -172,14 +161,14 @@ def _start(pool: WaveletPool, config: GrowthConfig,
     ``seed`` event); with ``resume``, a pool that holds bases continues at
     its finest basis resolution with a fresh schedule.  Any other pool,
     or one above ``config.max_resolution``, is a ValueError."""
-    if pool.model.bases:
+    if len(pool.model.bases):
         if not resume:
             raise ValueError("this run starts from an empty pool")
         pool.m, pool.sweep = pool.finest_m, 0
     if pool.m > config.max_resolution:
         raise ValueError(f"the pool is at resolution {pool.m}, above "
                          f"max_resolution {config.max_resolution}")
-    if not pool.model.bases:
+    if not len(pool.model.bases):
         pool.log.add_event("seed", pool.m, pool.ensure_level(pool.m))
     return pool
 
@@ -204,9 +193,9 @@ def _grow(pool: WaveletPool, config: GrowthConfig,
     if not whole_levels and pool.sweep < config.n_phases:
         pool.sweep += 1
         mu_up = 1.0 if pool.sweep == config.n_phases else pool.sweep * config.mu
-        parents = select_high_energy(pool, m, mu_up, pool.expanded[m])
+        parents = select_high_energy(pool, m, mu_up, pool.expanded)
         new = expand_into_next(pool, parents)
-        pool.expanded[m].update(parents)
+        pool.expanded = np.concatenate([pool.expanded, parents])
         pool.log.add_event("expand", m, len(new))
         return True
     pool.m, pool.sweep = m + 1, 0

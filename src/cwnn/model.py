@@ -47,8 +47,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wavelets import (BasisIndex, BasisKind, MotherWavelet, WaveletFamily,
-                       _each_tile, _row_chunks, basis_matrix)
+from .wavelets import (KIND, RES, TRANS, BasisKind, MotherWavelet,
+                       WaveletFamily, _each_tile, _row_chunks, basis_matrix,
+                       basis_set)
 
 # coefficients beyond this magnitude are treated as divergence
 DIVERGENCE_LIMIT = 1e12
@@ -67,18 +68,18 @@ class TrainingDivergence(RuntimeError):
 
 @dataclass
 class WaveletModel:
-    """Weighted sum of basis elements.  ``scaling`` is the min-max record
-    of the data the model was fitted on (see ``datasets.minmax_scale``),
-    kept so a saved model can map its outputs back to original units."""
+    """Weighted sum of a basis set's elements; an append replaces the set.
+    ``scaling`` is the min-max record of the data it was fitted on (see
+    ``datasets.minmax_scale``), so a saved model maps back to its units."""
 
     mother: MotherWavelet
-    bases: list
+    bases: np.ndarray
     coeffs: np.ndarray
     scaling: dict | None = None
 
     @classmethod
     def zeros(cls, mother: MotherWavelet, bases) -> "WaveletModel":
-        return cls(mother, list(bases), np.zeros(len(bases)))
+        return cls(mother, bases, np.zeros(len(bases)))
 
     @property
     def n_params(self) -> int:
@@ -92,8 +93,8 @@ class WaveletModel:
         return float(out[0]) if single else out
 
     def append_bases(self, new_bases) -> None:
-        """Add elements with zero coefficient (predictions unchanged)."""
-        self.bases.extend(new_bases)
+        """Add a basis set with zero coefficients (predictions unchanged)."""
+        self.bases = np.concatenate([self.bases, new_bases])
         self.coeffs = np.concatenate([self.coeffs, np.zeros(len(new_bases))])
 
     def to_dict(self) -> dict:
@@ -101,8 +102,9 @@ class WaveletModel:
             "family": self.mother.family.value,
             "dim": self.mother.dim,
             "bases": [
-                {"kind": b.kind.value, "m": b.m, "n": list(b.n), "c": float(c)}
-                for b, c in zip(self.bases, self.coeffs)
+                {"kind": BasisKind(b[KIND]).name.lower(), "m": b[RES],
+                 "n": b[TRANS], "c": c}
+                for b, c in zip(self.bases.tolist(), self.coeffs.tolist())
             ],
         }
         if self.scaling is not None:
@@ -112,10 +114,11 @@ class WaveletModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "WaveletModel":
         mother = MotherWavelet(WaveletFamily(payload["family"]), int(payload["dim"]))
-        bases = [BasisIndex(int(e["m"]), tuple(int(v) for v in e["n"]),
-                            BasisKind(e["kind"]))
-                 for e in payload["bases"]]
-        coeffs = np.array([float(e["c"]) for e in payload["bases"]])
+        entries = payload["bases"]
+        n = np.reshape([e["n"] for e in entries], (-1, mother.dim))
+        bases = basis_set([e["m"] for e in entries], n,
+                          [BasisKind[e["kind"].upper()] for e in entries])
+        coeffs = np.array([float(e["c"]) for e in entries])
         return cls(mother, bases, coeffs, payload.get("scaling"))
 
     def save(self, path) -> None:
@@ -205,7 +208,7 @@ class Design:
         self.y = np.asarray(y, dtype=float)
         if self.y.size == 0:
             raise ValueError("empty batch")
-        self.bases = []
+        self.bases = np.empty((0, 0), np.int32)
         self.blocks = []
         self.gram = np.empty((0, 0))
         self.b = np.empty(0)
@@ -216,10 +219,10 @@ class Design:
         last sync as one new block and border G and b with them, summed
         by row chunk (see the module docstring)."""
         p_old = len(self.bases)
-        if model.bases[:p_old] != self.bases:
+        if p_old and not np.array_equal(model.bases[:p_old], self.bases):
             raise ValueError("the model's bases do not extend the design's")
         new_bases = model.bases[p_old:]
-        if not new_bases:
+        if not len(new_bases):
             return
         new = basis_matrix(model.mother, new_bases, self.X)
         if self.gram is not None and model.n_params <= self.y.size:
@@ -246,16 +249,15 @@ class Design:
         else:
             self.gram = self.b = None
         self.blocks.append(new)
-        self.bases.extend(new_bases)
+        self.bases = model.bases
 
     def fork(self) -> "Design":
         """A design of the same data that syncs on from this one's columns
-        and leaves it as it is.  It has its own ``bases`` and ``blocks``
-        lists but shares the block arrays, which nothing writes after the
-        sync that made them, and G, b and y^T y, which a sync replaces
-        and never writes into."""
+        and leaves it as it is.  It has its own ``blocks`` list; the block
+        arrays, which no later sync writes, and the basis set, G, b and
+        y^T y, which a sync replaces and never writes into, it shares."""
         twin = copy.copy(self)
-        twin.bases, twin.blocks = list(self.bases), list(self.blocks)
+        twin.blocks = list(self.blocks)
         return twin
 
     def objective(self, c):

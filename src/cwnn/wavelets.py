@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import os
 import threading
@@ -66,29 +65,41 @@ class WaveletFamily(enum.Enum):
     SINC = "sinc"
 
 
-class BasisKind(enum.Enum):
-    WAVELET = "wavelet"    # band-pass element of a detail subspace W_m
-    SCALING = "scaling"    # low-pass companion spanning V_m
+class BasisKind(enum.IntEnum):
+    WAVELET = 0    # band-pass element of a detail subspace W_m
+    SCALING = 1    # low-pass companion spanning V_m
 
 
 class GridError(ValueError):
     """Raised when a translation-center grid is empty or inconsistent."""
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Dyadic index (resolution m, integer translation n, band kind)."""
+# A basis set is one (p, 2 + d) integer array, a row per element in the
+# set's order: its kind code (a BasisKind), its resolution m and its
+# translation n, read by these names.  A single element is one row.
+KIND, RES, TRANS = 0, 1, slice(2, None)
 
-    m: int
-    n: tuple
-    kind: BasisKind = BasisKind.WAVELET
 
-    def center(self) -> np.ndarray:
-        """Translation center 2**-m * n in input coordinates."""
-        return np.asarray(self.n, dtype=float) * 2.0 ** (-self.m)
+def basis_set(m, n, kind=BasisKind.WAVELET) -> np.ndarray:
+    """The basis set of the (p, d) integer translations ``n`` at the
+    resolution ``m`` and kind ``kind``, each one value or one per row."""
+    n = np.asarray(n)
+    out = np.empty((len(n), 2 + n.shape[1]), np.int32)
+    out[:, KIND], out[:, RES], out[:, TRANS] = kind, m, n
+    if not np.array_equal(out[:, TRANS], n):
+        raise ValueError("translations must be integers of at most 31 bits")
+    return out
 
-    def sort_key(self):
-        return (self.kind.value, self.m, self.n)
+
+def _fresh(bases, seen=None) -> np.ndarray:
+    """Mask of the rows of ``bases`` held by neither ``seen`` nor an
+    earlier row; both are basis sets."""
+    both = np.ascontiguousarray(bases if seen is None
+                                else np.concatenate([seen, bases]))
+    keys = both.view(np.dtype((np.void, both.itemsize * both.shape[1])))
+    first = np.zeros(len(both), bool)
+    first[np.unique(keys[:, 0], return_index=True)[1]] = True
+    return first[len(both) - len(bases):]
 
 
 def surface_area(dim: int) -> float:
@@ -232,9 +243,8 @@ class MotherWavelet:
         return surface_area(d) * (math.pi / 2) * (2 ** d - 1) / d
 
 
-def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
-    """Evaluate one dilated/translated element at ``x`` through
-    :func:`basis_matrix`.
+def eval_basis(mother: MotherWavelet, index, x) -> np.ndarray:
+    """Evaluate one element (a basis set's row) through :func:`basis_matrix`.
 
     ``x`` may be a single point of shape (dim,) or a batch (..., dim);
     the result drops the last axis (a single point gives a scalar).
@@ -243,7 +253,7 @@ def eval_basis(mother: MotherWavelet, index: BasisIndex, x) -> np.ndarray:
     if x.shape[-1] != mother.dim:
         raise ValueError(f"points have {x.shape[-1]} components, "
                          f"mother expects {mother.dim}")
-    col = basis_matrix(mother, [index], x.reshape(-1, mother.dim))[:, 0]
+    col = basis_matrix(mother, index[None], x.reshape(-1, mother.dim))[:, 0]
     return col.reshape(x.shape[:-1])[()]
 
 
@@ -295,25 +305,15 @@ def _row_chunks(n: int) -> list:
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def _translations(run, dim: int) -> np.ndarray:
-    """The translations of a run of bases as a (len(run), dim) float
-    array."""
-    centers = np.array([b.n for b in run], dtype=float)
-    if centers.shape[1:] != (dim,):
-        raise ValueError(f"a translation at resolution {run[0].m} has the "
-                         f"wrong length; mother expects {dim}")
-    return centers
-
-
 def _offset_shapes(mother: MotherWavelet, kind: BasisKind, X, m: int, run):
     """Shapes of a run's columns ``lo:hi`` at rows ``s`` of ``X``, from
     one (rows, hi - lo) offset array per input axis, the slices of one
-    (dim, rows, hi - lo) array built by one subtraction.  Each block
-    converts its own translations."""
+    (dim, rows, hi - lo) array built by one subtraction from the run's
+    integer translations."""
     scale = 2.0 ** m
 
     def shapes(lo, hi):
-        centers = _translations(run[lo:hi], X.shape[1]).T[:, None, :]
+        centers = run[lo:hi].T[:, None, :]
         return lambda s: mother._eval_kind(
             kind, np.subtract((X[s] * scale).T[:, :, None], centers,
                               order="C"))
@@ -322,7 +322,7 @@ def _offset_shapes(mother: MotherWavelet, kind: BasisKind, X, m: int, run):
 
 def _sinc_companions(X, m: int, run):
     """Sinc companions ``prod_k sinc(2^m x_k - n_k)`` of a run's columns
-    ``lo:hi`` at rows ``s`` of ``X``.
+    ``lo:hi`` at rows ``s`` of ``X``; ``run`` holds their translations.
 
     Each axis's factor is evaluated once per row of ``X`` and distinct
     ``n_k`` into a table, in place but with ``np.sinc``'s steps:
@@ -331,10 +331,9 @@ def _sinc_companions(X, m: int, run):
     multiplies them in axis order, so every value is the per-cell
     ``np.sinc`` product bit for bit.
     """
-    centers = _translations(run, X.shape[1])
     tables, which = [], []
     for k in range(X.shape[1]):
-        u, inv = np.unique(centers[:, k], return_inverse=True)
+        u, inv = np.unique(run[:, k], return_inverse=True)
         t = np.subtract.outer(X[:, k] * 2.0 ** m, u)
         t /= np.pi
         t *= np.pi
@@ -376,8 +375,9 @@ def _tiles(mother: MotherWavelet, bases, X):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
-    if d != mother.dim:
-        raise ValueError(f"X has dim {d}, mother expects {mother.dim}")
+    if d != mother.dim or bases.shape[1] != 2 + d:
+        raise ValueError(f"X has dim {d} and the translations "
+                         f"{bases.shape[1] - 2}; mother expects {mother.dim}")
     chunks = _row_chunks(n)
     # offset elements of one column over the tallest chunk
     column = max(1, -(-n // len(chunks)) * d)
@@ -385,8 +385,10 @@ def _tiles(mother: MotherWavelet, bases, X):
     tall = len(chunks) > 1 and width < _BLOCK_COLS
     tasks = []
     start = 0
-    for (kind, m), group in itertools.groupby(bases, lambda b: (b.kind, b.m)):
-        run = list(group)
+    ends = 1 + np.flatnonzero(np.diff(bases[:, [KIND, RES]], axis=0).any(1))
+    for group in np.split(bases, ends) if len(bases) else []:
+        kind, m = BasisKind(group[0, KIND]), int(group[0, RES])
+        run = group[:, TRANS]
         # blocks whose sizes differ by at most one: at most width
         # columns each, or at least _BLOCK_COLS in a tall design
         k = max(1, len(run) // _BLOCK_COLS) if tall else -(-len(run) // width)
@@ -525,9 +527,10 @@ def basis_matrix_tdot(mother: MotherWavelet, bases, X, y) -> np.ndarray:
 
 
 def lattice_bases(m: int, axes, kind: BasisKind = BasisKind.WAVELET):
-    """Elements at resolution ``m`` translated over the product of the
-    per-axis integer ranges ``axes``, last axis fastest."""
-    return [BasisIndex(m, n, kind) for n in itertools.product(*axes)]
+    """The basis set at resolution ``m`` translated over the product of
+    the per-axis integer ranges ``axes``, last axis fastest."""
+    grids = np.meshgrid(*map(np.asarray, axes), indexing="ij", copy=False)
+    return basis_set(m, np.stack(grids, -1).reshape(-1, len(axes)), kind)
 
 
 @dataclass(frozen=True)
@@ -546,13 +549,10 @@ class CenterGrid:
 
     @property
     def count(self) -> int:
-        c = 1
-        for lo, hi in zip(self.n_lo, self.n_hi):
-            c *= hi - lo + 1
-        return c
+        return math.prod(hi - lo + 1 for lo, hi in zip(self.n_lo, self.n_hi))
 
     def bases(self, kind: BasisKind = BasisKind.WAVELET):
-        """All grid elements as a lexicographically ordered index list."""
+        """All grid elements as a basis set in lexicographic order."""
         return lattice_bases(self.m, [range(lo, hi + 1) for lo, hi
                                       in zip(self.n_lo, self.n_hi)], kind)
 
@@ -605,22 +605,19 @@ def children_centers(parents, fine_grid: CenterGrid):
     single point gives one.  A parent's children are the product over
     axes of these pairs, last axis fastest (``np.ndindex`` order), up to
     2**d of them, and across parents the first occurrence is kept.
-    Integer arithmetic only.
+    Integer arithmetic only, on the whole basis set at once.
     """
-    children = {}
-    for p in parents:
-        if p.m != fine_grid.m - 1:
-            raise GridError(f"fine grid at m={fine_grid.m} is not one level "
-                            f"below parent at m={p.m}")
-        per_axis = []
-        for nk, lo, hi in zip(p.n, fine_grid.n_lo, fine_grid.n_hi):
-            a = min(max(2 * int(nk), lo), hi)
-            if a - 1 >= lo:
-                per_axis.append((a, a - 1))
-            elif a + 1 <= hi:
-                per_axis.append((a, a + 1))
-            else:
-                per_axis.append((a,))
-        for n in itertools.product(*per_axis):
-            children.setdefault(n, None)
-    return [BasisIndex(fine_grid.m, n, BasisKind.WAVELET) for n in children]
+    stray = parents[parents[:, RES] != fine_grid.m - 1]
+    if len(stray):
+        raise GridError(f"fine grid at m={fine_grid.m} is not one level "
+                        f"below parent at m={stray[0, RES]}")
+    d = fine_grid.dim
+    lo, hi = np.array(fine_grid.n_lo), np.array(fine_grid.n_hi)
+    near = np.clip(2 * parents[:, TRANS].astype(np.int64), lo, hi)
+    # on a one-point axis the second point is the first again, and the
+    # repeated products go with the first occurrences
+    far = np.where(near > lo, near - 1, np.minimum(near + 1, hi))
+    pick = np.indices((2,) * d, dtype=bool).reshape(d, -1).T
+    kids = basis_set(fine_grid.m, np.where(pick, far[:, None], near[:, None])
+                     .reshape(-1, d))
+    return kids[_fresh(kids)]

@@ -22,8 +22,8 @@ from cwnn.frequency import (alpha_from_epsilon, ema_update,
                             estimate_initial_resolution)
 from cwnn.model import WaveletModel, loss
 from cwnn.datasets import gen_example1
-from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
-                           build_center_grid, eval_basis)
+from cwnn.wavelets import (TRANS, BasisKind, MotherWavelet, basis_matrix,
+                           basis_set, build_center_grid, eval_basis)
 from quadrature_oracle import adaptive_integral
 
 
@@ -144,9 +144,8 @@ def test_criterion_5_energy_unimodality(capsys):
 def test_criterion_6_coefficient_decay(capsys):
     mother = MotherWavelet.sinc(1)
     box = TimeFrequencyBox(T=(1.0,), t_eps=(1,), m0=4, m1=0)
-    parts = [(1.0, BasisIndex(2, (-1,), BasisKind.WAVELET)),
-             (-0.7, BasisIndex(2, (0,), BasisKind.WAVELET)),
-             (0.4, BasisIndex(2, (3,), BasisKind.WAVELET))]
+    parts = list(zip((1.0, -0.7, 0.4),
+                     basis_set(2, [(-1,), (0,), (3,)], BasisKind.WAVELET)))
     indices = scan_indices(box, m_pad=2)
     rep = decay_report(parts, mother, box, indices)
     ok = rep.ratio < 1e-3 and rep.max_inside > 0.1
@@ -175,7 +174,8 @@ def test_criterion_7_numerical_identities(capsys):
         seen = set()
         while len(seen) < k:
             seen.add((int(rng.integers(0, 4)), int(rng.integers(-4, 9))))
-        bases = [BasisIndex(m, (n,), BasisKind.WAVELET) for m, n in sorted(seen)]
+        bases = basis_set([m for m, _ in sorted(seen)],
+                          [(n,) for _, n in sorted(seen)], BasisKind.WAVELET)
         model = WaveletModel(mh, bases, rng.standard_normal(k))
         X = rng.uniform(-1.0, 2.0, size=(12, 1))
         y = rng.standard_normal(12)
@@ -203,10 +203,10 @@ def test_criterion_7_numerical_identities(capsys):
         want = mother.norm_sq
         for m in (-1, 0, 1, 2, 3):
             n = tuple(int(v) for v in rng.integers(-2, 3, size=dim))
-            b = BasisIndex(m, n, BasisKind.WAVELET)
+            b = basis_set(m, [n], BasisKind.WAVELET)[0]
             # the Mexican hat is below 1e-15 past radius 9 (mother units)
-            lows = b.center() - 9.0 * 2.0 ** -m
-            highs = b.center() + 9.0 * 2.0 ** -m
+            lows = b[TRANS] * 2.0 ** -m - 9.0 * 2.0 ** -m
+            highs = b[TRANS] * 2.0 ** -m + 9.0 * 2.0 ** -m
 
             def sq(pts, b=b, mother=mother):
                 v = eval_basis(mother, b, pts)

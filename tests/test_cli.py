@@ -15,6 +15,7 @@ import pytest
 import cwnn.cli as cli
 from cwnn.datasets import Dataset, load_csv, minmax_unscale, split
 from cwnn.model import Design, TrainingDivergence, WaveletModel
+from cwnn.wavelets import RES
 
 
 @pytest.fixture()
@@ -113,6 +114,40 @@ def test_config_list_entry_of_the_wrong_kind_exits_2(out_root, tmp_path,
     err = capsys.readouterr().err
     assert f"field {field!r} must be {kind}," in err
     assert "Traceback" not in err and not run.exists()
+
+
+_NON_FINITE = [
+    ("fit", ["--epsilon", "inf", "--max-iters", "3"], None),
+    ("online", ["--epsilon", "inf"], None),
+    ("fit", ["--clamp-low", "nan,nan"], None),
+    ("fit", ["--margin", "nan"], None),
+    ("fit", ["--domain-low", "nan,0"], None),
+    ("estimate-freq", ["--kappa", "nan"], None),
+    ("fit", ["--learning-rate", "nan"], None),
+    ("sweep", ["--mu-list", "1/2,-inf"], None),
+    ("fit", [], '{"zeta": NaN}'),
+    ("fit", [], '{"domain_high": [1.0, Infinity]}'),
+]
+
+
+@pytest.mark.parametrize("command, flags, payload", _NON_FINITE,
+                         ids=[" ".join(f) or p for _, f, p in _NON_FINITE])
+def test_a_setting_that_is_not_finite_exits_2(out_root, tmp_path, capsys,
+                                              command, flags, payload):
+    # float() reads nan and inf, and json.load NaN and Infinity; every
+    # number such a setting holds, a list's entries too, must be finite
+    # before the run directory exists
+    args = [command, "--preset", "example1-d1", *flags]
+    if payload is not None:
+        cfg = tmp_path / "nonfinite.json"
+        cfg.write_text(payload)
+        args += ["--config", str(cfg)]
+    run = out_root / "nf"
+    rc = cli.main(args + ["--out", str(run)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+    assert not run.exists()
 
 
 def test_config_values_of_the_right_kind_resolve(tmp_path):
@@ -289,7 +324,7 @@ def test_baseline_seeds_at_its_start_or_a_lower_cap(out_root, capsys, cap):
     events = read_json(run / "summary.json")["baseline"]["events"]
     assert events[0][1:3] == ["seed", min(cli.BASELINE_START_M, cap)]
     model = WaveletModel.load(run / "baseline_model.json")
-    assert max(b.m for b in model.bases) <= cap
+    assert model.bases[:, RES].max() <= cap
 
 
 def test_generated_run_dirs_do_not_collide(out_root, capsys):

@@ -8,7 +8,8 @@ import pytest
 
 from cwnn.diagnostics import (DecayReport, TimeFrequencyBox, count_peaks,
                               decay_report, gram, scan_indices)
-from cwnn.wavelets import BasisIndex, BasisKind, MotherWavelet, eval_basis
+from cwnn.wavelets import (KIND, RES, TRANS, BasisKind, MotherWavelet,
+                           basis_set, eval_basis)
 from quadrature_oracle import adaptive_integral
 
 MH1 = MotherWavelet.mexican_hat(1)
@@ -16,7 +17,8 @@ SC1 = MotherWavelet.sinc(1)
 
 
 def w_index(m, n):
-    return BasisIndex(m, n if isinstance(n, tuple) else (n,), BasisKind.WAVELET)
+    """One wavelet element, a basis set's row."""
+    return basis_set(m, [n if isinstance(n, tuple) else (n,)])[0]
 
 
 BOX = TimeFrequencyBox(T=(1.0,), t_eps=(1,), m0=4, m1=0)
@@ -43,20 +45,20 @@ def test_box_membership_rule():
 
 def test_box_dim_mismatch():
     with pytest.raises(ValueError):
-        BOX.contains(BasisIndex(2, (0, 0), BasisKind.WAVELET))
+        BOX.contains(w_index(2, (0, 0)))
 
 
 def test_scan_indices_shape():
     idx = scan_indices(BOX, m_pad=0)
-    ms = sorted({b.m for b in idx})
+    assert all(idx[:, KIND] == BasisKind.WAVELET)
+    ms = sorted(set(idx[:, RES].tolist()))
     assert ms == [1, 2, 3]  # interior resolutions only when unpadded
     for m in ms:
         lim = int(math.floor(2.0 ** m + 1))
-        ns = [b.n[0] for b in idx if b.m == m]
-        assert min(ns) == -lim and max(ns) == lim
-        assert len(ns) == 2 * lim + 1
+        ns = idx[idx[:, RES] == m, TRANS][:, 0].tolist()
+        assert ns == list(range(-lim, lim + 1))
     padded = scan_indices(BOX, m_pad=2)
-    assert sorted({b.m for b in padded}) == [-1, 0, 1, 2, 3, 4, 5]
+    assert sorted(set(padded[:, RES].tolist())) == [-1, 0, 1, 2, 3, 4, 5]
 
 
 # ------------------------------------------------------- inner products
@@ -72,7 +74,7 @@ def product_integral(mother, a, b, half, panels, **tol):
 def test_inner_product_recovers_norm():
     for mother in (MH1, SC1, MotherWavelet.mexican_hat(3),
                    MotherWavelet.sinc(2)):
-        b = BasisIndex(1, (2,) * mother.dim)
+        b = w_index(1, (2,) * mother.dim)
         assert gram(mother, b, b) == pytest.approx(mother.norm_sq,
                                                    rel=1e-14)
 
@@ -96,9 +98,9 @@ def test_gram_mexican_hat_matches_wide_window_quadrature():
         want = product_integral(MH1, a, b, 40.0, 512, rtol=1e-14, atol=0.0)
         assert abs(gram(MH1, a, b) - want) < 1e-12, (a, b)
     mh2 = MotherWavelet.mexican_hat(2)
-    for a, b in [(BasisIndex(0, (0, 0)), BasisIndex(0, (0, 0))),
-                 (BasisIndex(1, (1, 2)), BasisIndex(0, (0, 1))),
-                 (BasisIndex(2, (-1, 0)), BasisIndex(1, (1, 1)))]:
+    for a, b in [(w_index(0, (0, 0)), w_index(0, (0, 0))),
+                 (w_index(1, (1, 2)), w_index(0, (0, 1))),
+                 (w_index(2, (-1, 0)), w_index(1, (1, 1)))]:
         want = product_integral(mh2, a, b, 12.0, 48, rtol=1e-13, atol=0.0,
                                 max_doublings=3)
         assert abs(gram(mh2, a, b) - want) < 1e-12, (a, b)
@@ -123,7 +125,7 @@ def test_gram_sinc_levels_orthogonal():
     for mother in (SC1, MotherWavelet.sinc(2)):
         d = mother.dim
         for ma, mb in [(0, 1), (1, 3), (-1, 2)]:
-            a, b = BasisIndex(ma, (1,) * d), BasisIndex(mb, (0,) * d)
+            a, b = w_index(ma, (1,) * d), w_index(mb, (0,) * d)
             assert gram(mother, a, b) == 0.0
     # one level: the mother's own profile at the integer offset, times pi
     assert gram(SC1, w_index(2, 3), w_index(2, 1)) == pytest.approx(
@@ -136,20 +138,21 @@ def test_gram_is_symmetric():
             a, b = w_index(ma, na), w_index(mb, nb)
             assert gram(mother, a, b) == gram(mother, b, a)
     for mother in (MotherWavelet.mexican_hat(2), MotherWavelet.sinc(2)):
-        a, b = BasisIndex(1, (1, -2)), BasisIndex(1, (3, 0))
+        a, b = w_index(1, (1, -2)), w_index(1, (3, 0))
         assert gram(mother, a, b) == gram(mother, b, a)
 
 
 def test_gram_rejects_companions():
     with pytest.raises(ValueError):
-        gram(MH1, w_index(0, 0), BasisIndex(0, (0,), BasisKind.SCALING))
+        gram(MH1, w_index(0, 0), basis_set(0, [(0,)], BasisKind.SCALING)[0])
 
 
 # ------------------------------------------------------------ decay scan
 
 def test_decay_report_partition_and_csv(tmp_path):
     b = w_index(2, 0)
-    idx = [w_index(2, 0), w_index(2, 5), w_index(2, 6), w_index(5, 0)]
+    idx = np.array([w_index(2, 0), w_index(2, 5), w_index(2, 6),
+                    w_index(5, 0)])
     rep = decay_report([(1.0, b)], MH1, BOX, idx)
     flags = [inside for _, inside, _ in rep.rows]
     assert flags == [True, True, False, False]
@@ -166,7 +169,7 @@ def test_decay_report_partition_and_csv(tmp_path):
 def test_decay_report_sums_the_target_parts():
     parts = [(1.0, w_index(2, -1)), (-0.7, w_index(2, 0)),
              (0.4, w_index(3, 3))]
-    idx = [w_index(2, 0), w_index(3, 1), w_index(1, 0)]
+    idx = np.array([w_index(2, 0), w_index(3, 1), w_index(1, 0)])
     rep = decay_report(parts, MH1, BOX, idx)
     for index, _, coef in rep.rows:
         want = sum(c * gram(MH1, index, b) for c, b in parts)

@@ -12,7 +12,7 @@ from cwnn.frequency import (alpha_from_epsilon, ema_update,
                             estimate_subspace_energy, subsample_centers)
 from cwnn.model import (Design, TrainLog, TrainingDivergence, WaveletModel,
                         train_to_plateau)
-from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet,
+from cwnn.wavelets import (RES, TRANS, MotherWavelet, basis_set,
                            build_center_grid, eval_basis, lattice_bases)
 
 
@@ -45,7 +45,7 @@ def test_ema_rejects_bad_position_and_alpha():
 
 def test_energy_zero_targets():
     mh = MotherWavelet.mexican_hat(1)
-    bases = [BasisIndex(1, (n,), BasisKind.WAVELET) for n in range(3)]
+    bases = basis_set(1, [(n,) for n in range(3)])
     X = np.linspace(0, 1, 10).reshape(-1, 1)
     e, coeffs = estimate_subspace_energy(mh, bases, X, np.zeros(10), 0.5)
     assert e == 0.0
@@ -56,7 +56,7 @@ def test_energy_single_sample_hand_case():
     # one update from zero: c = lr * 2 * y * psi(x); at the center of an
     # m=0 element psi(x)=1, so with lr=0.5, y=1 the energy is ||psi||^2
     mh = MotherWavelet.mexican_hat(1)
-    b = [BasisIndex(0, (0,), BasisKind.WAVELET)]
+    b = basis_set(0, [(0,)])
     e, coeffs = estimate_subspace_energy(mh, b, [[0.0]], [1.0], 0.5)
     assert coeffs[0] == pytest.approx(1.0)
     assert e == pytest.approx(mh.norm_sq, rel=1e-9)
@@ -105,10 +105,11 @@ def test_probe_scratch_stays_within_the_per_worker_bound(monkeypatch):
     # axes, whose psi would be 26 MB.  A serial probe never holds it: it
     # stays within the bound the _BLOCK_ELEMS comment gives a worker of
     # the psi^T y path, one slab's scratch (4 * _BLOCK_ELEMS doubles)
-    # plus its block's values (rows x columns), on top of the run's list
-    # of bases, the partial sums and a few kilobytes of bookkeeping (1.7
-    # MB in all, against a bound of 2.5 MB; each block converts its own
-    # translations, so no (p, d) array of them is held)
+    # plus its block's values (rows x columns), on top of one pointer per
+    # basis, the partial sums and a few kilobytes of bookkeeping (1.7
+    # MB in all, against a bound of 2.5 MB; each block's offsets come
+    # from its own rows of the basis set, so no (p, d) float array of
+    # translations is held)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     mother = MotherWavelet.sinc(2)
     bases = lattice_bases(6, [range(-8, 73), range(-8, 73)])
@@ -129,7 +130,8 @@ def test_probe_scratch_stays_within_the_per_worker_bound(monkeypatch):
 
 def test_energy_empty_bases():
     mh = MotherWavelet.mexican_hat(1)
-    e, coeffs = estimate_subspace_energy(mh, [], [[0.0]], [1.0], 0.5)
+    e, coeffs = estimate_subspace_energy(mh, lattice_bases(0, [range(0)]),
+                                         [[0.0]], [1.0], 0.5)
     assert e == 0.0 and coeffs.size == 0
 
 
@@ -139,7 +141,8 @@ def test_subsample_whole_grid_fraction():
                           clamp_low=[0.0, 0.0])
     kept = subsample_centers(g, 0.36)
     assert len(kept) == 9
-    centers = {tuple(b.center()) for b in kept}
+    centers = set(map(tuple, (kept[:, TRANS] * 2.0 ** -kept[:, RES, None])
+                      .tolist()))
     assert centers == {(a, b) for a in (0.0, 1.0, 2.0) for b in (0.0, 1.0, 2.0)}
 
 
@@ -150,8 +153,8 @@ def test_subsample_per_dimension_fraction():
     assert g.count == 27
     kept = subsample_centers(g, 2.0 / 3.0)
     assert len(kept) == 8
-    assert {tuple(b.n) for b in kept} == {(a, b, c) for a in (0, 2)
-                                          for b in (0, 2) for c in (0, 2)}
+    assert set(map(tuple, kept[:, TRANS].tolist())) == {
+        (a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)}
 
 
 def test_subsample_full_grid():
@@ -173,7 +176,7 @@ def _band_dataset(m_peak=2, n=300, seed=1):
     X = rng.uniform(0.0, 1.0, size=(n, 1))
     y = np.zeros(n)
     for coef, k in ((0.9, 1), (-0.6, 2), (0.4, 3)):
-        y += coef * eval_basis(mh, BasisIndex(m_peak, (k,), BasisKind.WAVELET), X)
+        y += coef * eval_basis(mh, basis_set(m_peak, [(k,)])[0], X)
     return mh, X, y
 
 
@@ -215,7 +218,7 @@ def test_estimator_cap_warning():
     X = rng.uniform(0.0, 1.0, size=(300, 1))
     y = np.zeros(300)
     for coef, k in ((30.0, 20), (25.0, 33), (20.0, 45)):
-        y += coef * eval_basis(mh, BasisIndex(6, (k,), BasisKind.WAVELET), X)
+        y += coef * eval_basis(mh, basis_set(6, [(k,)])[0], X)
     grid = build_center_grid(1, [0.0], [1.0], margin=1.0, clamp_low=[0.0])
     res = estimate_initial_resolution(mh, X, y, grid, kappa=1.0, lr=5e-4,
                                       epsilon=0.01, m_cap=3)

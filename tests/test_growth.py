@@ -16,8 +16,10 @@ from cwnn.growth import (GrowthConfig, WaveletPool, expand_into_next,
                          run_seed_phase, select_high_energy)
 from cwnn.model import (DIVERGENCE_LIMIT, Design, TrainLog, TrainStatus,
                         TrainingDivergence, WaveletModel)
-from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
-                           build_center_grid, eval_basis)
+from cwnn.wavelets import (KIND, RES, TRANS, BasisKind, MotherWavelet,
+                           basis_matrix, basis_set, build_center_grid,
+                           eval_basis)
+from children_oracle import appended
 from divergence_oracle import check_finite
 
 MH1 = MotherWavelet.mexican_hat(1)
@@ -46,13 +48,30 @@ def empty_pool(high=2.0):
     return WaveletPool(MH1, build_center_grid(0, (0.0,), (high,), margin=0.0))
 
 
+def rows(bases):
+    """A basis set's rows as tuples, for comparisons."""
+    return [tuple(r) for r in bases.tolist()]
+
+
+def details(pool, m):
+    """The detail elements at resolution m, in model order, as a basis
+    set."""
+    b = pool.model.bases
+    return b[(b[:, KIND] == BasisKind.WAVELET) & (b[:, RES] == m)]
+
+
+def coeff(pool, b):
+    """The coefficient of the element ``b`` (a row or a tuple)."""
+    return pool.model.coeffs[rows(pool.model.bases).index(tuple(b))]
+
+
 def pool_with_energies(energies):
     """A pool whose m=1 detail coefficients realize the given energies."""
     pool = empty_pool()
     pool.ensure_level(1)
-    for (b, _), e in zip(pool.detail_items(1), energies):
-        pos = pool.model.bases.index(b)
-        pool.model.coeffs[pos] = np.sqrt(e / MH1.norm_sq)
+    for b, e in zip(rows(details(pool, 1)), energies):
+        pool.model.coeffs[rows(pool.model.bases).index(b)] = \
+            np.sqrt(e / MH1.norm_sq)
     return pool
 
 
@@ -92,92 +111,113 @@ def test_config_rejects_a_mu_that_is_no_positive_reciprocal(mu):
 def test_select_prefix_by_cumulative_energy():
     pool = pool_with_energies([4.0, 3.0, 2.0, 1.0])
     chosen = select_high_energy(pool, 1, 0.5)
-    es = sorted(round(pool.model.coeffs[pool.model.bases.index(b)] ** 2 * MH1.norm_sq)
-                for b in chosen)
+    es = sorted(round(coeff(pool, b) ** 2 * MH1.norm_sq) for b in chosen)
     assert es == [3, 4]  # 4 + 3 >= 0.5 * 10
 
 
 def test_select_all_at_full_fraction():
     pool = pool_with_energies([4.0, 3.0, 2.0, 1.0])
-    zero_free = [b for b, c in pool.detail_items(1) if c != 0.0]
-    assert set(select_high_energy(pool, 1, 1.0)) == set(zero_free)
+    zero_free = [b for b in rows(details(pool, 1)) if coeff(pool, b) != 0.0]
+    assert set(rows(select_high_energy(pool, 1, 1.0))) == set(zero_free)
 
 
 def test_select_with_exclusion():
     pool = pool_with_energies([4.0, 3.0, 2.0, 1.0])
-    top = select_high_energy(pool, 1, 0.5)[0]
-    chosen = select_high_energy(pool, 1, 0.5, exclude={top})
-    es = sorted(round(pool.model.coeffs[pool.model.bases.index(b)] ** 2 * MH1.norm_sq)
-                for b in chosen)
+    top = select_high_energy(pool, 1, 0.5)[:1]
+    chosen = select_high_energy(pool, 1, 0.5, exclude=top)
+    es = sorted(round(coeff(pool, b) ** 2 * MH1.norm_sq) for b in chosen)
     assert es == [2, 3]  # from [3,2,1] until cumulative >= 5
 
 
 def test_select_never_picks_zero_energy():
     pool = pool_with_energies([4.0, 0.0, 0.0, 1.0])
     chosen = select_high_energy(pool, 1, 1.0)
-    assert all(pool.model.coeffs[pool.model.bases.index(b)] != 0.0 for b in chosen)
+    assert all(coeff(pool, b) != 0.0 for b in chosen)
 
 
 def test_phases_never_repeat_parents_and_cover_level():
     pool = pool_with_energies([5.0, 4.0, 3.0, 2.0, 1.0])
     mu = 1 / 3
-    seen = set()
+    seen = pool.model.bases[:0]
     for k in range(1, 4):
         mu_up = 1.0 if k == 3 else k * mu
         batch = select_high_energy(pool, 1, mu_up, exclude=seen)
-        assert not (seen & set(batch))
-        seen |= set(batch)
-    nonzero = {b for b, c in pool.detail_items(1) if c != 0.0}
-    assert seen == nonzero
+        assert not (set(rows(seen)) & set(rows(batch)))
+        seen = np.concatenate([seen, batch])
+    nonzero = {b for b in rows(details(pool, 1)) if coeff(pool, b) != 0.0}
+    assert set(rows(seen)) == nonzero and len(seen) == len(nonzero)
 
 
 # ------------------------------------------------------------------- pool
 
-def test_detail_items_follow_the_model_after_repeated_adds():
+def test_selection_follows_the_model_after_repeated_adds():
     pool = empty_pool()
     level = pool.grid.at(1)
-    details = level.bases(BasisKind.WAVELET)
+    wavelets = level.bases(BasisKind.WAVELET)
     scaling = level.bases(BasisKind.SCALING)
-    assert pool.add_bases(details[::-1] + details[:2]) == details[::-1]
-    assert pool.add_bases(scaling + details[::2]) == scaling
-    assert pool.add_bases(details) == []
-    assert pool.model.bases == details[::-1] + scaling
+    assert rows(pool.add_bases(np.concatenate(
+        [wavelets[::-1], wavelets[:2]]))) == rows(wavelets[::-1])
+    assert rows(pool.add_bases(np.concatenate(
+        [scaling, wavelets[::2]]))) == rows(scaling)
+    assert rows(pool.add_bases(wavelets)) == []
+    assert rows(pool.model.bases) == rows(wavelets[::-1]) + rows(scaling)
+    # coefficients rise with the model position, so the ranking runs
+    # back through the reversed details
     pool.model.coeffs[:] = np.arange(pool.model.n_params) + 0.5
-    assert pool.detail_items(1) == [(b, i + 0.5)
-                                    for i, b in enumerate(details[::-1])]
-    assert pool.detail_items(2) == []
+    assert rows(select_high_energy(pool, 1, 1.0)) == rows(wavelets)
+    assert len(select_high_energy(pool, 2, 1.0)) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3))
+def test_add_bases_matches_the_dict_reference(data, d):
+    # batches with repeats, within a batch and of the model's elements,
+    # both kinds and a few resolutions: an append keeps each row's first
+    # occurrence and skips the rows the model already has
+    row = st.tuples(st.sampled_from(list(BasisKind)), st.integers(-1, 2),
+                    st.tuples(*[st.integers(-2, 2)] * d))
+    pool = WaveletPool(MotherWavelet.mexican_hat(d), build_center_grid(
+        0, (0.0,) * d, (1.0,) * d, margin=0.0))
+    for batch in data.draw(st.lists(st.lists(row, max_size=12),
+                                    max_size=4)):
+        bases = basis_set([m for _, m, _ in batch],
+                          np.reshape([n for _, _, n in batch], (-1, d)),
+                          [kind for kind, _, _ in batch])
+        had = rows(pool.model.bases)
+        want = appended(pool.model.bases, bases)
+        assert rows(pool.add_bases(bases)) == want
+        assert rows(pool.model.bases) == had + want
+        assert pool.model.n_params == len(pool.model.coeffs)
 
 
 # -------------------------------------------------------------- expansion
 
 def test_expand_adds_children_and_dedups():
     pool = pool_with_energies([1.0] * 4)
-    parents = [b for b, _ in pool.detail_items(1)][:2]  # adjacent centers
+    parents = details(pool, 1)[:2]  # adjacent centers
     before = pool.model.n_params
     added = expand_into_next(pool, parents)
     assert 0 < len(added) <= 2 * 2
     assert pool.model.n_params == before + len(added)
-    assert all(b.m == 2 for b in added)
+    assert all(added[:, RES] == 2)
     # idempotence: same parents again add nothing
-    assert expand_into_next(pool, parents) == []
+    assert len(expand_into_next(pool, parents)) == 0
 
 
 def test_expand_child_locality():
     pool = pool_with_energies([1.0] * 4)
-    parents = [b for b, _ in pool.detail_items(1)]
+    parents = details(pool, 1)
     added = expand_into_next(pool, parents)
     step = 2.0 ** -2
-    for ch in added:
-        d = min(abs(float(ch.center()[0]) - float(p.center()[0]))
-                for p in parents)
+    for ch in added[:, TRANS] * 2.0 ** -2:
+        d = np.min(np.abs(ch - parents[:, TRANS] * 2.0 ** -1))
         assert d <= step + 1e-12
 
 
 def test_expand_requires_single_resolution():
     pool = pool_with_energies([1.0] * 4)
     pool.ensure_level(2)
-    mixed = [BasisIndex(1, (0,), BasisKind.WAVELET),
-             BasisIndex(2, (0,), BasisKind.WAVELET)]
+    mixed = basis_set([1, 2], [(0,), (0,)])
     with pytest.raises(ValueError):
         expand_into_next(pool, mixed)
 
@@ -188,7 +228,7 @@ def _representable_target():
     # a detail element at m = 1, where start_pool() seeds
     pool = empty_pool()
     pool.ensure_level(1)
-    b = pool.detail_items(1)[2][0]
+    b = details(pool, 1)[2]
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 1.0, size=(60, 1))
     return X, eval_basis(MH1, b, X)
@@ -262,7 +302,7 @@ def test_a_resumed_pool_grows_first_at_its_finest_basis_resolution():
     pool = run_growth(start_pool(), X, y, config)
     assert [e[1:3] for e in pool.log.events] == [("seed", 1), ("expand", 1)]
     assert (pool.m, pool.sweep) == (1, 1)
-    assert max(b.m for b in pool.model.bases) == 2
+    assert pool.model.bases[:, RES].max() == 2
     records, events = list(pool.log.records), list(pool.log.events)
     grow, at_growth = growth._grow, []
 
@@ -298,12 +338,12 @@ def _forked_problem(rows):
 def _assert_same_run(got, want):
     """Bit for bit: bases, coefficients, every record but its clock,
     events, expanded sets, resolution, schedule and status."""
-    assert got.model.bases == want.model.bases
+    assert np.array_equal(got.model.bases, want.model.bases)
     assert np.array_equal(got.model.coeffs, want.model.coeffs)
     assert ([r[:3] for r in got.log.records]
             == [r[:3] for r in want.log.records])
     assert got.log.events == want.log.events
-    assert got.expanded == want.expanded
+    assert np.array_equal(got.expanded, want.expanded)
     assert (got.m, got.sweep, got.status) == (want.m, want.sweep,
                                               want.status)
 
@@ -333,7 +373,7 @@ def test_training_a_fork_leaves_its_parent_untouched(rows):
     design = Design(X, y)
     seed = run_seed_phase(start_pool(), design, config)
     before = copy.deepcopy(seed)
-    bases, blocks = list(design.bases), list(design.blocks)
+    bases, blocks = design.bases.copy(), list(design.blocks)
     held = [blk.copy() for blk in blocks]
     gram, b = design.gram, design.b
     gram_was = None if gram is None else (gram.copy(), b.copy())
@@ -343,7 +383,8 @@ def test_training_a_fork_leaves_its_parent_untouched(rows):
         assert fork.n_params > seed.n_params
     _assert_same_run(seed, before)
     assert seed.log.records == before.log.records  # the clock too
-    assert design.bases == bases and len(design.blocks) == len(blocks)
+    assert np.array_equal(design.bases, bases)
+    assert len(design.blocks) == len(blocks)
     for blk, was, copied in zip(design.blocks, blocks, held):
         assert blk is was and np.array_equal(blk, copied)
     assert design.gram is gram and design.b is b
@@ -358,15 +399,14 @@ def test_a_pool_fork_copies_what_a_run_writes_in_place():
     X, y = _rich_stream(48)
     pool = run_growth(start_pool(), X, y, small_config(
         epsilon=1e-12, zeta=1.0, mu=1 / 3, max_iters=2))
-    assert pool.expanded[1]
+    assert len(pool.expanded)
     before = copy.deepcopy(pool)
     fork = pool.fork()
-    fork.add_bases([BasisIndex(3, (0,), BasisKind.WAVELET)])
+    fork.add_bases(basis_set(3, [(0,)]))
     fork.model.coeffs[0] += 1.0
     fork.log.append(0.5, fork.n_params)
     fork.log.add_event("expand", 2, 1)
-    fork.expanded[1].clear()
-    fork.expanded[2].add(pool.model.bases[0])
+    fork.expanded = np.concatenate([fork.expanded, pool.model.bases[:1]])
     fork.m, fork.sweep, fork.status = 3, 2, TrainStatus.ACHIEVED
     _assert_same_run(pool, before)
     assert fork.model.mother is pool.model.mother and fork.grid is pool.grid
@@ -384,14 +424,15 @@ def test_runs_refuse_a_pool_they_cannot_start_from():
         pool = start_pool(2)
         with pytest.raises(ValueError, match="above max_resolution 1"):
             run(pool, X, y, config)
-        assert (pool.model.bases, pool.log.events) == ([], [])
+        assert (len(pool.model.bases), pool.log.events) == (0, [])
     held = run_growth(start_pool(), X, y, small_config(max_iters=2))
-    state = (list(held.model.bases), list(held.log.records),
+    state = (rows(held.model.bases), list(held.log.records),
              list(held.log.events))
     for name in ("baseline", "online"):
         with pytest.raises(ValueError, match="empty pool"):
             runs[name](held, X, y, config)
-        assert (held.model.bases, held.log.records, held.log.events) == state
+        assert (rows(held.model.bases), held.log.records,
+                held.log.events) == state
 
 
 def test_baseline_escalates_whole_levels_and_is_deterministic():
@@ -506,9 +547,9 @@ def _reference_online(mother, grid, X, y, config, window=10, patience=40,
             if m < config.max_resolution and sweep < config.n_phases:
                 sweep += 1
                 mu_up = 1.0 if sweep == config.n_phases else sweep * config.mu
-                parents = select_high_energy(pool, m, mu_up, pool.expanded[m])
+                parents = select_high_energy(pool, m, mu_up, pool.expanded)
                 new = expand_into_next(pool, parents)
-                pool.expanded[m].update(parents)
+                pool.expanded = np.concatenate([pool.expanded, parents])
                 log.add_event("expand", m, len(new))
                 growth_iters.append(step)
             elif m < config.max_resolution:
@@ -551,14 +592,14 @@ def _online_both_ways(window):
                             **kw)
     # the stream grew up to the resolution cap and ended on a short window
     assert ("escalate", config.max_resolution) in {e[1:3] for e in log.events}
-    assert max(b.m for b in res.model.bases) == config.max_resolution
+    assert res.model.bases[:, RES].max() == config.max_resolution
     assert isinstance(res, WaveletPool) and res.status is TrainStatus.BUDGET
     assert len(y) % window and len(window_losses(res)) == -(-len(y) // window)
     assert log.last_iteration == len(window_losses(res))
     assert log.events == ref_log.events
     assert growth_iterations(res) == ref.growth_iterations
     assert [r[::2] for r in log.records] == [r[::2] for r in ref_log.records]
-    assert res.model.bases == ref.model.bases
+    assert np.array_equal(res.model.bases, ref.model.bases)
     return res, log, ref, ref_log
 
 
@@ -676,7 +717,7 @@ def test_batch_runs_stop_at_the_resolution_cap():
         assert res.m == config.max_resolution
         assert log.last_iteration < config.max_iters
         assert max(e[2] for e in log.events) == config.max_resolution
-        assert max(b.m for b in res.model.bases) == config.max_resolution
+        assert res.model.bases[:, RES].max() == config.max_resolution
 
 
 def test_a_capped_run_leaves_its_record_in_the_pool():
@@ -713,7 +754,7 @@ def test_baseline_seeds_at_a_cap_below_its_start():
     assert res.status is TrainStatus.BUDGET
     assert res.m == 0
     assert [e[1:3] for e in res.log.events] == [("seed", 0)]
-    assert max(b.m for b in res.model.bases) == 0
+    assert res.model.bases[:, RES].max() == 0
 
 
 def test_online_streams_past_the_resolution_cap():
@@ -726,7 +767,7 @@ def test_online_streams_past_the_resolution_cap():
     # trained and recorded
     assert [e[1:3] for e in log.events] == [("seed", 1)]
     assert growth_iterations(res) == []
-    assert all(b.m == 1 for b in res.model.bases)
+    assert all(res.model.bases[:, RES] == 1)
     assert len(window_losses(res)) == 81 and log.last_iteration == 81
     # with room to grow the same stream grows, so plateaus did fire at
     # the cap and logged nothing
@@ -748,7 +789,7 @@ FRACTIONS = st.floats(0.01, 1.0)
 
 def level_energies(pool, m=1):
     norm = pool.model.mother.norm_sq
-    return {b: c * c * norm for b, c in pool.detail_items(m)}
+    return {b: coeff(pool, b) ** 2 * norm for b in rows(details(pool, m))}
 
 
 @settings(max_examples=40, deadline=None)
@@ -774,13 +815,13 @@ def test_selection_is_deterministic(energies, mu_up, order):
     # whatever order the pool received its bases in
     pool = pool_with_energies(energies)
     shuffled = empty_pool()
-    shuffled.add_bases([pool.model.bases[i] for i in order])
-    for pos, b in enumerate(pool.model.bases):
-        shuffled.model.coeffs[shuffled.model.bases.index(b)] = \
+    shuffled.add_bases(pool.model.bases[list(order)])
+    for pos, b in enumerate(rows(pool.model.bases)):
+        shuffled.model.coeffs[rows(shuffled.model.bases).index(b)] = \
             pool.model.coeffs[pos]
-    first = select_high_energy(pool, 1, mu_up)
-    assert select_high_energy(pool, 1, mu_up) == first
-    assert select_high_energy(shuffled, 1, mu_up) == first
+    first = rows(select_high_energy(pool, 1, mu_up))
+    assert rows(select_high_energy(pool, 1, mu_up)) == first
+    assert rows(select_high_energy(shuffled, 1, mu_up)) == first
 
 
 @settings(max_examples=80, deadline=None)
@@ -792,7 +833,9 @@ def test_selection_captures_its_fraction_when_it_can(energies, mu_up,
     energy = level_energies(pool)
     exclude = {b for b, out in zip(energy, excluded) if out}
     total = sum(energy.values())
-    chosen = select_high_energy(pool, 1, mu_up, exclude)
+    chosen = rows(select_high_energy(
+        pool, 1, mu_up, basis_set(1, [b[TRANS] for b in exclude] or
+                                  np.zeros((0, 1), int))))
     assert not exclude & set(chosen)
     assert all(energy[b] > 0.0 for b in chosen)
     free = sum(e for b, e in energy.items() if b not in exclude)
@@ -819,7 +862,7 @@ def test_growth_phases_never_reuse_a_parent(energies, n_phases):
         for _ in range(n_phases):
             assert growth._grow(pool, config) is True
     assert (pool.m, pool.sweep) == (1, n_phases) and len(picked) == n_phases
-    parents = [b for batch in picked for b in batch]
+    parents = [b for batch in picked for b in rows(batch)]
     assert len(parents) == len(set(parents))
     assert set(parents) == {b for b, e in level_energies(pool).items()
                             if e > 0.0}
@@ -841,4 +884,4 @@ def test_no_run_adds_a_basis_past_the_cap(cap, start, n_phases, run):
     else:
         runner = run_growth if run == "growth" else run_baseline_wnn
         res = runner(pool, X, y, config)
-    assert max(b.m for b in res.model.bases) <= cap
+    assert res.model.bases[:, RES].max() <= cap

@@ -2,8 +2,10 @@
 
 import csv
 import io
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +19,26 @@ from cwnn.growth import GrowthConfig, WaveletPool, run_growth
 from cwnn.model import (DIVERGENCE_LIMIT, Design, TrainLog, TrainStatus,
                         TrainingDivergence, WaveletModel, loss,
                         train_to_plateau)
-from cwnn.wavelets import (BasisIndex, BasisKind, MotherWavelet, basis_matrix,
+from cwnn.wavelets import (BasisKind, MotherWavelet, basis_matrix, basis_set,
                            build_center_grid)
 from divergence_oracle import check_finite
 
 MH1 = MotherWavelet.mexican_hat(1)
 
 
+def line(m, ns, kind=BasisKind.WAVELET):
+    """The one-axis basis set of the translations ``ns`` at ``m``."""
+    return basis_set(m, np.reshape(list(ns), (-1, 1)), kind)
+
+
+def empty(mother):
+    """An empty basis set of the mother's dimension."""
+    return basis_set(0, np.zeros((0, mother.dim), int))
+
+
 def wm(indices, coeffs=None):
-    bases = [BasisIndex(m, (n,), BasisKind.WAVELET) for m, n in indices]
+    bases = basis_set([m for m, _ in indices],
+                      np.reshape([n for _, n in indices], (-1, 1)))
     model = WaveletModel.zeros(MH1, bases)
     if coeffs is not None:
         model.coeffs[:] = coeffs
@@ -124,7 +137,7 @@ def test_append_bases_keeps_predictions():
     model = wm([(0, 0)], [1.5])
     X = np.linspace(-1, 1, 5).reshape(-1, 1)
     before = model.predict(X)
-    model.append_bases([BasisIndex(1, (3,), BasisKind.WAVELET)])
+    model.append_bases(line(1, [3]))
     assert np.allclose(model.predict(X), before)
     assert model.coeffs[-1] == 0.0
 
@@ -134,7 +147,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
     back = WaveletModel.load(path)
-    assert back.bases == model.bases
+    assert np.array_equal(back.bases, model.bases)
     assert np.array_equal(back.coeffs, model.coeffs)
     assert back.mother.family == model.mother.family
     assert back.scaling is None and "scaling" not in model.to_dict()
@@ -149,8 +162,9 @@ def test_save_writes_one_line_that_loads_back_bit_for_bit(tmp_path):
     # coefficients whose shortest repr takes all 17 digits, a subnormal,
     # extremes and both zeros; every basis kind, and a scaling record
     rng = np.random.default_rng(11)
-    bases = [BasisIndex(m, (n, -n), kind) for m in range(3)
-             for n in range(-3, 4) for kind in BasisKind]
+    grid = [(m, (n, -n), kind) for m in range(3) for n in range(-3, 4)
+            for kind in BasisKind]
+    bases = basis_set(*[list(column) for column in zip(*grid)])
     coeffs = rng.standard_normal(len(bases)) * 10.0 ** rng.integers(
         -12, 12, len(bases))
     coeffs[:4] = [5e-324, -1.7976931348623157e308, 0.0, -0.0]
@@ -161,10 +175,30 @@ def test_save_writes_one_line_that_loads_back_bit_for_bit(tmp_path):
     text = path.read_text()
     assert text.endswith("}\n") and text.count("\n") == 1
     back = WaveletModel.load(path)
-    assert back.bases == model.bases
+    assert np.array_equal(back.bases, model.bases)
+    assert back.bases.dtype == model.bases.dtype
     assert np.array_equal(back.coeffs, model.coeffs)
     assert np.array_equal(np.signbit(back.coeffs), np.signbit(coeffs))
     assert back.mother == model.mother and back.scaling == model.scaling
+
+
+# a model.json written while each basis was an object of its own, by
+# ``fit --preset example1-d1 --seed 7 --n-samples 60 --max-iters 1200
+# --max-resolution 3 --zeta 1e-4``: both kinds at m = 2 and the 20
+# details an expand phase added at m = 3
+SAVED_MODEL = Path(__file__).with_name("model_seed7.json")
+
+
+def test_a_saved_model_file_loads_and_writes_back_its_bytes(tmp_path):
+    entries = json.loads(SAVED_MODEL.read_text())["bases"]
+    model = WaveletModel.load(SAVED_MODEL)
+    assert model.bases.tolist() == [
+        [BasisKind[e["kind"].upper()], e["m"], *e["n"]] for e in entries]
+    assert model.coeffs.tolist() == [e["c"] for e in entries]
+    assert model.mother == MotherWavelet.sinc(2) and model.scaling is None
+    path = tmp_path / "model.json"
+    model.save(path)
+    assert path.read_bytes() == SAVED_MODEL.read_bytes()
 
 
 # --------------------------------------------------------------- training
@@ -424,7 +458,7 @@ def _random_problem(seed, p, n, lr_fraction):
 
 
 def _compare_forms(model, X, y, lr, zeta, epsilon, max_iters):
-    ref = WaveletModel(model.mother, list(model.bases), model.coeffs.copy())
+    ref = WaveletModel(model.mother, model.bases, model.coeffs.copy())
     log, ref_log = TrainLog(), TrainLog()
     status = train_to_plateau(model, Design(X, y), lr, zeta, epsilon,
                               max_iters, log)
@@ -575,21 +609,23 @@ def test_design_sync_matches_full_build(seed, family, d, n, chunks):
     # 54 bases on 2 to 24 samples, p crosses N in many draws
     rng = np.random.default_rng(seed)
     mother = getattr(MotherWavelet, family)(d)
-    cand = sorted({BasisIndex(int(rng.integers(0, 3)),
-                              tuple(int(v) for v in rng.integers(-3, 5, size=d)),
-                              (BasisKind.WAVELET, BasisKind.SCALING)[
-                                  int(rng.integers(0, 2))])
-                   for _ in range(sum(chunks))},
-                  key=lambda b: (b.m, b.n, b.kind.value))
+    cand = sorted({(int(rng.integers(0, 3)),
+                    tuple(int(v) for v in rng.integers(-3, 5, size=d)),
+                    int(rng.integers(0, 2)))
+                   for _ in range(sum(chunks))})
     order = [cand[i] for i in rng.permutation(len(cand))]
     X = rng.uniform(-1.0, 3.0, size=(n, d))
     y = rng.standard_normal(n)
-    model = WaveletModel.zeros(mother, [])
+    model = WaveletModel.zeros(mother, empty(mother))
     design = Design(X, y)
     crossed = False
     start = 0
     for size in chunks:
-        model.append_bases(order[start:start + size])
+        part = order[start:start + size]
+        model.append_bases(basis_set([m for m, _, _ in part],
+                                     np.reshape([n for _, n, _ in part],
+                                                (-1, d)),
+                                     [kind for _, _, kind in part]))
         start += size
         design.sync(model)
         psi = basis_matrix(mother, model.bases, X)
@@ -608,12 +644,11 @@ def test_design_sync_matches_full_build(seed, family, d, n, chunks):
 def _synced(mother, X, y, sizes):
     """A design of ``X`` and ``y`` synced to a model grown by lattice runs
     of the given sizes, wavelets and companions taking turns."""
-    model = WaveletModel.zeros(mother, [])
+    model = WaveletModel.zeros(mother, empty(mother))
     design = Design(X, y)
     for k, size in enumerate(sizes):
         kind = (BasisKind.WAVELET, BasisKind.SCALING)[k % 2]
-        model.append_bases([BasisIndex(3 + k, (n,), kind)
-                            for n in range(-2, size - 2)])
+        model.append_bases(line(3 + k, range(-2, size - 2), kind))
         design.sync(model)
     return model, design
 
@@ -686,7 +721,7 @@ def test_design_takes_its_first_block_without_a_copy(monkeypatch):
     # every later sync keeps its block as evaluated too, in both forms:
     # the third sync takes p past N = 3
     for m in (2, 3):
-        model.append_bases([BasisIndex(m, (1,), BasisKind.WAVELET)])
+        model.append_bases(line(m, [1]))
         design.sync(model)
     assert design.gram is None
     assert len(design.blocks) == len(blocks) == 3
@@ -702,14 +737,12 @@ def test_design_sync_allocates_its_new_block_not_a_copy():
     rows = 5000
     X = np.linspace(-2.0, 2.0, rows).reshape(-1, 1)
     design = Design(X, np.sin(3.0 * X[:, 0]))
-    model = WaveletModel.zeros(MH1, [])
+    model = WaveletModel.zeros(MH1, empty(MH1))
     for lo, hi in ((0, 150), (150, 300)):
-        model.append_bases([BasisIndex(6, (n - 150,), BasisKind.WAVELET)
-                            for n in range(lo, hi)])
+        model.append_bases(line(6, range(lo - 150, hi - 150)))
         design.sync(model)
     held = sum(blk.nbytes for blk in design.blocks)
-    model.append_bases([BasisIndex(2, (n,), BasisKind.WAVELET)
-                        for n in range(5)])
+    model.append_bases(line(2, range(5)))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -735,16 +768,16 @@ def test_a_design_fork_shares_its_columns_and_syncs_apart():
     fork = design.fork()
     assert fork.blocks is not design.blocks and len(fork.blocks) == 1
     assert fork.blocks[0] is blocks[0]
-    assert fork.gram is gram and fork.b is b and fork.bases == design.bases
-    grown = WaveletModel(MH1, list(model.bases), model.coeffs.copy())
-    for more in ([(1, 0), (1, 1)], [(2, n) for n in range(4)]):
-        grown.append_bases([BasisIndex(m, (n,), BasisKind.WAVELET)
-                            for m, n in more])
+    assert fork.gram is gram and fork.b is b
+    assert np.array_equal(fork.bases, design.bases)
+    grown = WaveletModel(MH1, model.bases, model.coeffs.copy())
+    for more in (line(1, [0, 1]), line(2, range(4))):
+        grown.append_bases(more)
         fork.sync(grown)
     # 8 columns on 6 rows: the fork runs the residual form
     assert fork.gram is None and len(fork.blocks) == 3
     assert len(design.blocks) == 1 and design.blocks[0] is blocks[0]
-    assert design.bases == model.bases
+    assert np.array_equal(design.bases, model.bases)
     assert design.gram is gram and design.b is b and gram.shape == (2, 2)
     direction, value = fork.objective(grown.coeffs)
     assert value == pytest.approx(loss(grown, X, design.y), rel=1e-12)

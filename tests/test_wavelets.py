@@ -15,19 +15,36 @@ from hypothesis import strategies as st
 from scipy.special import gamma, jv
 
 import cwnn.wavelets as wavelets
-from cwnn.wavelets import (BasisIndex, BasisKind, CenterGrid, GridError,
-                           MotherWavelet, basis_matrix, basis_matrix_tdot,
-                           build_center_grid, children_centers, eval_basis,
-                           lattice_bases)
+from cwnn.wavelets import (KIND, RES, TRANS, BasisKind, CenterGrid,
+                           GridError, MotherWavelet, basis_matrix,
+                           basis_matrix_tdot, basis_set, build_center_grid,
+                           children_centers, eval_basis, lattice_bases)
+from children_oracle import children
 from quadrature_oracle import adaptive_integral, panel_rule_1d
 
 
 def w_index(m, n):
-    return BasisIndex(m, n if isinstance(n, tuple) else (n,), BasisKind.WAVELET)
+    """One wavelet element, a basis set's row."""
+    return basis_set(m, [n if isinstance(n, tuple) else (n,)])[0]
 
 
 def s_index(m, n):
-    return BasisIndex(m, n if isinstance(n, tuple) else (n,), BasisKind.SCALING)
+    """One companion element, a basis set's row."""
+    return basis_set(m, [n if isinstance(n, tuple) else (n,)],
+                     BasisKind.SCALING)[0]
+
+
+def rows(bases):
+    """A basis set's rows, or its translations, as tuples."""
+    return [tuple(r) for r in bases.tolist()]
+
+
+def from_rows(triples, d):
+    """The basis set of ``(kind, m, n)`` triples of ``d``-axis
+    translations, in order."""
+    return basis_set([m for _, m, _ in triples],
+                     np.reshape([n for _, _, n in triples], (-1, d)),
+                     [kind for kind, _, _ in triples])
 
 
 # ---------------------------------------------------------------- mothers
@@ -236,7 +253,7 @@ def test_eval_basis_identity_and_scaling():
     assert eval_basis(mh, w_index(1, 0), [[0.0]])[0] == pytest.approx(
         math.sqrt(2.0))
     mh2 = MotherWavelet.mexican_hat(2)
-    assert eval_basis(mh2, BasisIndex(1, (2, 2), BasisKind.WAVELET),
+    assert eval_basis(mh2, w_index(1, (2, 2)),
                       [[1.0, 1.0]])[0] == pytest.approx(4.0)
 
 
@@ -246,7 +263,7 @@ def test_eval_scaling_values():
     assert eval_basis(mh, s_index(1, 2), [[1.0]])[0] == pytest.approx(
         math.sqrt(2.0))
     sc2 = MotherWavelet.sinc(2)
-    assert eval_basis(sc2, BasisIndex(0, (0, 0), BasisKind.SCALING),
+    assert eval_basis(sc2, s_index(0, (0, 0)),
                       [[0.0, 0.0]])[0] == pytest.approx(1.0)
 
 
@@ -261,17 +278,26 @@ def test_eval_dimension_mismatch():
 @pytest.mark.parametrize("kind", list(BasisKind))
 def test_basis_matrix_rejects_a_translation_of_the_wrong_length(family, n,
                                                                 kind):
-    # a short translation would read only the first input columns; a run
-    # that mixes lengths is rejected by numpy as it stacks the centers
+    # a short translation would read only the first input columns; a set
+    # that mixes lengths is rejected by numpy as it stacks the translations
     mother = getattr(MotherWavelet, family)(2)
     X = np.zeros((4, 2))
     with pytest.raises(ValueError, match="mother expects 2"):
-        basis_matrix(mother, [BasisIndex(1, n, kind)] * 2, X)
+        basis_matrix(mother, basis_set(1, [n] * 2, kind), X)
     with pytest.raises(ValueError):
-        basis_matrix(mother, [BasisIndex(1, (0, 0), kind),
-                              BasisIndex(1, n, kind)], X)
+        basis_set(1, [(0, 0), n], kind)
     with pytest.raises(ValueError, match="mother expects 2"):
-        eval_basis(mother, BasisIndex(1, n, kind), [0.5, 0.5])
+        eval_basis(mother, basis_set(1, [n], kind)[0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("n", [[(0.5,)], [(2 ** 31,)], [(-2 ** 31 - 1,)]])
+def test_basis_set_refuses_translations_it_cannot_hold(n):
+    # a fraction or a value past 31 bits would be cut or wrap in the
+    # set's integers
+    with pytest.raises(ValueError, match="at most 31 bits"):
+        basis_set(0, np.array(n))
+    assert basis_set(0, [(2 ** 31 - 1,), (-2 ** 31,)])[:, TRANS].tolist() \
+        == [[2 ** 31 - 1], [-2 ** 31]]
 
 
 def companion(family, t):
@@ -293,24 +319,25 @@ def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
     # eval_mother and the companion from its closed form
     mother = getattr(MotherWavelet, family)(d)
     rng = np.random.default_rng(40 + d)
-    bases = []
+    triples = []
     for j in range(24):
         kind = (BasisKind.WAVELET, BasisKind.SCALING)[(j // 3) % 2]
         m = (j // 6) % 2
         n = tuple(int(v) for v in rng.integers(-3, 4, size=d))
-        bases.append(BasisIndex(m, n, kind))
+        triples.append((kind, m, n))
+    bases = from_rows(triples, d)
     X = rng.uniform(-2.0, 2.0, size=(37, d))
     # rows on a center and just off it reach the small-radius series
-    X[0] = np.asarray(bases[0].n) * 2.0 ** -bases[0].m
+    X[0] = bases[0, TRANS] * 2.0 ** -bases[0, RES]
     X[1] = X[0] + 3e-4
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2 * X.size)
     psi = basis_matrix(mother, bases, X)
     assert psi.shape == (37, 24)
     for j, b in enumerate(bases):
-        t = 2.0 ** b.m * X - np.asarray(b.n, dtype=float)
-        shape = (mother.eval_mother(t) if b.kind is BasisKind.WAVELET
+        t = 2.0 ** b[RES] * X - b[TRANS]
+        shape = (mother.eval_mother(t) if b[KIND] == BasisKind.WAVELET
                  else companion(family, t))
-        want = 2.0 ** (d * b.m / 2) * shape
+        want = 2.0 ** (d * int(b[RES]) / 2) * shape
         np.testing.assert_allclose(psi[:, j], want, rtol=1e-13, atol=1e-15)
         np.testing.assert_array_equal(eval_basis(mother, b, X), psi[:, j])
     # a single point gives a scalar, a (2, 2, d) batch a (2, 2) array
@@ -322,14 +349,14 @@ def mixed_bases(d, seed):
     """Both kinds at two resolutions in random order, so groups are
     interleaved, with unsorted and repeated translations."""
     rng = np.random.default_rng(seed)
-    bases = []
+    triples = []
     for j in range(40):
         kind = (BasisKind.WAVELET, BasisKind.SCALING)[int(rng.integers(2))]
         m = int(rng.integers(2))
         n = tuple(int(v) for v in rng.integers(-3, 4, size=d))
-        bases.append(BasisIndex(m, n, kind))
-    bases += bases[5:9] + bases[:3]
-    return bases
+        triples.append((kind, m, n))
+    triples += triples[5:9] + triples[:3]
+    return from_rows(triples, d)
 
 
 class CountingPool(wavelets.ThreadPoolExecutor):
@@ -371,16 +398,17 @@ def test_basis_matrix_threads_agree_with_serial(family, d, monkeypatch):
     # the companion against the per-cell product, bit for bit: the sinc
     # one as 2^{dm/2} prod_k sinc(2^m x_k - n_k) in axis order
     for j, b in enumerate(bases):
-        if b.kind is not BasisKind.SCALING:
+        if b[KIND] != BasisKind.SCALING:
             continue
-        t = 2.0 ** b.m * X - np.asarray(b.n, dtype=float)
+        t = 2.0 ** b[RES] * X - b[TRANS]
         if family == "sinc":
             want = np.sinc(t[:, 0] / np.pi)
             for k in range(1, d):
                 want *= np.sinc(t[:, k] / np.pi)
         else:
             want = np.exp(-0.5 * np.sum(t * t, axis=1))
-        np.testing.assert_allclose(serial[:, j], 2.0 ** (0.5 * d * b.m) * want,
+        np.testing.assert_allclose(serial[:, j],
+                                   2.0 ** (0.5 * d * int(b[RES])) * want,
                                    rtol=0.0 if family == "sinc" else 1e-14,
                                    atol=0.0)
 
@@ -437,8 +465,7 @@ def test_basis_matrix_scratch_stays_within_its_bound(monkeypatch, d, family,
     rng = np.random.default_rng(d)
     X = rng.uniform(0.0, 1.0, size=(4096 // d, d))
     cols = 3 * (wavelets._BLOCK_ELEMS // X.size)
-    bases = [BasisIndex(2, tuple(int(v) for v in rng.integers(-2, 6, size=d)),
-                        kind) for _ in range(cols)]
+    bases = basis_set(2, rng.integers(-2, 6, size=(cols, d)), kind)
     tracemalloc.start()
     try:
         out = basis_matrix(getattr(MotherWavelet, family)(d), bases, X)
@@ -546,9 +573,10 @@ def test_tdot_matches_the_matrix_product(family, d, monkeypatch):
     X = rng.uniform(0.0, 1.0, size=(5000, d))
     y = rng.standard_normal(5000)
     per = {1: 40, 2: 7, 3: 4}[d]
-    bases = (lattice_bases(3, [range(-2, per)] * d)
-             + lattice_bases(2, [range(-1, per)] * d, BasisKind.SCALING)
-             + lattice_bases(4, [range(per)] * d))
+    bases = np.concatenate([
+        lattice_bases(3, [range(-2, per)] * d),
+        lattice_bases(2, [range(-1, per)] * d, BasisKind.SCALING),
+        lattice_bases(4, [range(per)] * d)])
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2500 * d * 4)
     monkeypatch.setattr(wavelets, "_BLOCK_COLS", 12)
     monkeypatch.setattr(wavelets, "_POOL_ELEMS", 2500 * d * 12)
@@ -572,7 +600,8 @@ def test_tdot_checks_its_target_and_takes_empty_bases():
     X = np.zeros((4, 1))
     with pytest.raises(ValueError, match="rows"):
         basis_matrix_tdot(mother, lattice_bases(0, [range(3)]), X, np.ones(5))
-    assert basis_matrix_tdot(mother, [], X, np.ones(4)).shape == (0,)
+    empty = lattice_bases(0, [range(0)])
+    assert basis_matrix_tdot(mother, empty, X, np.ones(4)).shape == (0,)
 
 
 def test_sinc_companion_tables_match_np_sinc():
@@ -582,8 +611,7 @@ def test_sinc_companion_tables_match_np_sinc():
     centers = rng.integers(-3, 4, size=(50, 2)).astype(float)
     scaled = rng.uniform(-4.0, 4.0, size=(200, 2))
     scaled[:20] = centers[:20]
-    run = [BasisIndex(0, tuple(int(v) for v in c), BasisKind.SCALING)
-           for c in centers]
+    run = centers.astype(np.int32)
     got = wavelets._sinc_companions(scaled, 0, run)(0, len(run))(slice(None))
     want = np.sinc((scaled[:, None, 0] - centers[:, 0]) / np.pi)
     want *= np.sinc((scaled[:, None, 1] - centers[:, 1]) / np.pi)
@@ -668,11 +696,12 @@ def _companion_tables(mother, bases, n):
     companion run, plus one axis table more (the one being built)."""
     rows = -(-n // len(wavelets._row_chunks(n)))
     most = 0
-    for (kind, _), run in itertools.groupby(bases, lambda b: (b.kind, b.m)):
-        if (kind is BasisKind.SCALING
+    for (kind, _), run in itertools.groupby(bases.tolist(),
+                                            lambda b: (b[KIND], b[RES])):
+        if (kind == BasisKind.SCALING
                 and mother.family is wavelets.WaveletFamily.SINC):
             run = list(run)
-            sizes = [rows * len({b.n[k] for b in run})
+            sizes = [rows * len({b[TRANS][k] for b in run})
                      for k in range(mother.dim)]
             most = max(most, (sum(sizes) + max(sizes)) * 8)
     return most
@@ -695,9 +724,8 @@ def test_any_block_bound_gives_the_whole_design_bytes(data, n, d, family,
     runs = data.draw(st.lists(
         st.tuples(st.sampled_from(list(BasisKind)), st.integers(0, 2),
                   st.integers(1, 10)), min_size=1, max_size=3))
-    bases = [BasisIndex(m, tuple(int(v) for v in rng.integers(-3, 5, size=d)),
-                        kind)
-             for kind, m, size in runs for _ in range(size)]
+    bases = from_rows([(kind, m, tuple(rng.integers(-3, 5, size=d)))
+                       for kind, m, size in runs for _ in range(size)], d)
     X = rng.uniform(-1.0, 2.0, size=(n, d))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavelets, "_cpu_count", lambda: 1)
@@ -773,7 +801,8 @@ def test_a_tall_sinc_companion_run_holds_one_chunk_of_tables(monkeypatch):
     monkeypatch.setattr(wavelets, "_sinc_companions", spy)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     mother = MotherWavelet.sinc(3)
-    bases = [s_index(3, (j, j, j)) for j in range(-8, 40)]
+    bases = basis_set(3, [(j, j, j) for j in range(-8, 40)],
+                      BasisKind.SCALING)
     X = np.random.default_rng(9).uniform(0.0, 1.0, size=(4 * 4096, 3))
     wavelets._tiles(mother, bases, X)
     assert built == []
@@ -796,8 +825,7 @@ def test_sinc_companion_evaluates_each_axis_factor_once(d, monkeypatch):
     # distinct translation per axis, not once per cell and axis
     mother = MotherWavelet.sinc(d)
     rng = np.random.default_rng(100 + d)
-    bases = [s_index(1, tuple(int(v) for v in rng.integers(-2, 3, size=d)))
-             for _ in range(30)]
+    bases = basis_set(1, rng.integers(-2, 3, size=(30, d)), BasisKind.SCALING)
     X = rng.uniform(-1.0, 1.0, size=(23, d))
     points = []
     real_sin = np.sin
@@ -808,19 +836,20 @@ def test_sinc_companion_evaluates_each_axis_factor_once(d, monkeypatch):
 
     monkeypatch.setattr(np, "sin", spy)
     psi = basis_matrix(mother, bases, X)
-    distinct = [len({b.n[k] for b in bases}) for k in range(d)]
+    distinct = [len(np.unique(bases[:, TRANS][:, k])) for k in range(d)]
     assert sum(points) == X.shape[0] * sum(distinct)
     assert sum(points) <= d * max(distinct) * X.shape[0] < psi.size * d
 
 
-def test_basis_index_center_and_frequency():
+def test_an_element_sits_at_its_center_and_frequency():
     # the element sits at 2^-m n and is the mother dilated by 2^m (its
     # band is 2^m times the mother's): 2^{dm/2} psi(2^m (x - center))
-    b = BasisIndex(2, (3, -1), BasisKind.WAVELET)
-    assert np.allclose(b.center(), [0.75, -0.25])
+    b = w_index(2, (3, -1))
+    center = b[TRANS] * 2.0 ** -b[RES]
+    assert np.allclose(center, [0.75, -0.25])
     mh = MotherWavelet.mexican_hat(2)
     t = np.array([[0.0, 0.0], [0.3, -0.7]])
-    got = eval_basis(mh, b, b.center() + t / 4.0)
+    got = eval_basis(mh, b, center + t / 4.0)
     np.testing.assert_allclose(got, 4.0 * mh.eval_mother(t), rtol=1e-14)
     assert got[0] == pytest.approx(8.0)
 
@@ -875,8 +904,10 @@ def test_grid_at_is_the_lattice_over_the_same_box(m):
 def test_grid_bases_order_and_kinds():
     g = build_center_grid(0, [0.0, 0.0], [1.0, 1.0], margin=0.0)
     bw = g.bases(BasisKind.WAVELET)
-    assert len(bw) == 4 and all(b.kind is BasisKind.WAVELET for b in bw)
-    assert [b.n for b in bw] == sorted(b.n for b in bw)
+    assert len(bw) == 4 and all(bw[:, KIND] == BasisKind.WAVELET)
+    assert all(bw[:, RES] == 0) and bw.dtype == np.int32
+    assert rows(bw[:, TRANS]) == sorted(rows(bw[:, TRANS]))
+    assert all(g.bases(BasisKind.SCALING)[:, KIND] == BasisKind.SCALING)
 
 
 def test_degenerate_grid_raises():
@@ -888,26 +919,25 @@ def test_degenerate_grid_raises():
 
 def test_children_centers_examples():
     fine = CenterGrid(2, (-4.0,), (4.0,), (-16,), (16,))
-    ch = children_centers([w_index(1, 2)], fine)  # parent center 1.0
-    assert sorted(float(c.center()[0]) for c in ch) == [0.75, 1.0]
-    assert all(c.m == 2 for c in ch)
+    ch = children_centers(basis_set(1, [(2,)]), fine)  # parent center 1.0
+    assert sorted(ch[:, TRANS][:, 0] * 0.25) == [0.75, 1.0]
+    assert all(ch[:, RES] == 2)
 
-    ch = children_centers([w_index(1, 1)], fine)  # parent center 0.5
-    assert sorted(float(c.center()[0]) for c in ch) == [0.25, 0.5]
+    ch = children_centers(basis_set(1, [(1,)]), fine)  # parent center 0.5
+    assert sorted(ch[:, TRANS][:, 0] * 0.25) == [0.25, 0.5]
 
 
 def test_children_centers_2d_clipped():
     fine = CenterGrid(2, (0.0, 0.0), (2.0, 2.0), (0, 0), (8, 8))
-    parent = BasisIndex(1, (0, 0), BasisKind.WAVELET)
-    ch = children_centers([parent], fine)
-    centers = {tuple(np.round(c.center(), 9)) for c in ch}
+    ch = children_centers(basis_set(1, [(0, 0)]), fine)
+    centers = set(rows(ch[:, TRANS] * 0.25))
     assert centers == {(0.0, 0.0), (0.0, 0.25), (0.25, 0.0), (0.25, 0.25)}
 
 
 def test_children_centers_needs_parents_one_level_up():
     fine = CenterGrid(2, (0.0,), (2.0,), (0,), (8,))
     with pytest.raises(GridError):
-        children_centers([w_index(1, 0), w_index(2, 0)], fine)
+        children_centers(basis_set([1, 2], [(0,), (0,)]), fine)
 
 
 def _reference_children(parents, fine):
@@ -917,7 +947,7 @@ def _reference_children(parents, fine):
     ``np.ndindex`` order, the first occurrence kept across parents."""
     out = []
     for p in parents:
-        center = p.center()
+        center = p[TRANS] * 2.0 ** -p[RES]
         per_dim = []
         for k in range(fine.dim):
             vals = np.arange(fine.n_lo[k], fine.n_hi[k] + 1) * 2.0 ** -fine.m
@@ -956,8 +986,28 @@ def test_children_centers_match_the_float_rule(data, dim, m):
               for lo, hi in zip(fine.n_lo, fine.n_hi)]
     drawn = data.draw(st.lists(st.tuples(*axis_n), min_size=1, max_size=8))
     ns = data.draw(st.permutations(drawn + drawn[:2]))
-    parents = [BasisIndex(m - 1, n, BasisKind.WAVELET) for n in ns]
+    parents = basis_set(m - 1, ns)
     got = children_centers(parents, fine)
-    assert [c.n for c in got] == _reference_children(parents, fine)
-    assert all(c.m == m and c.kind is BasisKind.WAVELET for c in got)
-    assert all(type(v) is int for c in got for v in c.n)
+    assert rows(got[:, TRANS]) == _reference_children(parents, fine)
+    assert all(got[:, RES] == m) and all(got[:, KIND] == BasisKind.WAVELET)
+    assert got.dtype == np.int32
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2, 3, 9]),
+       m=st.integers(-2, 4))
+def test_children_centers_match_the_loop_oracle(data, dim, m):
+    # grids of one to five points per axis, one-point axes among them;
+    # parents on the grid, on its edges and past them on both sides,
+    # repeated, or none at all
+    n_lo = data.draw(st.tuples(*[st.integers(-6, 6)] * dim))
+    n_hi = tuple(lo + data.draw(st.integers(0, 4)) for lo in n_lo)
+    fine = CenterGrid(m, (0.0,) * dim, (1.0,) * dim, n_lo, n_hi)
+    axis_n = [st.integers((lo - 3) // 2, (hi + 4) // 2)
+              for lo, hi in zip(n_lo, n_hi)]
+    ns = data.draw(st.lists(st.tuples(*axis_n), max_size=8))
+    parents = basis_set(m - 1, np.reshape(ns + ns[:2], (-1, dim)))
+    got = children_centers(parents, fine)
+    assert rows(got[:, TRANS]) == children(parents, fine)
+    assert all(got[:, RES] == m) and all(got[:, KIND] == BasisKind.WAVELET)
+    assert got.shape[1] == 2 + dim
