@@ -22,7 +22,7 @@ from .model import (TrainLog, TrainStatus, TrainingDivergence, WaveletModel,
                     loss, train_to_plateau)
 from .wavelets import (BasisKind, CenterGrid, GridError, MotherWavelet,
                        WaveletFamily, basis_matrix, basis_set,
-                       build_center_grid, children_centers, eval_basis)
+                       build_center_grid, children_centers)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "WaveletFamily", "WaveletModel", "WaveletPool", "basis_matrix",
     "basis_set", "build_center_grid", "children_centers", "count_peaks",
     "decay_report", "estimate_initial_resolution", "estimate_subspace_energy",
-    "eval_basis", "expand_into_next", "gen_autoregression", "gen_example1",
+    "expand_into_next", "gen_autoregression", "gen_example1",
     "gen_example2_regions", "gram", "load_csv", "loss", "minmax_scale",
     "minmax_unscale", "run_baseline_wnn", "run_growth", "run_online",
     "scan_indices", "select_high_energy", "split", "train_to_plateau",

@@ -252,9 +252,9 @@ def run_growth(pool: WaveletPool, X, y, config: GrowthConfig,
     so the resume rule leaves it as it is) and ends as a run that never
     paused.
     """
-    return _grow_to_target(_start(pool, config, resume=True),
-                           design or Design(X, y), config,
-                           whole_levels=False)
+    design = design or Design(X, y)
+    return _grow_to_target(_start(pool, config, resume=True), design,
+                           config, whole_levels=False)
 
 
 def run_seed_phase(pool: WaveletPool, design: Design,
@@ -276,7 +276,8 @@ def run_baseline_wnn(pool: WaveletPool, X, y,
     """Non-constructive reference: seed an empty pool's scaling and detail
     grids at its resolution, then add whole detail grids level by level
     whenever training plateaus above the target."""
-    return _grow_to_target(_start(pool, config), Design(X, y), config,
+    design = Design(X, y)
+    return _grow_to_target(_start(pool, config), design, config,
                            whole_levels=True)
 
 

@@ -199,8 +199,8 @@ class Design:
     ``blocks`` holds psi once, as the ``basis_matrix`` output of each
     sync in order: its columns, joined, are one per synced basis.  While
     p <= N, ``gram``, ``b`` and ``yy`` hold psi^T psi, psi^T y and y^T y;
-    past N ``gram`` is None.  A design belongs to one dataset: data with
-    other rows need a new design.
+    past N ``gram`` is None.  A design belongs to one dataset, whose X
+    and y have one row count: data with other rows need a new design.
     """
 
     def __init__(self, X, y):
@@ -208,6 +208,9 @@ class Design:
         self.y = np.asarray(y, dtype=float)
         if self.y.size == 0:
             raise ValueError("empty batch")
+        if self.y.shape != (len(self.X),):
+            raise ValueError(f"X has {len(self.X)} rows and y "
+                             f"{self.y.size} values")
         self.bases = np.empty((0, 0), np.int32)
         self.blocks = []
         self.gram = np.empty((0, 0))

@@ -14,21 +14,22 @@ mother families are provided, both radial in frequency:
   tensor product of ``sin(x_i)/x_i`` factors.
 
 Shapes are evaluated from per-axis coordinate arrays, so a design matrix
-is built block by block from one (rows, columns) offset array per input
-axis and never from an (n_samples, n_bases, dim) stack.  The separable
-sinc companion is built from one (rows, distinct n_k) factor table per
-axis and chunk of rows instead, inside that chunk's task.  One tiling
-of the matrix into row chunks and column blocks serves two consumers:
-``basis_matrix`` writes each block into the matrix, and
-``basis_matrix_tdot`` multiplies each block by its rows of a target and
-frees it, so ``psi^T y`` never holds psi.  Three module constants bound
-the work: a worker evaluates at most ``_BLOCK_ELEMS`` offset elements
-at once, so its scratch fits one core's L2 cache; a block of a design
-taller than one row chunk keeps at least ``_BLOCK_COLS`` columns and is
-evaluated in row slabs that stay within that bound; and a call larger
-than ``_POOL_ELEMS`` runs on every CPU the process may run on (its
-affinity mask, which ``taskset`` limits), smaller ones inline.  The
-result does not depend on the CPU count.  The same row chunks and pool
+is built from one (rows, columns) offset array per input axis and never
+from an (n_samples, n_bases, dim) stack; the separable sinc companion is
+gathered from one (rows, distinct n_k) factor table per axis instead.
+``_tiles`` cuts the matrix into tiles, a row chunk of a column block
+each, and ``_fill`` evaluates one tile, row slab by row slab, for two
+consumers: ``basis_matrix`` fills each tile of the matrix, and
+``basis_matrix_tdot`` multiplies each tile by its rows of a target and
+frees it, so ``psi^T y`` never holds psi.  Four module constants bound
+the work: a worker evaluates at most ``_BLOCK_ELEMS`` offset elements or
+gathered companion values at once, one slab, so its scratch fits one
+core's L2 cache; a row chunk holds at most ``_BLOCK_ROWS`` rows; a block
+of a design taller than one chunk keeps at least ``_BLOCK_COLS``
+columns, d times that for a sinc companion; and a call larger than
+``_POOL_ELEMS`` runs on every CPU the process may run on (its affinity
+mask, which ``taskset`` limits), smaller ones inline.  The result does
+not depend on the CPU count.  The same row chunks and pool
 sum the Gram border of a design taller than one chunk
 (``model.Design.sync``).  The command line runs BLAS on one thread, so
 there this pool is a run's only parallelism; a library caller keeps the
@@ -38,7 +39,6 @@ BLAS threads it set.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import os
 import threading
@@ -197,7 +197,7 @@ class MotherWavelet:
         ``axes`` holds ``dim`` equally shaped arrays, the points'
         coordinates along each input axis.  They are left unchanged; the
         result is a new array of their shape.  The sinc companion is
-        separable and is built per axis by :func:`basis_matrix`.
+        separable and is built per axis by :func:`_fill`.
         """
         if self.family is WaveletFamily.MEXICAN_HAT:
             s2 = _sum_of_squares(axes)
@@ -243,34 +243,26 @@ class MotherWavelet:
         return surface_area(d) * (math.pi / 2) * (2 ** d - 1) / d
 
 
-def eval_basis(mother: MotherWavelet, index, x) -> np.ndarray:
-    """Evaluate one element (a basis set's row) through :func:`basis_matrix`.
-
-    ``x`` may be a single point of shape (dim,) or a batch (..., dim);
-    the result drops the last axis (a single point gives a scalar).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != mother.dim:
-        raise ValueError(f"points have {x.shape[-1]} components, "
-                         f"mother expects {mother.dim}")
-    col = basis_matrix(mother, index[None], x.reshape(-1, mother.dim))[:, 0]
-    return col.reshape(x.shape[:-1])[()]
-
-
-# Most offset elements, summed over the input axes, that a worker
-# evaluates at once: one row slab of one block.  A worker holds one
-# slab's scratch at a time, its offsets and the shape's temporaries, at
-# most 4 * _BLOCK_ELEMS doubles (2 MiB, one core's L2 cache on the
-# two-core Xeon the benchmarks run on; the 1-D sinc wavelet's offsets,
-# radii, profile and one temporary reach it), on top of the call's
-# output and, in a sinc companion task, its row chunk's per-axis factor
-# tables.  A worker of the psi^T y path also holds its block's values,
-# rows x columns cells; in place of the output, its call holds one
-# partial sum per row chunk and column.  A bound of 2**18, four times
-# that cache, made the scratch most of an N = 500 run's memory above the
-# interpreter's.
+# Most values a worker evaluates at once, one row slab of one tile: its
+# offsets summed over the input axes, or a sinc companion's gathered
+# values.  A worker holds one slab's scratch at a time, its offsets and
+# the shape's temporaries, at most 4 * _BLOCK_ELEMS doubles (2 MiB, one
+# core's L2 cache on the two-core Xeon the benchmarks run on; the 1-D
+# sinc wavelet's offsets, radii, profile and one temporary reach it), on
+# top of the call's output.  A sinc companion's slab holds its values and
+# one axis's factor table over the tile's distinct translations, no
+# wider than the tile, beside the next axis's table or a sine temporary:
+# at most 3 * _BLOCK_ELEMS doubles, and numpy's ufunc buffers.  So its
+# tiles are d times wider than an offset tile's: cut at d offsets a
+# cell, the 50k fit's 81 companions are two tiles a chunk, each building
+# its own tables, and their serial build takes 68 ms against 46 (medians
+# of seven runs on two shared cores).  A worker of the psi^T y path also
+# holds its tile's values, rows x columns cells; in place of the output,
+# its call holds one partial sum per row chunk and column.  A bound of
+# 2**18, four times that cache, made the scratch most of an N = 500
+# run's memory above the interpreter's.
 _BLOCK_ELEMS = 2 ** 16
-# Offset elements of a call above which its blocks go to the thread
+# Offset elements of a call above which its tiles go to the thread
 # pool; smaller calls run inline.  2**18 is the smallest power of two
 # that still builds a 500-row, 162-column two-axis design inline: at
 # 2**17 that call enters the pool and slows from about 3 to 4 ms.
@@ -283,8 +275,9 @@ _BLOCK_ROWS = 4096
 # 4096 rows only 2**16 // (4096 d) columns fit the bound (8 at d = 2);
 # in blocks of eight columns the 50k fit's 162-column sinc design builds
 # about 14% slower (604 -> 689 ms on two cores), and 32 columns write
-# each row of psi in whole cache lines.  Such a block is evaluated in
-# row slabs that stay within the bound.
+# each row of psi in whole cache lines.  A sinc companion's block keeps
+# d times as many (see _BLOCK_ELEMS).  Such a block is evaluated in row
+# slabs that stay within the bound.
 _BLOCK_COLS = 32
 
 
@@ -305,73 +298,23 @@ def _row_chunks(n: int) -> list:
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def _offset_shapes(mother: MotherWavelet, kind: BasisKind, X, m: int, run):
-    """Shapes of a run's columns ``lo:hi`` at rows ``s`` of ``X``, from
-    one (rows, hi - lo) offset array per input axis, the slices of one
-    (dim, rows, hi - lo) array built by one subtraction from the run's
-    integer translations."""
-    scale = 2.0 ** m
-
-    def shapes(lo, hi):
-        centers = run[lo:hi].T[:, None, :]
-        return lambda s: mother._eval_kind(
-            kind, np.subtract((X[s] * scale).T[:, :, None], centers,
-                              order="C"))
-    return shapes
-
-
-def _sinc_companions(X, m: int, run):
-    """Sinc companions ``prod_k sinc(2^m x_k - n_k)`` of a run's columns
-    ``lo:hi`` at rows ``s`` of ``X``; ``run`` holds their translations.
-
-    Each axis's factor is evaluated once per row of ``X`` and distinct
-    ``n_k`` into a table, in place but with ``np.sinc``'s steps:
-    ``t = pi * (o / pi)``, a tiny ``t`` in place of 0 (whose factor is
-    then exactly 1) and ``sin(t) / t``.  A column gathers its factors and
-    multiplies them in axis order, so every value is the per-cell
-    ``np.sinc`` product bit for bit.
-    """
-    tables, which = [], []
-    for k in range(X.shape[1]):
-        u, inv = np.unique(run[:, k], return_inverse=True)
-        t = np.subtract.outer(X[:, k] * 2.0 ** m, u)
-        t /= np.pi
-        t *= np.pi
-        t[t == 0] = np.pi * 1e-20
-        tables.append(np.divide(np.sin(t), t, out=t))
-        which.append(inv)
-
-    def shapes(lo, hi):
-        def at(s):
-            out = tables[0][s, which[0][lo:hi]]
-            for t, inv in zip(tables[1:], which[1:]):
-                out *= t[s, inv[lo:hi]]
-            return out
-        return at
-    return shapes
-
-
 def _tiles(mother: MotherWavelet, bases, X):
-    """The blocks of the design matrix of ``bases`` at ``X``, unevaluated.
+    """The tiles of the design matrix of ``bases`` at ``X``, unevaluated.
 
     Returns X as a 2-D float array, the number of row chunks and the
-    tasks, each ``(prepare, amp, chunk, rows, blocks)``.  ``prepare()``
-    gives the task's ``shapes``; a block ``(lo, hi, cols, step)`` is the
-    design matrix's ``[rows, cols]``, whose values at the chunk's rows
-    ``s`` are ``amp * shapes(lo, hi)(s)``, taken in slabs of at most
-    ``step`` rows; ``chunk`` is the index of the row chunk.
+    tiles, each ``(chunk, rows, cols, kind, m, trans)``: the design
+    matrix's ``[rows, cols]`` in row chunk ``chunk``, whose columns are
+    the elements of kind ``kind`` and resolution ``m`` translated by the
+    rows of ``trans``, as :func:`_fill` evaluates them.
 
     Rows are cut into :func:`_row_chunks`.  Each run of consecutive
     bases of one kind and resolution is cut into the fewest column
-    blocks whose offsets over a chunk's rows fit ``_BLOCK_ELEMS``, their
-    sizes differing by at most one column.  In a design of several
-    chunks where fewer than ``_BLOCK_COLS`` columns fit, it is cut into
-    the most blocks of at least ``_BLOCK_COLS`` columns instead.  A
-    slab of a block stays within the bound.  A block of wavelets or
-    Mexican-hat companions is its own task, evaluated from one offset
-    array per input axis; a run's sinc companions are one task per row
-    chunk, which builds that chunk's per-axis factor tables, gathers its
-    blocks from them and frees them.
+    blocks whose values over a chunk's rows fit ``_BLOCK_ELEMS``, their
+    sizes differing by at most one column: d offsets a cell, or one
+    gathered value for a sinc companion.  In a design of several chunks
+    where fewer than ``_BLOCK_COLS`` columns fit (d times that for a
+    sinc companion), the run is cut into the most blocks of at least
+    that many columns instead.  Every block is one tile per chunk.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -379,56 +322,76 @@ def _tiles(mother: MotherWavelet, bases, X):
         raise ValueError(f"X has dim {d} and the translations "
                          f"{bases.shape[1] - 2}; mother expects {mother.dim}")
     chunks = _row_chunks(n)
-    # offset elements of one column over the tallest chunk
-    column = max(1, -(-n // len(chunks)) * d)
-    width = max(1, _BLOCK_ELEMS // column)
-    tall = len(chunks) > 1 and width < _BLOCK_COLS
-    tasks = []
+    height = max(1, -(-n // len(chunks)))
+    tiles = []
     start = 0
     ends = 1 + np.flatnonzero(np.diff(bases[:, [KIND, RES]], axis=0).any(1))
     for group in np.split(bases, ends) if len(bases) else []:
         kind, m = BasisKind(group[0, KIND]), int(group[0, RES])
-        run = group[:, TRANS]
+        trans = group[:, TRANS]
+        # a sinc companion gathers one value a cell, not d offsets
+        per = (1 if kind is BasisKind.SCALING
+               and mother.family is WaveletFamily.SINC else d)
+        width = max(1, _BLOCK_ELEMS // (height * per))
+        floor = _BLOCK_COLS * d // per
         # blocks whose sizes differ by at most one: at most width
-        # columns each, or at least _BLOCK_COLS in a tall design
-        k = max(1, len(run) // _BLOCK_COLS) if tall else -(-len(run) // width)
-        cuts = [len(run) * i // k for i in range(k + 1)]
-        blocks = [(lo, hi, slice(start + lo, start + hi),
-                   max(1, _BLOCK_ELEMS // ((hi - lo) * d)))
+        # columns each, or at least floor in a tall design
+        if len(chunks) > 1 and width < floor:
+            k = max(1, len(trans) // floor)
+        else:
+            k = -(-len(trans) // width)
+        cuts = [len(trans) * i // k for i in range(k + 1)]
+        tiles += [(chunk, rows, slice(start + lo, start + hi), kind, m,
+                   trans[lo:hi])
+                  for chunk, rows in enumerate(chunks)
                   for lo, hi in zip(cuts[:-1], cuts[1:])]
-        amp = 2.0 ** (0.5 * d * m)
-        for chunk, rows in enumerate(chunks):
-            if (kind is BasisKind.SCALING
-                    and mother.family is WaveletFamily.SINC):
-                prepare = functools.partial(_sinc_companions, X[rows], m, run)
-                tasks.append((prepare, amp, chunk, rows, blocks))
-            else:
-                prepare = functools.partial(_offset_shapes, mother, kind,
-                                            X[rows], m, run)
-                tasks += [(prepare, amp, chunk, rows, [b]) for b in blocks]
-        start += len(run)
-    return X, len(chunks), tasks
+        start += len(trans)
+    return X, len(chunks), tiles
 
 
-def _blocks(task):
-    """Evaluate a task's blocks one at a time.
+def _fill(mother: MotherWavelet, X, tile, dest) -> None:
+    """Write the values of ``tile``, one of :func:`_tiles` of ``X``, into
+    ``dest``, an array of its (rows, columns) shape, a row slab at a time.
 
-    Yields each block's ``(chunk, rows, cols, write)``; ``write(dest)``
-    writes the block's values into ``dest``, an array of its (rows,
-    columns) shape, slab by slab, before the next block is evaluated.
-    What ``prepare`` built (a sinc companion task's factor tables) is
-    freed with the generator.
+    A slab holds at most ``_BLOCK_ELEMS`` values: the offsets of its rows
+    from the tile's translations, one (slab, columns) array per input
+    axis sliced from one array that one subtraction builds, or a sinc
+    companion's gathered values.  The companion is separable: each
+    axis's factor is evaluated once per slab row and distinct ``n_k`` of
+    the tile into a table, in place but with ``np.sinc``'s steps:
+    ``t = pi * (o / pi)``, a tiny ``t`` in place of 0 (whose factor is
+    then exactly 1) and ``sin(t) / t``.  A column gathers its factors and
+    multiplies them in axis order, so every value is the per-cell
+    ``np.sinc`` product bit for bit.  A table spans the slab's rows and
+    the tile's distinct ``n_k`` on one axis, and goes once the next
+    axis's is built, so no table outlives its slab.
     """
-    prepare, amp, chunk, rows, blocks = task
-    shapes = prepare()
-    for lo, hi, cols, step in blocks:
-        at = shapes(lo, hi)
-
-        def write(dest, at=at, step=step):
-            for i in range(0, len(dest), step):
-                np.multiply(at(slice(i, i + step)), amp,
-                            out=dest[i:i + step])
-        yield chunk, rows, cols, write
+    _, rows, _, kind, m, trans = tile
+    d = mother.dim
+    scale, amp = 2.0 ** m, 2.0 ** (0.5 * d * m)
+    gather = (kind is BasisKind.SCALING
+              and mother.family is WaveletFamily.SINC)
+    if gather:
+        distinct = [np.unique(t, return_inverse=True) for t in trans.T]
+    step = max(1, _BLOCK_ELEMS // (len(trans) * (1 if gather else d)))
+    part = X[rows]
+    for lo in range(0, len(part), step):
+        x = part[lo:lo + step]
+        if gather:
+            for k, (u, which) in enumerate(distinct):
+                t = np.subtract.outer(x[:, k] * scale, u)
+                t /= np.pi
+                t *= np.pi
+                t[t == 0] = np.pi * 1e-20
+                np.divide(np.sin(t), t, out=t)
+                if k:
+                    values *= t[:, which]
+                else:
+                    values = t[:, which]
+        else:
+            values = mother._eval_kind(kind, np.subtract(
+                (x * scale).T[:, :, None], trans.T[:, None, :], order="C"))
+        np.multiply(values, amp, out=dest[lo:lo + step])
 
 
 def _each_tile(work, tasks, cells: int) -> None:
@@ -437,7 +400,7 @@ def _each_tile(work, tasks, cells: int) -> None:
     ``_POOL_ELEMS``, else inline.  numpy and scipy.special release the
     GIL.
 
-    Each caller's task writes only its own slot (a block of the design
+    Each caller's task writes only its own slot (a tile of the design
     matrix, a row chunk's partial sums of psi^T y or of a Gram border),
     and partial sums are added in chunk order, so the result does not
     depend on the worker count.  Its products are BLAS calls, which
@@ -445,7 +408,7 @@ def _each_tile(work, tasks, cells: int) -> None:
 
     Each worker takes the next task from one shared iterator until none
     is left, so a call makes one future per worker, not one per task
-    (the 12 000 futures of a 9-D probe level's blocks would hold some
+    (the 12 000 futures of a 9-D probe level's tiles would hold some
     30 MB)."""
     workers = 1
     if cells > _POOL_ELEMS:
@@ -473,50 +436,45 @@ def _each_tile(work, tasks, cells: int) -> None:
 def basis_matrix(mother: MotherWavelet, bases, X) -> np.ndarray:
     """Evaluate every basis in ``bases`` at every row of ``X``.
 
-    Returns the (n_samples, n_bases) design matrix, evaluated block by
-    block as :func:`_tiles` cuts it.  When the call exceeds the pool
-    threshold and the process may run on several CPUs, the tasks are
-    mapped over a thread pool of at most that many workers; each block
-    writes only its own slice of the output, so the result is the same
-    bit for bit on any number of CPUs.  Each worker holds one slab's
-    scratch at a time.  Smaller calls run inline.
+    Returns the (n_samples, n_bases) design matrix, filled tile by tile
+    as :func:`_tiles` cuts it.  When the call exceeds the pool threshold
+    and the process may run on several CPUs, the tiles are mapped over a
+    thread pool of at most that many workers; each tile writes only its
+    own slice of the output, so the result is the same bit for bit on
+    any number of CPUs.  Each worker holds one slab's scratch at a time.
+    Smaller calls run inline.
     """
-    X, _, tasks = _tiles(mother, bases, X)
+    X, _, tiles = _tiles(mother, bases, X)
     out = np.empty((len(X), len(bases)))
-
-    def fill(task):
-        for _, rows, cols, write in _blocks(task):
-            write(out[rows, cols])
-
-    _each_tile(fill, tasks, X.size * len(bases))
+    _each_tile(lambda t: _fill(mother, X, t, out[t[1], t[2]]), tiles,
+               X.size * len(bases))
     return out
 
 
 def basis_matrix_tdot(mother: MotherWavelet, bases, X, y) -> np.ndarray:
     """``basis_matrix(mother, bases, X).T @ y`` without holding the matrix.
 
-    Each block of :func:`_tiles` is evaluated, multiplied by its rows of
+    Each tile of :func:`_tiles` is evaluated, multiplied by its rows of
     ``y`` into its own slot of a (row chunks, n_bases) array of partial
     sums and freed; the chunks' partial sums are then added in chunk
-    order.  So a worker holds one slab's scratch and one block's values
+    order.  So a worker holds one slab's scratch and one tile's values
     at a time, and the result is the same bit for bit on any number of
     CPUs.  It may differ from the product of the whole matrix in the
-    last bits, since the BLAS sums each block's products on its own.
+    last bits, since the BLAS sums each tile's products on its own.
     """
-    X, kr, tasks = _tiles(mother, bases, X)
+    X, kr, tiles = _tiles(mother, bases, X)
     y = np.asarray(y, dtype=float)
     if y.shape != (len(X),):
         raise ValueError(f"y has shape {y.shape}, X has {len(X)} rows")
     parts = np.empty((kr, len(bases)))
 
-    def fold(task):
-        for chunk, rows, cols, write in _blocks(task):
-            values = np.empty((rows.stop - rows.start,
-                               cols.stop - cols.start))
-            write(values)
-            np.matmul(y[rows], values, out=parts[chunk, cols])
+    def fold(tile):
+        chunk, rows, cols = tile[:3]
+        values = np.empty((rows.stop - rows.start, cols.stop - cols.start))
+        _fill(mother, X, tile, values)
+        np.matmul(y[rows], values, out=parts[chunk, cols])
 
-    _each_tile(fold, tasks, X.size * len(bases))
+    _each_tile(fold, tiles, X.size * len(bases))
     total = parts[0]
     for part in parts[1:]:
         total += part

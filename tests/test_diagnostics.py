@@ -9,7 +9,7 @@ import pytest
 from cwnn.diagnostics import (DecayReport, TimeFrequencyBox, count_peaks,
                               decay_report, gram, scan_indices)
 from cwnn.wavelets import (KIND, RES, TRANS, BasisKind, MotherWavelet,
-                           basis_set, eval_basis)
+                           basis_matrix, basis_set)
 from quadrature_oracle import adaptive_integral
 
 MH1 = MotherWavelet.mexican_hat(1)
@@ -67,7 +67,8 @@ def product_integral(mother, a, b, half, panels, **tol):
     """<psi_a, psi_b> by quadrature over the cube [-half, half]^d."""
     d = mother.dim
     return adaptive_integral(
-        lambda pts: eval_basis(mother, a, pts) * eval_basis(mother, b, pts),
+        lambda pts: (basis_matrix(mother, a[None], pts)[:, 0]
+                     * basis_matrix(mother, b[None], pts)[:, 0]),
         [-half] * d, [half] * d, [panels] * d, order=16, **tol)
 
 

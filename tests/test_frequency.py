@@ -12,8 +12,8 @@ from cwnn.frequency import (alpha_from_epsilon, ema_update,
                             estimate_subspace_energy, subsample_centers)
 from cwnn.model import (Design, TrainLog, TrainingDivergence, WaveletModel,
                         train_to_plateau)
-from cwnn.wavelets import (RES, TRANS, MotherWavelet, basis_set,
-                           build_center_grid, eval_basis, lattice_bases)
+from cwnn.wavelets import (RES, TRANS, MotherWavelet, basis_matrix,
+                           basis_set, build_center_grid, lattice_bases)
 
 
 def test_alpha_values():
@@ -176,7 +176,7 @@ def _band_dataset(m_peak=2, n=300, seed=1):
     X = rng.uniform(0.0, 1.0, size=(n, 1))
     y = np.zeros(n)
     for coef, k in ((0.9, 1), (-0.6, 2), (0.4, 3)):
-        y += coef * eval_basis(mh, basis_set(m_peak, [(k,)])[0], X)
+        y += coef * basis_matrix(mh, basis_set(m_peak, [(k,)]), X)[:, 0]
     return mh, X, y
 
 
@@ -218,7 +218,7 @@ def test_estimator_cap_warning():
     X = rng.uniform(0.0, 1.0, size=(300, 1))
     y = np.zeros(300)
     for coef, k in ((30.0, 20), (25.0, 33), (20.0, 45)):
-        y += coef * eval_basis(mh, basis_set(6, [(k,)])[0], X)
+        y += coef * basis_matrix(mh, basis_set(6, [(k,)]), X)[:, 0]
     grid = build_center_grid(1, [0.0], [1.0], margin=1.0, clamp_low=[0.0])
     res = estimate_initial_resolution(mh, X, y, grid, kappa=1.0, lr=5e-4,
                                       epsilon=0.01, m_cap=3)

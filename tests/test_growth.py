@@ -17,8 +17,7 @@ from cwnn.growth import (GrowthConfig, WaveletPool, expand_into_next,
 from cwnn.model import (DIVERGENCE_LIMIT, Design, TrainLog, TrainStatus,
                         TrainingDivergence, WaveletModel)
 from cwnn.wavelets import (KIND, RES, TRANS, BasisKind, MotherWavelet,
-                           basis_matrix, basis_set, build_center_grid,
-                           eval_basis)
+                           basis_matrix, basis_set, build_center_grid)
 from children_oracle import appended
 from divergence_oracle import check_finite
 
@@ -231,7 +230,7 @@ def _representable_target():
     b = details(pool, 1)[2]
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 1.0, size=(60, 1))
-    return X, eval_basis(MH1, b, X)
+    return X, basis_matrix(MH1, b[None], X)[:, 0]
 
 
 def test_growth_representable_target_no_growth():

@@ -791,6 +791,27 @@ def test_design_rejects_bases_it_was_not_built_on():
         design.sync(wm([(1, 1), (0, 0)]))
 
 
+@pytest.mark.parametrize("n_x, n_y", [(600, 500), (500, 600)])
+def test_a_design_refuses_targets_of_another_row_count(n_x, n_y):
+    # with 600 input rows and 500 targets a growth run trained on the
+    # first 500 rows in the Gram form and returned without an error; a
+    # refused run leaves its pool unseeded
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0.0, 1.0, size=(n_x, 1))
+    y = np.sin(6.0 * rng.uniform(0.0, 1.0, size=n_y))
+    counts = f"X has {n_x} rows and y {n_y} values"
+    with pytest.raises(ValueError, match=counts):
+        Design(X, y)
+    config = GrowthConfig(epsilon=1e-6, zeta=1e-10, mu=1 / 2,
+                          learning_rate=0.05, max_resolution=3,
+                          max_iters=200)
+    for run in (run_growth, cwnn.growth.run_baseline_wnn):
+        pool = _start_pool()
+        with pytest.raises(ValueError, match=counts):
+            run(pool, X, y, config)
+        assert pool.n_params == 0 and pool.log.events == []
+
+
 def test_growth_evaluates_each_column_once(monkeypatch):
     # a multi-phase run evaluates N cells per basis, each exactly once
     rng = np.random.default_rng(2)

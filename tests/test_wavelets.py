@@ -1,6 +1,5 @@
 """Mother wavelets, dyadic bases, center grids and child selection."""
 
-import itertools
 import math
 import os
 import subprocess
@@ -18,7 +17,7 @@ import cwnn.wavelets as wavelets
 from cwnn.wavelets import (KIND, RES, TRANS, BasisKind, CenterGrid,
                            GridError, MotherWavelet, basis_matrix,
                            basis_matrix_tdot, basis_set, build_center_grid,
-                           children_centers, eval_basis, lattice_bases)
+                           children_centers, lattice_bases)
 from children_oracle import children
 from quadrature_oracle import adaptive_integral, panel_rule_1d
 
@@ -32,6 +31,12 @@ def s_index(m, n):
     """One companion element, a basis set's row."""
     return basis_set(m, [n if isinstance(n, tuple) else (n,)],
                      BasisKind.SCALING)[0]
+
+
+def column(mother, b, X):
+    """The values of the element ``b`` (a basis set's row) at the rows of
+    ``X``: its column of ``basis_matrix``."""
+    return basis_matrix(mother, b[None], X)[:, 0]
 
 
 def rows(bases):
@@ -249,28 +254,28 @@ def test_wavelets_leave_out_quadrature():
 def test_eval_basis_identity_and_scaling():
     mh = MotherWavelet.mexican_hat(1)
     x = np.linspace(-2, 2, 9).reshape(-1, 1)
-    assert np.allclose(eval_basis(mh, w_index(0, 0), x), mh.eval_mother(x))
-    assert eval_basis(mh, w_index(1, 0), [[0.0]])[0] == pytest.approx(
+    assert np.allclose(column(mh, w_index(0, 0), x), mh.eval_mother(x))
+    assert column(mh, w_index(1, 0), [[0.0]])[0] == pytest.approx(
         math.sqrt(2.0))
     mh2 = MotherWavelet.mexican_hat(2)
-    assert eval_basis(mh2, w_index(1, (2, 2)),
-                      [[1.0, 1.0]])[0] == pytest.approx(4.0)
+    assert column(mh2, w_index(1, (2, 2)),
+                  [[1.0, 1.0]])[0] == pytest.approx(4.0)
 
 
 def test_eval_scaling_values():
     mh = MotherWavelet.mexican_hat(1)
-    assert eval_basis(mh, s_index(0, 0), [[0.0]])[0] == pytest.approx(1.0)
-    assert eval_basis(mh, s_index(1, 2), [[1.0]])[0] == pytest.approx(
+    assert column(mh, s_index(0, 0), [[0.0]])[0] == pytest.approx(1.0)
+    assert column(mh, s_index(1, 2), [[1.0]])[0] == pytest.approx(
         math.sqrt(2.0))
     sc2 = MotherWavelet.sinc(2)
-    assert eval_basis(sc2, s_index(0, (0, 0)),
-                      [[0.0, 0.0]])[0] == pytest.approx(1.0)
+    assert column(sc2, s_index(0, (0, 0)),
+                  [[0.0, 0.0]])[0] == pytest.approx(1.0)
 
 
 def test_eval_dimension_mismatch():
     mh = MotherWavelet.mexican_hat(2)
     with pytest.raises(ValueError):
-        eval_basis(mh, w_index(0, 0), [[1.0]])
+        column(mh, w_index(0, 0), [[1.0]])
 
 
 @pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
@@ -287,7 +292,7 @@ def test_basis_matrix_rejects_a_translation_of_the_wrong_length(family, n,
     with pytest.raises(ValueError):
         basis_set(1, [(0, 0), n], kind)
     with pytest.raises(ValueError, match="mother expects 2"):
-        eval_basis(mother, basis_set(1, [n], kind)[0], [0.5, 0.5])
+        column(mother, basis_set(1, [n], kind)[0], [0.5, 0.5])
 
 
 @pytest.mark.parametrize("n", [[(0.5,)], [(2 ** 31,)], [(-2 ** 31 - 1,)]])
@@ -339,10 +344,7 @@ def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
                  else companion(family, t))
         want = 2.0 ** (d * int(b[RES]) / 2) * shape
         np.testing.assert_allclose(psi[:, j], want, rtol=1e-13, atol=1e-15)
-        np.testing.assert_array_equal(eval_basis(mother, b, X), psi[:, j])
-    # a single point gives a scalar, a (2, 2, d) batch a (2, 2) array
-    assert np.ndim(eval_basis(mother, bases[0], X[0])) == 0
-    assert eval_basis(mother, bases[0], X[:4].reshape(2, 2, d)).shape == (2, 2)
+        np.testing.assert_array_equal(column(mother, b, X), psi[:, j])
 
 
 def mixed_bases(d, seed):
@@ -413,22 +415,32 @@ def test_basis_matrix_threads_agree_with_serial(family, d, monkeypatch):
                                    atol=0.0)
 
 
-def _record_block_sizes(monkeypatch):
-    """A list that gathers the column count of every wavelet block that
-    ``basis_matrix`` evaluates."""
-    sizes = []
-    real = wavelets._offset_shapes
+def _record_tiles(monkeypatch):
+    """A list that gathers the (rows, columns) shape of every tile that
+    ``basis_matrix`` fills."""
+    shapes = []
+    real = wavelets._fill
 
-    def spy(*args):
-        shapes = real(*args)
+    def spy(mother, X, tile, dest):
+        shapes.append(dest.shape)
+        real(mother, X, tile, dest)
 
-        def recording(lo, hi):
-            sizes.append(hi - lo)
-            return shapes(lo, hi)
-        return recording
+    monkeypatch.setattr(wavelets, "_fill", spy)
+    return shapes
 
-    monkeypatch.setattr(wavelets, "_offset_shapes", spy)
-    return sizes
+
+def _record_slabs(monkeypatch):
+    """A list that gathers the (rows, columns) shape of every row slab of
+    offsets that ``basis_matrix`` evaluates."""
+    slabs = []
+    real = MotherWavelet._eval_kind
+
+    def spy(self, kind, axes):
+        slabs.append(axes[0].shape)
+        return real(self, kind, axes)
+
+    monkeypatch.setattr(MotherWavelet, "_eval_kind", spy)
+    return slabs
 
 
 def test_basis_matrix_balances_its_blocks(monkeypatch):
@@ -436,12 +448,13 @@ def test_basis_matrix_balances_its_blocks(monkeypatch):
     # block holds at most _BLOCK_ELEMS // 1 000 columns (65 at 2^16), so
     # the group is cut into the fewest blocks that allow (17 of 63 or
     # 64), not into full blocks and a short remainder
-    sizes = _record_block_sizes(monkeypatch)
+    tiles = _record_tiles(monkeypatch)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
     mother = MotherWavelet.sinc(2)
     bases = lattice_bases(5, [range(23), range(47)])
     X = np.random.default_rng(5).uniform(0.0, 1.0, size=(500, 2))
     psi = basis_matrix(mother, bases, X)
+    sizes = [c for _, c in tiles]
     block = wavelets._BLOCK_ELEMS // X.size
     k = -(-len(bases) // block)
     assert k == 17 and sum(sizes) == len(bases) and len(sizes) == k
@@ -454,7 +467,7 @@ def test_basis_matrix_balances_its_blocks(monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("family, kind", [
     ("mexican_hat", BasisKind.WAVELET), ("mexican_hat", BasisKind.SCALING),
-    ("sinc", BasisKind.WAVELET)])
+    ("sinc", BasisKind.WAVELET), ("sinc", BasisKind.SCALING)])
 def test_basis_matrix_scratch_stays_within_its_bound(monkeypatch, d, family,
                                                      kind):
     # the bound the _BLOCK_ELEMS comment states: beyond its output, a
@@ -484,18 +497,20 @@ def test_basis_matrix_blocks_differ_by_at_most_one(monkeypatch, n_cols,
     # `block` columns; a design of three one-row chunks whose bound fits
     # one column fewer than a floor of `block` takes the most blocks of
     # at least `block` columns
-    sizes = _record_block_sizes(monkeypatch)
+    tiles = _record_tiles(monkeypatch)
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", block * 3)
     basis_matrix(MotherWavelet.mexican_hat(1),
                  lattice_bases(0, [range(n_cols)]), np.zeros((3, 1)))
+    sizes = [c for _, c in tiles]
     assert sum(sizes) == n_cols and len(sizes) == -(-n_cols // block)
     assert max(sizes) <= block and max(sizes) - min(sizes) <= 1
-    sizes.clear()
+    tiles.clear()
     monkeypatch.setattr(wavelets, "_BLOCK_ROWS", 1)
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", block - 1 or 1)
     monkeypatch.setattr(wavelets, "_BLOCK_COLS", block)
     basis_matrix(MotherWavelet.mexican_hat(1),
                  lattice_bases(0, [range(n_cols)]), np.zeros((3, 1)))
+    sizes = [c for _, c in tiles]
     k = max(1, n_cols // block)
     assert sum(sizes) == 3 * n_cols and len(sizes) == 3 * k
     assert min(sizes) >= min(block, n_cols) and max(sizes) - min(sizes) <= 1
@@ -509,24 +524,8 @@ def test_basis_matrix_cuts_tall_designs_by_rows(monkeypatch):
     # bound at full chunk height; each block is evaluated in row slabs
     # whose offsets stay within _BLOCK_ELEMS.  A serial call keeps the
     # scratch bound, and full-height blocks give the same bytes
-    blocks, slabs = [], []
-    real = wavelets._offset_shapes
-
-    def spy(mother, kind, X, m, run):
-        shapes = real(mother, kind, X, m, run)
-
-        def recording(lo, hi):
-            blocks.append((X.shape[0], hi - lo))
-            at = shapes(lo, hi)
-
-            def slab(s):
-                values = at(s)
-                slabs.append(values.shape)
-                return values
-            return slab
-        return recording
-
-    monkeypatch.setattr(wavelets, "_offset_shapes", spy)
+    blocks = _record_tiles(monkeypatch)
+    slabs = _record_slabs(monkeypatch)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     mother = MotherWavelet.mexican_hat(2)
     bases = lattice_bases(4, [range(-1, 17), range(-1, 8)])
@@ -580,10 +579,16 @@ def test_tdot_matches_the_matrix_product(family, d, monkeypatch):
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2500 * d * 4)
     monkeypatch.setattr(wavelets, "_BLOCK_COLS", 12)
     monkeypatch.setattr(wavelets, "_POOL_ELEMS", 2500 * d * 12)
-    _, chunks, tasks = wavelets._tiles(mother, bases, X)
-    assert chunks == 2 and sum(len(t[4]) for t in tasks) >= 3 * 2 * chunks
-    assert max(b[3] for t in tasks for b in t[4]) <= 833
-    psi = basis_matrix(mother, bases, X)
+    _, chunks, tiles = wavelets._tiles(mother, bases, X)
+    assert chunks == 2 and len(tiles) >= 3 * 2 * chunks
+    # every slab's offsets, and its sinc factor tables, of at most 833 rows
+    tables, real_sin = [], np.sin
+    with pytest.MonkeyPatch.context() as mp:
+        slabs = _record_slabs(mp)
+        mp.setattr(np, "sin", lambda x, *args, **kwargs: (
+            tables.append(x.shape) or real_sin(x, *args, **kwargs)))
+        psi = basis_matrix(mother, bases, X)
+    assert max(r for r, _ in slabs + tables) <= 833
     bound = 16 * np.finfo(float).eps * np.abs(psi * y[:, None]).sum(axis=0)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     serial = basis_matrix_tdot(mother, bases, X, y)
@@ -611,8 +616,9 @@ def test_sinc_companion_tables_match_np_sinc():
     centers = rng.integers(-3, 4, size=(50, 2)).astype(float)
     scaled = rng.uniform(-4.0, 4.0, size=(200, 2))
     scaled[:20] = centers[:20]
-    run = centers.astype(np.int32)
-    got = wavelets._sinc_companions(scaled, 0, run)(0, len(run))(slice(None))
+    got = basis_matrix(MotherWavelet.sinc(2),
+                       basis_set(0, centers.astype(int), BasisKind.SCALING),
+                       scaled)
     want = np.sinc((scaled[:, None, 0] - centers[:, 0]) / np.pi)
     want *= np.sinc((scaled[:, None, 1] - centers[:, 1]) / np.pi)
     assert np.count_nonzero(got == 1.0) >= 20
@@ -691,18 +697,17 @@ def test_concurrent_callers_get_the_serial_result(monkeypatch, evaluate):
         np.testing.assert_array_equal(g, w)
 
 
-def _companion_tables(mother, bases, n):
-    """Bytes of one row chunk's sinc factor tables for the largest
-    companion run, plus one axis table more (the one being built)."""
-    rows = -(-n // len(wavelets._row_chunks(n)))
+def _slab_tables(mother, bases, X):
+    """Bytes of the largest row slab's sinc factor tables, one per axis
+    of its tile's distinct translations, plus one axis table more (the
+    one being built)."""
     most = 0
-    for (kind, _), run in itertools.groupby(bases.tolist(),
-                                            lambda b: (b[KIND], b[RES])):
-        if (kind == BasisKind.SCALING
+    for _, rows, _, kind, _, trans in wavelets._tiles(mother, bases, X)[2]:
+        if (kind is BasisKind.SCALING
                 and mother.family is wavelets.WaveletFamily.SINC):
-            run = list(run)
-            sizes = [rows * len({b[TRANS][k] for b in run})
-                     for k in range(mother.dim)]
+            slab = min(rows.stop - rows.start,
+                       max(1, wavelets._BLOCK_ELEMS // len(trans)))
+            sizes = [slab * len(np.unique(t)) for t in trans.T]
             most = max(most, (sum(sizes) + max(sizes)) * 8)
     return most
 
@@ -717,7 +722,7 @@ def test_any_block_bound_gives_the_whole_design_bytes(data, n, d, family,
                                                       elems, cols):
     # under any per-worker bound and column floor, a serial call gives
     # the bytes of one block of the whole design, and its scratch beyond
-    # the output stays within 4 * _BLOCK_ELEMS doubles, one chunk's sinc
+    # the output stays within 4 * _BLOCK_ELEMS doubles, one slab's sinc
     # factor tables and a few kilobytes of bookkeeping
     mother = getattr(MotherWavelet, family)(d)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -739,13 +744,13 @@ def test_any_block_bound_gives_the_whole_design_bytes(data, n, d, family,
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        tables = _slab_tables(mother, bases, X)
         mp.setattr(wavelets, "_BLOCK_ELEMS", X.size * len(bases))
         mp.setattr(wavelets, "_BLOCK_ROWS", n)
         whole = basis_matrix(mother, bases, X)
     assert psi.tobytes() == whole.tobytes()
     scratch = peak - psi.nbytes
-    assert scratch <= (4 * elems * 8 + _companion_tables(mother, bases, n)
-                       + 2 ** 16)
+    assert scratch <= 4 * elems * 8 + tables + 2 ** 16
 
 
 def test_a_500_row_162_column_design_runs_inline(monkeypatch):
@@ -784,39 +789,60 @@ def test_a_500_row_probe_level_of_6561_elements_takes_the_pool(monkeypatch):
     assert CountingPool.opened == 1
 
 
-def test_a_tall_sinc_companion_run_holds_one_chunk_of_tables(monkeypatch):
+def test_a_tall_sinc_companion_run_holds_one_slab_of_tables(monkeypatch):
     # 16 384 rows of three axes (four chunks of 4 096) and 48 companions
     # whose translations differ on every axis: a chunk's factor tables
     # are 3 x 4 096 x 48 doubles (4.7 MB), all four chunks' 18.9 MB.
-    # _tiles builds none; each chunk's task builds its own and frees
-    # them, so a serial call holds one chunk's tables, the axis table
-    # being built and one slab's scratch beyond its output
-    built = []
-    real = wavelets._sinc_companions
+    # _tiles builds none; the run is one tile per chunk, which builds
+    # each slab's tables, one axis at a time, from its columns'
+    # translations and frees them with the slab.  So each row and
+    # distinct translation of an axis takes one sine, and a serial call
+    # holds one slab's scratch beyond its output: one table and its sine
+    # temporary, the slab's values and one gathered factor
+    tables = []
+    real_sin = np.sin
 
-    def spy(X, m, run):
-        built.append(len(X))
-        return real(X, m, run)
+    def spy(x, *args, **kwargs):
+        tables.append(x.shape)
+        return real_sin(x, *args, **kwargs)
 
-    monkeypatch.setattr(wavelets, "_sinc_companions", spy)
+    monkeypatch.setattr(np, "sin", spy)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
     mother = MotherWavelet.sinc(3)
     bases = basis_set(3, [(j, j, j) for j in range(-8, 40)],
                       BasisKind.SCALING)
     X = np.random.default_rng(9).uniform(0.0, 1.0, size=(4 * 4096, 3))
-    wavelets._tiles(mother, bases, X)
-    assert built == []
+    assert len(wavelets._tiles(mother, bases, X)[2]) == 4
+    assert tables == []
     tracemalloc.start()
     try:
         psi = basis_matrix(mother, bases, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert built == [4096] * 4
-    table = 4096 * len(bases) * 8
+    step = wavelets._BLOCK_ELEMS // len(bases)
+    assert {c for _, c in tables} == {len(bases)}
+    assert max(r for r, _ in tables) == step
+    assert sum(r for r, _ in tables) == 3 * len(X)
+    slab = step * len(bases) * 8
     scratch = peak - psi.nbytes
-    assert scratch <= 4 * table + 4 * wavelets._BLOCK_ELEMS * 8 + 2 ** 16
-    assert scratch < 2 * 3 * table
+    assert scratch <= 4 * slab + 2 ** 16
+    assert scratch < 3 * 4096 * len(bases) * 8
+
+
+def test_a_tall_sinc_companion_run_takes_fewer_blocks_than_wavelets():
+    # the 50k fit's seed: 81 companions and 81 wavelets on a 9 x 9
+    # lattice, on rows of two axes past one chunk.  A companion gathers
+    # one value a cell where a wavelet evaluates two offsets, so its
+    # blocks are twice as wide: its run is one block, each chunk's tile
+    # building its tables once, where the wavelets take two
+    mother = MotherWavelet.sinc(2)
+    X = np.random.default_rng(10).uniform(0.0, 1.0, size=(3 * 4096 + 5, 2))
+    grid = [range(9)] * 2
+    for kind, blocks in ((BasisKind.SCALING, 1), (BasisKind.WAVELET, 2)):
+        _, chunks, tiles = wavelets._tiles(
+            mother, lattice_bases(2, grid, kind), X)
+        assert len(tiles) == blocks * chunks == blocks * 4
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -849,7 +875,7 @@ def test_an_element_sits_at_its_center_and_frequency():
     assert np.allclose(center, [0.75, -0.25])
     mh = MotherWavelet.mexican_hat(2)
     t = np.array([[0.0, 0.0], [0.3, -0.7]])
-    got = eval_basis(mh, b, center + t / 4.0)
+    got = column(mh, b, center + t / 4.0)
     np.testing.assert_allclose(got, 4.0 * mh.eval_mother(t), rtol=1e-14)
     assert got[0] == pytest.approx(8.0)
 
@@ -860,8 +886,8 @@ def test_sinc_cross_band_orthogonality():
     sc = MotherWavelet.sinc(1)
 
     def prod(pts):
-        return (eval_basis(sc, w_index(0, 0), pts)
-                * eval_basis(sc, w_index(2, 1), pts))
+        return (column(sc, w_index(0, 0), pts)
+                * column(sc, w_index(2, 1), pts))
 
     val = adaptive_integral(prod, (-80.0,), (80.0,), (256,), order=12,
                             rtol=1e-7, atol=1e-9, max_doublings=6)
