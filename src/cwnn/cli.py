@@ -71,11 +71,9 @@ class Setting(NamedTuple):
 SETTINGS = {
     "seed": Setting(7, int),
     "family": Setting("sinc", ("sinc", "mexican-hat")),
-    "dataset": Setting("example1",
-                       ("example1", "example2", "autoregression", "csv")),
-    "variant": Setting("D1", ("D1", "D2", "D3")),
+    "dataset": Setting("example1-d1", ("example1-d1", "example1-d2",
+                       "example1-d3", "example2", "autoregression", "csv")),
     "n_samples": Setting(500, int),
-    "length": Setting(20_000, int),
     "switch_at": Setting(None, int),
     "csv_path": Setting(None, str),
     "target_column": Setting(None, str),
@@ -110,11 +108,11 @@ DEFAULTS = {key: s.default for key, s in SETTINGS.items()}
 # rule zeta = 0.001 * epsilon at resolution time".
 PRESETS = {
     "example1-d1": {},
-    "example1-d2": {"variant": "D2"},
-    "example1-d3": {"variant": "D3", "epsilon": 0.025},
+    "example1-d2": {"dataset": "example1-d2"},
+    "example1-d3": {"dataset": "example1-d3", "epsilon": 0.025},
     "example2": {"dataset": "example2", "epsilon": 0.005},
     "example3": {
-        "dataset": "autoregression", "switch_at": 6001,
+        "dataset": "autoregression", "n_samples": 19_998, "switch_at": 6001,
         "domain_high": [2.0, 2.0], "margin": 0.25,
         "learning_rate": 1e-4, "epsilon": 0.02,
         "max_resolution": 5, "max_iters": 10 ** 9,
@@ -130,8 +128,6 @@ PRESETS = {
 _START_M = 1
 # resolution the whole-level baseline seeds its scaling and detail grids at
 BASELINE_START_M = 1
-# rows per input region of the example2 dataset
-_N_PER_REGION = 250
 
 # what a config value must be where a flag reads each type, and its name
 _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
@@ -302,17 +298,21 @@ def resolve_config(args) -> dict:
 
 def _build_data(cfg):
     """Returns (train Dataset, extra) where extra carries scenario-specific
-    pieces (the example2 second region, the csv test split)."""
-    kind = cfg["dataset"]
+    pieces (the example2 second region, the csv test split).  A generated
+    dataset has n_samples rows, half of them in each example2 region."""
+    kind, n = cfg["dataset"], cfg["n_samples"]
     extra = {}
-    if kind == "example1":
-        ds = gen_example1(cfg["variant"], cfg["n_samples"], cfg["seed"])
+    if n < 1 and kind != "csv":
+        raise ConfigError(f"the dataset has no training rows (n_samples {n})")
+    if kind.startswith("example1"):
+        ds = gen_example1(kind[-2:].upper(), n, cfg["seed"])
     elif kind == "example2":
-        ds, ds2 = gen_example2_regions(_N_PER_REGION, cfg["seed"])
-        extra["second"] = ds2
+        if n % 2:
+            raise ConfigError(f"example2 draws n_samples // 2 rows in each "
+                              f"region, so n_samples must be even, got {n}")
+        ds, extra["second"] = gen_example2_regions(n // 2, cfg["seed"])
     elif kind == "autoregression":
-        ds = gen_autoregression(cfg["length"], cfg["seed"],
-                                switch_at=cfg["switch_at"])
+        ds = gen_autoregression(n + 2, cfg["seed"], switch_at=cfg["switch_at"])
     elif kind == "csv":
         if not cfg["csv_path"] or not cfg["target_column"]:
             raise ConfigError("csv dataset needs 'csv_path' and "

@@ -67,7 +67,7 @@ def test_unknown_config_field_exits_2(out_root, tmp_path, capsys):
 _WRONG_KINDS = [("online", {"window": "10"}), ("fit", {"seed": 1.5}),
                 ("fit", {"m_init": "2"}), ("fit", {"domain_low": 0}),
                 ("fit", {"kappa": True}), ("fit", {"max_iters": False}),
-                ("fit", {"variant": None}), ("sweep", {"mu_list": "1/2"}),
+                ("fit", {"dataset": None}), ("sweep", {"mu_list": "1/2"}),
                 ("fit", {"family": "haar"}), ("fit", {"baseline": "mlp"})]
 
 
@@ -81,7 +81,7 @@ def test_config_value_of_the_wrong_kind_exits_2(out_root, tmp_path, capsys,
     cfg = tmp_path / "kind.json"
     cfg.write_text(json.dumps(payload))
     rc = cli.main([command, "--preset", "example1-d1", "--config", str(cfg),
-                   "--n-samples", "60", "--length", "60", "--max-iters", "5",
+                   "--n-samples", "60", "--max-iters", "5",
                    "--out", str(out_root / "k")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -262,7 +262,7 @@ _REPLAYED = {
     "sweep-zeta": (["sweep"] + FAST_FIT[1:] + ["--mu-list", "1/2",
                                                "--zeta", "1e-6"],
                    ("mu-2/summary.json",)),
-    "online": (["online", "--preset", "example3", "--length", "300",
+    "online": (["online", "--preset", "example3", "--n-samples", "298",
                 "--patience", "5", "--epsilon", "0.05"],
                ("train_log.csv", "growth_events.csv", "model.json")),
     "diag": (["diag", "--preset", "example1-d1"],
@@ -337,7 +337,7 @@ def test_generated_run_dirs_do_not_collide(out_root, capsys):
 
 def test_online_small_stream(out_root, capsys):
     run = out_root / "on"
-    rc = cli.main(["online", "--preset", "example3", "--length", "600",
+    rc = cli.main(["online", "--preset", "example3", "--n-samples", "598",
                    "--patience", "5", "--epsilon", "0.05",
                    "--out", str(run)])
     summary = read_json(run / "summary.json")
@@ -351,7 +351,7 @@ def test_online_summary_growth_iterations_are_the_logged_phases(out_root,
     # a target out of reach and a wide plateau gap: the stream grows,
     # once with nothing to add
     run = out_root / "grow"
-    cli.main(["online", "--preset", "example3", "--length", "600",
+    cli.main(["online", "--preset", "example3", "--n-samples", "598",
               "--patience", "2", "--epsilon", "1e-6", "--zeta", "1e-3",
               "--max-resolution", "3", "--out", str(run)])
     summary = read_json(run / "summary.json")
@@ -371,7 +371,7 @@ def test_online_summary_growth_iterations_are_the_logged_phases(out_root,
     ("--patience", "0", "patience")])
 def test_online_rejects_counts_below_one(out_root, capsys, flag, value,
                                          name):
-    rc = cli.main(["online", "--preset", "example3", "--length", "200",
+    rc = cli.main(["online", "--preset", "example3", "--n-samples", "198",
                    flag, value, "--out", str(out_root / "bad")])
     assert rc == 2
     assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
@@ -380,7 +380,7 @@ def test_online_rejects_counts_below_one(out_root, capsys, flag, value,
 def test_online_divergence_exits_3(out_root, capsys):
     # a step size far past the stability bound blows the coefficients up
     # within a few windows; the run must stop as a numeric failure
-    rc = cli.main(["online", "--preset", "example3", "--length", "3000",
+    rc = cli.main(["online", "--preset", "example3", "--n-samples", "2998",
                    "--learning-rate", "5", "--out", str(out_root / "div")])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
@@ -585,7 +585,7 @@ def test_config_precedence_flags_beat_file(out_root, tmp_path, capsys,
     resolved = read_json(run / "config.json")
     assert resolved["seed"] == 11        # flag wins over file
     assert resolved["epsilon"] == 0.05   # file wins over preset
-    assert resolved["variant"] == "D1"   # preset fills the rest
+    assert resolved["dataset"] == "example1-d1"   # preset fills the rest
     assert len(built) == 1
 
 
@@ -788,6 +788,11 @@ _BAD_INPUTS = {
     "diag-epsilon": (["diag", "--epsilon", "2"], 2,
                      "epsilon must be in (0, 1]"),
     "no-rows": (["fit", "--n-samples", "0"], 2, "no training rows"),
+    "no-rows-series": (["online", "--preset", "example3", "--n-samples", "0"],
+                       2, "no training rows"),
+    # example2 draws n_samples // 2 rows in each of its two regions
+    "example2-odd": (["fit", "--preset", "example2", "--n-samples", "501"], 2,
+                     "n_samples must be even, got 501"),
     "domain-order": (["fit", "--domain-low", "1,1", "--domain-high", "0,0"],
                      2, "inconsistent domain bounds"),
     "margin": (["fit", "--margin", "-2"], 2, "empty lattice"),
@@ -851,7 +856,28 @@ def test_example2_baseline_trains_on_the_union(out_root, capsys,
                    "--epsilon", "0.02", "--max-resolution", "4",
                    "--max-iters", "200", "--out", str(out_root / "b2")])
     assert rc in (0, 4)
-    assert rows == [2 * cli._N_PER_REGION]
+    assert rows == [cli.DEFAULTS["n_samples"]]
+
+
+@pytest.mark.parametrize("preset", ["example1-d1", "example2", "example3"])
+def test_n_samples_is_the_row_count_of_every_generated_dataset(preset):
+    # example2 draws half the rows in each region, and the autoregression
+    # keeps the first n_samples rows of the series the preset streams
+    cfg = _resolve(["fit", "--preset", preset, "--n-samples", "60"])
+    ds, extra = cli._build_data(cfg)
+    assert len(ds) + sum(len(part) for part in extra.values()) == 60
+    if preset == "example3":
+        full, _ = cli._build_data(_resolve(["fit", "--preset", preset]))
+        assert len(full) == 19_998
+        np.testing.assert_array_equal(ds.inputs, full.inputs[:60])
+        np.testing.assert_array_equal(ds.targets, full.targets[:60])
+
+
+def test_online_streams_n_samples_rows(out_root, capsys):
+    run = out_root / "short"
+    cli.main(["online", "--preset", "example3", "--n-samples", "1000",
+              "--out", str(run)])
+    assert read_json(run / "summary.json")["windows"] == 100
 
 
 # ------------------------------------------------------- BLAS thread count
