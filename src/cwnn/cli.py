@@ -128,6 +128,12 @@ PRESETS = {
 _START_M = 1
 # resolution the whole-level baseline seeds its scaling and detail grids at
 BASELINE_START_M = 1
+# the most design cells (training rows x 2 * CenterGrid.count, a scaling
+# and a detail element per lattice point) a run may start with: 2**25
+# float64 cells are a 256 MiB design, and its Gram matrix is no larger.
+# The largest start of a preset is the csv preset's on a nine-column
+# table, 320 x 39,366 cells, and of a benchmark the 50k fit's 50,000 x 162.
+MAX_START_CELLS = 2 ** 25
 
 # what a config value must be where a flag reads each type, and its name
 _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
@@ -361,9 +367,22 @@ def _start_grid(cfg, baseline: bool = False):
                              cfg["margin"], cfg["clamp_low"])
 
 
+def _check_start(grid, data) -> None:
+    """Refuse a start lattice whose design would pass MAX_START_CELLS."""
+    ds, extra = data
+    rows, bases = len(ds) + len(extra.get("second", ())), 2 * grid.count
+    if rows * bases > MAX_START_CELLS:
+        raise ConfigError(
+            f"the start lattice at resolution {grid.m} makes a design of "
+            f"{rows:,} rows x {bases:,} bases = {rows * bases:,} cells, over "
+            f"the bound of {MAX_START_CELLS:,}; a smaller margin or start "
+            f"resolution shrinks it")
+
+
 def _prepare_out(out, cfg) -> str:
     """Make the run directory ``out`` (if none, a fresh name under
-    $CWNN_OUT_ROOT or ./runs) and write ``cfg`` to its config.json."""
+    $CWNN_OUT_ROOT or ./runs; an ``out`` that exists must be an empty
+    directory) and write ``cfg`` to its config.json."""
     if not out:
         root = os.environ.get("CWNN_OUT_ROOT", "runs")
         base = f"{cfg['command']}-{cfg['preset'] or 'custom'}-seed{cfg['seed']}"
@@ -372,6 +391,8 @@ def _prepare_out(out, cfg) -> str:
         while os.path.exists(out):
             out = os.path.join(root, f"{base}-{k}")
             k += 1
+    elif os.path.exists(out) and (not os.path.isdir(out) or os.listdir(out)):
+        raise ConfigError(f"run directory {out!r} exists and is not empty")
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "config.json"), cfg)
     return out
@@ -662,11 +683,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         try:
             cfg = resolve_config(args)
-            # the data and the seed lattices, before the run directory exists
+            # the data and the start lattices, before the run directory exists
             data = _build_data(cfg)
-            _start_grid(cfg)
+            _check_start(_start_grid(cfg), data)
             if cfg["baseline"] == "wnn":
-                _start_grid(cfg, baseline=True)
+                _check_start(_start_grid(cfg, baseline=True), data)
             return _COMMANDS[args.command](cfg, data,
                                            _prepare_out(args.out, cfg))
         except ValueError as exc:

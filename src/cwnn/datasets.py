@@ -112,10 +112,11 @@ def gen_autoregression(length: int, seed: int, switch_at: int | None = None,
 def load_csv(path, target_column: str, feature_columns=None) -> Dataset:
     """Load a numeric CSV with a header row.
 
-    ``feature_columns`` defaults to every column except the target, and
-    may not list it or any column twice.  Parse failures and values that
-    are not finite (``nan``, ``inf``) name the offending row and column;
-    these and a file that cannot be opened are ``DataError``s.
+    The header may not name a column twice.  ``feature_columns`` defaults
+    to every column except the target, and may not list it or any column
+    twice.  Parse failures and values that are not finite (``nan``,
+    ``inf``) name the offending row and column; these and a file that
+    cannot be opened are ``DataError``s.
     """
     try:
         fh = open(path, newline="")
@@ -128,6 +129,9 @@ def load_csv(path, target_column: str, feature_columns=None) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        twice = [h for j, h in enumerate(header) if h in header[:j]]
+        if twice:
+            raise DataError(f"{path}: header names column {twice[0]!r} twice")
         if target_column not in header:
             raise DataError(f"{path}: target column {target_column!r} not in "
                             f"header {header}")

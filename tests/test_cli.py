@@ -335,6 +335,24 @@ def test_generated_run_dirs_do_not_collide(out_root, capsys):
     assert (out_root / f"{base}-2").is_dir()
 
 
+def test_an_explicit_out_must_be_new_or_an_empty_directory(out_root,
+                                                           capsys):
+    # an empty directory takes a run; a fit into it after a fit with the
+    # baseline would leave the baseline's files beside a summary that
+    # has no baseline, so it exits 2 and leaves the directory as it was
+    run, taken = out_root / "used", out_root / "taken"
+    run.mkdir()
+    assert cli.main(FAST_FIT + ["--baseline", "wnn", "--out", str(run)]) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert cli.main(FAST_FIT + ["--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert f"run directory {str(run)!r} exists and is not empty" in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    taken.write_text("kept")
+    assert cli.main(FAST_FIT + ["--out", str(taken)]) == 2
+    assert taken.read_text() == "kept"
+
+
 def test_online_small_stream(out_root, capsys):
     run = out_root / "on"
     rc = cli.main(["online", "--preset", "example3", "--n-samples", "598",
@@ -816,6 +834,21 @@ _BAD_INPUTS = {
                                "<two-row.csv>", "--target-column", "y",
                                "--feature-columns", "x1,y"], 2,
                               "feature column 'y' is the target"),
+    "csv-repeated-header": (["fit", "--preset", "csv", "--csv-path",
+                             "<twice.csv>", "--target-column", "y"], 2,
+                            "header names column 'x' twice"),
+    # at the defaults, 13**9 lattice points per kind over nine inputs
+    "start-lattice": (["fit", "--dataset", "csv", "--csv-path",
+                       "<nine.csv>", "--target-column", "y"], 2,
+                      "4 rows x 21,208,998,746 bases"),
+}
+
+_TABLES = {
+    "two-row.csv": "x1,x2,y\n0.1,0.2,0.3\n0.4,0.5,0.6\n",
+    "twice.csv": "x,x,y\n0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n",
+    "nine.csv": ",".join(f"x{j}" for j in range(9)) + ",y\n" + "".join(
+        ",".join(str(i + j) for j in range(9)) + f",{i * i}\n"
+        for i in range(5)),
 }
 
 
@@ -823,9 +856,10 @@ _BAD_INPUTS = {
 def test_bad_input_exits_before_the_run_directory(out_root, capsys, case,
                                                   monkeypatch):
     argv, code, message = _BAD_INPUTS[case]
-    table = out_root / "two-row.csv"
-    table.write_text("x1,x2,y\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
-    argv = [str(table) if a == "<two-row.csv>" else a for a in argv]
+    for name, text in _TABLES.items():
+        (out_root / name).write_text(text)
+    argv = [str(out_root / a[1:-1]) if a[1:-1] in _TABLES else a
+            for a in argv]
     # a bad input must stop the command before any fit starts
     monkeypatch.setattr(cli, "run_growth", None)
     run = out_root / "bad"
@@ -833,6 +867,21 @@ def test_bad_input_exits_before_the_run_directory(out_root, capsys, case,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert run.exists() == (code == 3)
+
+
+@pytest.mark.parametrize("bound", [500, 499])
+def test_the_baseline_start_is_held_to_the_cell_bound(out_root, capsys,
+                                                      monkeypatch, bound):
+    # 10 rows at m_init 0 make 10 x 18 cells, and at the baseline's seed
+    # resolution 1 10 x 50: the bound admits a start of exactly its cells
+    monkeypatch.setattr(cli, "MAX_START_CELLS", bound)
+    run = out_root / "bound"
+    rc = cli.main(["fit", "--baseline", "wnn", "--m-init", "0",
+                   "--n-samples", "10", "--max-iters", "20",
+                   "--out", str(run)])
+    refused = "10 rows x 50 bases = 500 cells, over the bound of 499"
+    assert (rc == 2) == (bound == 499) == (refused in capsys.readouterr().err)
+    assert run.exists() == (bound == 500)
 
 
 def test_fit_takes_an_epsilon_the_probe_would_refuse(out_root, capsys):
@@ -871,13 +920,6 @@ def test_n_samples_is_the_row_count_of_every_generated_dataset(preset):
         assert len(full) == 19_998
         np.testing.assert_array_equal(ds.inputs, full.inputs[:60])
         np.testing.assert_array_equal(ds.targets, full.targets[:60])
-
-
-def test_online_streams_n_samples_rows(out_root, capsys):
-    run = out_root / "short"
-    cli.main(["online", "--preset", "example3", "--n-samples", "1000",
-              "--out", str(run)])
-    assert read_json(run / "summary.json")["windows"] == 100
 
 
 # ------------------------------------------------------- BLAS thread count

@@ -167,6 +167,20 @@ def test_load_csv_refuses_a_feature_column_it_would_read_twice(
         load_csv(p, "y", feature_columns=features)
 
 
+@pytest.mark.parametrize("header, features, name", [
+    (["x", "x", "y"], None, "x"), (["x", "x", "y"], ["x"], "x"),
+    (["a", "y", "y"], None, "y"),
+], ids=["feature", "listed", "target"])
+def test_load_csv_refuses_a_header_that_names_a_column_twice(
+        tmp_path, header, features, name):
+    # the user listed no column twice, and a listed name would read the
+    # first of the two columns it names
+    p = tmp_path / "t.csv"
+    _write_csv(p, header, [[0, 1, 2], [3, 4, 5]])
+    with pytest.raises(DataError, match=f"header names column {name!r} twice"):
+        load_csv(p, "y", feature_columns=features)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
 def test_load_csv_rejects_non_finite(tmp_path, bad):
     # float() parses these, so only an explicit check keeps them out
