@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import (gen_autoregression, gen_example1,
+from .datasets import (Dataset, gen_autoregression, gen_example1,
                        gen_example2_regions, load_csv, minmax_scale, split)
 from .diagnostics import (TimeFrequencyBox, count_peaks, decay_report,
                           scan_indices)
@@ -59,30 +59,31 @@ def _fraction(text: str) -> float:
 class Setting(NamedTuple):
     """A setting's default, what its flag reads (a type, ``[type]`` for a
     comma-separated list, or a tuple of choices), the one command that
-    alone takes it, and its flag's metavar and help text, if any."""
+    alone takes it, the datasets that alone read it (any other holds it
+    at its default), and its flag's metavar and help text, if any."""
     default: object
     reads: object
     command: str | None = None
+    datasets: tuple | None = None
     metavar: str | None = None
     help: str | None = None
 
 
+# the datasets the package draws; "csv" reads a table
+_GENERATED = ("example1-d1", "example1-d2", "example1-d3", "example2",
+              "autoregression")
 # Every setting in flag order; the defaults are the paper's first example.
 SETTINGS = {
     "seed": Setting(7, int),
     "family": Setting("sinc", ("sinc", "mexican-hat")),
-    "dataset": Setting("example1-d1", ("example1-d1", "example1-d2",
-                       "example1-d3", "example2", "autoregression", "csv")),
-    "n_samples": Setting(500, int),
-    "switch_at": Setting(None, int),
-    "csv_path": Setting(None, str),
-    "target_column": Setting(None, str),
-    "feature_columns": Setting(None, [str], metavar="A,B,..."),
-    "train_fraction": Setting(0.8, float),
-    "domain_low": Setting([0.0, 0.0], [float]),
-    "domain_high": Setting([1.0, 1.0], [float]),
+    "dataset": Setting("example1-d1", (*_GENERATED, "csv")),
+    "n_samples": Setting(500, int, datasets=_GENERATED),
+    "csv_path": Setting(None, str, datasets=("csv",)),
+    "target_column": Setting(None, str, datasets=("csv",)),
+    "feature_columns": Setting(None, [str], datasets=("csv",),
+                               metavar="A,B,..."),
+    "train_fraction": Setting(0.8, float, datasets=("csv",)),
     "margin": Setting(1.0, float),
-    "clamp_low": Setting([0.0, 0.0], [float], metavar="X,Y|none"),
     "kappa": Setting(0.36, float),
     "learning_rate": Setting(5e-4, float),
     "epsilon": Setting(0.006, float),
@@ -112,18 +113,20 @@ PRESETS = {
     "example1-d3": {"dataset": "example1-d3", "epsilon": 0.025},
     "example2": {"dataset": "example2", "epsilon": 0.005},
     "example3": {
-        "dataset": "autoregression", "n_samples": 19_998, "switch_at": 6001,
-        "domain_high": [2.0, 2.0], "margin": 0.25,
-        "learning_rate": 1e-4, "epsilon": 0.02,
-        "max_resolution": 5, "max_iters": 10 ** 9,
+        "dataset": "autoregression", "n_samples": 19_998, "margin": 0.25,
+        "learning_rate": 1e-4, "epsilon": 0.02, "max_resolution": 5,
+        "max_iters": 10 ** 9,
     },
     "csv": {
-        "dataset": "csv", "margin": 0.0, "clamp_low": None, "kappa": 2 / 3,
+        "dataset": "csv", "margin": 0.0, "kappa": 2 / 3,
         "learning_rate": 1e-3, "epsilon": 0.015, "zeta": None, "m_init": 1,
         "max_resolution": 4,
     },
 }
 
+# the t from which the autoregression follows its second map: example3's
+# online run meets it at row 5,998 (from 0), in its 600th of 2,000 windows
+_SWITCH_AT = 6001
 # resolution the start-resolution estimator probes up from
 _START_M = 1
 # resolution the whole-level baseline seeds its scaling and detail grids at
@@ -263,6 +266,12 @@ def resolve_config(args) -> dict:
         entries = value if isinstance(value, list) else [value]
         if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
             raise ConfigError(f"field {key!r} must be finite, got {value!r}")
+    for key, setting in SETTINGS.items():
+        unread = setting.datasets and cfg["dataset"] not in setting.datasets
+        if unread and cfg[key] != setting.default:
+            raise ConfigError(f"dataset {cfg['dataset']!r} does not read "
+                              f"field {key!r}, which must stay at its "
+                              f"default {setting.default!r}, got {cfg[key]!r}")
     for key in ("epsilon", "zeta", "mu", "learning_rate", "kappa"):
         if cfg[key] <= 0:
             raise ConfigError(f"field {key!r} must be a positive number, "
@@ -302,44 +311,51 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _build_data(cfg):
-    """Returns (train Dataset, extra) where extra carries scenario-specific
-    pieces (the example2 second region, the csv test split).  A generated
-    dataset has n_samples rows, half of them in each example2 region."""
-    kind, n = cfg["dataset"], cfg["n_samples"]
-    extra = {}
-    if n < 1 and kind != "csv":
-        raise ConfigError(f"the dataset has no training rows (n_samples {n})")
-    if kind.startswith("example1"):
-        ds = gen_example1(kind[-2:].upper(), n, cfg["seed"])
-    elif kind == "example2":
-        if n % 2:
-            raise ConfigError(f"example2 draws n_samples // 2 rows in each "
-                              f"region, so n_samples must be even, got {n}")
-        ds, extra["second"] = gen_example2_regions(n // 2, cfg["seed"])
-    elif kind == "autoregression":
-        ds = gen_autoregression(n + 2, cfg["seed"], switch_at=cfg["switch_at"])
-    elif kind == "csv":
+class Data(NamedTuple):
+    """A run's training rows, the box its lattices cover (low corner, high
+    corner, clamp or None), and example2's second region or csv's test."""
+    train: Dataset
+    box: tuple
+    second: Dataset | None = None
+    test: Dataset | None = None
+
+
+def _build_data(cfg) -> Data:
+    """A generated dataset has n_samples rows, half of them in each
+    example2 region, and lies in [0, 1]^2, the autoregression's in
+    [0, 2]^2, each lattice clamped at the box's low corner; a csv table
+    is min-max scaled to the unit cube, which nothing clamps.  The start
+    lattices are held to MAX_START_CELLS first: a generated dataset's
+    before a row is drawn, a table's once it is read."""
+    kind, n, seed = cfg["dataset"], cfg["n_samples"], cfg["seed"]
+    if kind == "csv":
         if not cfg["csv_path"] or not cfg["target_column"]:
             raise ConfigError("csv dataset needs 'csv_path' and "
                               "'target_column'")
         ds = load_csv(cfg["csv_path"], cfg["target_column"],
                       cfg["feature_columns"])
-        ds = minmax_scale(ds)
-        ds, test = split(ds, cfg["train_fraction"], cfg["seed"])
+        ds, test = split(minmax_scale(ds), cfg["train_fraction"], seed)
         if not len(test):
             raise ConfigError("the dataset has no held-out rows")
-        extra["test"] = test
-        cfg["domain_low"] = [0.0] * ds.dim
-        cfg["domain_high"] = [1.0] * ds.dim
-        cfg["clamp_low"] = None
-    if not len(ds):
-        raise ConfigError("the dataset has no training rows")
-    for key in ("domain_low", "domain_high", "clamp_low"):
-        if cfg[key] is not None and len(cfg[key]) != ds.dim:
-            raise ConfigError(f"field {key!r} must have one bound per input "
-                              f"column ({ds.dim}), got {cfg[key]!r}")
-    return ds, extra
+        if not len(ds):
+            raise ConfigError("the dataset has no training rows")
+        box = ([0.0] * ds.dim, [1.0] * ds.dim, None)
+        _check_starts(cfg, box, len(ds))
+        return Data(ds, box, test=test)
+    if n < 1:
+        raise ConfigError(f"the dataset has no training rows (n_samples {n})")
+    high = 2.0 if kind == "autoregression" else 1.0
+    box = ([0.0, 0.0], [high, high], [0.0, 0.0])
+    if kind == "example2" and n % 2:
+        raise ConfigError(f"example2 draws n_samples // 2 rows in each "
+                          f"region, so n_samples must be even, got {n}")
+    _check_starts(cfg, box, n)
+    if kind == "example2":
+        ds, second = gen_example2_regions(n // 2, seed)
+        return Data(ds, box, second)
+    if kind == "autoregression":
+        return Data(gen_autoregression(n + 2, seed, switch_at=_SWITCH_AT), box)
+    return Data(gen_example1(kind[-2:].upper(), n, seed), box)
 
 
 def _mother(cfg, dim: int) -> MotherWavelet:
@@ -353,30 +369,32 @@ def _growth_config(cfg) -> GrowthConfig:
     return GrowthConfig(**{f.name: cfg[f.name] for f in fields(GrowthConfig)})
 
 
-def _start_grid(cfg, baseline: bool = False):
-    """The lattice a run starts at: the probe's start level for
-    ``estimate-freq`` and ``diag``, ``m_init`` for the growth commands,
-    and with ``baseline`` the baseline's, ``BASELINE_START_M`` or the
-    resolution cap when that is lower."""
+def _start_grid(cfg, box, baseline: bool = False):
+    """The lattice a run starts at over its data's ``box``: the probe's
+    start level for ``estimate-freq`` and ``diag``, ``m_init`` for the
+    growth commands, and with ``baseline`` the baseline's,
+    ``BASELINE_START_M`` or the resolution cap when that is lower."""
     m = cfg["m_init"]
     if baseline:
         m = min(BASELINE_START_M, cfg["max_resolution"])
     elif cfg["command"] in ("estimate-freq", "diag"):
         m = _START_M
-    return build_center_grid(m, cfg["domain_low"], cfg["domain_high"],
-                             cfg["margin"], cfg["clamp_low"])
+    low, high, clamp = box
+    return build_center_grid(m, low, high, cfg["margin"], clamp)
 
 
-def _check_start(grid, data) -> None:
-    """Refuse a start lattice whose design would pass MAX_START_CELLS."""
-    ds, extra = data
-    rows, bases = len(ds) + len(extra.get("second", ())), 2 * grid.count
-    if rows * bases > MAX_START_CELLS:
-        raise ConfigError(
-            f"the start lattice at resolution {grid.m} makes a design of "
-            f"{rows:,} rows x {bases:,} bases = {rows * bases:,} cells, over "
-            f"the bound of {MAX_START_CELLS:,}; a smaller margin or start "
-            f"resolution shrinks it")
+def _check_starts(cfg, box, rows: int) -> None:
+    """Refuse a start lattice over ``box``, the run's or the baseline's,
+    whose design of ``rows`` rows would pass MAX_START_CELLS."""
+    for baseline in (False, True) if cfg["baseline"] == "wnn" else (False,):
+        grid = _start_grid(cfg, box, baseline)
+        bases = 2 * grid.count
+        if rows * bases > MAX_START_CELLS:
+            raise ConfigError(
+                f"the start lattice at resolution {grid.m} makes a design "
+                f"of {rows:,} rows x {bases:,} bases = {rows * bases:,} "
+                f"cells, over the bound of {MAX_START_CELLS:,}; a smaller "
+                f"margin or start resolution shrinks it")
 
 
 def _prepare_out(out, cfg) -> str:
@@ -432,9 +450,10 @@ def _fit_summary(res) -> dict:
 def _estimate(cfg, data, out: str, stop_early: bool = True):
     """Run the start-resolution estimator on the configured data from the
     configured start grid and write its ``energy_trace.csv``."""
-    ds, _ = data
+    ds = data.train
     trace = estimate_initial_resolution(
-        _mother(cfg, ds.dim), ds.inputs, ds.targets, _start_grid(cfg),
+        _mother(cfg, ds.dim), ds.inputs, ds.targets,
+        _start_grid(cfg, data.box),
         kappa=cfg["kappa"], lr=cfg["learning_rate"], epsilon=cfg["epsilon"],
         m_cap=cfg["m_cap"], stop_early=stop_early)
     trace.to_csv(os.path.join(out, "energy_trace.csv"))
@@ -464,18 +483,17 @@ def _fit(cfg, data, out: str, seeded=None, baseline=None):
     fit grows on from it, or takes it as the run when the seed phase
     ended the run.  ``baseline`` is a baseline run already trained on
     this data, which reads no mu: the fit writes it and trains none."""
-    ds, extra = data
-    gcfg = _growth_config(cfg)
+    ds, gcfg = data.train, _growth_config(cfg)
     res, design = seeded or (WaveletPool(_mother(cfg, ds.dim),
-                                         _start_grid(cfg)),
+                                         _start_grid(cfg, data.box)),
                              Design(ds.inputs, ds.targets))
     if res.status in (None, TrainStatus.PLATEAU):
         res = run_growth(res, design, gcfg)
     summary = {"command": "fit"}
-    if "second" in extra:
+    if data.second is not None:
         # second dataset arrives: continue growing on a design of the
         # union, from the resolution the resumed run grows at
-        ds2 = extra["second"]
+        ds2 = data.second
         summary["phase1_iterations"] = res.log.last_iteration
         design = Design(np.vstack([design.X, ds2.inputs]),
                         np.concatenate([design.y, ds2.targets]))
@@ -484,13 +502,13 @@ def _fit(cfg, data, out: str, seeded=None, baseline=None):
     # a csv run trains on min-max scaled data; saved models keep the record
     res.model.scaling = ds.scaling
     summary["cwnn"] = _fit_summary(res)
-    if "test" in extra:
-        test = extra["test"]
-        summary["test_mse"] = loss(res.model, test.inputs, test.targets)
+    if data.test is not None:
+        summary["test_mse"] = loss(res.model, data.test.inputs,
+                                   data.test.targets)
     if cfg["baseline"] == "wnn":
         if baseline is None:
             base = WaveletPool(res.model.mother,
-                               _start_grid(cfg, baseline=True))
+                               _start_grid(cfg, data.box, baseline=True))
             design = Design(design.X, design.y)  # same rows, new bases
             baseline = run_baseline_wnn(base, design, gcfg)
             baseline.model.scaling = ds.scaling
@@ -510,8 +528,9 @@ def cmd_fit(cfg, data, out: str) -> int:
 
 
 def cmd_online(cfg, data, out: str) -> int:
-    ds, _ = data
-    res = run_online(WaveletPool(_mother(cfg, ds.dim), _start_grid(cfg)),
+    ds = data.train
+    res = run_online(WaveletPool(_mother(cfg, ds.dim),
+                                 _start_grid(cfg, data.box)),
                      ds.inputs, ds.targets, _growth_config(cfg),
                      window=cfg["window"], patience=cfg["patience"])
     # a record per window, and an event per growth phase after the seed
@@ -592,8 +611,8 @@ def cmd_sweep(cfg, data, out: str) -> int:
     the train logs' ``elapsed_ms``.  The baseline reads no mu either, so
     a config that asks for it trains it once, in the first run, and each
     later run writes that one."""
-    ds, _ = data
-    seed = WaveletPool(_mother(cfg, ds.dim), _start_grid(cfg))
+    ds = data.train
+    seed = WaveletPool(_mother(cfg, ds.dim), _start_grid(cfg, data.box))
     design = Design(ds.inputs, ds.targets)
     # the seed phase reads no mu, and a sweep's own mu goes unchecked, so
     # mu = 1 stands in
@@ -683,11 +702,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         try:
             cfg = resolve_config(args)
-            # the data and the start lattices, before the run directory exists
+            # the start lattices and the data, before the run directory exists
             data = _build_data(cfg)
-            _check_start(_start_grid(cfg), data)
-            if cfg["baseline"] == "wnn":
-                _check_start(_start_grid(cfg, baseline=True), data)
             return _COMMANDS[args.command](cfg, data,
                                            _prepare_out(args.out, cfg))
         except ValueError as exc:

@@ -65,7 +65,7 @@ def test_unknown_config_field_exits_2(out_root, tmp_path, capsys):
 
 
 _WRONG_KINDS = [("online", {"window": "10"}), ("fit", {"seed": 1.5}),
-                ("fit", {"m_init": "2"}), ("fit", {"domain_low": 0}),
+                ("fit", {"m_init": "2"}), ("fit", {"feature_columns": 0}),
                 ("fit", {"kappa": True}), ("fit", {"max_iters": False}),
                 ("fit", {"dataset": None}), ("sweep", {"mu_list": "1/2"}),
                 ("fit", {"family": "haar"}), ("fit", {"baseline": "mlp"})]
@@ -76,7 +76,8 @@ _WRONG_KINDS = [("online", {"window": "10"}), ("fit", {"seed": 1.5}),
 def test_config_value_of_the_wrong_kind_exits_2(out_root, tmp_path, capsys,
                                                 command, payload):
     # each value is checked against its setting's kind before any run
-    # starts; the size flags keep a run that slipped through short
+    # starts, before the dataset's own checks; the size flags keep a run
+    # that slipped through short
     (field,) = payload
     cfg = tmp_path / "kind.json"
     cfg.write_text(json.dumps(payload))
@@ -85,24 +86,25 @@ def test_config_value_of_the_wrong_kind_exits_2(out_root, tmp_path, capsys,
                    "--out", str(out_root / "k")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert repr(field) in err and "Traceback" not in err
+    assert f"field {field!r} must be" in err and "Traceback" not in err
 
 
-_WRONG_ENTRIES = [("sweep", {"mu_list": [True]}, "a list of numbers"),
-                  ("fit", {"domain_low": ["a", "b"]}, "a list of numbers"),
-                  ("fit", {"clamp_low": [[0.0], [0.0]]},
-                   "a list of numbers or null"),
-                  ("fit", {"feature_columns": [1, 2]},
-                   "a list of strings or null")]
+# no list of numbers or null is left to a setting, so "a list of numbers
+# or null" has no case
+_WRONG_ENTRIES = {
+    "mu_list": ("sweep", {"mu_list": [True]}, "a list of numbers"),
+    "mu_list-strings": ("fit", {"mu_list": ["a", "b"]}, "a list of numbers"),
+    "feature_columns": ("fit", {"feature_columns": [1, 2]},
+                        "a list of strings or null"),
+}
 
 
-@pytest.mark.parametrize("command, payload, kind", _WRONG_ENTRIES,
-                         ids=[next(iter(p)) for _, p, _ in _WRONG_ENTRIES])
+@pytest.mark.parametrize("case", sorted(_WRONG_ENTRIES))
 def test_config_list_entry_of_the_wrong_kind_exits_2(out_root, tmp_path,
-                                                     capsys, command,
-                                                     payload, kind):
+                                                     capsys, case):
     # a list's entries are held to the kind its flag parses them to, so
     # [true] is no mu = 1/1 and ["a", "b"] never reaches numpy
+    command, payload, kind = _WRONG_ENTRIES[case]
     (field,) = payload
     cfg = tmp_path / "entry.json"
     cfg.write_text(json.dumps(payload))
@@ -119,14 +121,14 @@ def test_config_list_entry_of_the_wrong_kind_exits_2(out_root, tmp_path,
 _NON_FINITE = [
     ("fit", ["--epsilon", "inf", "--max-iters", "3"], None),
     ("online", ["--epsilon", "inf"], None),
-    ("fit", ["--clamp-low", "nan,nan"], None),
+    ("sweep", ["--mu-list", "nan,nan"], None),
     ("fit", ["--margin", "nan"], None),
-    ("fit", ["--domain-low", "nan,0"], None),
+    ("sweep", ["--mu-list", "nan,1/2"], None),
     ("estimate-freq", ["--kappa", "nan"], None),
     ("fit", ["--learning-rate", "nan"], None),
     ("sweep", ["--mu-list", "1/2,-inf"], None),
     ("fit", [], '{"zeta": NaN}'),
-    ("fit", [], '{"domain_high": [1.0, Infinity]}'),
+    ("fit", [], '{"mu_list": [0.5, Infinity]}'),
 ]
 
 
@@ -153,11 +155,12 @@ def test_a_setting_that_is_not_finite_exits_2(out_root, tmp_path, capsys,
 def test_config_values_of_the_right_kind_resolve(tmp_path):
     # an integer for a number, and null where the default is null
     cfg = tmp_path / "ok.json"
-    cfg.write_text('{"margin": 1, "switch_at": null, "zeta": null, '
-                   '"clamp_low": null, "feature_columns": ["a"]}')
+    cfg.write_text('{"margin": 1, "dataset": "csv", "csv_path": null, '
+                   '"zeta": null, "feature_columns": ["a"]}')
     args = cli.build_parser().parse_args(["fit", "--config", str(cfg)])
     resolved = cli.resolve_config(args)
-    assert resolved["margin"] == 1 and resolved["clamp_low"] is None
+    assert resolved["margin"] == 1 and resolved["csv_path"] is None
+    assert resolved["feature_columns"] == ["a"]
     assert resolved["zeta"] == 0.001 * resolved["epsilon"]
 
 
@@ -641,30 +644,66 @@ def test_bare_command_is_the_first_example(command):
         [command, "--preset", "example1-d1"])
 
 
-# (clamp_low, zeta outside a sweep) of each preset: the values every
-# preset resolved to while the defaults held no clamp and the zeta rule
+# (its dataset's clamp, zeta outside a sweep) of each preset: the values
+# every preset resolved to while the defaults held no clamp and the zeta
+# rule
 _PRESET_CLAMP_ZETA = {
     "example1-d1": ([0.0, 0.0], 4e-5), "example1-d2": ([0.0, 0.0], 4e-5),
     "example1-d3": ([0.0, 0.0], 4e-5), "example2": ([0.0, 0.0], 4e-5),
     "example3": ([0.0, 0.0], 4e-5), "csv": (None, 0.001 * 0.015)}
 
 
+def _data_flags(name, tmp_path):
+    """What the data of preset ``name`` needs: a two-input table for csv,
+    a short series or surface otherwise."""
+    if name != "csv":
+        return ["--n-samples", "60"]
+    table = tmp_path / "pin.csv"
+    table.write_text("a,b,y\n" + "".join(
+        f"{i / 7!r},{i * i % 5 / 3!r},{i % 3}\n" for i in range(10)))
+    return ["--csv-path", str(table), "--target-column", "y"]
+
+
 @pytest.mark.parametrize("name", sorted(cli.PRESETS))
-def test_presets_keep_their_clamp_and_zeta(name):
+def test_presets_keep_their_clamp_and_zeta(name, tmp_path):
     clamp, zeta = _PRESET_CLAMP_ZETA[name]
+    flags = _data_flags(name, tmp_path)
     for command in cli._COMMANDS:
-        cfg = _resolve([command, "--preset", name])
-        assert cfg["clamp_low"] == clamp, command
+        cfg = _resolve([command, "--preset", name, *flags])
+        assert cli._build_data(cfg).box[2] == clamp, command
         want = 0.001 * cfg["epsilon"] if command == "sweep" else zeta
         assert cfg["zeta"] == want, command
 
 
-def test_clamp_low_none_clears_the_preset_clamp(out_root, capsys):
-    run = out_root / "nc"
-    rc = cli.main(["estimate-freq", "--preset", "example1-d1",
-                   "--clamp-low", "none", "--out", str(run)])
-    assert rc == 0
-    assert read_json(run / "config.json")["clamp_low"] is None
+# (the probe's start lattice, the growth commands', the baseline's) of
+# each preset as (m, n_lo, n_hi), csv's on a two-input table: each
+# starts at translation 0, where its dataset's box is clamped or, for
+# the unit cube with no margin, begins
+_UNIT_BOX = ((1, (0, 0), (4, 4)), (2, (0, 0), (8, 8)), (1, (0, 0), (4, 4)))
+_START_LATTICES = {
+    "example1-d1": _UNIT_BOX, "example1-d2": _UNIT_BOX,
+    "example1-d3": _UNIT_BOX, "example2": _UNIT_BOX,
+    "example3": ((1, (0, 0), (5, 5)), (2, (0, 0), (10, 10)),
+                 (1, (0, 0), (5, 5))),
+    "csv": ((1, (0, 0), (2, 2)),) * 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_every_preset_starts_at_its_lattice(name, tmp_path):
+    probe, growth, baseline = _START_LATTICES[name]
+    flags = _data_flags(name, tmp_path)
+    for command in cli._COMMANDS:
+        cfg = _resolve([command, "--preset", name, *flags])
+        box = cli._build_data(cfg).box
+        grid = cli._start_grid(cfg, box)
+        want = probe if command in ("estimate-freq", "diag") else growth
+        assert (grid.m, grid.n_lo, grid.n_hi) == want, command
+        if command == "fit":
+            cfg = _resolve([command, "--preset", name, *flags,
+                            "--baseline", "wnn"])
+            grid = cli._start_grid(cfg, box, baseline=True)
+            assert (grid.m, grid.n_lo, grid.n_hi) == baseline
 
 
 def _exit_code(argv):
@@ -674,11 +713,11 @@ def _exit_code(argv):
         return exc.code
 
 
-@pytest.mark.parametrize("flag", ["--domain-low", "--domain-high"])
-def test_domain_flags_reject_none(out_root, capsys, flag):
-    assert _exit_code(["estimate-freq", "--preset", "example1-d1", flag,
+def test_mu_list_flag_rejects_none(out_root, capsys):
+    # null is no value of mu_list, so its flag reads none as a bad entry
+    assert _exit_code(["sweep", "--preset", "example1-d1", "--mu-list",
                        "none", "--out", str(out_root / "dn")]) == 2
-    assert flag in capsys.readouterr().err
+    assert "--mu-list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["fit", "--mu", "1/0"],
@@ -777,8 +816,9 @@ def test_csv_sweep_keeps_the_scaling_record(out_root, tmp_path, capsys):
         model = WaveletModel.load(sub / "model.json")
         assert model.scaling["input_max"] == X.max(axis=0).tolist()
         assert read_json(sub / "summary.json")["test_mse"] >= 0.0
-        # the run records the unit-cube domain it ran on
-        assert read_json(sub / "config.json")["domain_high"] == [1.0, 1.0]
+        # the run records its settings, and the data writes none of its own
+        assert set(read_json(sub / "config.json")) == {
+            *cli.DEFAULTS, "command", "preset"}
 
 
 # bad inputs that stop a run before its run directory exists (exit 2),
@@ -794,11 +834,6 @@ _BAD_INPUTS = {
     "kappa": (["estimate-freq", "--kappa", "2"], 2, "'kappa'"),
     "mu-list": (["sweep", "--mu-list", "1/2,0.3"], 2,
                 "field 'mu_list': mu must be the reciprocal"),
-    "domain-3d": (["fit", "--domain-low", "0,0,0", "--domain-high", "1,1,1",
-                   "--clamp-low", "none"], 2, "'domain_low'"),
-    "domain-1d": (["estimate-freq", "--domain-low", "0", "--domain-high", "1",
-                   "--clamp-low", "none"], 2, "'domain_low'"),
-    "clamp-1d": (["fit", "--clamp-low", "0"], 2, "'clamp_low'"),
     "probe-lr": (["estimate-freq", "--learning-rate", "1e200"], 3,
                  "diverged"),
     "probe-epsilon": (["estimate-freq", "--epsilon", "2"], 2,
@@ -811,15 +846,7 @@ _BAD_INPUTS = {
     # example2 draws n_samples // 2 rows in each of its two regions
     "example2-odd": (["fit", "--preset", "example2", "--n-samples", "501"], 2,
                      "n_samples must be even, got 501"),
-    "domain-order": (["fit", "--domain-low", "1,1", "--domain-high", "0,0"],
-                     2, "inconsistent domain bounds"),
     "margin": (["fit", "--margin", "-2"], 2, "empty lattice"),
-    # lattice points at m_init = 3 but none at the baseline's seed, m = 1
-    "baseline-lattice": (["fit", "--baseline", "wnn", "--domain-low",
-                          "0.3,0.3", "--domain-high", "0.4,0.4", "--margin",
-                          "0", "--clamp-low", "none", "--m-init", "3",
-                          "--max-iters", "50"], 2,
-                         "empty lattice at resolution 1"),
     "m-init": (["fit", "--m-init", "12"], 2,
                "m_init exceeds max_resolution"),
     "max-iters-0": (["fit", "--max-iters", "0"], 2,
@@ -841,6 +868,15 @@ _BAD_INPUTS = {
     "start-lattice": (["fit", "--dataset", "csv", "--csv-path",
                        "<nine.csv>", "--target-column", "y"], 2,
                       "4 rows x 21,208,998,746 bases"),
+    # a data setting the dataset does not read must stay at its default
+    "csv-setting-on-a-surface": (["fit", "--n-samples", "100", "--csv-path",
+                                  "nothing.csv", "--train-fraction", "0.5"],
+                                 2, "dataset 'example1-d1' does not read "
+                                    "field 'csv_path'"),
+    "n-samples-on-csv": (["fit", "--preset", "csv", "--csv-path",
+                          "<two-row.csv>", "--target-column", "y",
+                          "--n-samples", "100"], 2,
+                         "dataset 'csv' does not read field 'n_samples'"),
 }
 
 _TABLES = {
@@ -884,6 +920,67 @@ def test_the_baseline_start_is_held_to_the_cell_bound(out_root, capsys,
     assert run.exists() == (bound == 500)
 
 
+# what a dataset that does not read a data setting is given of it
+_UNREAD = {"n_samples": ("csv", 100), "csv_path": ("example2", "t.csv"),
+           "target_column": ("autoregression", "y"),
+           "feature_columns": ("example1-d3", ["a"]),
+           "train_fraction": ("example1-d1", 0.5)}
+
+
+@pytest.mark.parametrize("key", sorted(_UNREAD))
+def test_a_data_setting_the_dataset_does_not_read_exits_2(out_root,
+                                                          tmp_path, capsys,
+                                                          key):
+    # a config.json holds every setting, so a setting the dataset does
+    # not read is refused unless it holds its default
+    dataset, value = _UNREAD[key]
+    cfg = tmp_path / "unread.json"
+    cfg.write_text(json.dumps({"dataset": dataset, key: value}))
+    run = out_root / "unread"
+    assert cli.main(["fit", "--config", str(cfg), "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert (f"dataset {dataset!r} does not read field {key!r}, which must "
+            f"stay at its default {cli.DEFAULTS[key]!r}, got {value!r}") in err
+    assert not run.exists()
+    cfg.write_text(json.dumps({"dataset": dataset,
+                               key: cli.DEFAULTS[key]}))
+    args = cli.build_parser().parse_args(["fit", "--config", str(cfg)])
+    assert cli.resolve_config(args)[key] == cli.DEFAULTS[key]
+
+
+# runs whose start lattice, or the baseline's, would pass the cell bound
+_OVERSIZED = {
+    "fit": (["fit", "--n-samples", "400000000"], "400,000,000 rows x 162"),
+    "example2": (["fit", "--preset", "example2", "--n-samples", "20000000"],
+                 "20,000,000 rows x 162"),
+    "online": (["online", "--preset", "example3", "--n-samples", "2000000"],
+               "2,000,000 rows x 242"),
+    # 18 bases at m_init 0 pass the bound, the baseline's 50 at m = 1 not
+    "baseline": (["fit", "--baseline", "wnn", "--m-init", "0",
+                  "--n-samples", "1000000"], "1,000,000 rows x 50"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_a_generated_dataset_is_drawn_after_its_lattices_are_checked(
+        out_root, capsys, monkeypatch, case):
+    # a generated dataset's box and row count follow from the settings,
+    # so an oversized start is refused before a row is drawn
+    def drawn(*args, **kwargs):
+        raise AssertionError("a row was drawn")
+
+    for name in ("gen_example1", "gen_example2_regions",
+                 "gen_autoregression"):
+        monkeypatch.setattr(cli, name, drawn)
+    argv, rows = _OVERSIZED[case]
+    run = out_root / "big"
+    assert cli.main(argv + ["--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rows} bases" in err
+    assert f"over the bound of {cli.MAX_START_CELLS:,}" in err
+    assert not run.exists()
+
+
 def test_fit_takes_an_epsilon_the_probe_would_refuse(out_root, capsys):
     # only the probe's smoothing needs epsilon <= 1
     run = out_root / "loose"
@@ -913,10 +1010,11 @@ def test_n_samples_is_the_row_count_of_every_generated_dataset(preset):
     # example2 draws half the rows in each region, and the autoregression
     # keeps the first n_samples rows of the series the preset streams
     cfg = _resolve(["fit", "--preset", preset, "--n-samples", "60"])
-    ds, extra = cli._build_data(cfg)
-    assert len(ds) + sum(len(part) for part in extra.values()) == 60
+    data = cli._build_data(cfg)
+    ds = data.train
+    assert len(ds) + len(data.second or ()) == 60
     if preset == "example3":
-        full, _ = cli._build_data(_resolve(["fit", "--preset", preset]))
+        full = cli._build_data(_resolve(["fit", "--preset", preset])).train
         assert len(full) == 19_998
         np.testing.assert_array_equal(ds.inputs, full.inputs[:60])
         np.testing.assert_array_equal(ds.targets, full.targets[:60])
