@@ -646,8 +646,9 @@ _COMMANDS = {"estimate-freq": cmd_estimate_freq, "fit": cmd_fit,
 
 
 def _openblas_paths() -> list:
-    """The OpenBLAS objects the process has loaded (on Linux, numpy's and
-    scipy's copies once imported), else those of numpy's wheel."""
+    """The OpenBLAS objects the process has loaded (on Linux, numpy's, and
+    scipy's own copy too if the caller imported a scipy module that loads
+    it, which the package does not), else those of numpy's wheel."""
     try:
         with open("/proc/self/maps", errors="surrogateescape") as fh:
             return sorted({line.split(None, 5)[5].strip()
@@ -665,9 +666,11 @@ def _one_blas_thread():
     A run's parallelism is the tile pool of ``wavelets._each_tile``.
     OpenBLAS's own pool would contend with it for the same CPUs, and its
     products round differently on one thread than on several, so a run's
-    bytes would depend on the CPU count.  Where no OpenBLAS is found (MKL,
-    Accelerate) nothing changes.  Library calls outside ``main`` keep the
-    caller's BLAS threads.
+    bytes would depend on the CPU count.  The package's products run on
+    numpy's OpenBLAS; scipy's copy is pinned as well where the caller
+    loaded it.  Where no OpenBLAS is found (MKL, Accelerate) nothing
+    changes.  Library calls outside ``main`` keep the caller's BLAS
+    threads.
     """
     import ctypes  # here, so that importing the module loads no more
 

@@ -39,25 +39,52 @@ BLAS threads it set.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1, jv
 
-# The ufunc behind scipy.special.spherical_jn.  Since scipy 1.15 the
-# public function reflects negative arguments through a mask, a scatter
-# and a few copies, about 0.2 ms of Python a call; radii are never
-# negative, and a 9-D probe level calls it twice in each of about 12 000
-# blocks, where that Python work, holding the interpreter lock, kept the
-# tile pool from running the blocks side by side.
-try:
-    from scipy.special._ufuncs import _spherical_jn as spherical_jn
-except ImportError:
-    from scipy.special import spherical_jn
+
+def _bessel_ufuncs():
+    """scipy's compiled ``j1``, ``jv`` and ``_spherical_jn`` ufuncs, the
+    objects ``scipy.special`` exports, without importing it.
+
+    Importing ``scipy.special`` loads its array-API layer and scipy's own
+    OpenBLAS, about 0.2 s of a run's start-up.  Its extension
+    ``_special_ufuncs`` is loaded instead, running neither package's
+    ``__init__``, under its full name, so that a later ``import
+    scipy.special`` reuses it, as this reuses one loaded before.
+    ``_spherical_jn`` skips ``spherical_jn``'s Python wrapper (scipy 1.15
+    on), about 0.2 ms a call under the interpreter lock, which kept the
+    tile pool from running a 9-D probe's 12 000 blocks side by side;
+    radii are never negative.  A scipy without them (before 1.14) gives
+    its public functions.
+    """
+    name = "scipy.special._special_ufuncs"
+    try:
+        module = sys.modules.get(name)
+        if module is None:
+            roots = importlib.util.find_spec("scipy").submodule_search_locations
+            spec = importlib.machinery.PathFinder.find_spec(
+                name, [os.path.join(root, "special") for root in roots])
+            if spec is None:
+                raise ImportError(f"no {name}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        return module.j1, module.jv, module._spherical_jn
+    except (ImportError, AttributeError):
+        from scipy.special import j1, jv, spherical_jn
+        return j1, jv, spherical_jn
+
+
+j1, jv, spherical_jn = _bessel_ufuncs()
 
 
 class WaveletFamily(enum.Enum):

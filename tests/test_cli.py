@@ -624,6 +624,27 @@ def test_cli_import_leaves_out_scipy_interpolate():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_scipy_special():
+    # the package loads scipy's Bessel ufuncs alone (wavelets._bessel_ufuncs):
+    # scipy.special's array-API layer, numpy.f2py with it, and scipy's own
+    # OpenBLAS are most of a short run's start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import os, sys, cwnn.cli; "
+             "print(sorted(m for m in ('scipy.special', 'numpy.f2py') "
+             "if m in sys.modules)); "
+             "maps = '/proc/self/maps'; "
+             "print(sorted({line.split(None, 5)[5].strip() "
+             "for line in open(maps) if 'openblas' in line "
+             "and 'scipy.libs' in line}) if os.path.exists(maps) else [])")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "[]"]
+
+
 @pytest.mark.parametrize("name", sorted(cli.PRESETS))
 def test_presets_hold_only_differences(name):
     for key, value in cli.PRESETS[name].items():

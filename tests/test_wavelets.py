@@ -1,5 +1,6 @@
 """Mother wavelets, dyadic bases, center grids and child selection."""
 
+import importlib.machinery
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, jv
@@ -247,6 +249,49 @@ def test_wavelets_leave_out_quadrature():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("first, then", [("cwnn.wavelets", "scipy.special"),
+                                         ("scipy.special", "cwnn.wavelets")])
+def test_bessel_ufuncs_are_scipy_specials_in_either_order(first, then):
+    # the ufuncs loaded without scipy.special are the objects it exports,
+    # whichever of the two a fresh interpreter imports first, and
+    # scipy.special still works after the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavelets.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (f"import {first}, {then}; "
+             "import cwnn.wavelets as w, scipy.special as s; "
+             "print(w.j1 is s.j1, w.jv is s.jv, "
+             "w.spherical_jn is s._ufuncs._spherical_jn, s.gamma(5) == 24)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"] * 4
+
+
+def test_bessel_ufuncs_fall_back_to_scipy_special(monkeypatch):
+    # where scipy has no loadable _special_ufuncs, the public functions
+    # take over, and the profile's j1 (d = 2), spherical_jn (d = 3) and
+    # jv (d = 4) branches give the same bits
+    name = "scipy.special._special_ufuncs"
+    find_spec = importlib.machinery.PathFinder.find_spec
+    r = DENSE_RADII
+    direct = {d: wavelets._sinc_profile(d, r) for d in (2, 3, 4)}
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(
+        importlib.machinery.PathFinder, "find_spec",
+        staticmethod(lambda fullname, path=None, target=None:
+                     None if fullname == name
+                     else find_spec(fullname, path, target)))
+    got = wavelets._bessel_ufuncs()
+    assert got == (scipy.special.j1, scipy.special.jv,
+                   scipy.special.spherical_jn)
+    for attr, fn in zip(("j1", "jv", "spherical_jn"), got):
+        monkeypatch.setattr(wavelets, attr, fn)
+    for d, want in direct.items():
+        assert wavelets._sinc_profile(d, r).tobytes() == want.tobytes(), d
 
 
 # ------------------------------------------------------------- evaluation
