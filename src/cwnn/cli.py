@@ -34,7 +34,8 @@ from .frequency import alpha_from_epsilon, estimate_initial_resolution
 from .growth import (GrowthConfig, WaveletPool, run_baseline_wnn,
                      run_growth, run_online, run_seed_phase)
 from .model import Design, TrainStatus, TrainingDivergence, loss
-from .wavelets import MotherWavelet, basis_set, build_center_grid
+from .wavelets import (CenterGrid, MotherWavelet, basis_set,
+                       build_center_grid)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -312,10 +313,11 @@ def resolve_config(args) -> dict:
 
 
 class Data(NamedTuple):
-    """A run's training rows, the box its lattices cover (low corner, high
-    corner, clamp or None), and example2's second region or csv's test."""
+    """A run's training rows, its start lattice, the baseline's (None
+    unless the run trains one), example2's second region, csv's test."""
     train: Dataset
-    box: tuple
+    grid: CenterGrid
+    baseline_grid: CenterGrid | None = None
     second: Dataset | None = None
     test: Dataset | None = None
 
@@ -325,8 +327,8 @@ def _build_data(cfg) -> Data:
     example2 region, and lies in [0, 1]^2, the autoregression's in
     [0, 2]^2, each lattice clamped at the box's low corner; a csv table
     is min-max scaled to the unit cube, which nothing clamps.  The start
-    lattices are held to MAX_START_CELLS first: a generated dataset's
-    before a row is drawn, a table's once it is read."""
+    lattices are built and held to MAX_START_CELLS first: a generated
+    dataset's before a row is drawn, a table's once it is read."""
     kind, n, seed = cfg["dataset"], cfg["n_samples"], cfg["seed"]
     if kind == "csv":
         if not cfg["csv_path"] or not cfg["target_column"]:
@@ -339,23 +341,22 @@ def _build_data(cfg) -> Data:
             raise ConfigError("the dataset has no held-out rows")
         if not len(ds):
             raise ConfigError("the dataset has no training rows")
-        box = ([0.0] * ds.dim, [1.0] * ds.dim, None)
-        _check_starts(cfg, box, len(ds))
-        return Data(ds, box, test=test)
+        grids = _start_grids(cfg, [1.0] * ds.dim, None, len(ds))
+        return Data(ds, *grids, test=test)
     if n < 1:
         raise ConfigError(f"the dataset has no training rows (n_samples {n})")
     high = 2.0 if kind == "autoregression" else 1.0
-    box = ([0.0, 0.0], [high, high], [0.0, 0.0])
     if kind == "example2" and n % 2:
         raise ConfigError(f"example2 draws n_samples // 2 rows in each "
                           f"region, so n_samples must be even, got {n}")
-    _check_starts(cfg, box, n)
+    grids = _start_grids(cfg, [high, high], [0.0, 0.0], n)
     if kind == "example2":
         ds, second = gen_example2_regions(n // 2, seed)
-        return Data(ds, box, second)
+        return Data(ds, *grids, second=second)
     if kind == "autoregression":
-        return Data(gen_autoregression(n + 2, seed, switch_at=_SWITCH_AT), box)
-    return Data(gen_example1(kind[-2:].upper(), n, seed), box)
+        return Data(gen_autoregression(n + 2, seed, switch_at=_SWITCH_AT),
+                    *grids)
+    return Data(gen_example1(kind[-2:].upper(), n, seed), *grids)
 
 
 def _mother(cfg, dim: int) -> MotherWavelet:
@@ -369,25 +370,20 @@ def _growth_config(cfg) -> GrowthConfig:
     return GrowthConfig(**{f.name: cfg[f.name] for f in fields(GrowthConfig)})
 
 
-def _start_grid(cfg, box, baseline: bool = False):
-    """The lattice a run starts at over its data's ``box``: the probe's
-    start level for ``estimate-freq`` and ``diag``, ``m_init`` for the
-    growth commands, and with ``baseline`` the baseline's,
-    ``BASELINE_START_M`` or the resolution cap when that is lower."""
-    m = cfg["m_init"]
-    if baseline:
-        m = min(BASELINE_START_M, cfg["max_resolution"])
-    elif cfg["command"] in ("estimate-freq", "diag"):
-        m = _START_M
-    low, high, clamp = box
-    return build_center_grid(m, low, high, cfg["margin"], clamp)
-
-
-def _check_starts(cfg, box, rows: int) -> None:
-    """Refuse a start lattice over ``box``, the run's or the baseline's,
-    whose design of ``rows`` rows would pass MAX_START_CELLS."""
-    for baseline in (False, True) if cfg["baseline"] == "wnn" else (False,):
-        grid = _start_grid(cfg, box, baseline)
+def _start_grids(cfg, high, clamp, rows: int) -> list:
+    """The run's start lattice over the box from the origin to ``high``,
+    clamped below at ``clamp`` unless that is None: at the probe's start
+    for ``estimate-freq`` and ``diag``, else at ``m_init``; then, where
+    ``fit`` or ``sweep`` trains a baseline, its lattice at
+    ``BASELINE_START_M`` or a lower cap.  Each is refused if its design
+    of ``rows`` rows would pass MAX_START_CELLS."""
+    probe = cfg["command"] in ("estimate-freq", "diag")
+    levels = [_START_M if probe else cfg["m_init"]]
+    if cfg["baseline"] == "wnn" and cfg["command"] in ("fit", "sweep"):
+        levels.append(min(BASELINE_START_M, cfg["max_resolution"]))
+    grids = [build_center_grid(m, [0.0] * len(high), high, cfg["margin"],
+                               clamp) for m in levels]
+    for grid in grids:
         bases = 2 * grid.count
         if rows * bases > MAX_START_CELLS:
             raise ConfigError(
@@ -395,6 +391,7 @@ def _check_starts(cfg, box, rows: int) -> None:
                 f"of {rows:,} rows x {bases:,} bases = {rows * bases:,} "
                 f"cells, over the bound of {MAX_START_CELLS:,}; a smaller "
                 f"margin or start resolution shrinks it")
+    return grids
 
 
 def _prepare_out(out, cfg) -> str:
@@ -452,8 +449,7 @@ def _estimate(cfg, data, out: str, stop_early: bool = True):
     configured start grid and write its ``energy_trace.csv``."""
     ds = data.train
     trace = estimate_initial_resolution(
-        _mother(cfg, ds.dim), ds.inputs, ds.targets,
-        _start_grid(cfg, data.box),
+        _mother(cfg, ds.dim), ds.inputs, ds.targets, data.grid,
         kappa=cfg["kappa"], lr=cfg["learning_rate"], epsilon=cfg["epsilon"],
         m_cap=cfg["m_cap"], stop_early=stop_early)
     trace.to_csv(os.path.join(out, "energy_trace.csv"))
@@ -475,29 +471,25 @@ def cmd_estimate_freq(cfg, data, out: str) -> int:
     return EXIT_OK
 
 
-def _fit(cfg, data, out: str, seeded=None, baseline=None):
-    """The one fit path: grow, ingest a second batch, run the optional
-    baseline on the same rows, each on a design it builds, and write the
-    run; returns the model's run and the baseline's (None without one).
-    ``seeded`` is a sweep's fork of its seed-phase pool and design: the
-    fit grows on from it, or takes it as the run when the seed phase
-    ended the run.  ``baseline`` is a baseline run already trained on
-    this data, which reads no mu: the fit writes it and trains none."""
+def _fit(cfg, data, out: str, res, design, baseline=None):
+    """The one fit path: grow the caller's pool ``res`` on ``design`` (a
+    sweep's forks of its seed phase, written as they are where the seed
+    phase ended the run), ingest a second batch, run the baseline where
+    the data holds its lattice, on the same rows, and write the run;
+    returns the model's run and the baseline's (None without one).
+    ``baseline`` is a baseline run already trained on this data, which
+    reads no mu: the fit writes it and trains none."""
     ds, gcfg = data.train, _growth_config(cfg)
-    res, design = seeded or (WaveletPool(_mother(cfg, ds.dim),
-                                         _start_grid(cfg, data.box)),
-                             Design(ds.inputs, ds.targets))
     if res.status in (None, TrainStatus.PLATEAU):
         res = run_growth(res, design, gcfg)
     summary = {"command": "fit"}
     if data.second is not None:
         # second dataset arrives: continue growing on a design of the
         # union, from the resolution the resumed run grows at
-        ds2 = data.second
         summary["phase1_iterations"] = res.log.last_iteration
-        design = Design(np.vstack([design.X, ds2.inputs]),
-                        np.concatenate([design.y, ds2.targets]))
-        res.log.add_event("ingest", res.finest_m, len(ds2))
+        design = Design(np.vstack([design.X, data.second.inputs]),
+                        np.concatenate([design.y, data.second.targets]))
+        res.log.add_event("ingest", res.finest_m, len(data.second))
         res = run_growth(res, design, gcfg)
     # a csv run trains on min-max scaled data; saved models keep the record
     res.model.scaling = ds.scaling
@@ -505,10 +497,9 @@ def _fit(cfg, data, out: str, seeded=None, baseline=None):
     if data.test is not None:
         summary["test_mse"] = loss(res.model, data.test.inputs,
                                    data.test.targets)
-    if cfg["baseline"] == "wnn":
+    if data.baseline_grid is not None:
         if baseline is None:
-            base = WaveletPool(res.model.mother,
-                               _start_grid(cfg, data.box, baseline=True))
+            base = WaveletPool(res.model.mother, data.baseline_grid)
             design = Design(design.X, design.y)  # same rows, new bases
             baseline = run_baseline_wnn(base, design, gcfg)
             baseline.model.scaling = ds.scaling
@@ -521,7 +512,11 @@ def _fit(cfg, data, out: str, seeded=None, baseline=None):
 
 
 def cmd_fit(cfg, data, out: str) -> int:
-    res, _ = _fit(cfg, data, out)
+    # made in the call, so that _fit holds the only reference to the
+    # design (CPython 3.11 on) and frees it before the baseline trains
+    ds = data.train
+    res, _ = _fit(cfg, data, out, WaveletPool(_mother(cfg, ds.dim), data.grid),
+                  Design(ds.inputs, ds.targets))
     print(f"status={res.status.name.lower()} loss={res.final_loss:.6g} "
           f"n_params={res.n_params} iterations={res.log.last_iteration}")
     return EXIT_OK if res.status is TrainStatus.ACHIEVED else EXIT_MISSED
@@ -529,15 +524,14 @@ def cmd_fit(cfg, data, out: str) -> int:
 
 def cmd_online(cfg, data, out: str) -> int:
     ds = data.train
-    res = run_online(WaveletPool(_mother(cfg, ds.dim),
-                                 _start_grid(cfg, data.box)),
-                     ds.inputs, ds.targets, _growth_config(cfg),
+    res = run_online(WaveletPool(_mother(cfg, ds.dim), data.grid),
+                     Design(ds.inputs, ds.targets), _growth_config(cfg),
                      window=cfg["window"], patience=cfg["patience"])
     # a record per window, and an event per growth phase after the seed
     tail = [r[1] for r in res.log.records[-cfg["patience"]:]]
     grew = [e[0] for e in res.log.events if e[1] != "seed"]
-    final_roll = float(np.mean(tail)) if tail else float("nan")
-    reconverged = bool(tail) and final_roll <= cfg["epsilon"]
+    final_roll = float(np.mean(tail))  # a stream has at least one window
+    reconverged = final_roll <= cfg["epsilon"]
     _write_run(out, res)
     _write_summary(out, {
         "command": "online",
@@ -612,7 +606,7 @@ def cmd_sweep(cfg, data, out: str) -> int:
     a config that asks for it trains it once, in the first run, and each
     later run writes that one."""
     ds = data.train
-    seed = WaveletPool(_mother(cfg, ds.dim), _start_grid(cfg, data.box))
+    seed = WaveletPool(_mother(cfg, ds.dim), data.grid)
     design = Design(ds.inputs, ds.targets)
     # the seed phase reads no mu, and a sweep's own mu goes unchecked, so
     # mu = 1 stands in
@@ -622,7 +616,7 @@ def cmd_sweep(cfg, data, out: str) -> int:
         sub, k = dict(cfg, mu=mu), int(round(1.0 / mu))
         res, baseline = _fit(
             sub, data, _prepare_out(os.path.join(out, f"mu-{k}"), sub),
-            (seed.fork(), design.fork()), baseline)
+            seed.fork(), design.fork(), baseline)
         results.append({"mu": mu, "denominator": k, "n_params": res.n_params,
                         "status": res.status.name.lower(),
                         "final_loss": res.final_loss,

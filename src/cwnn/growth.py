@@ -11,8 +11,8 @@ is a windowed online variant that triggers the same growth phases on a
 sustained loss plateau.  Each run grows the pool it is given, seeded on
 the caller's start lattice (``run_growth`` resumes a pool that holds
 bases), through ``_grow``, and returns it: the run's model, log,
-resolution and status.  The batch runs share one train-to-plateau loop
-on their caller's ``Design``, and every gradient step is ``Design.step``.
+resolution and status.  Every run trains on its caller's ``Design``,
+the batch runs in one train-to-plateau loop, each step ``Design.step``.
 A run paused at its first plateau (``run_seed_phase``) can be forked,
 pool and design, and each fork grown on as a run of its own: the sweep
 over mu trains that seed phase once.
@@ -67,8 +67,9 @@ class WaveletPool:
     """A growth run's record: the growing ``model``, whose basis set holds
     its elements, the start ``grid`` whose bounds every level's lattice
     shares, the run's ``log``, the resolution ``m`` it grows at, the
-    ``sweep`` of phases run there, the ``status`` a run ended in, and the
-    parents ``expanded`` so far (a basis set), so phases pick fresh ones."""
+    ``sweep`` of phases run there, the ``status`` and ``final_loss`` it
+    ended with, and the parents ``expanded`` so far (a basis set), so
+    phases pick fresh ones."""
 
     def __init__(self, mother: MotherWavelet, grid: CenterGrid):
         self.model = WaveletModel.zeros(
@@ -78,6 +79,7 @@ class WaveletPool:
         self.m = grid.m
         self.sweep = 0
         self.status = None
+        self.final_loss = float("nan")
         self.expanded = self.model.bases
 
     def fork(self) -> "WaveletPool":
@@ -92,10 +94,6 @@ class WaveletPool:
     @property
     def n_params(self) -> int:
         return self.model.n_params
-
-    @property
-    def final_loss(self) -> float:
-        return self.log.records[-1][1] if self.log.records else float("nan")
 
     @property
     def finest_m(self) -> int:
@@ -208,6 +206,19 @@ def _grow(pool: WaveletPool, config: GrowthConfig,
     return True
 
 
+def _train(pool: WaveletPool, design: Design, config: GrowthConfig,
+           budget: int) -> None:
+    """Train for at most ``budget`` steps and set the pool's ``status`` and
+    ``final_loss``: the last step's, or the loss met before any step."""
+    steps = pool.log.last_iteration
+    pool.status = train_to_plateau(
+        pool.model, design, config.learning_rate, config.zeta,
+        config.epsilon, budget, pool.log)
+    pool.final_loss = (design.objective(pool.model.coeffs)[1]
+                       if pool.log.last_iteration == steps
+                       else pool.log.records[-1][1])
+
+
 def _grow_to_target(pool: WaveletPool, design: Design,
                     config: GrowthConfig, whole_levels: bool) -> WaveletPool:
     """Train to a plateau, grow, and repeat until the loss target is met
@@ -226,9 +237,7 @@ def _grow_to_target(pool: WaveletPool, design: Design,
             break
         if pool.log.last_iteration >= stop_at:
             break
-        pool.status = train_to_plateau(
-            pool.model, design, config.learning_rate, config.zeta,
-            config.epsilon, stop_at - pool.log.last_iteration, pool.log)
+        _train(pool, design, config, stop_at - pool.log.last_iteration)
         if pool.status is not TrainStatus.PLATEAU:
             return pool
     pool.status = TrainStatus.BUDGET
@@ -264,9 +273,7 @@ def run_seed_phase(pool: WaveletPool, design: Design,
     the target or spends ``config.max_iters`` ends the run (Achieved or
     Budget) as ``run_growth`` would."""
     _start(pool, config)
-    pool.status = train_to_plateau(
-        pool.model, design, config.learning_rate, config.zeta,
-        config.epsilon, config.max_iters, pool.log)
+    _train(pool, design, config, config.max_iters)
     return pool
 
 
@@ -279,44 +286,42 @@ def run_baseline_wnn(pool: WaveletPool, design: Design,
                            whole_levels=True)
 
 
-def run_online(pool: WaveletPool, X, y, config: GrowthConfig,
+def run_online(pool: WaveletPool, design: Design, config: GrowthConfig,
                window: int, patience: int) -> WaveletPool:
     """Windowed streaming variant: seed an empty pool at its resolution,
-    then consume ``window`` samples per cycle, take one gradient step on
-    that window, and run one growth phase whenever the rolling window
-    loss sits above the loss target without improving for ``patience``
-    cycles.
+    then consume ``window`` rows of the caller's stream ``design`` per
+    cycle, take one gradient step on that window, and run one growth
+    phase whenever the rolling window loss sits above the loss target
+    without improving for ``patience`` cycles.
 
     Improvement means the rolling loss dropped below its best by more
     than ``zeta`` absolutely or by the relative ``ONLINE_IMPROVEMENT``
     fraction (the relative branch keeps slow-but-real recovery after a
     regime switch from firing growth on every patience interval).
 
-    The stream is one ``Design``, and each window takes one
-    ``Design.step`` on a design of its rows, which records the post-step
-    loss, so the records are numbered by window from 1; a short last
-    window never triggers growth.  Each growth phase is an event at its
-    window's number.  The stream running out ends the run, and the pool
-    it returns has status ``TrainStatus.BUDGET``.  A diverging step
-    raises :class:`TrainingDivergence` with the model as it was before
-    that window; a ``window`` or ``patience`` below 1, a stream its
-    ``Design`` refuses, a pool that holds bases or one above the
-    resolution cap raise ``ValueError`` and leave the pool as it was.
+    Each window takes one ``Design.step`` on a design of its rows, which
+    records the post-step loss, so the records are numbered by window
+    from 1; a short last window never triggers growth.  Each growth
+    phase is an event at its window's number.  The stream running out
+    ends the run, and the pool it returns has status
+    ``TrainStatus.BUDGET``.  A diverging step raises
+    :class:`TrainingDivergence` with the model as it was before that
+    window; a ``window`` or ``patience`` below 1, a pool that holds bases
+    or one above the resolution cap raise ``ValueError`` and leave the
+    pool as it was.
     """
     for name, value in (("window", window), ("patience", patience)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    stream = Design(X, y)
     _start(pool, config)
-    X, y = stream.X, stream.y
-    best_roll = np.inf
-    best_at = 0
+    X, y = design.X, design.y
+    best_roll, best_at = np.inf, 0
     for w, start in enumerate(range(0, len(y), window), 1):
-        design = Design(X[start:start + window], y[start:start + window])
-        design.sync(pool.model)
-        direction, _ = design.objective(pool.model.coeffs)
-        design.step(pool.model, config.learning_rate, direction, pool.log)
-        if design.y.size < window:
+        part = Design(X[start:start + window], y[start:start + window])
+        part.sync(pool.model)
+        direction, _ = part.objective(pool.model.coeffs)
+        part.step(pool.model, config.learning_rate, direction, pool.log)
+        if part.y.size < window:
             # a short last window: its step and record only, no growth
             # trigger on a boundary fragment
             break
@@ -324,14 +329,12 @@ def run_online(pool: WaveletPool, X, y, config: GrowthConfig,
                               for r in pool.log.records[-patience:]]))
         gap = max(config.zeta, ONLINE_IMPROVEMENT * best_roll)
         if np.isinf(best_roll) or roll < best_roll - gap:
-            best_roll = roll
-            best_at = w
+            best_roll, best_at = roll, w
         if roll > config.epsilon and (w - best_at) >= patience:
             # sustained plateau above target: one growth phase; at the
             # resolution cap keep streaming plain steps and just restart
             # the patience clock
             _grow(pool, config)
-            best_roll = roll
-            best_at = w
-    pool.status = TrainStatus.BUDGET
+            best_roll, best_at = roll, w
+    pool.status, pool.final_loss = TrainStatus.BUDGET, pool.log.records[-1][1]
     return pool

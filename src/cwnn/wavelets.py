@@ -57,9 +57,10 @@ def _bessel_ufuncs():
 
     Importing ``scipy.special`` loads its array-API layer and scipy's own
     OpenBLAS, about 0.2 s of a run's start-up.  Its extension
-    ``_special_ufuncs`` is loaded instead, running neither package's
-    ``__init__``, under its full name, so that a later ``import
-    scipy.special`` reuses it, as this reuses one loaded before.
+    ``_special_ufuncs`` is loaded instead, or reused if loaded before,
+    running neither package's ``__init__``, and its load leaves no
+    ``sys.modules`` entry: a later ``import scipy.special`` loads and
+    binds it, a single-phase extension with these very objects.
     ``_spherical_jn`` skips ``spherical_jn``'s Python wrapper (scipy 1.15
     on), about 0.2 ms a call under the interpreter lock, which kept the
     tile pool from running a 9-D probe's 12 000 blocks side by side;
@@ -77,7 +78,7 @@ def _bessel_ufuncs():
                 raise ImportError(f"no {name}")
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-            sys.modules[name] = module
+            sys.modules.pop(name, None)
         return module.j1, module.jv, module._spherical_jn
     except (ImportError, AttributeError):
         from scipy.special import j1, jv, spherical_jn
@@ -419,6 +420,7 @@ def _fill(mother: MotherWavelet, X, tile, dest) -> None:
             values = mother._eval_kind(kind, np.subtract(
                 (x * scale).T[:, :, None], trans.T[:, None, :], order="C"))
         np.multiply(values, amp, out=dest[lo:lo + step])
+        del values  # so the next slab is evaluated without it
 
 
 def _each_tile(work, tasks, cells: int) -> None:

@@ -2,12 +2,14 @@
 
 import csv
 import ctypes
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -687,11 +689,15 @@ def _data_flags(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(cli.PRESETS))
 def test_presets_keep_their_clamp_and_zeta(name, tmp_path):
+    # a margin of one span reaches below each box's low corner 0, to -1
+    # on the unit square, so the start lattice's low corner is the clamp
     clamp, zeta = _PRESET_CLAMP_ZETA[name]
     flags = _data_flags(name, tmp_path)
     for command in cli._COMMANDS:
+        cfg = _resolve([command, "--preset", name, *flags, "--margin", "1"])
+        low = list(cli._build_data(cfg).grid.low)
+        assert low == (clamp or [-1.0, -1.0]), command
         cfg = _resolve([command, "--preset", name, *flags])
-        assert cli._build_data(cfg).box[2] == clamp, command
         want = 0.001 * cfg["epsilon"] if command == "sweep" else zeta
         assert cfg["zeta"] == want, command
 
@@ -716,14 +722,15 @@ def test_every_preset_starts_at_its_lattice(name, tmp_path):
     flags = _data_flags(name, tmp_path)
     for command in cli._COMMANDS:
         cfg = _resolve([command, "--preset", name, *flags])
-        box = cli._build_data(cfg).box
-        grid = cli._start_grid(cfg, box)
+        data = cli._build_data(cfg)
+        grid = data.grid
         want = probe if command in ("estimate-freq", "diag") else growth
         assert (grid.m, grid.n_lo, grid.n_hi) == want, command
+        assert data.baseline_grid is None, command
         if command == "fit":
             cfg = _resolve([command, "--preset", name, *flags,
                             "--baseline", "wnn"])
-            grid = cli._start_grid(cfg, box, baseline=True)
+            grid = cli._build_data(cfg).baseline_grid
             assert (grid.m, grid.n_lo, grid.n_hi) == baseline
 
 
@@ -941,6 +948,57 @@ def test_the_baseline_start_is_held_to_the_cell_bound(out_root, capsys,
     assert run.exists() == (bound == 500)
 
 
+@pytest.fixture()
+def built(monkeypatch):
+    """The resolution of each lattice ``cli.build_center_grid`` builds."""
+    seen, build = [], cli.build_center_grid
+
+    def spy(m, *args, **kwargs):
+        seen.append(m)
+        return build(m, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_center_grid", spy)
+    return seen
+
+
+# each command's start lattices, by resolution, on a small run: the
+# run's, and for fit --baseline wnn the baseline's
+_LATTICES_BUILT = {
+    "estimate-freq": (["estimate-freq"], [1]),
+    "fit": (FAST_FIT + ["--baseline", "wnn", "--max-iters", "50"], [2, 1]),
+    "sweep": (["sweep", "--n-samples", "150", "--mu-list", "1/2,1/3",
+               "--max-iters", "50"], [2]),
+    "online": (["online", "--n-samples", "150"], [2]),
+    "diag": (["diag"], [1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LATTICES_BUILT))
+def test_each_start_lattice_is_built_once(out_root, capsys, built, case):
+    # the lattices the bound holds are the ones the run starts from
+    argv, want = _LATTICES_BUILT[case]
+    assert cli.main(argv + ["--out", str(out_root / "run")]) in (0, 4)
+    assert built == want
+
+
+def test_online_holds_no_baseline_lattice_to_the_bound(out_root, tmp_path,
+                                                       capsys, monkeypatch,
+                                                       built):
+    # online trains no baseline, so a config that asks for one leaves its
+    # resolution-1 lattice, 40 rows x 72 bases, unbuilt and unchecked;
+    # the run's at resolution 0 is 40 x 18 = 720 cells
+    monkeypatch.setattr(cli, "MAX_START_CELLS", 1000)
+    cfg = tmp_path / "b.json"
+    cfg.write_text(json.dumps({"baseline": "wnn"}))
+    run = out_root / "online"
+    rc = cli.main(["online", "--preset", "example3", "--m-init", "0",
+                   "--n-samples", "40", "--config", str(cfg),
+                   "--out", str(run)])
+    assert rc in (0, 4), capsys.readouterr().err
+    assert built == [0]
+    assert read_json(run / "summary.json")["windows"] == 4
+
+
 # what a dataset that does not read a data setting is given of it
 _UNREAD = {"n_samples": ("csv", 100), "csv_path": ("example2", "t.csv"),
            "target_column": ("autoregression", "y"),
@@ -1010,6 +1068,51 @@ def test_fit_takes_an_epsilon_the_probe_would_refuse(out_root, capsys):
     assert read_json(run / "summary.json")["cwnn"]["status"] == "achieved"
 
 
+def _strict_json(path):
+    """The JSON at ``path``, refusing NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+# runs whose target every model meets before a step, and their summaries
+_MET_AT_ONCE = {
+    "fit": (["fit"], ["summary.json"]),
+    "baseline": (["fit", "--baseline", "wnn"], ["summary.json"]),
+    "sweep": (["sweep"], ["summary.json"]
+              + [f"mu-{k}/summary.json" for k in (2, 3, 4, 5)]),
+    "example2": (["fit", "--preset", "example2"], ["summary.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MET_AT_ONCE))
+def test_a_run_met_before_its_first_step_reports_the_loss_it_measured(
+        out_root, capsys, case):
+    # with every coefficient zero the loss is the mean of y^2, 3.0744 at
+    # seed 7, which the summaries held as NaN, no valid JSON
+    argv, files = _MET_AT_ONCE[case]
+    argv = argv + ["--epsilon", "10"]
+    run = out_root / "met"
+    assert cli.main(argv + ["--out", str(run)]) == 0
+    data = cli._build_data(_resolve(argv))
+    y = np.concatenate([data.train.targets,
+                        [] if data.second is None
+                        else data.second.targets])
+    want = pytest.approx(float(np.mean(y * y)), rel=1e-12)
+    for name in files:
+        summary = _strict_json(run / name)
+        runs = summary.get("runs") or [summary["cwnn"]] + (
+            [summary["baseline"]] if "baseline" in summary else [])
+        for res in runs:
+            assert res["final_loss"] == want, name
+            assert res["iterations"] == 0, name
+    if case == "fit":
+        assert capsys.readouterr().out.split() == [
+            "status=achieved", f"loss={float(np.mean(y * y)):.6g}",
+            "n_params=162", "iterations=0"]
+
+
 def test_example2_baseline_trains_on_the_union(out_root, capsys,
                                                monkeypatch):
     rows = []
@@ -1024,6 +1127,31 @@ def test_example2_baseline_trains_on_the_union(out_root, capsys,
                    "--max-iters", "200", "--out", str(out_root / "b2")])
     assert rc in (0, 4)
     assert rows == [cli.DEFAULTS["n_samples"]]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 "
+                    "holds a call's arguments until the call returns")
+def test_fit_frees_the_models_design_before_the_baseline_trains(
+        out_root, capsys, monkeypatch):
+    # the grown model's design, its columns and Gram matrix, is gone
+    # before the baseline builds its own on the same rows: kept, it
+    # raised the peak of a 50k fit with the baseline from 220 to 288 MB
+    grown, grow, base = [], cli.run_growth, cli.run_baseline_wnn
+
+    def growth_spy(pool, design, config):
+        grown.append(weakref.ref(design))
+        return grow(pool, design, config)
+
+    def baseline_spy(pool, design, config):
+        gc.collect()
+        assert [ref() for ref in grown] == [None]
+        return base(pool, design, config)
+
+    monkeypatch.setattr(cli, "run_growth", growth_spy)
+    monkeypatch.setattr(cli, "run_baseline_wnn", baseline_spy)
+    rc = cli.main(FAST_FIT + ["--baseline", "wnn", "--max-iters", "50",
+                              "--out", str(out_root / "freed")])
+    assert rc in (0, 4) and len(grown) == 1
 
 
 @pytest.mark.parametrize("preset", ["example1-d1", "example2", "example3"])

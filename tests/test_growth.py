@@ -419,8 +419,8 @@ def test_runs_refuse_a_pool_they_cannot_start_from():
     runs = {"growth": lambda pool: run_growth(pool, Design(X, y), config),
             "baseline": lambda pool: run_baseline_wnn(pool, Design(X, y),
                                                       config),
-            "online": lambda pool: run_online(pool, X, y, config, window=4,
-                                              patience=1)}
+            "online": lambda pool: run_online(pool, Design(X, y), config,
+                                              window=4, patience=1)}
     for run in runs.values():
         pool = start_pool(2)
         with pytest.raises(ValueError, match="above max_resolution 1"):
@@ -457,7 +457,7 @@ def test_baseline_escalates_whole_levels_and_is_deterministic():
 
 def test_online_constant_zero_stream_never_grows():
     X = np.linspace(0.0, 1.0, 50).reshape(-1, 1)
-    res = run_online(start_pool(), X, np.zeros(50),
+    res = run_online(start_pool(), Design(X, np.zeros(50)),
                      small_config(epsilon=1e-4), window=10, patience=3)
     assert growth_iterations(res) == []
     assert max(window_losses(res)) == 0.0
@@ -467,8 +467,8 @@ def test_online_refuses_an_empty_stream_before_seeding():
     # it seeded the pool and returned with no window run
     pool = start_pool()
     with pytest.raises(ValueError, match="empty batch"):
-        run_online(pool, np.zeros((0, 1)), np.zeros(0), small_config(),
-                   window=4, patience=1)
+        run_online(pool, Design(np.zeros((0, 1)), np.zeros(0)),
+                   small_config(), window=4, patience=1)
     assert (pool.n_params, pool.log.records, pool.log.events) == (0, [], [])
 
 
@@ -476,8 +476,8 @@ def test_online_window_one_runs_per_sample():
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 1.0, size=(25, 1))
     y = np.sin(3.0 * X[:, 0])
-    res = run_online(start_pool(), X, y, small_config(epsilon=1e-4), window=1,
-                     patience=5)
+    res = run_online(start_pool(), Design(X, y), small_config(epsilon=1e-4),
+                     window=1, patience=5)
     assert len(window_losses(res)) == 25
     assert len(res.log.records) == 25
 
@@ -486,7 +486,7 @@ def test_online_short_stream_partial_phase():
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 1.0, size=(6, 1))
     y = np.sin(3.0 * X[:, 0])
-    res = run_online(start_pool(), X, y, small_config(), window=10,
+    res = run_online(start_pool(), Design(X, y), small_config(), window=10,
                      patience=5)
     assert len(window_losses(res)) == 1  # one partial window, clean exit
     assert growth_iterations(res) == []
@@ -499,7 +499,8 @@ def test_online_plateau_triggers_growth():
     X = rng.uniform(0.0, 1.0, size=(400, 1))
     y = np.sin(14.0 * X[:, 0])
     config = small_config(epsilon=1e-5, learning_rate=0.02, mu=1 / 2)
-    res = run_online(start_pool(), X, y, config, window=10, patience=5)
+    res = run_online(start_pool(), Design(X, y), config, window=10,
+                     patience=5)
     assert len(growth_iterations(res)) >= 1
     assert any(e[1] in ("expand", "escalate") for e in res.log.events)
 
@@ -596,7 +597,7 @@ def _online_both_ways(window):
     config = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)
     kw = dict(window=window, patience=3)
     ref_log = TrainLog()
-    res = run_online(start_pool(), X, y, config, **kw)
+    res = run_online(start_pool(), Design(X, y), config, **kw)
     log = res.log
     ref = _reference_online(MH1, start_grid(), X, y, config, log=ref_log,
                             **kw)
@@ -649,8 +650,8 @@ def _logged_run(name, pool, learning_rate=None):
         X, y = _rich_stream(8 * 80 + 4)
         config = small_config(epsilon=1e-5, learning_rate=0.02,
                               max_resolution=2)
-        return (run_online(pool, X, y, replace(config, **rate), window=8,
-                           patience=3), X, y)
+        return (run_online(pool, Design(X, y), replace(config, **rate),
+                           window=8, patience=3), X, y)
     rng = np.random.default_rng(5)
     X = rng.uniform(0.0, 1.0, size=(240, 1))
     y = np.sin(12.0 * X[:, 0]) * np.exp(-X[:, 0])
@@ -771,7 +772,7 @@ def test_online_streams_past_the_resolution_cap():
     X, y = _rich_stream(8 * 80 + 4)
     kw = dict(window=8, patience=3)
     capped = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=1)
-    res = run_online(start_pool(), X, y, capped, **kw)
+    res = run_online(start_pool(), Design(X, y), capped, **kw)
     log = res.log
     # seeded at the cap, the run never grows; every window is still
     # trained and recorded
@@ -782,7 +783,7 @@ def test_online_streams_past_the_resolution_cap():
     # with room to grow the same stream grows, so plateaus did fire at
     # the cap and logged nothing
     roomy = small_config(epsilon=1e-5, learning_rate=0.02, max_resolution=2)
-    free = run_online(start_pool(), X, y, roomy, **kw)
+    free = run_online(start_pool(), Design(X, y), roomy, **kw)
     assert free.log.events[0] == log.events[0]
     assert growth_iterations(free)
 
@@ -890,7 +891,7 @@ def test_no_run_adds_a_basis_past_the_cap(cap, start, n_phases, run):
     X, y = _rich_stream(48)
     pool = start_pool(min(start, cap))
     if run == "online":
-        res = run_online(pool, X, y, config, window=4, patience=1)
+        res = run_online(pool, Design(X, y), config, window=4, patience=1)
     else:
         runner = run_growth if run == "growth" else run_baseline_wnn
         res = runner(pool, Design(X, y), config)

@@ -812,7 +812,8 @@ def test_a_design_refuses_targets_of_another_row_count(n_x, n_y):
                           max_iters=200)
     pool = _start_pool()
     with pytest.raises(ValueError, match=counts):
-        cwnn.growth.run_online(pool, X, y, config, window=10, patience=5)
+        cwnn.growth.run_online(pool, Design(X, y), config, window=10,
+                               patience=5)
     assert (pool.n_params, pool.log.records, pool.log.events) == (0, [], [])
 
 

@@ -271,6 +271,27 @@ def test_bessel_ufuncs_are_scipy_specials_in_either_order(first, then):
     assert done.stdout.split() == ["True"] * 4
 
 
+@pytest.mark.parametrize("first, then", [("cwnn.wavelets", "scipy.special"),
+                                         ("scipy.special", "cwnn.wavelets")])
+def test_scipy_special_binds_its_ufunc_module_in_either_order(first, then):
+    # the package's load leaves no sys.modules entry behind, so a later
+    # scipy.special loads its submodule itself and binds it as an
+    # attribute, where it raised AttributeError before
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavelets.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (f"import sys, {first}, {then}; "
+             "import cwnn.wavelets as w, scipy.special as s; "
+             "u = s._special_ufuncs; "
+             "print(sys.modules[u.__name__] is u, w.j1 is u.j1, "
+             "w.jv is u.jv, w.spherical_jn is u._spherical_jn)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"] * 4
+
+
 def test_bessel_ufuncs_fall_back_to_scipy_special(monkeypatch):
     # where scipy has no loadable _special_ufuncs, the public functions
     # take over, and the profile's j1 (d = 2), spherical_jn (d = 3) and
@@ -796,6 +817,26 @@ def test_any_block_bound_gives_the_whole_design_bytes(data, n, d, family,
     assert psi.tobytes() == whole.tobytes()
     scratch = peak - psi.nbytes
     assert scratch <= 4 * elems * 8 + tables + 2 ** 16
+
+
+def test_a_slab_is_evaluated_without_the_last_slabs_values(monkeypatch):
+    # a 1-D sinc tile of 16 columns is cut into slabs of 737 rows; with
+    # the last slab's values still held while the next one was evaluated
+    # the scratch reached 474 296 B, over the 443 264 B bound
+    monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 11_804)
+    monkeypatch.setattr(wavelets, "_BLOCK_COLS", 35)
+    mother = MotherWavelet.sinc(1)
+    bases = basis_set(0, np.arange(-3, 13)[:, None])
+    X = np.random.default_rng(0).uniform(-1.0, 2.0, size=(4278, 1))
+    basis_matrix(mother, bases, X)  # warms numpy's caches
+    tracemalloc.start()
+    try:
+        psi = basis_matrix(mother, bases, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - psi.nbytes <= 4 * 11_804 * 8 + 2 ** 16
 
 
 def test_a_500_row_162_column_design_runs_inline(monkeypatch):
