@@ -8,10 +8,15 @@ mother families are provided, both radial in frequency:
 * ``MEXICAN_HAT``: ``(d - |x|**2) * exp(-|x|**2 / 2)``, paired with a
   Gaussian low-pass companion.
 * ``SINC``: band-limited to the annulus ``1 < |w| <= 2``; in one dimension
-  ``(sin(2x) - sin(x)) / x``, in higher dimensions evaluated from the
-  closed-form Bessel profile, which in odd dimensions is elementary (the
-  spherical Bessel functions ``j_n``).  Its low-pass companion is the
-  tensor product of ``sin(x_i)/x_i`` factors.
+  ``(sin(2x) - sin(x)) / x``, in higher dimensions the closed-form Bessel
+  profile, which in odd dimensions is elementary (the spherical Bessel
+  functions ``j_n``).  Radii below 256 read it from a table of degree-9
+  polynomial pieces of width 1/4, interpolating the closed form at their
+  Chebyshev points, which each process builds once per dimension on
+  first use and which stays within 1e-14 of the profile's peak of the
+  closed form; radii from 256 on take the closed form, and radii below
+  1e-3 its two-term series.  Its low-pass companion is the tensor
+  product of ``sin(x_i)/x_i`` factors.
 
 Shapes are evaluated from per-axis coordinate arrays, so a design matrix
 is built from one (rows, columns) offset array per input axis and never
@@ -136,8 +141,37 @@ def surface_area(dim: int) -> float:
 
 
 # below this radius the band-limited profile comes from its two-term
-# series about the origin, where the closed form divides by almost zero
+# series about the origin, where the closed form divides by almost zero.
+# The series leaves out its r**4 term, sqrt(pi/2) * c4 * r**4 with
+# c4 = (2**nu - 2**(-nu - 4)) / (2 gamma(nu + 3)), nu = d/2: at the
+# cut-off that is 2.6e-13 of the peak at d = 1, 1.1e-13 at d = 2,
+# 6.6e-14 at d = 3 and less above, the profile's step across it
 _SERIES_RADIUS = 1e-3
+# From _SERIES_RADIUS up to _TABLE_RADIUS the profile is read from a
+# table of polynomial pieces, one per _PIECE_WIDTH of radius, each the
+# degree-_PIECE_DEGREE interpolant of the closed form at its Chebyshev
+# points.  The profile is band-limited to |w| <= 2, so on a piece of
+# width 1/4 the interpolant of degree 9 errs by about 1e-15 of the peak
+# (Trefethen, Approximation Theory and Approximation Practice, ch. 8):
+# against a 40-digit Bessel form the table is within 1.3e-15 of the
+# peak at d = 1 and 3.9e-15 at d = 9, where the closed form's own
+# rounding is 3.3e-16 and 4.1e-15.  Degree 7 on width 1/8 leaves 4.8e-15
+# at d = 1; more pieces or a higher degree gain nothing.  A power-of-two
+# width makes a radius's piece index and its offset in the piece exact,
+# and the lowest node, 1.5e-3, lies above the series cut-off, so the
+# table is built from the closed form alone.
+_PIECE_WIDTH = 0.25
+_PIECE_DEGREE = 9
+# Radii from here on take the closed form.  Every radius the presets
+# reach lies below 2**6 * 2 * sqrt(2), about 181: the probe's finest
+# level, m = 6, over a lattice box one span wider than the data's on
+# each side.  At 256 a table holds 1 024 pieces of 10 coefficients,
+# 80 KB per dimension, a coefficient's row 8 KB.
+_TABLE_RADIUS = 256.0
+# each dimension's table, built on first use under the lock
+_PROFILE_TABLES: dict = {}
+_PROFILE_LOCK = threading.Lock()
+
 
 def _sum_of_squares(axes) -> np.ndarray:
     """Elementwise sum of squares of equally shaped per-axis arrays."""
@@ -149,8 +183,9 @@ def _sum_of_squares(axes) -> np.ndarray:
     return s2
 
 
-def _sinc_profile(dim: int, r: np.ndarray) -> np.ndarray:
-    """Band-limited radial profile at the radii ``r`` (left unchanged).
+def _bessel_profile(dim: int, r: np.ndarray) -> np.ndarray:
+    """Band-limited radial profile at the radii ``r`` (left unchanged) in
+    closed form, a new array; nan at r = 0.
 
     The inverse transform of the unit-height annulus ``1 < |w| <= 2`` is
     ``sqrt(pi/2) * r**-nu * (2**nu J_nu(2r) - J_nu(r))`` with nu = dim/2;
@@ -160,11 +195,8 @@ def _sinc_profile(dim: int, r: np.ndarray) -> np.ndarray:
     spherical Bessel function j_n is elementary in sin and cos; where its
     argument is at least n, scipy builds it by recurrence from them at
     about a tenth of the cost of ``jv`` (below n at about the same cost).
-    Radii below ``_SERIES_RADIUS`` take ``sqrt(pi/2) * (c0 - c2 r**2)``
-    instead.
     """
     nu = 0.5 * dim
-    amp = math.sqrt(math.pi / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         if dim == 1:
             out = np.sin(2.0 * r)
@@ -188,10 +220,96 @@ def _sinc_profile(dim: int, r: np.ndarray) -> np.ndarray:
                 out *= 2.0 ** nu
                 out -= jv(nu, r)
                 out /= r ** nu
-            out *= amp
+            out *= math.sqrt(math.pi / 2.0)
+    return out
+
+
+def _tabulate(dim: int) -> np.ndarray:
+    """The profile's table in ``dim`` dimensions: row k holds every
+    piece's coefficient of t**k, t in [-1, 1) the radius's place in its
+    piece, a (_PIECE_DEGREE + 1, pieces) array.
+
+    Each piece interpolates :func:`_bessel_profile` at its n Chebyshev
+    points ``t_i = cos(theta_i)``, ``theta_i = (i + 1/2) pi / n``.  The
+    discrete orthogonality of T_j at those points gives the coefficients
+    ``(2/n) sum_i f(t_i) T_j(t_i)`` (the first halved), and T_j's powers
+    of t turn them into the table's; both sums are numpy's own loops,
+    not BLAS, so the table is the same bytes whatever threads BLAS runs.
+    """
+    n = _PIECE_DEGREE + 1
+    theta = (np.arange(n) + 0.5) * (np.pi / n)
+    pieces = round(_TABLE_RADIUS / _PIECE_WIDTH)
+    nodes = np.arange(pieces)[:, None] + 0.5 * (1.0 + np.cos(theta))
+    nodes *= _PIECE_WIDTH
+    cheb = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
+    cheb[0] *= 0.5
+    power = np.zeros((n, n))  # row j: T_j's coefficients of 1, t, ...
+    power[0, 0] = power[1, 1] = 1.0
+    for j in range(2, n):
+        power[j, 1:] = 2.0 * power[j - 1, :-1]
+        power[j] -= power[j - 2]
+    coef = np.einsum("ji,pi->jp", cheb, _bessel_profile(dim, nodes))
+    return np.einsum("jk,jp->kp", power, coef)
+
+
+def _profile_table(dim: int) -> np.ndarray:
+    """The table of :func:`_tabulate`, built once per process and
+    dimension, by the first caller; the lock holds the others until it
+    is there."""
+    table = _PROFILE_TABLES.get(dim)
+    if table is None:
+        with _PROFILE_LOCK:
+            table = _PROFILE_TABLES.get(dim)
+            if table is None:
+                table = _PROFILE_TABLES[dim] = _tabulate(dim)
+    return table
+
+
+def _sinc_profile(dim: int, r: np.ndarray, out=None) -> np.ndarray:
+    """Band-limited radial profile at the radii ``r``, written into
+    ``out``, a C-contiguous array of their shape that may be ``r``
+    itself, or else into a new array.
+
+    Radii from ``_SERIES_RADIUS`` up to ``_TABLE_RADIUS`` read their
+    piece of the dimension's table (:func:`_profile_table`), within
+    1e-14 of the profile's peak of the closed form, and evaluate its
+    polynomial in t by Horner's rule: one gathered coefficient, one
+    multiply and one add a degree, in place.  Radii are taken a quarter
+    of ``_BLOCK_ELEMS`` at a time, so beside ``out`` the evaluation
+    holds three such arrays, a piece index, t and a gathered
+    coefficient.  Radii from ``_TABLE_RADIUS`` on take the closed form
+    (:func:`_bessel_profile`), and radii below ``_SERIES_RADIUS``
+    ``sqrt(pi/2) * (c0 - c2 r**2)``.
+    """
+    nu = 0.5 * dim
+    amp = math.sqrt(math.pi / 2.0)
     small = np.flatnonzero(r < _SERIES_RADIUS)
+    far = np.flatnonzero(r >= _TABLE_RADIUS)
+    rs, rf = r.flat[small], r.flat[far]
+    if out is None:
+        out = np.empty(r.shape)
+    table = _profile_table(dim)
+    radii, values = r.reshape(-1), out.reshape(-1)
+    step = max(1, _BLOCK_ELEMS // 4)
+    # a radius past the table, whose value the closed form replaces
+    # below, may overflow its piece index
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, radii.size, step):
+            t = np.multiply(radii[lo:lo + step], 1.0 / _PIECE_WIDTH)
+            coef = np.floor(t)
+            piece = coef.astype(np.intp)
+            t -= coef
+            t *= 2.0
+            t -= 1.0
+            acc = values[lo:lo + step]
+            np.take(table[-1], piece, out=acc, mode="clip")
+            for row in table[-2::-1]:
+                acc *= t
+                acc += np.take(row, piece, out=coef, mode="clip")
+            del t, piece, coef  # so the next chunk is evaluated without them
+    if far.size:
+        out.flat[far] = _bessel_profile(dim, rf)
     if small.size:
-        rs = r.flat[small]
         c0 = (2.0 ** nu - 2.0 ** -nu) / math.gamma(nu + 1.0)
         c2 = (2.0 ** nu - 2.0 ** (-nu - 2.0)) / math.gamma(nu + 2.0)
         out.flat[small] = amp * (c0 - c2 * rs * rs)
@@ -241,7 +359,7 @@ class MotherWavelet:
                              "basis_matrix")
         r = _sum_of_squares(axes)
         np.sqrt(r, out=r)
-        return _sinc_profile(self.dim, r)
+        return _sinc_profile(self.dim, r, out=r)
 
     def eval_mother(self, x) -> np.ndarray:
         """Band-pass mother value at ``x`` (shape (..., dim) or (dim,));
@@ -276,11 +394,14 @@ class MotherWavelet:
 # values.  A worker holds one slab's scratch at a time, its offsets and
 # the shape's temporaries, at most 4 * _BLOCK_ELEMS doubles (2 MiB, one
 # core's L2 cache on the two-core Xeon the benchmarks run on; the 1-D
-# sinc wavelet's offsets, radii, profile and one temporary reach it), on
-# top of the call's output.  A sinc companion's slab holds its values and
-# one axis's factor table over the tile's distinct translations, no
-# wider than the tile, beside the next axis's table or a sine temporary:
-# at most 3 * _BLOCK_ELEMS doubles, and numpy's ufunc buffers.  So its
+# Mexican hat's offsets, squares and envelope come nearest, at three,
+# and the 1-D sinc wavelet's offsets, its radii, which the profile
+# overwrites, and the profile's three temporaries over a quarter of the
+# bound's radii come to 2.75), on top of the call's output.  A sinc
+# companion's slab holds its values and one axis's factor table over the
+# tile's distinct translations, no wider than the tile, beside the next
+# axis's table or a sine temporary: at most 3 * _BLOCK_ELEMS doubles,
+# and numpy's ufunc buffers.  So its
 # tiles are d times wider than an offset tile's: cut at d offsets a
 # cell, the 50k fit's 81 companions are two tiles a chunk, each building
 # its own tables, and their serial build takes 68 ms against 46 (medians

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -145,16 +146,24 @@ DENSE_RADII = np.concatenate([np.linspace(0.0, 50.0, 200_001),
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_odd_dimension_profile_matches_jv_form(d):
-    # the spherical-Bessel form against the jv form as an oracle, within
-    # 1e-14 of the profile's peak at 0 (the largest gap measured on this
-    # grid is 3.3e-15 of it, at d = 3); the series below the cut-off is
-    # the same code on both sides
+    # the profile, tabulated from the spherical-Bessel form, against the
+    # jv form as an oracle, within 1e-14 of the profile's peak at 0 (the
+    # largest gap measured on this grid is 7.4e-15 of it, at d = 9); the
+    # series below the cut-off is the same code on both sides
     r = DENSE_RADII
     peak = wavelets._sinc_profile(d, np.zeros(1))[0]
     got = wavelets._sinc_profile(d, r)
     assert np.max(np.abs(got - jv_profile(d, r))) <= 1e-14 * peak
     small = r < wavelets._SERIES_RADIUS
     assert got[small].tobytes() == jv_profile(d, r)[small].tobytes()
+
+
+def series_r4(d):
+    """The r**4 term the profile's two-term series leaves out, at the
+    series cut-off: sqrt(pi/2) * c4 * r**4 (see _SERIES_RADIUS)."""
+    nu = d / 2
+    c4 = (2.0 ** nu - 2.0 ** (-nu - 4.0)) / (2.0 * math.gamma(nu + 3.0))
+    return math.sqrt(math.pi / 2) * c4 * wavelets._SERIES_RADIUS ** 4
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
@@ -168,10 +177,130 @@ def test_odd_dimension_profile_continuous_across_series_radius(d):
     assert np.max(np.abs(np.diff(p[1:]))) <= 1e-13 * p[0]
 
 
-def test_even_dimension_profile_keeps_jv():
-    # d = 4 still takes jv, bit for bit
+@pytest.mark.parametrize("d", range(1, 10))
+def test_series_step_at_its_radius_is_its_r4_term(d):
+    # in every dimension the profile steps across the series cut-off by
+    # the r**4 term the series leaves out (2.6e-13 of the peak at d = 1,
+    # 1.1e-13 at d = 2, 4.4e-14 at d = 4), within the table's 1e-14 of
+    # the peak, and nowhere else near it
+    R = wavelets._SERIES_RADIUS
+    r = np.array([0.0, R * (1 - 1e-12), R, R * (1 + 1e-12)])
+    p = wavelets._sinc_profile(d, r)
+    assert abs(abs(p[2] - p[1]) - series_r4(d)) <= 1e-14 * p[0]
+    assert abs(p[3] - p[2]) <= 1e-14 * p[0]
+
+
+def test_even_dimension_profile_keeps_jv(monkeypatch):
+    # d = 4 tabulates its profile from jv: the values its table reads at
+    # the Chebyshev points of each piece are jv_profile's bit for bit,
+    # and the profile it gives is within the odd dimensions' 1e-14 of
+    # the peak of it
+    bessel, read = wavelets._bessel_profile, []
+
+    def spy(dim, r):
+        values = bessel(dim, r)
+        read.append((dim, r.copy(), values.copy()))
+        return values
+
+    monkeypatch.setattr(wavelets, "_PROFILE_TABLES", {})
+    monkeypatch.setattr(wavelets, "_bessel_profile", spy)
     r = DENSE_RADII
-    assert wavelets._sinc_profile(4, r).tobytes() == jv_profile(4, r).tobytes()
+    got = wavelets._sinc_profile(4, r)
+    (dim, nodes, values), = read
+    pieces = round(wavelets._TABLE_RADIUS / wavelets._PIECE_WIDTH)
+    assert dim == 4 and nodes.shape == (pieces, wavelets._PIECE_DEGREE + 1)
+    assert np.array_equal(nodes // wavelets._PIECE_WIDTH,
+                          np.broadcast_to(np.arange(pieces)[:, None],
+                                          nodes.shape))
+    assert values.tobytes() == jv_profile(4, nodes).tobytes()
+    peak = got[0]
+    assert np.max(np.abs(got - jv_profile(4, r))) <= 1e-14 * peak
+
+
+# radii at random from 0 up to the table's end
+RANDOM_RADII = np.random.default_rng(17).uniform(
+    0.0, wavelets._TABLE_RADIUS, 200_000)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_tabulated_profile_matches_the_closed_form(d):
+    # from the series cut-off to the table's end the table is within
+    # 1e-14 of the profile's peak of the closed form (the largest gap
+    # measured is 7.6e-15 of it, at d = 9)
+    peak = wavelets._sinc_profile(d, np.zeros(1))[0]
+    for r in (DENSE_RADII, RANDOM_RADII):
+        r = r[r >= wavelets._SERIES_RADIUS]
+        gap = wavelets._sinc_profile(d, r) - wavelets._bessel_profile(d, r)
+        assert np.max(np.abs(gap)) <= 1e-14 * peak, d
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_profile_takes_the_closed_form_past_the_table(d):
+    # from _TABLE_RADIUS on the profile is the closed form, below the
+    # series cut-off the series (jv_profile's steps), each bit for bit,
+    # and the table in between, in place or not, on any array shape
+    R = wavelets._TABLE_RADIUS
+    far = np.concatenate([[R, np.nextafter(R, np.inf), 1e4],
+                          np.geomspace(R, 1e6, 1_001)])
+    assert (wavelets._sinc_profile(d, far).tobytes()
+            == wavelets._bessel_profile(d, far).tobytes())
+    if d % 2 == 0 and d > 2:
+        assert wavelets._sinc_profile(d, far).tobytes() == jv_profile(
+            d, far).tobytes()
+    near = np.concatenate([[0.0], np.geomspace(1e-9, 0.999e-3, 1_001)])
+    assert (wavelets._sinc_profile(d, near).tobytes()
+            == jv_profile(d, near).tobytes())
+    mixed = np.concatenate([far, near, RANDOM_RADII[:1_000]])
+    mixed = np.random.default_rng(d).permutation(mixed).reshape(-1, 3)
+    got = wavelets._sinc_profile(d, mixed)
+    assert got.shape == mixed.shape
+    for r in (far, near):
+        at = np.isin(mixed, r)
+        assert got[at].tobytes() == wavelets._sinc_profile(
+            d, mixed[at]).tobytes()
+    inplace = mixed.copy()
+    assert wavelets._sinc_profile(d, inplace, out=inplace) is inplace
+    assert inplace.tobytes() == got.tobytes()
+
+
+def test_first_use_from_threads_builds_each_table_once(monkeypatch):
+    # six callers at once, three for each of two dimensions whose tables
+    # no call has built: each table is built once, and every caller gets
+    # a serial call's bytes
+    r = RANDOM_RADII[:5_000]
+    want = {d: wavelets._sinc_profile(d, r) for d in (2, 3)}
+    tabulate, built = wavelets._tabulate, []
+
+    def slow(dim):
+        built.append(dim)
+        time.sleep(0.05)  # so the other callers arrive meanwhile
+        return tabulate(dim)
+
+    monkeypatch.setattr(wavelets, "_PROFILE_TABLES", {})
+    monkeypatch.setattr(wavelets, "_tabulate", slow)
+    dims = [2, 3] * 3
+    got = [None] * len(dims)
+    start = threading.Barrier(len(dims))
+
+    def call(i):
+        start.wait(timeout=30)
+        got[i] = wavelets._sinc_profile(dims[i], r)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(len(dims))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(built) == [2, 3]
+    for d, g in zip(dims, got):
+        assert g.tobytes() == want[d].tobytes(), d
 
 
 def test_rotation_symmetry():
@@ -295,10 +424,11 @@ def test_scipy_special_binds_its_ufunc_module_in_either_order(first, then):
 def test_bessel_ufuncs_fall_back_to_scipy_special(monkeypatch):
     # where scipy has no loadable _special_ufuncs, the public functions
     # take over, and the profile's j1 (d = 2), spherical_jn (d = 3) and
-    # jv (d = 4) branches give the same bits
+    # jv (d = 4) branches give the same bits, in the tables they build
+    # afresh and past the tables' end
     name = "scipy.special._special_ufuncs"
     find_spec = importlib.machinery.PathFinder.find_spec
-    r = DENSE_RADII
+    r = np.concatenate([DENSE_RADII, [wavelets._TABLE_RADIUS, 1e4]])
     direct = {d: wavelets._sinc_profile(d, r) for d in (2, 3, 4)}
     monkeypatch.delitem(sys.modules, name)
     monkeypatch.setattr(
@@ -311,8 +441,10 @@ def test_bessel_ufuncs_fall_back_to_scipy_special(monkeypatch):
                    scipy.special.spherical_jn)
     for attr, fn in zip(("j1", "jv", "spherical_jn"), got):
         monkeypatch.setattr(wavelets, attr, fn)
+    monkeypatch.setattr(wavelets, "_PROFILE_TABLES", {})
     for d, want in direct.items():
         assert wavelets._sinc_profile(d, r).tobytes() == want.tobytes(), d
+    assert sorted(wavelets._PROFILE_TABLES) == sorted(direct)
 
 
 # ------------------------------------------------------------- evaluation
