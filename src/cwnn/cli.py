@@ -280,6 +280,9 @@ def resolve_config(args) -> dict:
     if cfg["kappa"] > 1:
         raise ConfigError(f"field 'kappa' must be in (0, 1], "
                           f"got {cfg['kappa']!r}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"field 'seed' must be a non-negative integer, "
+                          f"got {cfg['seed']!r}")
     for key in ("window", "patience"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
@@ -471,15 +474,19 @@ def cmd_estimate_freq(cfg, data, out: str) -> int:
     return EXIT_OK
 
 
-def _fit(cfg, data, out: str, res, design, baseline=None):
+def _fit(cfg, data, out: str, res, design=None, baseline=None):
     """The one fit path: grow the caller's pool ``res`` on ``design`` (a
     sweep's forks of its seed phase, written as they are where the seed
     phase ended the run), ingest a second batch, run the baseline where
     the data holds its lattice, on the same rows, and write the run;
     returns the model's run and the baseline's (None without one).
+    Without ``design`` the fit builds it from the training rows, so it
+    holds the only reference and frees it before the baseline trains.
     ``baseline`` is a baseline run already trained on this data, which
     reads no mu: the fit writes it and trains none."""
     ds, gcfg = data.train, _growth_config(cfg)
+    if design is None:
+        design = Design(ds.inputs, ds.targets)
     if res.status in (None, TrainStatus.PLATEAU):
         res = run_growth(res, design, gcfg)
     summary = {"command": "fit"}
@@ -512,11 +519,8 @@ def _fit(cfg, data, out: str, res, design, baseline=None):
 
 
 def cmd_fit(cfg, data, out: str) -> int:
-    # made in the call, so that _fit holds the only reference to the
-    # design (CPython 3.11 on) and frees it before the baseline trains
-    ds = data.train
-    res, _ = _fit(cfg, data, out, WaveletPool(_mother(cfg, ds.dim), data.grid),
-                  Design(ds.inputs, ds.targets))
+    res, _ = _fit(cfg, data, out,
+                  WaveletPool(_mother(cfg, data.train.dim), data.grid))
     print(f"status={res.status.name.lower()} loss={res.final_loss:.6g} "
           f"n_params={res.n_params} iterations={res.log.last_iteration}")
     return EXIT_OK if res.status is TrainStatus.ACHIEVED else EXIT_MISSED

@@ -14,9 +14,8 @@ mother families are provided, both radial in frequency:
   polynomial pieces of width 1/4, interpolating the closed form at their
   Chebyshev points, which each process builds once per dimension on
   first use and which stays within 1e-14 of the profile's peak of the
-  closed form; radii from 256 on take the closed form, and radii below
-  1e-3 its two-term series.  Its low-pass companion is the tensor
-  product of ``sin(x_i)/x_i`` factors.
+  closed form; radii from 256 on take the closed form.  Its low-pass
+  companion is the tensor product of ``sin(x_i)/x_i`` factors.
 
 Shapes are evaluated from per-axis coordinate arrays, so a design matrix
 is built from one (rows, columns) offset array per input axis and never
@@ -66,11 +65,10 @@ def _bessel_ufuncs():
     running neither package's ``__init__``, and its load leaves no
     ``sys.modules`` entry: a later ``import scipy.special`` loads and
     binds it, a single-phase extension with these very objects.
-    ``_spherical_jn`` skips ``spherical_jn``'s Python wrapper (scipy 1.15
-    on), about 0.2 ms a call under the interpreter lock, which kept the
-    tile pool from running a 9-D probe's 12 000 blocks side by side;
-    radii are never negative.  A scipy without them (before 1.14) gives
-    its public functions.
+    ``_spherical_jn`` is the ufunc under ``spherical_jn``, whose Python
+    wrapper (it casts the order and picks the derivative) lives in
+    ``scipy.special``'s Python layer, the import this loader avoids.  A
+    scipy without them (before 1.14) gives its public functions.
     """
     name = "scipy.special._special_ufuncs"
     try:
@@ -140,26 +138,20 @@ def surface_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-# below this radius the band-limited profile comes from its two-term
-# series about the origin, where the closed form divides by almost zero.
-# The series leaves out its r**4 term, sqrt(pi/2) * c4 * r**4 with
-# c4 = (2**nu - 2**(-nu - 4)) / (2 gamma(nu + 3)), nu = d/2: at the
-# cut-off that is 2.6e-13 of the peak at d = 1, 1.1e-13 at d = 2,
-# 6.6e-14 at d = 3 and less above, the profile's step across it
-_SERIES_RADIUS = 1e-3
-# From _SERIES_RADIUS up to _TABLE_RADIUS the profile is read from a
-# table of polynomial pieces, one per _PIECE_WIDTH of radius, each the
+# Below _TABLE_RADIUS the profile is read from a table of polynomial
+# pieces, one per _PIECE_WIDTH of radius from r = 0, each the
 # degree-_PIECE_DEGREE interpolant of the closed form at its Chebyshev
 # points.  The profile is band-limited to |w| <= 2, so on a piece of
 # width 1/4 the interpolant of degree 9 errs by about 1e-15 of the peak
 # (Trefethen, Approximation Theory and Approximation Practice, ch. 8):
-# against a 40-digit Bessel form the table is within 1.3e-15 of the
+# against a 40-digit Bessel form the table is within 1.2e-15 of the
 # peak at d = 1 and 3.9e-15 at d = 9, where the closed form's own
-# rounding is 3.3e-16 and 4.1e-15.  Degree 7 on width 1/8 leaves 4.8e-15
+# rounding is 3.8e-16 and 4.1e-15.  Degree 7 on width 1/8 leaves 4.8e-15
 # at d = 1; more pieces or a higher degree gain nothing.  A power-of-two
-# width makes a radius's piece index and its offset in the piece exact,
-# and the lowest node, 1.5e-3, lies above the series cut-off, so the
-# table is built from the closed form alone.
+# width makes a radius's piece index and its offset in the piece exact.
+# The first piece's lowest node, 1.5e-3, keeps the closed form clear of
+# the origin, where it divides by almost zero, and the piece reads the
+# origin itself at t = -1.
 _PIECE_WIDTH = 0.25
 _PIECE_DEGREE = 9
 # Radii from here on take the closed form.  Every radius the presets
@@ -185,24 +177,20 @@ def _sum_of_squares(axes) -> np.ndarray:
 
 def _bessel_profile(dim: int, r: np.ndarray) -> np.ndarray:
     """Band-limited radial profile at the radii ``r`` (left unchanged) in
-    closed form, a new array; nan at r = 0.
+    closed form, a new array; nan at r = 0 from two dimensions on.
 
     The inverse transform of the unit-height annulus ``1 < |w| <= 2`` is
-    ``sqrt(pi/2) * r**-nu * (2**nu J_nu(2r) - J_nu(r))`` with nu = dim/2;
-    in one dimension it reduces to ``(sin 2r - sin r) / r``.  For odd
-    dim >= 3, ``J_{n+1/2}(x) = sqrt(2x/pi) j_n(x)`` with n = (dim - 1)/2
-    turns it into ``r**-n * (2**(n+1) j_n(2r) - j_n(r))``.  The
+    ``sqrt(pi/2) * r**-nu * (2**nu J_nu(2r) - J_nu(r))`` with nu = dim/2.
+    For odd dim, ``J_{n+1/2}(x) = sqrt(2x/pi) j_n(x)`` with n = (dim - 1)/2
+    turns it into ``r**-n * (2**(n+1) j_n(2r) - j_n(r))``, in one
+    dimension ``(sin 2r - sin r) / r`` since ``j_0(x) = sin x / x``.  The
     spherical Bessel function j_n is elementary in sin and cos; where its
     argument is at least n, scipy builds it by recurrence from them at
     about a tenth of the cost of ``jv`` (below n at about the same cost).
     """
     nu = 0.5 * dim
     with np.errstate(divide="ignore", invalid="ignore"):
-        if dim == 1:
-            out = np.sin(2.0 * r)
-            out -= np.sin(r)
-            out /= r
-        elif dim % 2:
+        if dim % 2:
             n = dim // 2
             out = spherical_jn(n, np.multiply(r, 2.0))
             out *= 2.0 ** (n + 1)
@@ -270,22 +258,17 @@ def _sinc_profile(dim: int, r: np.ndarray, out=None) -> np.ndarray:
     ``out``, a C-contiguous array of their shape that may be ``r``
     itself, or else into a new array.
 
-    Radii from ``_SERIES_RADIUS`` up to ``_TABLE_RADIUS`` read their
-    piece of the dimension's table (:func:`_profile_table`), within
-    1e-14 of the profile's peak of the closed form, and evaluate its
-    polynomial in t by Horner's rule: one gathered coefficient, one
-    multiply and one add a degree, in place.  Radii are taken a quarter
-    of ``_BLOCK_ELEMS`` at a time, so beside ``out`` the evaluation
-    holds three such arrays, a piece index, t and a gathered
-    coefficient.  Radii from ``_TABLE_RADIUS`` on take the closed form
-    (:func:`_bessel_profile`), and radii below ``_SERIES_RADIUS``
-    ``sqrt(pi/2) * (c0 - c2 r**2)``.
+    Radii below ``_TABLE_RADIUS``, r = 0 included, read their piece of
+    the dimension's table (:func:`_profile_table`), within 1e-14 of the
+    profile's peak of the closed form, and evaluate its polynomial in t
+    by Horner's rule: one gathered coefficient, one multiply and one add
+    a degree, in place.  Radii are taken a quarter of ``_BLOCK_ELEMS`` at
+    a time, so beside ``out`` the evaluation holds three such arrays, a
+    piece index, t and a gathered coefficient.  Radii from
+    ``_TABLE_RADIUS`` on take the closed form (:func:`_bessel_profile`).
     """
-    nu = 0.5 * dim
-    amp = math.sqrt(math.pi / 2.0)
-    small = np.flatnonzero(r < _SERIES_RADIUS)
     far = np.flatnonzero(r >= _TABLE_RADIUS)
-    rs, rf = r.flat[small], r.flat[far]
+    rf = r.flat[far]
     if out is None:
         out = np.empty(r.shape)
     table = _profile_table(dim)
@@ -309,10 +292,6 @@ def _sinc_profile(dim: int, r: np.ndarray, out=None) -> np.ndarray:
             del t, piece, coef  # so the next chunk is evaluated without them
     if far.size:
         out.flat[far] = _bessel_profile(dim, rf)
-    if small.size:
-        c0 = (2.0 ** nu - 2.0 ** -nu) / math.gamma(nu + 1.0)
-        c2 = (2.0 ** nu - 2.0 ** (-nu - 2.0)) / math.gamma(nu + 2.0)
-        out.flat[small] = amp * (c0 - c2 * rs * rs)
     return out
 
 

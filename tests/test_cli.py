@@ -154,6 +154,34 @@ def test_a_setting_that_is_not_finite_exits_2(out_root, tmp_path, capsys,
     assert not run.exists()
 
 
+_NEGATIVE_SEEDS = [
+    ("fit", ["--seed", "-1"], None),
+    ("estimate-freq", ["--seed", "-3"], None),
+    ("online", ["--preset", "example3", "--seed", "-1"], None),
+    ("fit", [], '{"seed": -1}'),
+]
+
+
+@pytest.mark.parametrize("command, flags, payload", _NEGATIVE_SEEDS,
+                         ids=[" ".join([c, *f]) if f else p
+                              for c, f, p in _NEGATIVE_SEEDS])
+def test_a_negative_seed_exits_2_naming_the_field(out_root, tmp_path, capsys,
+                                                 command, flags, payload):
+    # numpy refuses a negative seed in words that name no field; the
+    # config refuses it first, before the run directory exists
+    args = [command, *flags]
+    if payload is not None:
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(payload)
+        args += ["--config", str(cfg)]
+    run = out_root / "neg"
+    rc = cli.main(args + ["--out", str(run)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "field 'seed' must be a non-negative integer, got -" in err
+    assert "Traceback" not in err and not run.exists()
+
+
 def test_config_values_of_the_right_kind_resolve(tmp_path):
     # an integer for a number, and null where the default is null
     cfg = tmp_path / "ok.json"
@@ -1129,8 +1157,6 @@ def test_example2_baseline_trains_on_the_union(out_root, capsys,
     assert rows == [cli.DEFAULTS["n_samples"]]
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 "
-                    "holds a call's arguments until the call returns")
 def test_fit_frees_the_models_design_before_the_baseline_trains(
         out_root, capsys, monkeypatch):
     # the grown model's design, its columns and Gram matrix, is gone

@@ -92,9 +92,9 @@ PROFILE_RADII = (0.0, 1e-4, 0.999e-3, 1.001e-3, 10.0, 47.9, 48.1, 60.0, 80.0)
 
 
 def test_sinc_radial_profile_matches_bessel_form():
-    # the closed-form profile against an independent quadrature of its
-    # Hankel integral, at radii on both sides of the origin series cut-off
-    # (1e-3) and of radius 48, on an axis and a diagonal
+    # the profile against an independent quadrature of its Hankel
+    # integral, at the origin, on both sides of r = 1e-3 and of radius 48,
+    # on an axis and a diagonal
     r = np.array(PROFILE_RADII)
     for d in (1, 2, 3, 9):
         sc = MotherWavelet.sinc(d)
@@ -119,27 +119,41 @@ def test_sinc_2d_profile_continuous_past_quadrature_window():
     assert np.max(np.abs(sc.eval_mother(tail))) > 1e-3
 
 
+# below this radius jv_profile takes the profile's three-term series
+SERIES_RADIUS = 1e-3
+
+
+def series(d, r):
+    """The profile's three-term series about the origin, ``sqrt(pi/2) *
+    (c0 - c2 r**2 + c4 r**4)``: below SERIES_RADIUS it leaves out at most
+    its r**6 term, under 1e-19 of the peak."""
+    nu = d / 2
+    c0 = (2.0 ** nu - 2.0 ** -nu) / math.gamma(nu + 1.0)
+    c2 = (2.0 ** nu - 2.0 ** (-nu - 2.0)) / math.gamma(nu + 2.0)
+    c4 = (2.0 ** nu - 2.0 ** (-nu - 4.0)) / (2.0 * math.gamma(nu + 3.0))
+    r2 = np.square(r)
+    return math.sqrt(math.pi / 2) * (c0 - c2 * r2 + c4 * r2 * r2)
+
+
 def jv_profile(d, r):
     """The profile's Bessel form with ``jv`` at order d/2, in the steps
     the package takes for even d >= 4: ``sqrt(pi/2) * r**-nu * (2**nu
-    J_nu(2r) - J_nu(r))``, and the two-term series below the cut-off."""
+    J_nu(2r) - J_nu(r))``, and the three-term series below
+    SERIES_RADIUS, where the Bessel form divides by almost zero."""
     nu = d / 2
-    amp = math.sqrt(math.pi / 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.multiply(r, 2.0)
         jv(nu, out, out=out)
         out *= 2.0 ** nu
         out -= jv(nu, r)
         out /= r ** nu
-        out *= amp
-    small = r < wavelets._SERIES_RADIUS
-    c0 = (2.0 ** nu - 2.0 ** -nu) / math.gamma(nu + 1.0)
-    c2 = (2.0 ** nu - 2.0 ** (-nu - 2.0)) / math.gamma(nu + 2.0)
-    out[small] = amp * (c0 - c2 * r[small] * r[small])
+        out *= math.sqrt(math.pi / 2)
+    small = r < SERIES_RADIUS
+    out[small] = series(d, r[small])
     return out
 
 
-# a dense grid of [0, 50] plus geometric radii through the series cut-off
+# a dense grid of [0, 50] plus geometric radii through r = 1e-3
 DENSE_RADII = np.concatenate([np.linspace(0.0, 50.0, 200_001),
                               np.geomspace(1e-6, 2.0, 2_001)])
 
@@ -148,46 +162,33 @@ DENSE_RADII = np.concatenate([np.linspace(0.0, 50.0, 200_001),
 def test_odd_dimension_profile_matches_jv_form(d):
     # the profile, tabulated from the spherical-Bessel form, against the
     # jv form as an oracle, within 1e-14 of the profile's peak at 0 (the
-    # largest gap measured on this grid is 7.4e-15 of it, at d = 9); the
-    # series below the cut-off is the same code on both sides
+    # largest gap measured on this grid is 7.4e-15 of it, at d = 9)
     r = DENSE_RADII
     peak = wavelets._sinc_profile(d, np.zeros(1))[0]
     got = wavelets._sinc_profile(d, r)
     assert np.max(np.abs(got - jv_profile(d, r))) <= 1e-14 * peak
-    small = r < wavelets._SERIES_RADIUS
-    assert got[small].tobytes() == jv_profile(d, r)[small].tobytes()
-
-
-def series_r4(d):
-    """The r**4 term the profile's two-term series leaves out, at the
-    series cut-off: sqrt(pi/2) * c4 * r**4 (see _SERIES_RADIUS)."""
-    nu = d / 2
-    c4 = (2.0 ** nu - 2.0 ** (-nu - 4.0)) / (2.0 * math.gamma(nu + 3.0))
-    return math.sqrt(math.pi / 2) * c4 * wavelets._SERIES_RADIUS ** 4
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_odd_dimension_profile_continuous_across_series_radius(d):
-    # the two-term series meets the spherical-Bessel form at the cut-off
-    # within its truncation error, the r**4 term at r = 1e-3: 6.6e-14 of
-    # the peak at d = 3 and less above
-    R = wavelets._SERIES_RADIUS
+    # the table has no step at r = 1e-3, where jv_profile's series meets
+    # its Bessel form: the profile moves by less than 1e-13 of the peak
+    # across it
+    R = SERIES_RADIUS
     r = np.array([0.0, R * (1 - 1e-12), R, R * (1 + 1e-12)])
     p = wavelets._sinc_profile(d, r)
     assert np.max(np.abs(np.diff(p[1:]))) <= 1e-13 * p[0]
 
 
 @pytest.mark.parametrize("d", range(1, 10))
-def test_series_step_at_its_radius_is_its_r4_term(d):
-    # in every dimension the profile steps across the series cut-off by
-    # the r**4 term the series leaves out (2.6e-13 of the peak at d = 1,
-    # 1.1e-13 at d = 2, 4.4e-14 at d = 4), within the table's 1e-14 of
-    # the peak, and nowhere else near it
-    R = wavelets._SERIES_RADIUS
-    r = np.array([0.0, R * (1 - 1e-12), R, R * (1 + 1e-12)])
-    p = wavelets._sinc_profile(d, r)
-    assert abs(abs(p[2] - p[1]) - series_r4(d)) <= 1e-14 * p[0]
-    assert abs(p[3] - p[2]) <= 1e-14 * p[0]
+def test_profile_near_the_origin_is_its_series(d):
+    # the table's first piece, read from r = 0, is within 1e-14 of the
+    # peak of the three-term series at the origin and below r = 1e-3
+    # (the largest gap measured is 5.3e-15 of it, at d = 9)
+    r = np.concatenate([[0.0], np.geomspace(1e-9, SERIES_RADIUS, 1_001)])
+    got = wavelets._sinc_profile(d, r)
+    peak = series(d, 0.0)
+    assert np.max(np.abs(got - series(d, r))) <= 1e-14 * peak
 
 
 def test_even_dimension_profile_keeps_jv(monkeypatch):
@@ -224,21 +225,32 @@ RANDOM_RADII = np.random.default_rng(17).uniform(
 
 @pytest.mark.parametrize("d", range(1, 10))
 def test_tabulated_profile_matches_the_closed_form(d):
-    # from the series cut-off to the table's end the table is within
-    # 1e-14 of the profile's peak of the closed form (the largest gap
-    # measured is 7.6e-15 of it, at d = 9)
+    # from r = 1e-3, clear of the closed form's division by almost zero,
+    # to the table's end the table is within 1e-14 of the profile's peak
+    # of the closed form (the largest gap measured is 7.6e-15 of it, at
+    # d = 9)
     peak = wavelets._sinc_profile(d, np.zeros(1))[0]
     for r in (DENSE_RADII, RANDOM_RADII):
-        r = r[r >= wavelets._SERIES_RADIUS]
+        r = r[r >= SERIES_RADIUS]
         gap = wavelets._sinc_profile(d, r) - wavelets._bessel_profile(d, r)
         assert np.max(np.abs(gap)) <= 1e-14 * peak, d
 
 
+def test_one_dimension_profile_is_the_sine_form():
+    # d = 1 tabulates j_0(x) = sin x / x, the spherical-Bessel form's
+    # n = 0: the table is within 1e-14 of the peak, 1, of
+    # (sin 2r - sin r) / r (the largest gap measured is 1.5e-15)
+    for r in (DENSE_RADII, RANDOM_RADII):
+        r = r[r > 0.0]
+        want = (np.sin(2.0 * r) - np.sin(r)) / r
+        assert np.max(np.abs(wavelets._sinc_profile(1, r) - want)) <= 1e-14
+
+
 @pytest.mark.parametrize("d", range(1, 10))
 def test_profile_takes_the_closed_form_past_the_table(d):
-    # from _TABLE_RADIUS on the profile is the closed form, below the
-    # series cut-off the series (jv_profile's steps), each bit for bit,
-    # and the table in between, in place or not, on any array shape
+    # from _TABLE_RADIUS on the profile is the closed form, bit for bit,
+    # and below it the table, within 1e-14 of the peak of jv_profile's
+    # series near the origin, in place or not, on any array shape
     R = wavelets._TABLE_RADIUS
     far = np.concatenate([[R, np.nextafter(R, np.inf), 1e4],
                           np.geomspace(R, 1e6, 1_001)])
@@ -248,8 +260,9 @@ def test_profile_takes_the_closed_form_past_the_table(d):
         assert wavelets._sinc_profile(d, far).tobytes() == jv_profile(
             d, far).tobytes()
     near = np.concatenate([[0.0], np.geomspace(1e-9, 0.999e-3, 1_001)])
-    assert (wavelets._sinc_profile(d, near).tobytes()
-            == jv_profile(d, near).tobytes())
+    peak = series(d, 0.0)
+    assert np.max(np.abs(wavelets._sinc_profile(d, near)
+                         - jv_profile(d, near))) <= 1e-14 * peak
     mixed = np.concatenate([far, near, RANDOM_RADII[:1_000]])
     mixed = np.random.default_rng(d).permutation(mixed).reshape(-1, 3)
     got = wavelets._sinc_profile(d, mixed)
@@ -530,7 +543,8 @@ def test_basis_matrix_columns_match_eval_basis(family, d, monkeypatch):
         triples.append((kind, m, n))
     bases = from_rows(triples, d)
     X = rng.uniform(-2.0, 2.0, size=(37, d))
-    # rows on a center and just off it reach the small-radius series
+    # rows on a center and just off it reach the profile's first piece
+    # at and near r = 0
     X[0] = bases[0, TRANS] * 2.0 ** -bases[0, RES]
     X[1] = X[0] + 3e-4
     monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2 * X.size)
