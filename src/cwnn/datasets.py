@@ -113,10 +113,10 @@ def load_csv(path, target_column: str, feature_columns=None) -> Dataset:
     """Load a numeric CSV with a header row.
 
     The header may not name a column twice.  ``feature_columns`` defaults
-    to every column except the target, and may not list it or any column
-    twice.  Parse failures and values that are not finite (``nan``,
-    ``inf``) name the offending row and column; these and a file that
-    cannot be opened are ``DataError``s.
+    to every column except the target, and may not be empty or list the
+    target or any column twice.  Parse failures and values that are not
+    finite (``nan``, ``inf``) name the offending row and column; these
+    and a file that cannot be opened are ``DataError``s.
     """
     try:
         fh = open(path, newline="")
@@ -137,6 +137,9 @@ def load_csv(path, target_column: str, feature_columns=None) -> Dataset:
                             f"header {header}")
         if feature_columns is None:
             feature_columns = [h for h in header if h != target_column]
+        if not feature_columns:
+            raise DataError(f"{path}: no feature columns beside the target "
+                            f"{target_column!r}")
         missing = [c for c in feature_columns if c not in header]
         if missing:
             raise DataError(f"{path}: feature columns {missing} not in header")

@@ -17,20 +17,20 @@ mother families are provided, both radial in frequency:
   closed form; radii from 256 on take the closed form.  Its low-pass
   companion is the tensor product of ``sin(x_i)/x_i`` factors.
 
-Shapes are evaluated from per-axis coordinate arrays, so a design matrix
-is built from one (rows, columns) offset array per input axis and never
-from an (n_samples, n_bases, dim) stack; the separable sinc companion is
-gathered from one (rows, distinct n_k) factor table per axis instead.
+Shapes are evaluated from per-axis tables, so a design matrix is never
+built from an (n_samples, n_bases, dim) stack: along each input axis a
+row slab's offsets from the distinct translations are squared, for a
+radial shape, or turned into a sinc companion's factor, and each column
+sums its squares into its squared radius or multiplies its factors.
 ``_tiles`` cuts the matrix into tiles, a row chunk of a column block
 each, and ``_fill`` evaluates one tile, row slab by row slab, for two
 consumers: ``basis_matrix`` fills each tile of the matrix, and
 ``basis_matrix_tdot`` multiplies each tile by its rows of a target and
 frees it, so ``psi^T y`` never holds psi.  Four module constants bound
-the work: a worker evaluates at most ``_BLOCK_ELEMS`` offset elements or
-gathered companion values at once, one slab, so its scratch fits one
-core's L2 cache; a row chunk holds at most ``_BLOCK_ROWS`` rows; a block
-of a design taller than one chunk keeps at least ``_BLOCK_COLS``
-columns, d times that for a sinc companion; and a call larger than
+the work: a worker evaluates at most ``_BLOCK_ELEMS`` cells at once, one
+slab, so its scratch fits one core's L2 cache; a row chunk holds at
+most ``_BLOCK_ROWS`` rows; a block of a design taller than one chunk
+keeps at least ``_BLOCK_COLS`` columns; and a call larger than
 ``_POOL_ELEMS`` runs on every CPU the process may run on (its affinity
 mask, which ``taskset`` limits), smaller ones inline.  The result does
 not depend on the CPU count.  The same row chunks and pool
@@ -168,10 +168,8 @@ _PROFILE_LOCK = threading.Lock()
 def _sum_of_squares(axes) -> np.ndarray:
     """Elementwise sum of squares of equally shaped per-axis arrays."""
     s2 = np.square(axes[0])
-    if len(axes) > 1:
-        tmp = np.empty_like(s2)
-        for a in axes[1:]:
-            s2 += np.square(a, out=tmp)
+    for a in axes[1:]:
+        s2 += np.square(a)
     return s2
 
 
@@ -316,16 +314,13 @@ class MotherWavelet:
 
     # -- evaluation -----------------------------------------------------
 
-    def _eval_kind(self, kind: BasisKind, axes) -> np.ndarray:
-        """Evaluate the mother (band-pass) or companion (low-pass) shape.
-
-        ``axes`` holds ``dim`` equally shaped arrays, the points'
-        coordinates along each input axis.  They are left unchanged; the
-        result is a new array of their shape.  The sinc companion is
-        separable and is built per axis by :func:`_fill`.
+    def _eval_kind(self, kind: BasisKind, s2) -> np.ndarray:
+        """Evaluate the mother (band-pass) or companion (low-pass) shape
+        at the squared radii ``s2``, a C-contiguous array that it may
+        overwrite.  The sinc companion is not radial and is built per axis
+        by :func:`_fill`.
         """
         if self.family is WaveletFamily.MEXICAN_HAT:
-            s2 = _sum_of_squares(axes)
             env = np.multiply(s2, -0.5)
             np.exp(env, out=env)
             if kind is BasisKind.SCALING:
@@ -336,9 +331,8 @@ class MotherWavelet:
         if kind is BasisKind.SCALING:
             raise ValueError("the sinc companion is built per axis by "
                              "basis_matrix")
-        r = _sum_of_squares(axes)
-        np.sqrt(r, out=r)
-        return _sinc_profile(self.dim, r, out=r)
+        np.sqrt(s2, out=s2)
+        return _sinc_profile(self.dim, s2, out=s2)
 
     def eval_mother(self, x) -> np.ndarray:
         """Band-pass mother value at ``x`` (shape (..., dim) or (dim,));
@@ -348,8 +342,7 @@ class MotherWavelet:
             raise ValueError(f"points have {pts.shape[-1]} components, "
                              f"mother expects {self.dim}")
         flat = pts.reshape(-1, self.dim)
-        vals = self._eval_kind(BasisKind.WAVELET,
-                               [flat[:, k] for k in range(self.dim)])
+        vals = self._eval_kind(BasisKind.WAVELET, _sum_of_squares(flat.T))
         return vals.reshape(pts.shape[:-1])[()]
 
     # -- norm -----------------------------------------------------------
@@ -368,45 +361,39 @@ class MotherWavelet:
         return surface_area(d) * (math.pi / 2) * (2 ** d - 1) / d
 
 
-# Most values a worker evaluates at once, one row slab of one tile: its
-# offsets summed over the input axes, or a sinc companion's gathered
-# values.  A worker holds one slab's scratch at a time, its offsets and
-# the shape's temporaries, at most 4 * _BLOCK_ELEMS doubles (2 MiB, one
-# core's L2 cache on the two-core Xeon the benchmarks run on; the 1-D
-# Mexican hat's offsets, squares and envelope come nearest, at three,
-# and the 1-D sinc wavelet's offsets, its radii, which the profile
-# overwrites, and the profile's three temporaries over a quarter of the
-# bound's radii come to 2.75), on top of the call's output.  A sinc
-# companion's slab holds its values and one axis's factor table over the
-# tile's distinct translations, no wider than the tile, beside the next
-# axis's table or a sine temporary: at most 3 * _BLOCK_ELEMS doubles,
-# and numpy's ufunc buffers.  So its
-# tiles are d times wider than an offset tile's: cut at d offsets a
-# cell, the 50k fit's 81 companions are two tiles a chunk, each building
-# its own tables, and their serial build takes 68 ms against 46 (medians
-# of seven runs on two shared cores).  A worker of the psi^T y path also
+# Most cells a worker evaluates at once, one row slab of one tile, for
+# every basis kind.  A worker holds one slab's scratch at a time: the
+# slab's values beside one axis's table over the tile's distinct
+# translations, no wider than the tile, and then either numpy's buffer
+# for the table's subtraction, a sine temporary or the entries its
+# columns take; then the shape's temporaries (the Mexican hat's
+# envelope, or the sinc profile's three over a quarter of the slab's
+# radii).  That is at most three slabs, within 4 * _BLOCK_ELEMS doubles
+# (2 MiB, one core's L2 cache on the two-core Xeon the benchmarks run
+# on), on top of the call's output.  A worker of the psi^T y path also
 # holds its tile's values, rows x columns cells; in place of the output,
 # its call holds one partial sum per row chunk and column.  A bound of
 # 2**18, four times that cache, made the scratch most of an N = 500
 # run's memory above the interpreter's.
 _BLOCK_ELEMS = 2 ** 16
-# Offset elements of a call above which its tiles go to the thread
-# pool; smaller calls run inline.  2**18 is the smallest power of two
-# that still builds a 500-row, 162-column two-axis design inline: at
-# 2**17 that call enters the pool and slows from about 3 to 4 ms.
+# Cells times input axes of a call (X.size * len(bases)) above which its
+# tiles go to the thread pool; smaller calls run inline.  2**18 is the
+# smallest power of two that still builds a 500-row, 162-column two-axis
+# design inline: at 2**17 that call enters the pool and slows from about
+# 3 to 4 ms.
 _POOL_ELEMS = 2 ** 18
 # Most rows per row chunk.  A design of at most 4096 rows is one chunk
 # and is cut by columns alone; a taller one's psi^T y partial sums and
 # Gram border (model.Design.sync) are summed by chunk, in chunk order.
 _BLOCK_ROWS = 4096
 # Fewest columns of a block of a design taller than one row chunk.  At
-# 4096 rows only 2**16 // (4096 d) columns fit the bound (8 at d = 2);
-# in blocks of eight columns the 50k fit's 162-column sinc design builds
-# about 14% slower (604 -> 689 ms on two cores), and 32 columns write
-# each row of psi in whole cache lines.  A sinc companion's block keeps
-# d times as many (see _BLOCK_ELEMS).  Such a block is evaluated in row
-# slabs that stay within the bound.
-_BLOCK_COLS = 32
+# 4096 rows only 2**16 // 4096 = 16 columns fit the bound.  In blocks of
+# 32 the 50k fit's 162-column sinc design builds about 10% slower (147
+# against 134 ms serially, 132 against 119 on two cores, medians of nine
+# on the two-core Xeon), since its 81 companions become two tiles a
+# chunk, each rebuilding its sine tables; 128 builds it no faster.  Such
+# a block is evaluated in row slabs that stay within the bound.
+_BLOCK_COLS = 64
 
 
 def _cpu_count() -> int:
@@ -437,12 +424,11 @@ def _tiles(mother: MotherWavelet, bases, X):
 
     Rows are cut into :func:`_row_chunks`.  Each run of consecutive
     bases of one kind and resolution is cut into the fewest column
-    blocks whose values over a chunk's rows fit ``_BLOCK_ELEMS``, their
-    sizes differing by at most one column: d offsets a cell, or one
-    gathered value for a sinc companion.  In a design of several chunks
-    where fewer than ``_BLOCK_COLS`` columns fit (d times that for a
-    sinc companion), the run is cut into the most blocks of at least
-    that many columns instead.  Every block is one tile per chunk.
+    blocks whose cells over a chunk's rows fit ``_BLOCK_ELEMS``, their
+    sizes differing by at most one column.  In a design of several
+    chunks where fewer than ``_BLOCK_COLS`` columns fit, the run is cut
+    into the most blocks of at least that many columns instead.  Every
+    block is one tile per chunk.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -450,22 +436,17 @@ def _tiles(mother: MotherWavelet, bases, X):
         raise ValueError(f"X has dim {d} and the translations "
                          f"{bases.shape[1] - 2}; mother expects {mother.dim}")
     chunks = _row_chunks(n)
-    height = max(1, -(-n // len(chunks)))
+    width = max(1, _BLOCK_ELEMS // max(1, -(-n // len(chunks))))
     tiles = []
     start = 0
     ends = 1 + np.flatnonzero(np.diff(bases[:, [KIND, RES]], axis=0).any(1))
     for group in np.split(bases, ends) if len(bases) else []:
         kind, m = BasisKind(group[0, KIND]), int(group[0, RES])
         trans = group[:, TRANS]
-        # a sinc companion gathers one value a cell, not d offsets
-        per = (1 if kind is BasisKind.SCALING
-               and mother.family is WaveletFamily.SINC else d)
-        width = max(1, _BLOCK_ELEMS // (height * per))
-        floor = _BLOCK_COLS * d // per
         # blocks whose sizes differ by at most one: at most width
-        # columns each, or at least floor in a tall design
-        if len(chunks) > 1 and width < floor:
-            k = max(1, len(trans) // floor)
+        # columns each, or at least _BLOCK_COLS in a tall design
+        if len(chunks) > 1 and width < _BLOCK_COLS:
+            k = max(1, len(trans) // _BLOCK_COLS)
         else:
             k = -(-len(trans) // width)
         cuts = [len(trans) * i // k for i in range(k + 1)]
@@ -479,55 +460,63 @@ def _tiles(mother: MotherWavelet, bases, X):
 
 def _fill(mother: MotherWavelet, X, tile, dest) -> None:
     """Write the values of ``tile``, one of :func:`_tiles` of ``X``, into
-    ``dest``, an array of its (rows, columns) shape, a row slab at a time.
+    ``dest``, an array of its (rows, columns) shape, a row slab of at
+    most ``_BLOCK_ELEMS`` cells at a time.
 
-    A slab holds at most ``_BLOCK_ELEMS`` values: the offsets of its rows
-    from the tile's translations, one (slab, columns) array per input
-    axis sliced from one array that one subtraction builds, or a sinc
-    companion's gathered values.  The companion is separable: each
-    axis's factor is evaluated once per slab row and distinct ``n_k`` of
-    the tile into a table, in place but with ``np.sinc``'s steps:
-    ``t = pi * (o / pi)``, a tiny ``t`` in place of 0 (whose factor is
-    then exactly 1) and ``sin(t) / t``.  A column gathers its factors and
-    multiplies them in axis order, so every value is the per-cell
-    ``np.sinc`` product bit for bit.  A table spans the slab's rows and
-    the tile's distinct ``n_k`` on one axis, and goes once the next
-    axis's is built, so no table outlives its slab.
+    A slab is built from one table per input axis k over its rows and the
+    tile's distinct ``n_k``, in axis order; each column takes its entry
+    of every table, and a table goes once its entries are taken, so no
+    table outlives its slab.  A radial shape's table holds the squared
+    offsets ``(2**m x_k - n_k)**2``, whose sum in axis order is a cell's
+    squared radius, the shape's argument.  The sinc companion is
+    separable: its table holds the factor ``sinc(2**m x_k - n_k)``, in
+    place but with ``np.sinc``'s steps, ``t = pi * (o / pi)``, a tiny
+    ``t`` in place of 0 (whose factor is then exactly 1) and ``sin(t) /
+    t``, and a cell is the product of its factors in axis order, the
+    per-cell ``np.sinc`` product bit for bit.
     """
     _, rows, _, kind, m, trans = tile
-    d = mother.dim
-    scale, amp = 2.0 ** m, 2.0 ** (0.5 * d * m)
-    gather = (kind is BasisKind.SCALING
-              and mother.family is WaveletFamily.SINC)
-    if gather:
-        distinct = [np.unique(t, return_inverse=True) for t in trans.T]
-    step = max(1, _BLOCK_ELEMS // (len(trans) * (1 if gather else d)))
+    scale, amp = 2.0 ** m, 2.0 ** (0.5 * mother.dim * m)
+    radial = not (kind is BasisKind.SCALING
+                  and mother.family is WaveletFamily.SINC)
+    combine = np.add if radial else np.multiply
+    # each axis's distinct translations and each column's place among
+    # them, found in half the time of np.unique's return_inverse
+    distinct = [np.unique(t) for t in trans.T]
+    which = [np.searchsorted(u, t) for u, t in zip(distinct, trans.T)]
+    step = max(1, _BLOCK_ELEMS // len(trans))
     part = X[rows]
     for lo in range(0, len(part), step):
         x = part[lo:lo + step]
-        if gather:
-            for k, (u, which) in enumerate(distinct):
-                t = np.subtract.outer(x[:, k] * scale, u)
+        for k, u in enumerate(distinct):
+            # np.subtract.outer would hold numpy's buffers for both of its
+            # broadcast operands, up to twice the table
+            t = np.empty((len(x), len(u)))
+            np.multiply(x[:, k, None], scale, out=t)
+            t -= u
+            if radial:
+                np.square(t, out=t)
+            else:
                 t /= np.pi
                 t *= np.pi
                 t[t == 0] = np.pi * 1e-20
                 np.divide(np.sin(t), t, out=t)
-                if k:
-                    values *= t[:, which]
-                else:
-                    values = t[:, which]
-        else:
-            values = mother._eval_kind(kind, np.subtract(
-                (x * scale).T[:, :, None], trans.T[:, None, :], order="C"))
+            # np.take, not t[:, which[k]], gives a C-contiguous array, which
+            # the sinc profile writes in place
+            t = np.take(t, which[k], axis=1)
+            values = combine(values, t, out=values) if k else t
+            del t  # so the next table is built without it
+        if radial:
+            values = mother._eval_kind(kind, values)
         np.multiply(values, amp, out=dest[lo:lo + step])
         del values  # so the next slab is evaluated without it
 
 
 def _each_tile(work, tasks, cells: int) -> None:
     """Apply ``work`` to every task, on a thread pool of at most one
-    worker per CPU when the ``cells`` offset elements exceed
-    ``_POOL_ELEMS``, else inline.  numpy and scipy.special release the
-    GIL.
+    worker per CPU when ``cells``, a call's cells times its input axes,
+    exceeds ``_POOL_ELEMS``, else inline.  numpy and scipy.special
+    release the GIL.
 
     Each caller's task writes only its own slot (a tile of the design
     matrix, a row chunk's partial sums of psi^T y or of a Gram border),

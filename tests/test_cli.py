@@ -920,6 +920,22 @@ _BAD_INPUTS = {
     "csv-repeated-header": (["fit", "--preset", "csv", "--csv-path",
                              "<twice.csv>", "--target-column", "y"], 2,
                             "header names column 'x' twice"),
+    # a table of its target alone, or a config that lists no feature
+    # column, leaves no input axis
+    "csv-one-column": (["fit", "--preset", "csv", "--csv-path",
+                        "<one-column.csv>", "--target-column", "y"], 2,
+                       "no feature columns beside the target 'y'"),
+    "csv-no-feature-columns": (["fit", "--preset", "csv", "--csv-path",
+                                "<two-row.csv>", "--target-column", "y",
+                                "--config", "<no-features.json>"], 2,
+                               "no feature columns beside the target 'y'"),
+    # a 0.1 share of two rows rounds to no training row
+    "csv-no-training-rows": (["fit", "--preset", "csv", "--csv-path",
+                              "<two-row.csv>", "--target-column", "y",
+                              "--train-fraction", "0.1"], 2,
+                             "no training rows"),
+    "config-not-an-object": (["fit", "--config", "<list.json>"], 2,
+                             "config file must hold a JSON object"),
     # at the defaults, 13**9 lattice points per kind over nine inputs
     "start-lattice": (["fit", "--dataset", "csv", "--csv-path",
                        "<nine.csv>", "--target-column", "y"], 2,
@@ -935,8 +951,11 @@ _BAD_INPUTS = {
                          "dataset 'csv' does not read field 'n_samples'"),
 }
 
-_TABLES = {
+_FILES = {
     "two-row.csv": "x1,x2,y\n0.1,0.2,0.3\n0.4,0.5,0.6\n",
+    "one-column.csv": "y\n0.1\n0.4\n0.7\n",
+    "no-features.json": '{"feature_columns": []}',
+    "list.json": '[{"seed": 1}]',
     "twice.csv": "x,x,y\n0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n",
     "nine.csv": ",".join(f"x{j}" for j in range(9)) + ",y\n" + "".join(
         ",".join(str(i + j) for j in range(9)) + f",{i * i}\n"
@@ -948,9 +967,9 @@ _TABLES = {
 def test_bad_input_exits_before_the_run_directory(out_root, capsys, case,
                                                   monkeypatch):
     argv, code, message = _BAD_INPUTS[case]
-    for name, text in _TABLES.items():
+    for name, text in _FILES.items():
         (out_root / name).write_text(text)
-    argv = [str(out_root / a[1:-1]) if a[1:-1] in _TABLES else a
+    argv = [str(out_root / a[1:-1]) if a[1:-1] in _FILES else a
             for a in argv]
     # a bad input must stop the command before any fit starts
     monkeypatch.setattr(cli, "run_growth", None)

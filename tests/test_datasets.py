@@ -181,6 +181,44 @@ def test_load_csv_refuses_a_header_that_names_a_column_twice(
         load_csv(p, "y", feature_columns=features)
 
 
+_MALFORMED = {
+    "empty": ("", None, "file is empty"),
+    "missing-feature": ("a,y\n1,2\n", ["a", "q"],
+                        r"feature columns \['q'\] not in header"),
+    "short-row": ("a,y\n1,2\n3\n", None, "row 3 has no column 'y'"),
+    "header-only": ("a,y\n", None, "no data rows"),
+    "blank-rows-only": ("a,y\n\n , \n", None, "no data rows"),
+    "target-only": ("y\n1\n2\n", None,
+                    "no feature columns beside the target 'y'"),
+    "no-features-listed": ("a,y\n1,2\n", [],
+                           "no feature columns beside the target 'y'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_load_csv_refuses_a_malformed_table(tmp_path, case):
+    # each refusal names the file
+    text, features, message = _MALFORMED[case]
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=message) as err:
+        load_csv(p, "y", feature_columns=features)
+    assert str(p) in str(err.value)
+
+
+def test_load_csv_skips_blank_rows(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,y\n1,2\n\n , \n3,4\n")
+    ds = load_csv(p, "y")
+    assert ds.inputs.tolist() == [[1.0], [3.0]]
+    assert ds.targets.tolist() == [2.0, 4.0]
+
+
+def test_dataset_refuses_row_counts_that_disagree():
+    with pytest.raises(DataError, match="disagree on sample count"):
+        Dataset(np.zeros((3, 1)), np.zeros(2))
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
 def test_load_csv_rejects_non_finite(tmp_path, bad):
     # float() parses these, so only an explicit check keeps them out
@@ -196,8 +234,11 @@ def test_minmax_scale_endpoints_and_errors(tmp_path):
     assert np.allclose(sc.inputs[:, 0], [0.0, 0.5, 1.0])
     assert np.allclose(sc.targets, [0.0, 0.5, 1.0])
     const = Dataset(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="column x1 is constant"):
         minmax_scale(const)
+    flat = Dataset(np.array([[0.0], [1.0]]), np.array([2.0, 2.0]))
+    with pytest.raises(DataError, match="target column is constant"):
+        minmax_scale(flat)
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,6 +285,13 @@ def test_split_partition_property(n, fraction, seed):
     assert sorted(merged.tolist()) == list(range(n))  # disjoint and complete
     again = split(ds, fraction, seed)
     assert np.array_equal(again[0].targets, train.targets)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+def test_split_refuses_a_fraction_outside_the_open_unit_interval(fraction):
+    ds = Dataset(np.zeros((10, 1)), np.arange(10.0))
+    with pytest.raises(DataError, match="strictly between 0 and 1"):
+        split(ds, fraction, seed=0)
 
 
 def test_split_exact_example():

@@ -31,6 +31,8 @@ def test_box_validation():
         TimeFrequencyBox(T=(1.0,), t_eps=(1,), m0=0, m1=2)  # m1 >= m0
     with pytest.raises(ValueError):
         TimeFrequencyBox(T=(-1.0,), t_eps=(1,), m0=2, m1=0)
+    with pytest.raises(ValueError, match="same dimension"):
+        TimeFrequencyBox(T=(1.0, 1.0), t_eps=(1,), m0=2, m1=0)
 
 
 def test_box_membership_rule():

@@ -472,6 +472,19 @@ def test_online_refuses_an_empty_stream_before_seeding():
     assert (pool.n_params, pool.log.records, pool.log.events) == (0, [], [])
 
 
+@pytest.mark.parametrize("window, patience, name", [
+    (0, 1, "window"), (4, 0, "patience"), (-1, 3, "window")])
+def test_online_refuses_a_window_or_patience_below_one(window, patience,
+                                                      name):
+    # refused before the pool is seeded
+    pool = start_pool()
+    X = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        run_online(pool, Design(X, np.zeros(8)), small_config(),
+                   window=window, patience=patience)
+    assert (pool.n_params, pool.log.records, pool.log.events) == (0, [], [])
+
+
 def test_online_window_one_runs_per_sample():
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 1.0, size=(25, 1))

@@ -487,6 +487,17 @@ def test_eval_dimension_mismatch():
     mh = MotherWavelet.mexican_hat(2)
     with pytest.raises(ValueError):
         column(mh, w_index(0, 0), [[1.0]])
+    for family in ("mexican_hat", "sinc"):
+        with pytest.raises(ValueError, match="points have 3 components, "
+                                             "mother expects 2"):
+            getattr(MotherWavelet, family)(2).eval_mother(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_a_mother_needs_an_input_axis(dim):
+    for make in (MotherWavelet.mexican_hat, MotherWavelet.sinc):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            make(dim)
 
 
 @pytest.mark.parametrize("family", ["mexican_hat", "sinc"])
@@ -643,13 +654,13 @@ def _record_tiles(monkeypatch):
 
 def _record_slabs(monkeypatch):
     """A list that gathers the (rows, columns) shape of every row slab of
-    offsets that ``basis_matrix`` evaluates."""
+    squared radii that ``basis_matrix`` evaluates."""
     slabs = []
     real = MotherWavelet._eval_kind
 
-    def spy(self, kind, axes):
-        slabs.append(axes[0].shape)
-        return real(self, kind, axes)
+    def spy(self, kind, s2):
+        slabs.append(s2.shape)
+        return real(self, kind, s2)
 
     monkeypatch.setattr(MotherWavelet, "_eval_kind", spy)
     return slabs
@@ -657,9 +668,9 @@ def _record_slabs(monkeypatch):
 
 def test_basis_matrix_balances_its_blocks(monkeypatch):
     # the wide fit's 1 081-column expansion on 500 rows of two axes: a
-    # block holds at most _BLOCK_ELEMS // 1 000 columns (65 at 2^16), so
-    # the group is cut into the fewest blocks that allow (17 of 63 or
-    # 64), not into full blocks and a short remainder
+    # block holds at most _BLOCK_ELEMS // 500 columns (131 at 2^16), so
+    # the group is cut into the fewest blocks that allow (9 of 120 or
+    # 121), not into full blocks and a short remainder
     tiles = _record_tiles(monkeypatch)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
     mother = MotherWavelet.sinc(2)
@@ -667,12 +678,12 @@ def test_basis_matrix_balances_its_blocks(monkeypatch):
     X = np.random.default_rng(5).uniform(0.0, 1.0, size=(500, 2))
     psi = basis_matrix(mother, bases, X)
     sizes = [c for _, c in tiles]
-    block = wavelets._BLOCK_ELEMS // X.size
+    block = wavelets._BLOCK_ELEMS // len(X)
     k = -(-len(bases) // block)
-    assert k == 17 and sum(sizes) == len(bases) and len(sizes) == k
+    assert k == 9 and sum(sizes) == len(bases) and len(sizes) == k
     assert set(sizes) == {len(bases) // k, -(-len(bases) // k)}
     # every cell is computed on its own, so one block gives the same bytes
-    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", psi.size * 2)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", psi.size)
     np.testing.assert_array_equal(basis_matrix(mother, bases, X), psi)
 
 
@@ -732,10 +743,10 @@ def test_basis_matrix_cuts_tall_designs_by_rows(monkeypatch):
     # the 50k fit's shape: 162 columns on 50 000 rows of two axes.  Rows
     # come in the fewest chunks of at most _BLOCK_ROWS (13 of 3 846 or
     # 3 847), and a chunk's columns in the most blocks of at least
-    # _BLOCK_COLS (five of 32 or 33), not the eight columns that fit the
-    # bound at full chunk height; each block is evaluated in row slabs
-    # whose offsets stay within _BLOCK_ELEMS.  A serial call keeps the
-    # scratch bound, and full-height blocks give the same bytes
+    # _BLOCK_COLS (two of 81), not the 17 columns that fit the bound at
+    # full chunk height; each block is evaluated in row slabs whose cells
+    # stay within _BLOCK_ELEMS.  A serial call keeps the scratch bound,
+    # and full-height blocks give the same bytes
     blocks = _record_tiles(monkeypatch)
     slabs = _record_slabs(monkeypatch)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
@@ -752,16 +763,16 @@ def test_basis_matrix_cuts_tall_designs_by_rows(monkeypatch):
     assert scratch <= 4 * wavelets._BLOCK_ELEMS * 8 + 2 ** 16
     kr = -(-len(X) // wavelets._BLOCK_ROWS)
     k = len(bases) // wavelets._BLOCK_COLS
-    assert len(blocks) == kr * k == 13 * 5
+    assert len(blocks) == kr * k == 13 * 2
     assert {r for r, _ in blocks} == {len(X) // kr, -(-len(X) // kr)}
     assert {c for _, c in blocks} == {len(bases) // k, -(-len(bases) // k)}
     assert min(c for _, c in blocks) >= wavelets._BLOCK_COLS
-    assert max(r * c * 2 for r, c in slabs) <= wavelets._BLOCK_ELEMS
+    assert max(r * c for r, c in slabs) <= wavelets._BLOCK_ELEMS
     assert len(slabs) > len(blocks)
     assert sum(r * c for r, c in slabs) == psi.size
     # full-height blocks of two columns, each one slab
     monkeypatch.setattr(wavelets, "_BLOCK_ROWS", len(X))
-    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2 * X.size)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2 * len(X))
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
     slabs.clear()
     assert basis_matrix(mother, bases, X).tobytes() == psi.tobytes()
@@ -788,12 +799,13 @@ def test_tdot_matches_the_matrix_product(family, d, monkeypatch):
         lattice_bases(3, [range(-2, per)] * d),
         lattice_bases(2, [range(-1, per)] * d, BasisKind.SCALING),
         lattice_bases(4, [range(per)] * d)])
-    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2500 * d * 4)
+    monkeypatch.setattr(wavelets, "_BLOCK_ELEMS", 2500 * 4)
     monkeypatch.setattr(wavelets, "_BLOCK_COLS", 12)
     monkeypatch.setattr(wavelets, "_POOL_ELEMS", 2500 * d * 12)
     _, chunks, tiles = wavelets._tiles(mother, bases, X)
     assert chunks == 2 and len(tiles) >= 3 * 2 * chunks
-    # every slab's offsets, and its sinc factor tables, of at most 833 rows
+    # every slab's squared radii, and its sinc factor tables, of at most
+    # 833 rows
     tables, real_sin = [], np.sin
     with pytest.MonkeyPatch.context() as mp:
         slabs = _record_slabs(mp)
@@ -986,7 +998,7 @@ def test_a_slab_is_evaluated_without_the_last_slabs_values(monkeypatch):
 
 
 def test_a_500_row_162_column_design_runs_inline(monkeypatch):
-    # the N = 500 seed design, 162 columns on two axes, is three blocks
+    # the N = 500 seed design, 162 columns on two axes, is two blocks
     # at the per-worker bound but 162 000 offset elements, under the
     # pool threshold, so it runs inline even with two CPUs
     monkeypatch.setattr(wavelets, "ThreadPoolExecutor", CountingPool)
@@ -995,7 +1007,7 @@ def test_a_500_row_162_column_design_runs_inline(monkeypatch):
     mother = MotherWavelet.sinc(2)
     bases = lattice_bases(2, [range(-1, 17), range(-1, 8)])
     X = np.random.default_rng(3).uniform(0.0, 1.0, size=(500, 2))
-    assert len(bases) == 162 and len(wavelets._tiles(mother, bases, X)[2]) == 3
+    assert len(bases) == 162 and len(wavelets._tiles(mother, bases, X)[2]) == 2
     basis_matrix(mother, bases, X)
     assert CountingPool.opened == 0
 
@@ -1003,7 +1015,7 @@ def test_a_500_row_162_column_design_runs_inline(monkeypatch):
 def test_a_500_row_probe_level_of_6561_elements_takes_the_pool(monkeypatch):
     # diag's widest probe level, 6 561 sinc elements at m = 6 on 500 rows
     # of two axes, is past the pool threshold: with two CPUs its psi^T y
-    # runs on the pool, one future per worker for its 101 blocks, and
+    # runs on the pool, one future per worker for its 51 blocks, and
     # gives the serial bytes
     mother = MotherWavelet.sinc(2)
     bases = lattice_bases(6, [range(-8, 73), range(-8, 73)])
@@ -1013,7 +1025,7 @@ def test_a_500_row_probe_level_of_6561_elements_takes_the_pool(monkeypatch):
     monkeypatch.setattr(CountingPool, "opened", 0)
     monkeypatch.setattr(CountingPool, "submitted", 0)
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 2)
-    assert len(wavelets._tiles(mother, bases, X)[2]) == 101
+    assert len(wavelets._tiles(mother, bases, X)[2]) == 51
     pooled = basis_matrix_tdot(mother, bases, X, y)
     assert CountingPool.opened == 1 and CountingPool.submitted == 2
     monkeypatch.setattr(wavelets, "_cpu_count", lambda: 1)
@@ -1062,21 +1074,6 @@ def test_a_tall_sinc_companion_run_holds_one_slab_of_tables(monkeypatch):
     assert scratch < 3 * 4096 * len(bases) * 8
 
 
-def test_a_tall_sinc_companion_run_takes_fewer_blocks_than_wavelets():
-    # the 50k fit's seed: 81 companions and 81 wavelets on a 9 x 9
-    # lattice, on rows of two axes past one chunk.  A companion gathers
-    # one value a cell where a wavelet evaluates two offsets, so its
-    # blocks are twice as wide: its run is one block, each chunk's tile
-    # building its tables once, where the wavelets take two
-    mother = MotherWavelet.sinc(2)
-    X = np.random.default_rng(10).uniform(0.0, 1.0, size=(3 * 4096 + 5, 2))
-    grid = [range(9)] * 2
-    for kind, blocks in ((BasisKind.SCALING, 1), (BasisKind.WAVELET, 2)):
-        _, chunks, tiles = wavelets._tiles(
-            mother, lattice_bases(2, grid, kind), X)
-        assert len(tiles) == blocks * chunks == blocks * 4
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sinc_companion_evaluates_each_axis_factor_once(d, monkeypatch):
     # a companion group with 30 columns evaluates sin once per row and
@@ -1097,6 +1094,45 @@ def test_sinc_companion_evaluates_each_axis_factor_once(d, monkeypatch):
     distinct = [len(np.unique(bases[:, TRANS][:, k])) for k in range(d)]
     assert sum(points) == X.shape[0] * sum(distinct)
     assert sum(points) <= d * max(distinct) * X.shape[0] < psi.size * d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family, kind", [
+    ("mexican_hat", BasisKind.WAVELET), ("mexican_hat", BasisKind.SCALING),
+    ("sinc", BasisKind.WAVELET)])
+def test_radial_shapes_square_each_axis_offset_once(d, family, kind,
+                                                    monkeypatch):
+    # a radial group with 30 columns squares one offset per row and
+    # distinct translation per axis, as the sinc companion takes one
+    # factor, and builds no (d, rows, columns) offset array: every
+    # squaring is one axis's (rows, distinct n_k) table
+    mother = getattr(MotherWavelet, family)(d)
+    rng = np.random.default_rng(130 + d)
+    bases = basis_set(1, rng.integers(-2, 3, size=(30, d)), kind)
+    X = rng.uniform(-1.0, 1.0, size=(23, d))
+    shapes = []
+    real_square = np.square
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return real_square(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "square", spy)
+    psi = basis_matrix(mother, bases, X)
+    distinct = [len(np.unique(bases[:, TRANS][:, k])) for k in range(d)]
+    assert shapes == [(X.shape[0], u) for u in distinct]
+    # each cell sums its squares in axis order, as eval_mother does, so
+    # the column is 2^{dm/2} psi(2^m x - n) bit for bit
+    monkeypatch.setattr(np, "square", real_square)
+    t = 2.0 * X[:, None, :] - bases[:, TRANS]
+    if kind is BasisKind.WAVELET:
+        want = mother.eval_mother(t)
+    else:
+        s2 = t[..., 0] ** 2
+        for k in range(1, d):
+            s2 += t[..., k] ** 2
+        want = np.exp(-0.5 * s2)
+    assert psi.tobytes() == (2.0 ** (0.5 * d) * want).tobytes()
 
 
 def test_an_element_sits_at_its_center_and_frequency():
